@@ -288,7 +288,12 @@ def solve(
         apply_integral(op, phi) + tp
         for op, tp in zip(operators.inner, taylor_terms)
     )
-    y = taylor_part(problem.initial_values, grid) + apply_integral(operators.outer, phi)
+    if problem.derivative_orders and problem.derivative_orders[-1] == 0.0:
+        # I^(alpha - 0) is the shared outer operator and the order-0 Taylor
+        # part is taylor_part bit for bit, so this entry already is y
+        y = z_final[-1]
+    else:
+        y = taylor_part(problem.initial_values, grid) + apply_integral(operators.outer, phi)
 
     try:
         lipschitz = _observed_lipschitz(problem, grid, z_final)

@@ -11,13 +11,18 @@ Oracles used here:
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fracpicard
 from fracpicard.fractional_ops import (
+    _NEAR_FIELD,
     FracIntegralOperator,
     Grid,
     SampledFunction,
@@ -281,6 +286,56 @@ class TestRegularQuadrature:
     def test_rejects_nonpositive_order(self):
         with pytest.raises(ValueError):
             build_integral_operator(0.0, Grid.uniform(1.0, 8))
+
+
+def direct_apply(op: FracIntegralOperator, u: np.ndarray) -> np.ndarray:
+    """Uniform-grid apply as a direct O(N^2) np.convolve, the reference
+    for the FFT history sum."""
+    n = op.grid.n_intervals
+    out = np.zeros(n + 1)
+    out[1:] = np.convolve(op._stencil, u[1:])[:n] + op._boundary[1:] * u[0]
+    return out
+
+
+class TestFastHistorySum:
+    @pytest.mark.parametrize("n", (257, 1000, 4097, 8192))
+    @pytest.mark.parametrize("beta", (0.3, 1.7))
+    def test_matches_direct_convolution(self, beta, n):
+        grid = Grid.uniform(1.0, n)
+        op = build_integral_operator(beta, grid)
+        u = np.random.default_rng(n).normal(size=n + 1)
+        ref = direct_apply(op, u)
+        out = apply_integral(op, SampledFunction(grid, u)).values
+        assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_exact_on_constants_at_large_n(self, beta):
+        # criterion 8 where most of every output comes from FFT blocks
+        grid = Grid.uniform(1.0, 65536)
+        op = build_integral_operator(beta, grid)
+        out = apply_integral(op, SampledFunction.from_callable(grid, np.ones_like))
+        exact = power_rule(beta, 0.0, grid.nodes)
+        rel = np.abs(out.values[1:] - exact[1:]) / exact[1:]
+        assert np.max(rel) <= 1e-13
+
+    @pytest.mark.parametrize("n", (2, 100, _NEAR_FIELD))
+    def test_near_field_is_the_direct_sum(self, n):
+        grid = Grid.uniform(1.0, n)
+        u = np.random.default_rng(n).normal(size=n + 1)
+        for beta in BETAS:
+            op = build_integral_operator(beta, grid)
+            out = apply_integral(op, SampledFunction(grid, u)).values
+            assert np.array_equal(out, direct_apply(op, u))
+
+    def test_fft_module_loaded_on_import(self):
+        # numpy loads numpy.fft lazily; the first apply must not pay for it
+        src = os.path.dirname(os.path.dirname(fracpicard.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, fracpicard; print('numpy.fft' in sys.modules)"
+        res = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert res.stdout.strip() == "True"
 
 
 class TestIncompleteBeta:
