@@ -52,7 +52,6 @@ from .special_functions import (
     gamma,
     log_gamma,
     mittag_leffler,
-    power_kernel,
 )
 from .verification import (
     InitialLimits,
@@ -105,7 +104,6 @@ __all__ = [
     "gamma",
     "log_gamma",
     "mittag_leffler",
-    "power_kernel",
     "InitialLimits",
     "OriginDecayReport",
     "ResidualReport",

@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -42,7 +43,6 @@ from .picard_solver import (
 )
 from .problem_model import (
     MultiTermProblem,
-    ProblemValidationError,
     RhsDomainError,
     RhsSyntaxError,
     eval_rhs,
@@ -80,6 +80,12 @@ class RunConfig:
     decay_limit_tol: float = 1e-3
     self_test_corrupt: bool = False
 
+    def __post_init__(self) -> None:
+        if not self.tol > 0.0:
+            raise CliInputError(f"--tol must be positive, got {self.tol}")
+        if self.max_iter < 1:
+            raise CliInputError(f"--max-iter must be at least 1, got {self.max_iter}")
+
 
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
@@ -104,11 +110,12 @@ def _sibling_path(path: str, suffix: str) -> str:
 def _make_grid(problem: MultiTermProblem, n_points: int, grading: float) -> Grid:
     if n_points < 16:
         raise CliInputError(f"--n-points must be at least 16, got {n_points}")
-    if grading < 1.0:
-        raise CliInputError(f"--grading must be >= 1, got {grading}")
-    if grading == 1.0:
-        return Grid.uniform(problem.horizon, n_points)
-    return Grid.graded(problem.horizon, n_points, grading)
+    if not 1.0 <= grading < math.inf:
+        raise CliInputError(f"--grading must be a finite number >= 1, got {grading}")
+    try:
+        return Grid.graded(problem.horizon, n_points, grading)
+    except ValueError as exc:
+        raise CliInputError(f"no usable grid for --n-points {n_points}, --grading {grading}: {exc}")
 
 
 def _load(cfg: RunConfig) -> MultiTermProblem:
@@ -118,7 +125,7 @@ def _load(cfg: RunConfig) -> MultiTermProblem:
         raise CliInputError(f"config file not found: {cfg.config}")
     except json.JSONDecodeError as exc:
         raise CliInputError(f"config is not valid JSON: {exc}")
-    except (ProblemValidationError, RhsSyntaxError, ValueError) as exc:
+    except ValueError as exc:
         raise CliInputError(str(exc))
 
 
@@ -162,16 +169,10 @@ def _oracle_fn(spec_text: str, problem: MultiTermProblem):
 
 def _trajectory_rows(trajectory: SolutionTrajectory):
     grid = trajectory.grid
-    n_nodes = grid.nodes.size
-    phi = trajectory.phi
-    if phi.singular_exponent > 0.0:
-        phi_col = np.concatenate(([np.nan], phi.values))
-    else:
-        phi_col = phi.values
-    for i in range(n_nodes):
+    for i in range(grid.nodes.size):
         row = [grid.nodes[i], trajectory.y.values[i]]
         row.extend(zf.values[i] for zf in trajectory.inner)
-        row.append(phi_col[i])
+        row.append(trajectory.phi.values[i])
         yield row
 
 
@@ -232,6 +233,8 @@ def _verify_checks(cfg: RunConfig, problem: MultiTermProblem, trajectory: Soluti
 
 def run_verify(cfg: RunConfig) -> int:
     problem = _load(cfg)
+    if cfg.n_points < 2 * problem.n:  # the differential-form residual differences n times
+        raise CliInputError(f"verify needs --n-points >= 2 ceil(alpha) = {2 * problem.n}")
     grid = _make_grid(problem, cfg.n_points, cfg.grading)
     trajectory = solve(problem, grid, tol=cfg.tol, max_iter=cfg.max_iter)
     if cfg.self_test_corrupt:
@@ -377,13 +380,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         cfg = RunConfig(**vars(args))
         return _DISPATCH[cfg.mode](cfg)
-    except CliInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ProblemValidationError, RhsSyntaxError, RhsDomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (CliInputError, RhsDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (NonFiniteIterateError, SeriesConvergenceError) as exc:

@@ -138,11 +138,11 @@ class Grid:
 
 @dataclass(frozen=True)
 class SampledFunction:
-    """Node samples of a function on a Grid.
+    """Node samples of a function on a Grid, one value per node t_0..t_N.
 
     singular_exponent g in [0, 1) declares that the function behaves like
     t^(-g) near the origin; for g > 0 the value at t_0 = 0 does not exist
-    and samples start at t_1 (values has length N instead of N + 1).
+    and values[0] must be nan.
     """
 
     grid: Grid
@@ -157,24 +157,21 @@ class SampledFunction:
             raise ValueError(
                 f"singular exponent must lie in [0, 1), got {g} (g >= 1 is not integrable)"
             )
-        expected = self.grid.nodes.size - (1 if g > 0.0 else 0)
+        expected = self.grid.nodes.size
         if values.ndim != 1 or values.size != expected:
             raise ValueError(
                 f"expected {expected} samples for this grid, got shape {values.shape}"
             )
-
-    @property
-    def sample_times(self) -> np.ndarray:
-        if self.singular_exponent > 0.0:
-            return self.grid.nodes[1:]
-        return self.grid.nodes
+        if g > 0.0 and not np.isnan(values[0]):
+            raise ValueError("a singular function has no value at t = 0: values[0] must be nan")
 
     @classmethod
     def from_callable(cls, grid: Grid, fn, singular_exponent: float = 0.0) -> "SampledFunction":
-        t = grid.nodes[1:] if singular_exponent > 0.0 else grid.nodes
-        vals = np.asarray(fn(t), dtype=float)
-        if vals.ndim == 0:
-            vals = np.full(t.shape, float(vals))
+        """Sample fn at the nodes; for singular_exponent > 0, fn is never
+        evaluated at t_0 = 0."""
+        skip = 1 if singular_exponent > 0.0 else 0
+        vals = np.full(grid.nodes.size, np.nan)
+        vals[skip:] = fn(grid.nodes[skip:])
         return cls(grid, vals, singular_exponent)
 
     def _check_compatible(self, other: "SampledFunction") -> None:
@@ -352,18 +349,6 @@ class FracIntegralOperator:
             self._boundary = None
             self._table = table
 
-    @property
-    def weights(self) -> np.ndarray:
-        """Dense lower-triangular weight table w[n, j] (row n = node t_n)."""
-        if self._table is not None:
-            return self._table
-        n = self.grid.n_intervals
-        table = np.zeros((n + 1, n + 1))
-        for row in range(1, n + 1):
-            table[row, 0] = self._boundary[row]
-            table[row, 1 : row + 1] = self._stencil[:row][::-1]
-        return table
-
     def _apply_regular(self, u: np.ndarray) -> np.ndarray:
         n = self.grid.n_intervals
         out = np.empty(n + 1)
@@ -416,9 +401,6 @@ class FracIntegralOperator:
         self._weighted_tables[key] = table
         return table
 
-    def apply(self, f: SampledFunction) -> SampledFunction:
-        return apply_integral(self, f)
-
 
 def build_integral_operator(order: float, grid: Grid) -> FracIntegralOperator:
     """Assemble the discrete I^order on the given grid."""
@@ -438,7 +420,7 @@ def integral_node_values(op: FracIntegralOperator, f: SampledFunction) -> np.nda
     if g == 0.0:
         return op._apply_regular(f.values)[1:]
     t = op.grid.nodes
-    bounded = t[1:] ** g * f.values
+    bounded = t[1:] ** g * f.values[1:]
     # the bounded factor is extrapolated linearly to t_0 from its first two samples
     g0 = bounded[0] - (bounded[1] - bounded[0]) * t[1] / (t[2] - t[1])
     gvec = np.concatenate(([g0], bounded))
@@ -448,18 +430,13 @@ def integral_node_values(op: FracIntegralOperator, f: SampledFunction) -> np.nda
 def apply_integral(op: FracIntegralOperator, f: SampledFunction) -> SampledFunction:
     """Discrete fractional integral of f; the image is continuous with
     value 0 at t = 0, which requires order > singular_exponent."""
-    if not op.grid.matches(f.grid):
-        raise ValueError("operator and samples live on different grids")
     g = f.singular_exponent
-    if g == 0.0:
-        return SampledFunction(op.grid, op._apply_regular(f.values), 0.0)
     if op.order <= g:
         raise ValueError(
             f"integral order {op.order} must exceed the singular exponent {g} "
             "for a continuous image; use integral_node_values for the boundary case"
         )
-    vals = integral_node_values(op, f)
-    return SampledFunction(op.grid, np.concatenate(([0.0], vals)), 0.0)
+    return SampledFunction(op.grid, np.concatenate(([0.0], integral_node_values(op, f))), 0.0)
 
 
 def polynomial_from_derivatives(coeffs, t) -> np.ndarray:
@@ -520,5 +497,5 @@ def weighted_norm(f: SampledFunction, g: float) -> float:
             f"weight exponent {g} too small for samples with singular exponent "
             f"{f.singular_exponent}"
         )
-    t = f.sample_times
-    return float(np.max(np.abs(t**g * f.values)))
+    skip = 1 if f.singular_exponent > 0.0 else 0
+    return float(np.max(np.abs(f.grid.nodes[skip:] ** g * f.values[skip:])))

@@ -56,6 +56,7 @@ __all__ = [
     "build_operator_set",
     "initial_state",
     "picard_step",
+    "rhs_samples",
     "estimate_contraction",
     "solve",
 ]
@@ -85,10 +86,12 @@ class PicardState:
 @dataclass(frozen=True)
 class OperatorSet:
     """Prebuilt integral operators for one problem/grid pair: outer is
-    I^alpha, inner[h] is I^(alpha - alpha_h)."""
+    I^alpha, inner[h] is I^(alpha - alpha_h), and taylor[h] holds the
+    derivative_taylor_part samples of order alpha_h."""
 
     outer: FracIntegralOperator
     inner: tuple
+    taylor: tuple
 
 
 @dataclass(frozen=True)
@@ -154,22 +157,20 @@ def build_operator_set(problem: MultiTermProblem, grid: Grid) -> OperatorSet:
 
     outer = get(problem.alpha)
     inner = tuple(get(problem.alpha - a) for a in problem.derivative_orders)
-    for op, a in zip(inner, problem.derivative_orders):
-        if op.order <= problem.gamma:
-            raise ValueError(
-                f"inner derivative of order {a} would be singular: "
-                f"alpha - alpha_h = {op.order:g} must exceed gamma = {problem.gamma:g}"
-            )
-    return OperatorSet(outer=outer, inner=inner)
+    taylor = tuple(
+        derivative_taylor_part(problem.initial_values, a, grid)
+        for a in problem.derivative_orders
+    )
+    return OperatorSet(outer=outer, inner=inner, taylor=taylor)
 
 
-def _rhs_samples(problem: MultiTermProblem, grid: Grid, z_funcs) -> SampledFunction:
-    """Evaluate f(t, z) on the grid, skipping t_0 when the iterate space is
-    weighted (gamma > 0, where f may blow up at the origin)."""
-    singular = problem.gamma > 0.0
-    t = grid.nodes[1:] if singular else grid.nodes
-    zv = [(zf.values[1:] if singular else zf.values) for zf in z_funcs]
-    vals = eval_rhs(problem.rhs, t, zv)
+def rhs_samples(problem: MultiTermProblem, grid: Grid, z_funcs) -> SampledFunction:
+    """Evaluate f(t, z) on the grid. When the iterate space is weighted
+    (gamma > 0, where f may blow up at the origin) t_0 is skipped and the
+    sample there is nan."""
+    skip = 1 if problem.gamma > 0.0 else 0
+    t = grid.nodes[skip:]
+    vals = eval_rhs(problem.rhs, t, [zf.values[skip:] for zf in z_funcs])
     vals = np.asarray(vals, dtype=float)
     if not np.all(np.isfinite(vals)):
         bad = ~np.isfinite(vals)
@@ -177,42 +178,30 @@ def _rhs_samples(problem: MultiTermProblem, grid: Grid, z_funcs) -> SampledFunct
         raise NonFiniteIterateError(
             f"right-hand side produced a non-finite value at t = {t_bad:g}"
         )
+    if skip:
+        vals = np.concatenate(([np.nan], vals))
     return SampledFunction(grid, vals, problem.gamma)
 
 
-def _taylor_terms(problem: MultiTermProblem, grid: Grid):
-    return tuple(
-        derivative_taylor_part(problem.initial_values, a, grid)
-        for a in problem.derivative_orders
-    )
-
-
-def initial_state(problem: MultiTermProblem, grid: Grid) -> PicardState:
+def initial_state(problem: MultiTermProblem, operators: OperatorSet) -> PicardState:
     """Start from the initial polynomial: z^0 holds its fractional
     derivatives and phi^0 = f(t, z^0)."""
-    z0 = _taylor_terms(problem, grid)
-    phi0 = _rhs_samples(problem, grid, z0)
-    return PicardState(iteration=0, phi=phi0, z=z0, delta=np.inf)
+    phi0 = rhs_samples(problem, operators.outer.grid, operators.taylor)
+    return PicardState(iteration=0, phi=phi0, z=operators.taylor, delta=np.inf)
 
 
 def picard_step(
     state: PicardState,
     problem: MultiTermProblem,
     operators: OperatorSet,
-    taylor_terms=None,
 ) -> PicardState:
-    """One fixed-point update phi -> f(t, I^(alpha-alpha_h) phi + ...).
-
-    taylor_terms may pass the precomputed derivative_taylor_part samples;
-    they are recomputed when omitted."""
+    """One fixed-point update phi -> f(t, I^(alpha-alpha_h) phi + ...)."""
     grid = operators.outer.grid
-    if taylor_terms is None:
-        taylor_terms = _taylor_terms(problem, grid)
     z_new = tuple(
         apply_integral(op, state.phi) + tp
-        for op, tp in zip(operators.inner, taylor_terms)
+        for op, tp in zip(operators.inner, operators.taylor)
     )
-    phi_new = _rhs_samples(problem, grid, z_new)
+    phi_new = rhs_samples(problem, grid, z_new)
     delta = weighted_norm(phi_new - state.phi, problem.gamma)
     return PicardState(
         iteration=state.iteration + 1, phi=phi_new, z=z_new, delta=float(delta)
@@ -271,13 +260,11 @@ def solve(
             f"{problem.horizon:g}"
         )
     operators = build_operator_set(problem, grid)
-    taylor_terms = _taylor_terms(problem, grid)
-
-    state = initial_state(problem, grid)
+    state = initial_state(problem, operators)
     deltas = []
     converged = False
     for _ in range(max_iter):
-        state = picard_step(state, problem, operators, taylor_terms)
+        state = picard_step(state, problem, operators)
         deltas.append(state.delta)
         if state.delta <= tol:
             converged = True
@@ -286,7 +273,7 @@ def solve(
     phi = state.phi
     z_final = tuple(
         apply_integral(op, phi) + tp
-        for op, tp in zip(operators.inner, taylor_terms)
+        for op, tp in zip(operators.inner, operators.taylor)
     )
     if problem.derivative_orders and problem.derivative_orders[-1] == 0.0:
         # I^(alpha - 0) is the shared outer operator and the order-0 Taylor

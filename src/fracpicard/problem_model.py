@@ -472,12 +472,6 @@ class MultiTermProblem:
         return len(self.derivative_orders)
 
     @property
-    def inner_ceil_orders(self) -> tuple:
-        return tuple(
-            ceil_order(a) if a > 0.0 else 0 for a in self.derivative_orders
-        )
-
-    @property
     def integer_order(self) -> bool:
         """True when the problem is a classical ODE system in disguise:
         the outer and every inner order are integers."""
@@ -533,6 +527,16 @@ def problem_issues(p: MultiTermProblem) -> list:
                 f"gamma must satisfy 0 <= gamma < alpha - n + 1 = {bound:g}, got {p.gamma}",
             )
         )
+    for a in p.derivative_orders:
+        if not p.alpha - a > p.gamma:
+            issues.append(
+                (
+                    "inner_singular",
+                    f"inner derivative of order {a} would be singular: "
+                    f"alpha - alpha_h = {p.alpha - a:g} must exceed gamma = {p.gamma:g}",
+                )
+            )
+            break
     if p.m >= 1 and not is_integer_order(p.alpha):
         a1 = p.derivative_orders[0]
         n1 = ceil_order(a1) if a1 > 0.0 else 0
@@ -588,17 +592,31 @@ def problem_from_dict(d: dict) -> MultiTermProblem:
     missing = sorted(_REQUIRED_KEYS - set(d))
     if missing:
         raise ValueError(f"missing problem keys: {', '.join(missing)}")
-    orders = tuple(float(a) for a in d["derivative_orders"])
+
+    def typed(key: str, convert):
+        try:
+            return convert(d[key])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"problem key {key!r} has a wrongly typed value: {exc}") from None
+
+    def floats(v) -> tuple:
+        if isinstance(v, str):
+            raise TypeError(f"expected a list of numbers, got {v!r}")
+        return tuple(float(x) for x in v)
+
+    orders = typed("derivative_orders", floats)
     rhs = d["rhs"]
     if isinstance(rhs, str):
         rhs = parse_rhs(rhs, len(orders))
+    elif not isinstance(rhs, RhsExpr):
+        raise ValueError(f"problem key 'rhs' must be an expression string, got {rhs!r}")
     p = MultiTermProblem(
-        alpha=float(d["alpha"]),
+        alpha=typed("alpha", float),
         derivative_orders=orders,
-        initial_values=tuple(float(b) for b in d["initial_values"]),
-        horizon=float(d["horizon"]),
+        initial_values=typed("initial_values", floats),
+        horizon=typed("horizon", float),
         rhs=rhs,
-        gamma=float(d.get("gamma", 0.0)),
+        gamma=typed("gamma", float) if "gamma" in d else 0.0,
     )
     return validate_problem(p)
 

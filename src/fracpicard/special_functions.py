@@ -15,12 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "gamma",
     "log_gamma",
-    "power_kernel",
     "MLParams",
     "mittag_leffler",
     "SeriesConvergenceError",
@@ -87,22 +84,6 @@ def log_gamma(x: float) -> float:
         acc += _LANCZOS_P[i] / (z + i)
     t = z + _LANCZOS_G + 0.5
     return _LOG_SQRT_TWO_PI + (z + 0.5) * math.log(t) - t + math.log(acc)
-
-
-def power_kernel(beta: float, t):
-    """Normalized power t^(beta-1) / gamma(beta), the convolution kernel
-    of the fractional integral of order beta.
-
-    Accepts scalar or ndarray t >= 0. For beta < 1 the kernel blows up at
-    t = 0; callers sample it away from the origin.
-    """
-    if beta <= 0.0:
-        raise ValueError(f"power kernel order must be positive, got {beta}")
-    g = gamma(beta)
-    arr = np.asarray(t, dtype=float)
-    if arr.ndim == 0:
-        return float(arr) ** (beta - 1.0) / g
-    return arr ** (beta - 1.0) / g
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from .fractional_ops import (
     integral_node_values,
     polynomial_from_derivatives,
 )
-from .picard_solver import SolutionTrajectory, _rhs_samples, taylor_part
+from .picard_solver import SolutionTrajectory, rhs_samples, taylor_part
 from .problem_model import MultiTermProblem
 
 __all__ = [
@@ -123,7 +123,7 @@ def check_equivalence(trajectory: SolutionTrajectory, problem: MultiTermProblem)
     n = problem.n
     b = problem.initial_values
 
-    f_samples = _rhs_samples(problem, grid, trajectory.inner)
+    f_samples = rhs_samples(problem, grid, trajectory.inner)
     outer = build_integral_operator(problem.alpha, grid)
     integral_form = taylor_part(b, grid) + apply_integral(outer, f_samples)
     volterra_residual = float(np.max(np.abs(trajectory.y.values - integral_form.values)))
@@ -131,9 +131,7 @@ def check_equivalence(trajectory: SolutionTrajectory, problem: MultiTermProblem)
     deriv = caputo_derivative(trajectory.y, problem.alpha, b)
     skip = max(1, math.ceil(n_int / 32))
     lo, hi = skip, n_int - skip
-    f_vals = f_samples.values
-    offset = 1 if f_samples.singular_exponent > 0.0 else 0
-    mismatch = deriv.values[lo : hi + 1] - f_vals[lo - offset : hi + 1 - offset]
+    mismatch = deriv.values[lo : hi + 1] - f_samples.values[lo : hi + 1]
     ode_residual = float(np.max(np.abs(mismatch)))
 
     recovered = _initial_derivative_estimates(t, trajectory.y.values, n)

@@ -298,6 +298,53 @@ class TestBadInput:
             "--output", str(tmp_path / "x.csv"),
         ]) == 1
 
+    @pytest.mark.parametrize("key,value", [
+        ("derivative_orders", 5),
+        ("rhs", 3),
+        ("alpha", None),
+    ])
+    def test_wrongly_typed_value(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(dict(RELAXATION, **{key: value})))
+        assert main(["--config", str(cfg), "--output", str(tmp_path / "x.csv")]) == 1
+        assert repr(key) in capsys.readouterr().err
+
+    def test_singular_inner_derivative(self, tmp_path, capsys):
+        # alpha - alpha_1 = 0.1 does not exceed gamma = 0.5
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(dict(
+            RELAXATION, alpha=1.0, derivative_orders=[0.9], gamma=0.5, rhs="-z1",
+        )))
+        assert main(["--config", str(cfg), "--output", str(tmp_path / "x.csv")]) == 1
+        assert "inner_singular" in capsys.readouterr().err
+
+    def test_verify_grid_too_coarse_for_order(self, tmp_path, capsys):
+        # verify differences y ceil(alpha) = 10 times, which needs 20 intervals
+        cfg = tmp_path / "high.json"
+        cfg.write_text(json.dumps(dict(RELAXATION, alpha=9.5, initial_values=[1.0] + [0.0] * 9)))
+        assert main([
+            "--config", str(cfg), "--mode", "verify", "--n-points", "16",
+            "--output", str(tmp_path / "v.csv"),
+        ]) == 1
+        assert "--n-points" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--tol", "0"],
+        ["--tol=-1e-10"],
+        ["--tol", "nan"],
+        ["--max-iter", "0"],
+        ["--grading", "nan"],
+        ["--grading", "inf"],
+        ["--grading", "0.5"],
+        ["--grading", "300"],
+    ])
+    def test_bad_flag_values(self, relaxation_cfg, tmp_path, capsys, flags):
+        assert main([
+            "--config", str(relaxation_cfg), "--output", str(tmp_path / "x.csv"), *flags,
+        ]) == 1
+        assert flags[0].split("=")[0] in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_bad_oracle_kind(self, relaxation_cfg, tmp_path):
         assert main([
             "--config", str(relaxation_cfg), "--mode", "oracle",

@@ -119,27 +119,44 @@ class TestSampledFunction:
     def test_regular_covers_all_nodes(self):
         g = Grid.uniform(1.0, 4)
         f = SampledFunction(g, np.arange(5.0))
-        assert f.sample_times.size == 5
+        assert f.values.size == 5
+        assert not np.any(np.isnan(f.values))
 
     def test_singular_skips_origin(self):
-        g = Grid.uniform(1.0, 4)
-        f = SampledFunction(g, np.arange(4.0), singular_exponent=0.5)
-        assert f.sample_times[0] == g.nodes[1]
-        assert f.sample_times.size == 4
+        # one sample per node as well, nan at t_0; from_callable must never
+        # evaluate fn there
+        def fn(t):
+            if np.any(t == 0.0):
+                raise AssertionError("evaluated at t = 0")
+            return t**-0.5
+
+        g = Grid.graded(1.0, 8, 2.0)
+        s = SampledFunction.from_callable(g, fn, singular_exponent=0.5)
+        assert s.values.size == 9
+        assert np.isnan(s.values[0])
+        assert np.array_equal(s.values[1:], g.nodes[1:] ** -0.5)
 
     def test_from_callable(self):
         g = Grid.uniform(1.0, 8)
         f = SampledFunction.from_callable(g, lambda t: t**2)
         assert np.allclose(f.values, g.nodes**2)
         s = SampledFunction.from_callable(g, lambda t: t**-0.25, singular_exponent=0.25)
-        assert np.allclose(s.values, g.nodes[1:] ** -0.25)
+        assert np.isnan(s.values[0])
+        assert np.allclose(s.values[1:], g.nodes[1:] ** -0.25)
+
+    def test_from_callable_broadcasts_scalars(self):
+        g = Grid.uniform(1.0, 4)
+        f = SampledFunction.from_callable(g, lambda t: 2.0)
+        assert np.array_equal(f.values, np.full(5, 2.0))
 
     def test_length_validation(self):
         g = Grid.uniform(1.0, 4)
         with pytest.raises(ValueError):
-            SampledFunction(g, np.arange(4.0))  # regular needs N+1
+            SampledFunction(g, np.arange(4.0))  # one value per node
         with pytest.raises(ValueError):
-            SampledFunction(g, np.arange(5.0), singular_exponent=0.5)  # singular needs N
+            SampledFunction(g, np.array([np.nan, 1.0, 2.0, 3.0]), singular_exponent=0.5)
+        with pytest.raises(ValueError):
+            SampledFunction(g, np.arange(5.0), singular_exponent=0.5)  # needs nan at t_0
 
     def test_exponent_range(self):
         g = Grid.uniform(1.0, 4)
@@ -157,7 +174,7 @@ class TestSampledFunction:
         c = SampledFunction(Grid.uniform(1.0, 8), np.ones(9))
         with pytest.raises(ValueError):
             _ = a + c
-        d = SampledFunction(g, np.ones(4), singular_exponent=0.5)
+        d = SampledFunction(g, np.array([np.nan, 1.0, 1.0, 1.0, 1.0]), singular_exponent=0.5)
         with pytest.raises(ValueError):
             _ = a + d
 
@@ -214,10 +231,14 @@ class TestRegularQuadrature:
 
     def test_weights_table_matches_classical_formula(self):
         # independent construction from second differences of k^(beta+1);
-        # numerically safe only at small N, which suffices as a cross-check
+        # numerically safe only at small N, which suffices as a cross-check.
+        # Column j of the weight table is the operator applied to the unit vector e_j.
         beta, n = 0.7, 48
         grid = Grid.uniform(1.0, n)
-        table = build_integral_operator(beta, grid).weights
+        op = build_integral_operator(beta, grid)
+        table = np.column_stack(
+            [apply_integral(op, SampledFunction(grid, e)).values for e in np.eye(n + 1)]
+        )
         h = 1.0 / n
         c = h**beta / math.gamma(beta + 2.0)
         for row in (1, 2, 7, n - 1, n):

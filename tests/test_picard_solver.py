@@ -31,7 +31,7 @@ from fracpicard.picard_solver import (
     solve,
     taylor_part,
 )
-from fracpicard.problem_model import parse_rhs, problem_from_dict
+from fracpicard.problem_model import ProblemValidationError, parse_rhs, problem_from_dict
 
 
 def _relaxation(horizon: float = 1.0):
@@ -135,7 +135,7 @@ class TestIterates:
         grid = Grid.uniform(1.0, 512)
         ops = build_operator_set(problem, grid)
         t = grid.nodes
-        state = initial_state(problem, grid)
+        state = initial_state(problem, ops)
         for k in range(6):
             expected = -sum(
                 (-np.sqrt(t)) ** j / math.gamma(j / 2.0 + 1.0) for j in range(k + 1)
@@ -160,7 +160,7 @@ class TestIterates:
         problem = _relaxation()
         grid = Grid.uniform(1.0, 64)
         ops = build_operator_set(problem, grid)
-        s0 = initial_state(problem, grid)
+        s0 = initial_state(problem, ops)
         s1 = picard_step(s0, problem, ops)
         expected_z = apply_integral(ops.inner[0], s0.phi).values + 1.0
         assert np.allclose(s1.z[0].values, expected_z, rtol=1e-14)
@@ -268,14 +268,24 @@ class TestSolve:
         assert ops.inner[0] is ops.outer
 
     def test_inner_singularity_guard(self):
-        # alpha integer so validation passes, but alpha - alpha_1 <= gamma
-        p = problem_from_dict({
-            "alpha": 1.0, "derivative_orders": [0.95], "initial_values": [1.0],
-            "horizon": 1.0, "gamma": 0.9, "rhs": "z1",
-        })
-        with pytest.raises(ValueError) as exc:
-            build_operator_set(p, Grid.uniform(1.0, 32))
+        # gamma is in range for alpha = 1, but alpha - alpha_1 <= gamma would
+        # make the inner derivative singular; validation refuses the problem
+        with pytest.raises(ProblemValidationError) as exc:
+            problem_from_dict({
+                "alpha": 1.0, "derivative_orders": [0.95], "initial_values": [1.0],
+                "horizon": 1.0, "gamma": 0.9, "rhs": "z1",
+            })
+        assert [code for code, _ in exc.value.issues] == ["inner_singular"]
         assert "singular" in str(exc.value)
+
+    def test_operator_set_carries_taylor_samples(self):
+        problem = _relaxation()
+        grid = Grid.uniform(1.0, 32)
+        ops = build_operator_set(problem, grid)
+        assert len(ops.taylor) == 1
+        assert np.array_equal(
+            ops.taylor[0].values, derivative_taylor_part(problem.initial_values, 0.0, grid).values
+        )
 
     def test_overflow_aborts_with_clear_error(self):
         p = problem_from_dict({

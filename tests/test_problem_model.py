@@ -305,6 +305,8 @@ class TestProblemValidation:
             (dict(gamma=-0.1), "gamma_range"),
             (dict(derivative_orders=[1.2], rhs="z1"), "inner_order_bound"),
             (dict(rhs="y"), "y_alias"),
+            (dict(alpha=1.0, derivative_orders=[0.9], initial_values=[1.0], gamma=0.5),
+             "inner_singular"),
         ],
     )
     def test_violations_by_code(self, overrides, code):
@@ -374,6 +376,21 @@ class TestProblemIO:
         with pytest.raises(ValueError) as exc:
             problem_from_dict(d)
         assert "rhs" in str(exc.value)
+
+    @pytest.mark.parametrize("key,value", [
+        ("alpha", None),
+        ("alpha", "fast"),
+        ("derivative_orders", 5),
+        ("derivative_orders", "05"),
+        ("initial_values", [None, 0.0]),
+        ("horizon", [1.0]),
+        ("gamma", None),
+        ("rhs", 3),
+    ])
+    def test_wrongly_typed_value_names_key(self, key, value):
+        with pytest.raises(ValueError) as exc:
+            problem_from_dict(_valid_dict(**{key: value}))
+        assert repr(key) in str(exc.value)
 
     def test_gamma_defaults_to_zero(self):
         d = _valid_dict()

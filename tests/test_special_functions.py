@@ -13,7 +13,6 @@ from fracpicard.special_functions import (
     gamma,
     log_gamma,
     mittag_leffler,
-    power_kernel,
 )
 
 GAMMA_HALF_3 = 0.8862269254527580  # gamma(1.5)
@@ -62,27 +61,6 @@ class TestLogGamma:
             log_gamma(0.0)
         with pytest.raises(ValueError):
             log_gamma(-1.2)
-
-
-class TestPowerKernel:
-    def test_order_one_is_constant_one(self):
-        t = np.linspace(0.1, 3.0, 17)
-        assert np.allclose(power_kernel(1.0, t), 1.0, rtol=1e-14)
-
-    def test_matches_definition(self):
-        t = np.linspace(0.25, 2.0, 9)
-        for beta in (0.3, 0.5, 1.7, 2.5):
-            expected = t ** (beta - 1.0) / math.gamma(beta)
-            assert np.allclose(power_kernel(beta, t), expected, rtol=1e-12)
-
-    def test_scalar_in_scalar_out(self):
-        out = power_kernel(0.5, 0.25)
-        assert isinstance(out, float)
-        assert out == pytest.approx(0.25**-0.5 / math.gamma(0.5), rel=1e-13)
-
-    def test_rejects_nonpositive_order(self):
-        with pytest.raises(ValueError):
-            power_kernel(0.0, 1.0)
 
 
 class TestMittagLeffler:
