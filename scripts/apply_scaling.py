@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Per-apply cost of the uniform-grid fractional integral against N.
+"""Per-apply cost of the uniform-grid fractional integral, and the cost
+of building the dense tables, against N.
 
     PYTHONPATH=src python3 scripts/apply_scaling.py
 
@@ -7,7 +8,9 @@ For N = 2^8 .. 2^16 intervals this times apply_integral of order 0.5 (the
 blocked FFT history sum) on random data and a direct np.convolve of the
 same stencil, and prints a markdown table of the median time per apply
 together with the largest deviation between the two, relative to the
-largest output.
+largest output. A second table gives, for N = 2^8 .. 2^11, the median time
+to build the weighted table of order 0.5 for singular exponent 0.2 on a
+uniform grid and the dense table of order 0.5 on a grid of grading 2.
 """
 
 import statistics
@@ -18,6 +21,7 @@ import numpy as np
 from fracpicard import Grid, SampledFunction, apply_integral, build_integral_operator
 
 ORDER = 0.5
+WEIGHT = 0.2  # singular exponent of the weighted table
 BUDGET = 0.5  # seconds spent timing each N and method
 
 
@@ -55,6 +59,18 @@ def main() -> int:
         t_ref = median_time(lambda: direct(op, f.values))
         print(f"| {n} | {t_fast * 1e3:.3g} ms | {t_ref * 1e3:.3g} ms "
               f"| {t_ref / t_fast:.1f}x | {dev:.1e} |")
+
+    print()
+    print("| N | weighted table | graded table |")
+    print("|---|---|---|")
+    for k in range(8, 12):
+        n = 2**k
+        # a fresh grid each time: the weighted table is kept on the grid
+        t_weighted = median_time(
+            lambda: build_integral_operator(ORDER, Grid.uniform(1.0, n))._weighted_table(WEIGHT)
+        )
+        t_graded = median_time(lambda: build_integral_operator(ORDER, Grid.graded(1.0, n, 2.0)))
+        print(f"| {n} | {t_weighted * 1e3:.3g} ms | {t_graded * 1e3:.3g} ms |")
     return 0
 
 

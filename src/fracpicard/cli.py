@@ -92,10 +92,13 @@ def _fmt(x: float) -> str:
 
 
 def _write_csv(path: str, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) if not isinstance(v, str) else v for v in row) + "\n")
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join(_fmt(v) if not isinstance(v, str) else v for v in row) + "\n")
+    except OSError as exc:
+        raise CliInputError(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _output_path(cfg: RunConfig) -> str:
@@ -121,8 +124,8 @@ def _make_grid(problem: MultiTermProblem, n_points: int, grading: float) -> Grid
 def _load(cfg: RunConfig) -> MultiTermProblem:
     try:
         return load_problem(cfg.config)
-    except FileNotFoundError:
-        raise CliInputError(f"config file not found: {cfg.config}")
+    except OSError as exc:
+        raise CliInputError(f"cannot read config file {cfg.config}: {exc.strerror or exc}")
     except json.JSONDecodeError as exc:
         raise CliInputError(f"config is not valid JSON: {exc}")
     except ValueError as exc:

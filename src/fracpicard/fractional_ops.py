@@ -22,13 +22,16 @@ of up to _NEAR_FIELD points are summed directly, the squares below them by
 FFT, so an apply costs O(N log^2 N) (2 ms at N = 8192, 21 ms at N = 65536)
 while every output keeps the relative accuracy of the direct sum. Graded
 grids fall back to a dense lower-triangular table. Weighted tables are
-always dense and cached per exponent.
+always dense; each is built once per grid, order and exponent, and kept on
+the Grid object, so every operator of that order on that grid shares it.
+Dense tables are built in blocks of up to _ROW_BLOCK rows, each over the
+cells left of its last row only.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 # imported here, not on first use: numpy loads numpy.fft lazily, and that
@@ -53,6 +56,8 @@ __all__ = [
 _INTEGER_SNAP = 1e-9
 # largest diagonal triangle of a uniform-grid apply that is summed directly
 _NEAR_FIELD = 512
+# rows per block of a dense table build
+_ROW_BLOCK = 64
 
 
 def ceil_order(alpha: float) -> int:
@@ -77,11 +82,14 @@ class Grid:
 
     grading = 1 is the uniform mesh. Grading > 1 clusters nodes near the
     origin, which is where solutions of fractional problems lose
-    smoothness.
+    smoothness. _weighted holds the weighted tables built on this grid
+    object, {order: {exponent: table}}; a grid with equal nodes starts
+    with its own.
     """
 
     nodes: np.ndarray
     grading: float = 1.0
+    _weighted: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         nodes = np.asarray(self.nodes, dtype=float)
@@ -247,10 +255,13 @@ def _inc_beta_series(p: float, q: float, x: np.ndarray) -> np.ndarray:
     coef = 1.0
     xp = np.where(x > 0.0, x, 1.0) ** p
     xp = np.where(x > 0.0, xp, 0.0)
+    term = np.empty_like(x)
     for k in range(80):
-        acc += coef * xp / (p + k)
+        np.multiply(xp, coef, out=term)
+        term /= p + k
+        acc += term
         coef *= (k + 1.0 - q) / (k + 1.0)
-        xp = xp * x
+        xp *= x
     return acc
 
 
@@ -300,6 +311,26 @@ def _toeplitz_sum(s: np.ndarray, u: np.ndarray, out: np.ndarray) -> None:
     _toeplitz_sum(s, u[h:], out[h:])
 
 
+def _fill_lower(table: np.ndarray, cell_weights) -> None:
+    """Add the weights of a product trapezoid rule to table, whose row
+    r - 1 holds output node t_r, r = 1..table.shape[0].
+
+    Rows go in blocks of up to _ROW_BLOCK. cell_weights(rows, live) gets a
+    block's rows and the mask live[i, j] = j < rows[i] over its cells
+    j < rows[-1], and returns the weights of the live cells (in the order
+    of live's True entries) at each cell's left and right node.
+    """
+    n = table.shape[0]
+    for start in range(1, n + 1, _ROW_BLOCK):
+        rows = np.arange(start, min(start + _ROW_BLOCK, n + 1))
+        c = rows[-1]
+        live = np.arange(c)[None, :] < rows[:, None]
+        wl, wr = cell_weights(rows, live)
+        block = table[start - 1 : c, : c + 1]
+        block[:, :-1][live] += wl
+        block[:, 1:][live] += wr
+
+
 class FracIntegralOperator:
     """Product-trapezoidal discretization of the fractional integral
 
@@ -309,7 +340,8 @@ class FracIntegralOperator:
     convolution stencil plus a boundary column, applied by a blocked FFT
     Toeplitz sum in O(N log^2 N) (see _toeplitz_sum); graded grids hold
     the full lower-triangular table. Weighted tables for singular inputs
-    are built lazily per exponent and cached on the operator.
+    are built on first use and shared through the grid by every operator
+    of the same order on it.
     """
 
     def __init__(self, order: float, grid: Grid) -> None:
@@ -317,7 +349,7 @@ class FracIntegralOperator:
             raise ValueError(f"integral order must be positive, got {order}")
         self.order = float(order)
         self.grid = grid
-        self._weighted_tables: dict[float, np.ndarray] = {}
+        self._weighted_tables = grid._weighted.setdefault(round(self.order, 15), {})
         t = grid.nodes
         n = grid.n_intervals
         ginv = 1.0 / gamma(self.order)
@@ -335,16 +367,17 @@ class FracIntegralOperator:
             self._boundary = boundary
             self._table = None
         else:
-            table = np.zeros((n + 1, n + 1))
-            for row in range(1, n + 1):
-                a = t[row] - t[:row]
-                b = t[row] - t[1 : row + 1]
+            def cells(rows, live):
+                c = rows[-1]
+                tr = t[rows][:, None]
+                a = (tr - t[None, :c])[live]
+                b = (tr - t[None, 1 : c + 1])[live]
                 h = a - b
                 m0, m1 = _kernel_moments(a, b, self.order)
-                wl = (m0 - m1 / h) * ginv
-                wr = (m1 / h) * ginv
-                table[row, :row] += wl
-                table[row, 1 : row + 1] += wr
+                return (m0 - m1 / h) * ginv, (m1 / h) * ginv
+
+            table = np.zeros((n + 1, n + 1))
+            _fill_lower(table[1:], cells)
             self._stencil = None
             self._boundary = None
             self._table = table
@@ -371,35 +404,27 @@ class FracIntegralOperator:
         beta = self.order
         t = self.grid.nodes
         n = self.grid.n_intervals
-        hcells = np.diff(t)[None, :]
-        table = np.zeros((n, n + 1))
-        ginv = 1.0 / gamma(beta)
         # cell moments against (t_row - tau)^(beta-1) tau^(-g):
         #   J0_j = integral_(t_j)^(t_j+1) ...            = t_row^(beta-g) diff B_x(1-g, beta)
         #   J1_j = integral ... (tau - 0) tau-weighted   = t_row^(beta-g+1) diff B_x(2-g, beta)
         # with x_j = t_j / t_row; linear interpolation of the bounded factor
         # then gives endpoint weights wl = J0 - S/h, wr = S/h, S = J1 - t_j J0.
-        block = max(1, 2_000_000 // (n + 1))
-        for start in range(1, n + 1, block):
-            rows = np.arange(start, min(start + block, n + 1))
+        def cells(rows, live):
+            c = rows[-1]
             tr = t[rows][:, None]
-            x = np.clip(t[None, :] / tr, 0.0, 1.0)
-            b0 = incomplete_beta(1.0 - g, beta, x)
-            b1 = incomplete_beta(2.0 - g, beta, x)
-            j0 = tr ** (beta - g) * np.diff(b0, axis=1)
-            j1 = tr ** (beta - g + 1.0) * np.diff(b1, axis=1)
-            s = j1 - t[None, :-1] * j0
-            wl = j0 - s / hcells
-            wr = s / hcells
-            live = np.arange(n)[None, :] < rows[:, None]
-            wl = np.where(live, wl, 0.0)
-            wr = np.where(live, wr, 0.0)
-            rowblock = np.zeros((rows.size, n + 1))
-            rowblock[:, :-1] += wl
-            rowblock[:, 1:] += wr
-            table[rows - 1] = rowblock * ginv
-        self._weighted_tables[key] = table
-        return table
+            x = np.clip(t[None, : c + 1] / tr, 0.0, 1.0)
+            j0 = tr ** (beta - g) * np.diff(incomplete_beta(1.0 - g, beta, x), axis=1)
+            j1 = tr ** (beta - g + 1.0) * np.diff(incomplete_beta(2.0 - g, beta, x), axis=1)
+            hcells = np.diff(t[: c + 1])[None, :]
+            s = j1 - t[None, :c] * j0
+            return (j0 - s / hcells)[live], (s / hcells)[live]
+
+        table = np.zeros((n, n + 1))
+        _fill_lower(table, cells)
+        table *= 1.0 / gamma(beta)
+        # the store is shared through the grid: should two threads build the
+        # same table at once, both return the one stored first
+        return self._weighted_tables.setdefault(key, table)
 
 
 def build_integral_operator(order: float, grid: Grid) -> FracIntegralOperator:

@@ -495,8 +495,13 @@ def problem_issues(p: MultiTermProblem) -> list:
     if not p.alpha > 0.0:
         issues.append(("alpha_positive", f"alpha must be positive, got {p.alpha}"))
         return issues
+    if not np.isfinite(p.alpha):
+        issues.append(("alpha_finite", f"alpha must be finite, got {p.alpha}"))
+        return issues
     if not p.horizon > 0.0:
         issues.append(("horizon_positive", f"horizon must be positive, got {p.horizon}"))
+    elif not np.isfinite(p.horizon):
+        issues.append(("horizon_finite", f"horizon must be finite, got {p.horizon}"))
     chain = (p.alpha,) + p.derivative_orders
     for i in range(len(chain) - 1):
         if not chain[i] > chain[i + 1]:
@@ -518,6 +523,10 @@ def problem_issues(p: MultiTermProblem) -> list:
                 f"order {p.alpha} requires exactly {n} initial values, "
                 f"got {len(p.initial_values)}",
             )
+        )
+    if not np.all(np.isfinite(p.initial_values)):
+        issues.append(
+            ("initial_finite", f"initial_values must be finite, got {list(p.initial_values)}")
         )
     bound = p.alpha - n + 1.0
     if not (0.0 <= p.gamma < bound):

@@ -309,6 +309,29 @@ class TestBadInput:
         assert main(["--config", str(cfg), "--output", str(tmp_path / "x.csv")]) == 1
         assert repr(key) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value,code", [
+        ("initial_values", [float("nan")], "initial_finite"),
+        ("horizon", float("inf"), "horizon_finite"),
+        ("alpha", float("inf"), "alpha_finite"),
+    ])
+    def test_non_finite_value(self, tmp_path, capsys, key, value, code):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(dict(RELAXATION, **{key: value})))
+        assert main(["--config", str(cfg), "--output", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert code in err and key in err
+
+    def test_config_is_a_directory(self, tmp_path, capsys):
+        assert main(["--config", str(tmp_path), "--output", str(tmp_path / "x.csv")]) == 1
+        assert str(tmp_path) in capsys.readouterr().err
+
+    def test_output_in_missing_directory(self, relaxation_cfg, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        assert main([
+            "--config", str(relaxation_cfg), "--n-points", "64", "--output", str(out),
+        ]) == 1
+        assert str(out) in capsys.readouterr().err
+
     def test_singular_inner_derivative(self, tmp_path, capsys):
         # alpha - alpha_1 = 0.1 does not exceed gamma = 0.5
         cfg = tmp_path / "bad.json"

@@ -10,6 +10,7 @@ Oracles used here:
   (k)^(beta+1) (accurate enough at small N to serve as a cross-check).
 """
 
+import json
 import math
 import os
 import subprocess
@@ -21,10 +22,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fracpicard
+from fracpicard.cli import main
 from fracpicard.fractional_ops import (
     _NEAR_FIELD,
     FracIntegralOperator,
     Grid,
+    _kernel_moments,
     SampledFunction,
     apply_integral,
     build_integral_operator,
@@ -36,6 +39,7 @@ from fracpicard.fractional_ops import (
     polynomial_from_derivatives,
     weighted_norm,
 )
+from fracpicard.special_functions import gamma
 
 BETAS = (0.3, 0.5, 1.0, 1.7, 2.5)
 
@@ -449,6 +453,86 @@ class TestWeightedQuadrature:
         table_first = op._weighted_tables[0.5]
         apply_integral(op, f)
         assert op._weighted_tables[0.5] is table_first
+
+
+def per_row_graded_table(beta: float, t: np.ndarray) -> np.ndarray:
+    """The dense table of a graded grid, built one row at a time."""
+    n = t.size - 1
+    ginv = 1.0 / gamma(beta)
+    table = np.zeros((n + 1, n + 1))
+    for row in range(1, n + 1):
+        a = t[row] - t[:row]
+        b = t[row] - t[1 : row + 1]
+        m0, m1 = _kernel_moments(a, b, beta)
+        table[row, :row] += (m0 - m1 / (a - b)) * ginv
+        table[row, 1 : row + 1] += (m1 / (a - b)) * ginv
+    return table
+
+
+def per_row_weighted_table(beta: float, g: float, t: np.ndarray) -> np.ndarray:
+    """The weighted table, built one row at a time."""
+    n = t.size - 1
+    table = np.zeros((n, n + 1))
+    for row in range(1, n + 1):
+        tr = t[row : row + 1]
+        x = np.clip(t[: row + 1] / tr, 0.0, 1.0)
+        j0 = tr ** (beta - g) * np.diff(incomplete_beta(1.0 - g, beta, x))
+        j1 = tr ** (beta - g + 1.0) * np.diff(incomplete_beta(2.0 - g, beta, x))
+        h = np.diff(t[: row + 1])
+        s = j1 - t[:row] * j0
+        table[row - 1, :row] += j0 - s / h
+        table[row - 1, 1 : row + 1] += s / h
+    return table * (1.0 / gamma(beta))
+
+
+class TestTableSharing:
+    def test_same_order_on_one_grid_shares_the_table(self):
+        grid = Grid.uniform(1.0, 40)
+        a = build_integral_operator(0.7, grid)
+        b = build_integral_operator(0.7, grid)
+        assert a._weighted_table(0.3) is b._weighted_table(0.3)
+
+    def test_equal_grid_or_other_order_builds_its_own(self):
+        grid = Grid.uniform(1.0, 40)
+        twin = Grid.uniform(1.0, 40)
+        table = build_integral_operator(0.7, grid)._weighted_table(0.3)
+        on_twin = build_integral_operator(0.7, twin)._weighted_table(0.3)
+        other_order = build_integral_operator(0.9, grid)._weighted_table(0.3)
+        assert on_twin is not table and np.array_equal(on_twin, table)
+        assert other_order is not table
+        assert grid.matches(twin)
+
+    @pytest.mark.parametrize("grading", [1.0, 2.5])
+    @pytest.mark.parametrize("n", [40, 130])
+    def test_blocked_builds_match_per_row_reference(self, grading, n):
+        # 130 rows span three blocks, the last one partial
+        grid = Grid.graded(1.3, n, grading)
+        for beta in (0.4, 1.0, 2.3):
+            op = build_integral_operator(beta, grid)
+            for g in (0.2, 0.6):
+                ref = per_row_weighted_table(beta, g, grid.nodes)
+                assert op._weighted_table(g).tobytes() == ref.tobytes()
+            if grading != 1.0:
+                assert op._table.tobytes() == per_row_graded_table(beta, grid.nodes).tobytes()
+
+    def test_cli_verify_builds_one_weighted_table(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "singular.json"
+        cfg.write_text(json.dumps({
+            "alpha": 0.5, "derivative_orders": [0.0], "initial_values": [1.0],
+            "horizon": 1.0, "gamma": 0.3, "rhs": "t^(-0.3) + 0*z1",
+        }))
+        misses = []
+        build = FracIntegralOperator._weighted_table
+
+        def counting(self, g):
+            if round(g, 15) not in self._weighted_tables:
+                misses.append((self.order, g))
+            return build(self, g)
+
+        monkeypatch.setattr(FracIntegralOperator, "_weighted_table", counting)
+        main(["--config", str(cfg), "--mode", "verify", "--n-points", "64",
+              "--output", str(tmp_path / "v.csv")])
+        assert misses == [(0.5, 0.3)]
 
 
 class TestCaputoDerivative:
