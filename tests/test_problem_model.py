@@ -301,16 +301,16 @@ class TestProblemValidation:
             (dict(derivative_orders=[0.5, -0.25], rhs="z1"), "order_chain"),
             (dict(initial_values=[1.0]), "initial_count"),
             (dict(initial_values=[1.0, 0.0, 0.0]), "initial_count"),
-            (dict(initial_values=[float("nan"), 0.0]), "initial_finite"),
-            (dict(initial_values=[1.0, float("-inf")]), "initial_finite"),
-            (dict(horizon=float("inf")), "horizon_finite"),
-            (dict(alpha=float("inf")), "alpha_finite"),
             (dict(gamma=0.5), "gamma_range"),
             (dict(gamma=-0.1), "gamma_range"),
             (dict(derivative_orders=[1.2], rhs="z1"), "inner_order_bound"),
             (dict(rhs="y"), "y_alias"),
             (dict(alpha=1.0, derivative_orders=[0.9], initial_values=[1.0], gamma=0.5),
              "inner_singular"),
+            (dict(initial_values=[float("nan"), 0.0]), "initial_finite"),
+            (dict(initial_values=[1.0, float("-inf")]), "initial_finite"),
+            (dict(horizon=float("inf")), "horizon_finite"),
+            (dict(alpha=float("inf")), "alpha_finite"),
         ],
     )
     def test_violations_by_code(self, overrides, code):
