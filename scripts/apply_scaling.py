@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Per-apply cost of the uniform-grid fractional integral, and the cost
-of building the dense tables, against N.
+"""Per-apply cost of the uniform-grid fractional integral, the cost of
+building the dense tables against N, and the cost of the Mittag-Leffler
+oracle.
 
     PYTHONPATH=src python3 scripts/apply_scaling.py
 
@@ -11,18 +12,35 @@ together with the largest deviation between the two, relative to the
 largest output. A second table gives, for N = 2^8 .. 2^11, the median time
 to build the weighted table of order 0.5 for singular exponent 0.2 on a
 uniform grid and the dense table of order 0.5 on a grid of grading 2.
+A third table times E_(alpha,1)(lam t^alpha) on the 4097 nodes of a uniform
+grid of [0, 1], for alpha = 0.5, 1, 2 and lam = -3, -10, three ways: a
+per-node loop over a pure-Python scalar series (the evaluation the ml:
+oracle used before mittag_leffler took arrays), a per-node loop of
+mittag_leffler calls (both timed once), and one mittag_leffler call on the
+whole array (median). The last column says whether the array call gives
+every node bit for bit what the per-node calls give.
 """
 
+import math
 import statistics
 from time import perf_counter
 
 import numpy as np
 
-from fracpicard import Grid, SampledFunction, apply_integral, build_integral_operator
+from fracpicard import (
+    Grid,
+    MLParams,
+    SampledFunction,
+    apply_integral,
+    build_integral_operator,
+    log_gamma,
+    mittag_leffler,
+)
 
 ORDER = 0.5
 WEIGHT = 0.2  # singular exponent of the weighted table
 BUDGET = 0.5  # seconds spent timing each N and method
+ORACLE_NODES = 4097
 
 
 def direct(op, u):
@@ -30,6 +48,31 @@ def direct(op, u):
     out = np.zeros(n + 1)
     out[1:] = np.convolve(op._stencil, u[1:])[:n] + op._boundary[1:] * u[0]
     return out
+
+
+def scalar_series(alpha: float, z: float, tol: float = 1e-14) -> float:
+    """E_(alpha,1)(z) summed term by term in Python floats, with the
+    stopping rule of mittag_leffler."""
+    total, prev = 0.0, math.inf
+    for k in range(2000):
+        if z == 0.0:
+            term = 1.0 if k == 0 else 0.0
+        else:
+            term = math.exp(k * math.log(abs(z)) - log_gamma(alpha * k + 1.0))
+            if z < 0.0 and k % 2 == 1:
+                term = -term
+        total += term
+        if abs(term) < tol and abs(term) <= prev:
+            return total
+        prev = abs(term)
+    raise ArithmeticError(f"no convergence at z = {z}")
+
+
+def once(fn):
+    """(result, wall time) of one call."""
+    t0 = perf_counter()
+    out = fn()
+    return out, perf_counter() - t0
 
 
 def median_time(fn) -> float:
@@ -71,6 +114,22 @@ def main() -> int:
         )
         t_graded = median_time(lambda: build_integral_operator(ORDER, Grid.graded(1.0, n, 2.0)))
         print(f"| {n} | {t_weighted * 1e3:.3g} ms | {t_graded * 1e3:.3g} ms |")
+
+    print()
+    print("| alpha | lam | scalar series per node | mittag_leffler per node "
+          "| array call | speed-up | same per node |")
+    print("|---|---|---|---|---|---|---|")
+    t = np.linspace(0.0, 1.0, ORACLE_NODES)
+    for alpha in (0.5, 1.0, 2.0):
+        params = MLParams(alpha, 1.0)
+        for lam in (-3.0, -10.0):
+            z = lam * t**alpha
+            _, t_series = once(lambda: [scalar_series(alpha, zi) for zi in z])
+            per_node, t_calls = once(lambda: [mittag_leffler(params, zi) for zi in z])
+            t_array = median_time(lambda: mittag_leffler(params, z))
+            same = np.array_equal(mittag_leffler(params, z), per_node)
+            print(f"| {alpha:g} | {lam:g} | {t_series * 1e3:.0f} ms | {t_calls * 1e3:.0f} ms "
+                  f"| {t_array * 1e3:.3g} ms | {t_series / t_array:.0f}x | {'yes' if same else 'no'} |")
     return 0
 
 

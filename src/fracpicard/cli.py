@@ -141,18 +141,21 @@ def _oracle_fn(spec_text: str, problem: MultiTermProblem):
             lam = float(rest)
         except ValueError:
             raise CliInputError(f"ml oracle needs a numeric rate, got {rest!r}")
+        if not math.isfinite(lam):
+            raise CliInputError(f"--oracle ml: needs a finite rate, got {rest!r}")
         params = [MLParams(problem.alpha, j + 1.0) for j in range(problem.n)]
 
         def fn(t: np.ndarray) -> np.ndarray:
             t = np.asarray(t, dtype=float)
+            with np.errstate(over="ignore"):
+                z = lam * t**problem.alpha
+            if not np.isfinite(z).all():
+                raise CliInputError(f"--oracle {spec_text}: lambda t^alpha overflows on the grid")
             out = np.zeros_like(t)
             for j, bj in enumerate(problem.initial_values):
                 if bj == 0.0:
                     continue
-                ml = np.array(
-                    [mittag_leffler(params[j], lam * ti**problem.alpha) for ti in t]
-                )
-                out = out + bj * t**j * ml
+                out = out + bj * t**j * mittag_leffler(params[j], z)
             return out
 
         return fn

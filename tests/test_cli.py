@@ -20,7 +20,9 @@ import sys
 import numpy as np
 import pytest
 
-from fracpicard.cli import main
+from fracpicard.cli import _oracle_fn, main
+from fracpicard.fractional_ops import Grid
+from fracpicard.problem_model import MultiTermProblem, parse_rhs
 
 RELAXATION = {
     "alpha": 0.5,
@@ -226,6 +228,38 @@ class TestStudyMode:
             ]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_threaded_two_term_graded_run_is_deterministic(self, tmp_path, monkeypatch):
+        # two nonzero initial values: two array series per grid
+        cfg = tmp_path / "two_term.json"
+        cfg.write_text(json.dumps(dict(RELAXATION, alpha=1.5, initial_values=[1.0, 0.5])))
+        monkeypatch.setenv("FRACPICARD_THREADS", "3")
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        for out in (a, b):
+            assert main([
+                "--config", str(cfg), "--mode", "study", "--grading", "2",
+                "--study-min", "16", "--n-points", "256",
+                "--oracle", "ml:-1", "--output", str(out),
+            ]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("grading", [1.0, 2.0])
+    def test_ladder_grids_share_nodes_and_oracle_values(self, grading):
+        # every grid of a dyadic ladder holds the coarser grids' nodes bit for
+        # bit, and the oracle, one array call per grid, agrees on them
+        problem = MultiTermProblem(
+            alpha=0.5, derivative_orders=(0.0,), initial_values=(1.0,),
+            horizon=1.7, rhs=parse_rhs("-z1", 1),
+        )
+        oracle = _oracle_fn("ml:-2.5", problem)
+        sizes = [16 * 2**k for k in range(7)]
+        grids = [Grid.graded(problem.horizon, n, grading) for n in sizes]
+        values = [oracle(g.nodes) for g in grids]
+        fine, fine_values = grids[-1], values[-1]
+        for n, coarse, coarse_values in zip(sizes, grids, values):
+            s = sizes[-1] // n
+            assert np.array_equal(fine.nodes[::s], coarse.nodes)
+            assert np.array_equal(fine_values[::s], coarse_values)
+
 
 class TestOracleMode:
     def test_ml_oracle_matches_erfc_identity(self, relaxation_cfg, tmp_path):
@@ -379,6 +413,26 @@ class TestBadInput:
             "--config", str(relaxation_cfg), "--mode", "oracle",
             "--oracle", "ml:abc", "--output", str(tmp_path / "o.csv"),
         ]) == 1
+
+    @pytest.mark.parametrize("mode", ["oracle", "study"])
+    @pytest.mark.parametrize("rate", ["nan", "inf", "-inf"])
+    def test_ml_oracle_needs_finite_rate(self, relaxation_cfg, tmp_path, capsys, mode, rate):
+        assert main([
+            "--config", str(relaxation_cfg), "--mode", mode, "--n-points", "32",
+            "--oracle", f"ml:{rate}", "--output", str(tmp_path / "o.csv"),
+        ]) == 1
+        assert "--oracle" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_ml_oracle_overflowing_argument(self, tmp_path, capsys):
+        # a finite rate, but lambda t^alpha overflows at t = 100
+        cfg = tmp_path / "long.json"
+        cfg.write_text(json.dumps(dict(RELAXATION, horizon=100.0)))
+        assert main([
+            "--config", str(cfg), "--mode", "oracle", "--n-points", "32",
+            "--oracle", "ml:-1e308", "--output", str(tmp_path / "o.csv"),
+        ]) == 1
+        assert "--oracle" in capsys.readouterr().err
 
     def test_error_goes_to_stderr(self, tmp_path, capsys):
         main(["--config", str(tmp_path / "nope.json")])

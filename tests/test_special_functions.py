@@ -127,3 +127,118 @@ class TestMittagLeffler:
             MLParams(0.5, 1.0, tol=0.0)
         with pytest.raises(ValueError):
             MLParams(0.5, 1.0, max_terms=0)
+
+    def test_params_reject_non_finite(self):
+        for alpha, beta in ((math.nan, 1.0), (math.inf, 1.0), (0.5, math.nan), (0.5, math.inf)):
+            with pytest.raises(ValueError):
+                MLParams(alpha, beta)
+
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf, [0.5, math.nan]])
+    def test_non_finite_argument_rejected(self, z):
+        with pytest.raises(ValueError, match="finite"):
+            mittag_leffler(MLParams(0.5, 1.0), z)
+
+
+def _series_per_element(params, z):
+    """The per-element scalar loop the array series replaced, kept as the
+    reference: returns E_(alpha,beta)(z) and the sum of |term| it added.
+    A zero term at a gamma pole still ends its sum, so compare it only
+    where no alpha k + beta is a pole."""
+    total, absum, prev = 0.0, 0.0, math.inf
+    for k in range(params.max_terms):
+        arg = params.alpha * k + params.beta
+        if abs(arg - round(arg)) < 1e-12 and arg <= 1e-12:
+            term = 0.0
+        elif z == 0.0:
+            term = 1.0 / gamma(arg) if k == 0 else 0.0
+        elif arg > 0.5:
+            term = math.exp(k * math.log(abs(z)) - log_gamma(arg))
+            if z < 0.0 and k % 2 == 1:
+                term = -term
+        else:
+            term = z**k / gamma(arg)
+        total += term
+        absum += abs(term)
+        if abs(term) < params.tol and abs(term) <= prev:
+            return total, absum
+        prev = abs(term)
+    raise AssertionError("reference series did not converge")
+
+
+MIXED_Z = np.concatenate([
+    np.random.default_rng(5).uniform(-6.0, 3.0, 996), [0.0, -6.0, 3.0, -1.0],
+])
+
+
+class TestMittagLefflerArrays:
+    def test_shapes_kept(self):
+        p = MLParams(0.5, 1.0)
+        assert type(mittag_leffler(p, -1.0)) is float
+        assert type(mittag_leffler(p, np.float64(-1.0))) is float
+        zero_d = mittag_leffler(p, np.array(-1.0))
+        assert isinstance(zero_d, np.ndarray) and zero_d.shape == ()
+        assert mittag_leffler(p, np.linspace(-2.0, 1.0, 7)).shape == (7,)
+        grid = np.linspace(-2.0, 1.0, 12).reshape(3, 4)
+        out = mittag_leffler(p, grid)
+        assert out.shape == (3, 4)
+        assert out[2, 1] == mittag_leffler(p, float(grid[2, 1]))
+        assert mittag_leffler(p, np.array([])).shape == (0,)
+
+    @pytest.mark.parametrize("alpha,beta", [(0.5, 1.0), (1.0, 2.0), (2.0, 1.0), (0.7, 0.4)])
+    def test_elements_independent(self, alpha, beta):
+        # each element stops on its own, so one call over many z gives every
+        # element bit for bit what a call on that z alone gives
+        p = MLParams(alpha, beta)
+        together = mittag_leffler(p, MIXED_Z)
+        alone = np.array([mittag_leffler(p, float(z)) for z in MIXED_Z])
+        assert np.array_equal(together, alone)
+
+    @pytest.mark.parametrize("alpha,beta", [
+        (0.5, 1.0), (1.0, 1.0), (2.0, 2.0), (0.7, 0.4), (1.3, 2.2), (0.8, -0.3),
+    ])
+    def test_matches_per_element_loop(self, alpha, beta):
+        # numpy's exp/log may differ from math's in the last ulp, so each
+        # element may differ by the rounding of the sum, not more
+        p = MLParams(alpha, beta)
+        got = mittag_leffler(p, MIXED_Z)
+        for z, g in zip(MIXED_Z, got):
+            ref, absum = _series_per_element(p, float(z))
+            assert abs(g - ref) <= 4.0 * np.finfo(float).eps * absum, z
+
+    def test_identities_in_one_call(self):
+        # the scalar identity tests above, each as one array call, with the
+        # same tolerances (pytest.approx adds an absolute 1e-12)
+        x = np.linspace(-5.0, 5.0, 41)
+        got = mittag_leffler(MLParams(1.0, 1.0), x)
+        np.testing.assert_allclose(got, np.exp(x), rtol=1e-12, atol=1e-12)
+        x = np.linspace(0.0, 6.0, 25)
+        got = mittag_leffler(MLParams(2.0, 1.0), -(x**2))
+        np.testing.assert_allclose(got, np.cos(x), rtol=0.0, atol=1e-12)
+        x = np.linspace(0.1, 6.0, 23)
+        got = mittag_leffler(MLParams(2.0, 2.0), -(x**2))
+        np.testing.assert_allclose(got, np.sin(x) / x, rtol=1e-11, atol=1e-12)
+        z = np.linspace(-2.0, 0.5, 26)
+        expected = [math.exp(v * v) * math.erfc(-v) for v in z]
+        got = mittag_leffler(MLParams(0.5, 1.0), z)
+        np.testing.assert_allclose(got, expected, rtol=1e-11, atol=1e-12)
+
+    def test_leading_gamma_poles_do_not_stop_the_sum(self):
+        # 1/gamma(alpha k + beta) is 0 for the first terms; the sum goes on
+        x = np.linspace(-3.0, 2.0, 21)
+        got = mittag_leffler(MLParams(1.0, -1.0), x)
+        np.testing.assert_allclose(got, x**2 * np.exp(x), rtol=1e-12, atol=1e-12)
+        got = mittag_leffler(MLParams(1.0, 0.0), x)
+        np.testing.assert_allclose(got, x * np.exp(x), rtol=1e-12, atol=1e-12)
+        got = mittag_leffler(MLParams(2.0, 0.0), -(x**2))
+        np.testing.assert_allclose(got, -x * np.sin(x), rtol=1e-12, atol=1e-12)
+
+    def test_one_overflowing_element_raises(self):
+        z = np.linspace(-1.0, 1.0, 50)
+        z[17] = -40.0  # alpha = 1/2: terms reach exp(|z|^2) > exp(700)
+        with pytest.raises(SeriesConvergenceError, match="-40"):
+            mittag_leffler(MLParams(0.5, 1.0), z)
+
+    def test_exhausted_budget_names_the_argument(self):
+        z = np.array([0.0, 0.1, -5.0])
+        with pytest.raises(SeriesConvergenceError, match="z = -5"):
+            mittag_leffler(MLParams(0.5, 1.0, max_terms=20), z)
