@@ -31,7 +31,6 @@ from .picard_solver import (
     initial_state,
     picard_step,
     solve,
-    taylor_part,
 )
 from .problem_model import (
     MultiTermProblem,
@@ -87,7 +86,6 @@ __all__ = [
     "initial_state",
     "picard_step",
     "solve",
-    "taylor_part",
     "MultiTermProblem",
     "ProblemValidationError",
     "RhsDomainError",

@@ -31,7 +31,6 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,39 +51,11 @@ from .problem_model import (
 from .special_functions import MLParams, SeriesConvergenceError, mittag_leffler
 from .verification import check_equivalence, initial_limit_checks, origin_decay
 
-__all__ = ["RunConfig", "main", "entry"]
+__all__ = ["main", "entry"]
 
 
 class CliInputError(Exception):
     """Unusable invocation or input file; maps to exit code 1."""
-
-
-@dataclass
-class RunConfig:
-    """Everything one invocation needs; mirrors the CLI flags."""
-
-    config: str
-    mode: str = "solve"
-    n_points: int = 256
-    grading: float = 1.0
-    tol: float = 1e-10
-    max_iter: int = 200
-    output: str = ""
-    oracle: str = ""
-    study_min: int = 16
-    volterra_tol: float = 1e-3
-    ode_tol: float = 1e-2
-    ic_tol: float = 5e-2
-    limit_tol: float = 5e-2
-    slope_tol: float = 0.05
-    decay_limit_tol: float = 1e-3
-    self_test_corrupt: bool = False
-
-    def __post_init__(self) -> None:
-        if not self.tol > 0.0:
-            raise CliInputError(f"--tol must be positive, got {self.tol}")
-        if self.max_iter < 1:
-            raise CliInputError(f"--max-iter must be at least 1, got {self.max_iter}")
 
 
 def _fmt(x: float) -> str:
@@ -101,7 +72,7 @@ def _write_csv(path: str, header, rows) -> None:
         raise CliInputError(f"cannot write {path}: {exc.strerror or exc}")
 
 
-def _output_path(cfg: RunConfig) -> str:
+def _output_path(cfg: argparse.Namespace) -> str:
     return cfg.output or f"fracpicard_{cfg.mode}.csv"
 
 
@@ -121,7 +92,7 @@ def _make_grid(problem: MultiTermProblem, n_points: int, grading: float) -> Grid
         raise CliInputError(f"no usable grid for --n-points {n_points}, --grading {grading}: {exc}")
 
 
-def _load(cfg: RunConfig) -> MultiTermProblem:
+def _load(cfg: argparse.Namespace) -> MultiTermProblem:
     try:
         return load_problem(cfg.config)
     except OSError as exc:
@@ -182,7 +153,7 @@ def _trajectory_rows(trajectory: SolutionTrajectory):
         yield row
 
 
-def run_solve(cfg: RunConfig) -> int:
+def run_solve(cfg: argparse.Namespace) -> int:
     problem = _load(cfg)
     grid = _make_grid(problem, cfg.n_points, cfg.grading)
     trajectory = solve(problem, grid, tol=cfg.tol, max_iter=cfg.max_iter)
@@ -207,7 +178,9 @@ def run_solve(cfg: RunConfig) -> int:
     return 0 if report.converged else 2
 
 
-def _verify_checks(cfg: RunConfig, problem: MultiTermProblem, trajectory: SolutionTrajectory):
+def _verify_checks(
+    cfg: argparse.Namespace, problem: MultiTermProblem, trajectory: SolutionTrajectory
+):
     checks = []
     report = trajectory.report
     final_delta = report.deltas[-1] if report.deltas else float("inf")
@@ -237,7 +210,7 @@ def _verify_checks(cfg: RunConfig, problem: MultiTermProblem, trajectory: Soluti
     return resolved
 
 
-def run_verify(cfg: RunConfig) -> int:
+def run_verify(cfg: argparse.Namespace) -> int:
     problem = _load(cfg)
     if cfg.n_points < 2 * problem.n:  # the differential-form residual differences n times
         raise CliInputError(f"verify needs --n-points >= 2 ceil(alpha) = {2 * problem.n}")
@@ -276,7 +249,7 @@ def _thread_cap(n_tasks: int) -> int:
     return max(1, min(cap, n_tasks))
 
 
-def run_study(cfg: RunConfig) -> int:
+def run_study(cfg: argparse.Namespace) -> int:
     problem = _load(cfg)
     if not cfg.oracle:
         raise CliInputError("study mode needs --oracle")
@@ -318,7 +291,7 @@ def run_study(cfg: RunConfig) -> int:
     return 0 if all_converged else 2
 
 
-def run_oracle(cfg: RunConfig) -> int:
+def run_oracle(cfg: argparse.Namespace) -> int:
     problem = _load(cfg)
     if not cfg.oracle:
         raise CliInputError("oracle mode needs --oracle")
@@ -383,8 +356,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        cfg = RunConfig(**vars(args))
+        cfg = parser.parse_args(argv)
+        if not cfg.tol > 0.0:
+            raise CliInputError(f"--tol must be positive, got {cfg.tol}")
+        if cfg.max_iter < 1:
+            raise CliInputError(f"--max-iter must be at least 1, got {cfg.max_iter}")
         return _DISPATCH[cfg.mode](cfg)
     except (CliInputError, RhsDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)

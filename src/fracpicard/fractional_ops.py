@@ -31,6 +31,7 @@ cells left of its last row only.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,7 +67,7 @@ def ceil_order(alpha: float) -> int:
     is a positive integer)."""
     if not alpha > 0.0:
         raise ValueError(f"order must be positive, got {alpha}")
-    if abs(alpha - round(alpha)) < _INTEGER_SNAP:
+    if is_integer_order(alpha):
         return int(round(alpha))
     return int(math.ceil(alpha))
 
@@ -92,6 +93,8 @@ class Grid:
     _weighted: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not 1.0 <= self.grading < math.inf:
+            raise ValueError(f"grading must be finite and >= 1, got {self.grading}")
         nodes = np.asarray(self.nodes, dtype=float)
         object.__setattr__(self, "nodes", nodes)
         if nodes.ndim != 1 or nodes.size < 3:
@@ -100,8 +103,6 @@ class Grid:
             raise ValueError("grid must start at t = 0")
         if not np.all(np.diff(nodes) > 0.0):
             raise ValueError("grid nodes must be strictly increasing")
-        if not self.grading >= 1.0:
-            raise ValueError(f"grading must be >= 1, got {self.grading}")
         n = nodes.size - 1
         expected = nodes[-1] * (np.arange(n + 1) / n) ** self.grading
         if not np.allclose(nodes, expected, rtol=0.0, atol=1e-12 * max(nodes[-1], 1.0)):
@@ -109,17 +110,16 @@ class Grid:
 
     @classmethod
     def uniform(cls, horizon: float, n_intervals: int) -> "Grid":
-        if not horizon > 0.0:
-            raise ValueError(f"horizon must be positive, got {horizon}")
-        if n_intervals < 2:
-            raise ValueError("need at least 2 intervals")
-        nodes = horizon * (np.arange(n_intervals + 1) / n_intervals)
-        return cls(nodes, 1.0)
+        return cls.graded(horizon, n_intervals, 1.0)
 
     @classmethod
     def graded(cls, horizon: float, n_intervals: int, grading: float) -> "Grid":
-        if not horizon > 0.0:
-            raise ValueError(f"horizon must be positive, got {horizon}")
+        try:
+            n_intervals = operator.index(n_intervals)
+        except TypeError:
+            raise TypeError(f"n_intervals must be an integer, got {n_intervals!r}") from None
+        if not 0.0 < horizon < math.inf:
+            raise ValueError(f"horizon must be positive and finite, got {horizon}")
         if n_intervals < 2:
             raise ValueError("need at least 2 intervals")
         nodes = horizon * (np.arange(n_intervals + 1) / n_intervals) ** grading

@@ -51,7 +51,6 @@ __all__ = [
     "OperatorSet",
     "ConvergenceReport",
     "SolutionTrajectory",
-    "taylor_part",
     "derivative_taylor_part",
     "build_operator_set",
     "initial_state",
@@ -117,20 +116,14 @@ class SolutionTrajectory:
     report: ConvergenceReport
 
 
-def taylor_part(initial_values, grid: Grid) -> SampledFunction:
-    """The polynomial sum_j b_j t^j / j! carrying the initial data."""
-    vals = polynomial_from_derivatives(initial_values, grid.nodes)
-    return SampledFunction(grid, vals, 0.0)
-
-
 def derivative_taylor_part(initial_values, alpha_h: float, grid: Grid) -> SampledFunction:
     """Caputo derivative of order alpha_h of the initial polynomial:
 
         sum_(j = n_h)^(n-1) b_j t^(j - alpha_h) / gamma(j + 1 - alpha_h),
 
     with n_h = ceil(alpha_h); the first n_h terms are annihilated. For
-    alpha_h = 0 this is the polynomial itself (same accumulation, so the
-    samples agree bitwise with taylor_part)."""
+    alpha_h = 0 this is the polynomial sum_j b_j t^j / j! carrying the
+    initial data itself."""
     if alpha_h < 0.0:
         raise ValueError(f"derivative order must be >= 0, got {alpha_h}")
     t = grid.nodes
@@ -277,10 +270,11 @@ def solve(
     )
     if problem.derivative_orders and problem.derivative_orders[-1] == 0.0:
         # I^(alpha - 0) is the shared outer operator and the order-0 Taylor
-        # part is taylor_part bit for bit, so this entry already is y
+        # part is the initial polynomial, so this entry already is y
         y = z_final[-1]
     else:
-        y = taylor_part(problem.initial_values, grid) + apply_integral(operators.outer, phi)
+        taylor = derivative_taylor_part(problem.initial_values, 0.0, grid)
+        y = taylor + apply_integral(operators.outer, phi)
 
     try:
         lipschitz = _observed_lipschitz(problem, grid, z_final)

@@ -471,14 +471,6 @@ class MultiTermProblem:
     def m(self) -> int:
         return len(self.derivative_orders)
 
-    @property
-    def integer_order(self) -> bool:
-        """True when the problem is a classical ODE system in disguise:
-        the outer and every inner order are integers."""
-        return is_integer_order(self.alpha) and all(
-            a == 0.0 or is_integer_order(a) for a in self.derivative_orders
-        )
-
 
 class ProblemValidationError(ValueError):
     """Raised by validate_problem; issues is a list of (code, message)."""

@@ -53,6 +53,16 @@ def _is_nonpositive_integer(x: float, tol: float = 1e-12) -> bool:
     return x <= tol and abs(x - round(x)) < tol
 
 
+def _lanczos(x: float):
+    """Lanczos pieces for x >= 1/2: gamma(x) = sqrt(2 pi) t^(z + 1/2) e^(-t) acc
+    with z = x - 1 and t = z + g + 1/2."""
+    z = x - 1.0
+    acc = _LANCZOS_P[0]
+    for i in range(1, len(_LANCZOS_P)):
+        acc += _LANCZOS_P[i] / (z + i)
+    return z, z + _LANCZOS_G + 0.5, acc
+
+
 def gamma(x: float) -> float:
     """Gamma function for real x, poles excluded.
 
@@ -67,11 +77,7 @@ def gamma(x: float) -> float:
     if x < 0.5:
         # reflection: gamma(x) gamma(1-x) = pi / sin(pi x)
         return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS_P[0]
-    for i in range(1, len(_LANCZOS_P)):
-        acc += _LANCZOS_P[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
+    z, t, acc = _lanczos(x)
     return _SQRT_TWO_PI * t ** (z + 0.5) * math.exp(-t) * acc
 
 
@@ -82,11 +88,7 @@ def log_gamma(x: float) -> float:
         raise ValueError(f"log_gamma requires x > 0, got {x}")
     if x < 0.5:
         return math.log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
-    z = x - 1.0
-    acc = _LANCZOS_P[0]
-    for i in range(1, len(_LANCZOS_P)):
-        acc += _LANCZOS_P[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
+    z, t, acc = _lanczos(x)
     return _LOG_SQRT_TWO_PI + (z + 0.5) * math.log(t) - t + math.log(acc)
 
 

@@ -12,7 +12,8 @@ problem, plus standalone probes of the identities the solver rests on:
 - composition_identity: I^alpha applied to the Caputo derivative of a
   polynomial must reproduce the polynomial minus its initial Taylor part.
 - initial_limit_checks: each I^(alpha - k) phi must vanish as t -> 0,
-  which is what makes the reconstructed y attain its initial data.
+  which is what makes the reconstructed y attain its initial data;
+  check_equivalence's ic_errors measure whether it does.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .fractional_ops import (
     integral_node_values,
     polynomial_from_derivatives,
 )
-from .picard_solver import SolutionTrajectory, rhs_samples, taylor_part
+from .picard_solver import SolutionTrajectory, derivative_taylor_part, rhs_samples
 from .problem_model import MultiTermProblem
 
 __all__ = [
@@ -125,7 +126,7 @@ def check_equivalence(trajectory: SolutionTrajectory, problem: MultiTermProblem)
 
     f_samples = rhs_samples(problem, grid, trajectory.inner)
     outer = build_integral_operator(problem.alpha, grid)
-    integral_form = taylor_part(b, grid) + apply_integral(outer, f_samples)
+    integral_form = derivative_taylor_part(b, 0.0, grid) + apply_integral(outer, f_samples)
     volterra_residual = float(np.max(np.abs(trajectory.y.values - integral_form.values)))
 
     deriv = caputo_derivative(trajectory.y, problem.alpha, b)
@@ -241,30 +242,23 @@ def composition_identity(coeffs, alpha: float, grid: Grid) -> float:
 @dataclass(frozen=True)
 class InitialLimits:
     """Per-initial-condition diagnostics of one trajectory: the magnitude
-    of the extrapolated t -> 0 limit of I^(alpha - k) phi (must be 0 for
-    the initial data to be attained) and the recovery errors
-    |y^(k)(0) - b_k|."""
+    of the extrapolated t -> 0 limit of I^(alpha - k) phi, which must be 0
+    for the initial data to be attained. The recovery errors
+    |y^(k)(0) - b_k| are ResidualReport.ic_errors."""
 
     integral_limits: tuple
-    ic_errors: tuple
 
 
 def initial_limit_checks(problem: MultiTermProblem, trajectory: SolutionTrajectory) -> InitialLimits:
     """Check that the fractional integrals I^(alpha - k) phi vanish as
-    t -> 0 for k = 0..n-1 and that the initial conditions are recovered
-    from the samples of y."""
+    t -> 0 for k = 0..n-1."""
     grid = trajectory.grid
     if grid.n_intervals < 4:
         raise ValueError("need at least 4 intervals to extrapolate the limits")
     t_pos = grid.nodes[1:]
-    n = problem.n
     limits = []
-    for k in range(n):
+    for k in range(problem.n):
         op = build_integral_operator(problem.alpha - k, grid)
         vals = integral_node_values(op, trajectory.phi)
         limits.append(abs(_power_limit(t_pos, vals)[0]))
-    recovered = _initial_derivative_estimates(grid.nodes, trajectory.y.values, n)
-    ic_errors = tuple(
-        abs(r - bk) for r, bk in zip(recovered, problem.initial_values)
-    )
-    return InitialLimits(integral_limits=tuple(limits), ic_errors=tuple(ic_errors))
+    return InitialLimits(integral_limits=tuple(limits))

@@ -15,6 +15,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -109,6 +110,33 @@ class TestGrid:
             Grid(np.array([0.0, 0.9, 1.0]))  # not a power law
         with pytest.raises(ValueError):
             Grid.uniform(-1.0, 8)
+
+    @pytest.mark.parametrize("n", [2.5, 8.0])
+    def test_non_integer_interval_count_rejected(self, n):
+        with pytest.raises(TypeError, match="n_intervals"):
+            Grid.uniform(1.0, n)
+
+    def test_numpy_integer_interval_count_accepted(self):
+        assert Grid.graded(1.0, np.int64(8), 2.0).n_intervals == 8
+
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan])
+    def test_non_finite_horizon_rejected(self, horizon):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="horizon"):
+                Grid.uniform(horizon, 8)
+
+    @pytest.mark.parametrize("grading", [math.inf, math.nan])
+    def test_non_finite_grading_rejected(self, grading):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="grading"):
+                Grid.graded(1.0, 8, grading)
+
+    @pytest.mark.parametrize("horizon,n", [(1.0, 8), (2.0, 512), (0.3, 1000), (7.5, 3)])
+    def test_uniform_nodes_bitwise(self, horizon, n):
+        expected = horizon * (np.arange(n + 1) / n)
+        assert Grid.uniform(horizon, n).nodes.tobytes() == expected.tobytes()
 
     @given(st.integers(min_value=2, max_value=64), st.floats(min_value=1.0, max_value=4.0))
     @settings(max_examples=60)

@@ -29,7 +29,6 @@ from fracpicard.picard_solver import (
     initial_state,
     picard_step,
     solve,
-    taylor_part,
 )
 from fracpicard.problem_model import ProblemValidationError, parse_rhs, problem_from_dict
 
@@ -93,7 +92,7 @@ class TestTaylorParts:
     def test_taylor_part_factorial_series(self):
         grid = Grid.uniform(2.0, 16)
         b = (1.0, -1.0, 4.0)
-        tp = taylor_part(b, grid)
+        tp = derivative_taylor_part(b, 0.0, grid)
         t = grid.nodes
         expected = 1.0 - t + 2.0 * t**2
         assert np.allclose(tp.values, expected, rtol=1e-14)
@@ -109,13 +108,6 @@ class TestTaylorParts:
             + 3.0 / math.gamma(3.5 - 1.0) * t**1.5
         )
         assert np.allclose(out.values, expected, rtol=1e-13, atol=1e-15)
-
-    def test_order_zero_matches_taylor_bitwise(self):
-        grid = Grid.uniform(1.0, 32)
-        b = (0.3, -2.0, 1.7)
-        assert np.array_equal(
-            derivative_taylor_part(b, 0.0, grid).values, taylor_part(b, grid).values
-        )
 
     def test_full_order_annihilates(self):
         grid = Grid.uniform(1.0, 16)

@@ -279,15 +279,6 @@ class TestProblemValidation:
         p = problem_from_dict(_valid_dict())
         assert p.n == 2
         assert p.m == 1
-        assert not p.integer_order
-
-    def test_integer_order_classification(self):
-        p = problem_from_dict(
-            _valid_dict(alpha=2.0, derivative_orders=[1.0, 0.0], rhs="-z2")
-        )
-        assert p.integer_order
-        q = problem_from_dict(_valid_dict(alpha=2.0, derivative_orders=[0.5], rhs="z1"))
-        assert not q.integer_order
 
     @pytest.mark.parametrize(
         "overrides,code",
