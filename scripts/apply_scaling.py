@@ -33,7 +33,6 @@ from fracpicard import (
     SampledFunction,
     apply_integral,
     build_integral_operator,
-    log_gamma,
     mittag_leffler,
 )
 
@@ -58,7 +57,7 @@ def scalar_series(alpha: float, z: float, tol: float = 1e-14) -> float:
         if z == 0.0:
             term = 1.0 if k == 0 else 0.0
         else:
-            term = math.exp(k * math.log(abs(z)) - log_gamma(alpha * k + 1.0))
+            term = math.exp(k * math.log(abs(z)) - math.lgamma(alpha * k + 1.0))
             if z < 0.0 and k % 2 == 1:
                 term = -term
         total += term

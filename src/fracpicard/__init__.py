@@ -48,12 +48,9 @@ from .problem_model import (
 from .special_functions import (
     MLParams,
     SeriesConvergenceError,
-    gamma,
-    log_gamma,
     mittag_leffler,
 )
 from .verification import (
-    InitialLimits,
     OriginDecayReport,
     ResidualReport,
     check_equivalence,
@@ -99,10 +96,7 @@ __all__ = [
     "validate_problem",
     "MLParams",
     "SeriesConvergenceError",
-    "gamma",
-    "log_gamma",
     "mittag_leffler",
-    "InitialLimits",
     "OriginDecayReport",
     "ResidualReport",
     "check_equivalence",

@@ -39,8 +39,6 @@ import numpy as np
 # would put the module's allocations inside the first apply
 from numpy.fft import irfft, rfft
 
-from .special_functions import gamma
-
 __all__ = [
     "Grid",
     "SampledFunction",
@@ -77,6 +75,11 @@ def is_integer_order(alpha: float) -> bool:
     return alpha > 0.0 and abs(alpha - round(alpha)) < _INTEGER_SNAP
 
 
+def _check_grading(grading: float) -> None:
+    if not 1.0 <= grading < math.inf:
+        raise ValueError(f"grading must be finite and >= 1, got {grading}")
+
+
 @dataclass(frozen=True)
 class Grid:
     """Graded one-sided mesh t_i = T (i/N)^grading, i = 0..N.
@@ -93,8 +96,7 @@ class Grid:
     _weighted: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not 1.0 <= self.grading < math.inf:
-            raise ValueError(f"grading must be finite and >= 1, got {self.grading}")
+        _check_grading(self.grading)
         nodes = np.asarray(self.nodes, dtype=float)
         object.__setattr__(self, "nodes", nodes)
         if nodes.ndim != 1 or nodes.size < 3:
@@ -122,6 +124,7 @@ class Grid:
             raise ValueError(f"horizon must be positive and finite, got {horizon}")
         if n_intervals < 2:
             raise ValueError("need at least 2 intervals")
+        _check_grading(grading)
         nodes = horizon * (np.arange(n_intervals + 1) / n_intervals) ** grading
         return cls(nodes, grading)
 
@@ -266,7 +269,7 @@ def _inc_beta_series(p: float, q: float, x: np.ndarray) -> np.ndarray:
 
 
 def _beta_complete(p: float, q: float) -> float:
-    return gamma(p) * gamma(q) / gamma(p + q)
+    return math.gamma(p) * math.gamma(q) / math.gamma(p + q)
 
 
 def incomplete_beta(p: float, q: float, x) -> np.ndarray:
@@ -352,7 +355,7 @@ class FracIntegralOperator:
         self._weighted_tables = grid._weighted.setdefault(round(self.order, 15), {})
         t = grid.nodes
         n = grid.n_intervals
-        ginv = 1.0 / gamma(self.order)
+        ginv = 1.0 / math.gamma(self.order)
         if grid.is_uniform:
             h = t[1] - t[0]
             k = np.arange(1, n + 1, dtype=float)
@@ -421,7 +424,7 @@ class FracIntegralOperator:
 
         table = np.zeros((n, n + 1))
         _fill_lower(table, cells)
-        table *= 1.0 / gamma(beta)
+        table *= 1.0 / math.gamma(beta)
         # the store is shared through the grid: should two threads build the
         # same table at once, both return the one stored first
         return self._weighted_tables.setdefault(key, table)
@@ -470,11 +473,8 @@ def polynomial_from_derivatives(coeffs, t) -> np.ndarray:
     calls sharing a coefficient prefix agree bitwise on that prefix."""
     t = np.asarray(t, dtype=float)
     vals = np.zeros_like(t)
-    fact = 1.0
     for j, cj in enumerate(coeffs):
-        if j > 0:
-            fact *= j
-        vals = vals + (cj / fact) * t**j
+        vals = vals + (cj / math.factorial(j)) * t**j
     return vals
 
 

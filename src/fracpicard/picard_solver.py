@@ -21,6 +21,7 @@ without the a priori geometric rate.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -42,7 +43,6 @@ from .problem_model import (
     estimate_lipschitz,
     validate_problem,
 )
-from .special_functions import gamma
 
 __all__ = [
     "ContractionWarning",
@@ -133,7 +133,7 @@ def derivative_taylor_part(initial_values, alpha_h: float, grid: Grid) -> Sample
     vals = np.zeros_like(t)
     for j in range(n_h, len(initial_values)):
         bj = float(initial_values[j])
-        vals = vals + (bj / gamma(j + 1.0 - alpha_h)) * t ** (j - alpha_h)
+        vals = vals + (bj / math.gamma(j + 1.0 - alpha_h)) * t ** (j - alpha_h)
     return SampledFunction(grid, vals, 0.0)
 
 
@@ -211,7 +211,7 @@ def estimate_contraction(lipschitz: float, problem: MultiTermProblem, horizon=No
     total = 0.0
     for a in problem.derivative_orders:
         mu = problem.alpha - a
-        total += t_end**mu / gamma(mu + 1.0)
+        total += t_end**mu / math.gamma(mu + 1.0)
     return float(lipschitz) * total
 
 

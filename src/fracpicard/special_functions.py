@@ -1,15 +1,9 @@
-"""Special functions used throughout the solver.
+"""The two-parameter Mittag-Leffler function, the oracle of ml: studies.
 
-Everything here is self-contained on purpose: the quadrature weights and
-series below are exercised at tolerances (1e-13 relative) where silently
-swapping implementations matters, so the package carries its own gamma,
-log-gamma and Mittag-Leffler evaluations instead of pulling in scipy.
-gamma and log_gamma take scalars; mittag_leffler takes a scalar or an
-array and sums one series over all of it.
-
-gamma uses the Lanczos approximation with g = 7 and 9 coefficients
-(Godfrey's values), which is good to ~1e-14 relative on the positive axis,
-combined with the reflection formula for arguments below 1/2.
+mittag_leffler takes a scalar or an array and sums one series over all
+of it. Its Gamma and log-Gamma values come from Python's math module,
+which CPython computes itself rather than through the platform libm, so
+numpy stays the only runtime dependency.
 """
 
 from __future__ import annotations
@@ -20,29 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "gamma",
-    "log_gamma",
     "MLParams",
     "mittag_leffler",
     "SeriesConvergenceError",
 ]
-
-# Lanczos coefficients for g = 7.
-_LANCZOS_G = 7.0
-_LANCZOS_P = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
-_LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
 
 class SeriesConvergenceError(ArithmeticError):
@@ -51,45 +26,6 @@ class SeriesConvergenceError(ArithmeticError):
 
 def _is_nonpositive_integer(x: float, tol: float = 1e-12) -> bool:
     return x <= tol and abs(x - round(x)) < tol
-
-
-def _lanczos(x: float):
-    """Lanczos pieces for x >= 1/2: gamma(x) = sqrt(2 pi) t^(z + 1/2) e^(-t) acc
-    with z = x - 1 and t = z + g + 1/2."""
-    z = x - 1.0
-    acc = _LANCZOS_P[0]
-    for i in range(1, len(_LANCZOS_P)):
-        acc += _LANCZOS_P[i] / (z + i)
-    return z, z + _LANCZOS_G + 0.5, acc
-
-
-def gamma(x: float) -> float:
-    """Gamma function for real x, poles excluded.
-
-    Raises ValueError at the poles x = 0, -1, -2, ... where the function
-    has no finite value.
-    """
-    x = float(x)
-    if math.isnan(x):
-        return math.nan
-    if _is_nonpositive_integer(x):
-        raise ValueError(f"gamma pole at x = {x}")
-    if x < 0.5:
-        # reflection: gamma(x) gamma(1-x) = pi / sin(pi x)
-        return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
-    z, t, acc = _lanczos(x)
-    return _SQRT_TWO_PI * t ** (z + 0.5) * math.exp(-t) * acc
-
-
-def log_gamma(x: float) -> float:
-    """log(gamma(x)) for x > 0, stable for large arguments."""
-    x = float(x)
-    if x <= 0.0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    if x < 0.5:
-        return math.log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
-    z, t, acc = _lanczos(x)
-    return _LOG_SQRT_TWO_PI + (z + 0.5) * math.log(t) - t + math.log(acc)
 
 
 @dataclass(frozen=True)
@@ -144,7 +80,7 @@ def mittag_leffler(params: MLParams, z):
     out = np.empty_like(zs)
     # at z = 0 only the k = 0 term, 1/gamma(beta), survives
     zero = zs == 0.0
-    out[zero] = 0.0 if _is_nonpositive_integer(params.beta) else 1.0 / gamma(params.beta)
+    out[zero] = 0.0 if _is_nonpositive_integer(params.beta) else 1.0 / math.gamma(params.beta)
     idx = np.flatnonzero(~zero)  # elements still summing, as indices into zs
     log_abs = np.log(np.abs(zs[idx]))
     negative = zs[idx] < 0.0
@@ -157,7 +93,7 @@ def mittag_leffler(params: MLParams, z):
         if _is_nonpositive_integer(arg):
             continue  # 1/gamma vanishes at its poles: no term, and no cue to stop
         if arg > 0.5:
-            ln = k * log_abs - log_gamma(arg)
+            ln = k * log_abs - math.lgamma(arg)
             if ln.max() > 700.0:
                 raise SeriesConvergenceError(
                     f"series term overflow at k = {k} (z = {zs[idx[ln.argmax()]]:g})"
@@ -167,7 +103,7 @@ def mittag_leffler(params: MLParams, z):
                 np.negative(term, out=term, where=negative)
         else:
             # arg <= 0.5 only happens for small k since alpha > 0
-            term = zs[idx] ** k / gamma(arg)
+            term = zs[idx] ** k / math.gamma(arg)
         total += term
         mag = np.abs(term)
         done = (mag < params.tol) & (mag <= prev)

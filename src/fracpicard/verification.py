@@ -42,7 +42,6 @@ __all__ = [
     "OriginDecayReport",
     "origin_decay",
     "composition_identity",
-    "InitialLimits",
     "initial_limit_checks",
 ]
 
@@ -95,16 +94,13 @@ def _initial_derivative_estimates(t: np.ndarray, y: np.ndarray, n: int) -> tuple
     divided difference times k!, improved by Richardson extrapolation
     between stride-1 and stride-2 stencils when enough nodes exist."""
     estimates = []
-    fact = 1.0
     for k in range(n):
-        if k > 0:
-            fact *= k
         if k == 0:
             estimates.append(float(y[0]))
             continue
-        e1 = fact * _divided_difference(t[: k + 1], y[: k + 1])
+        e1 = math.factorial(k) * _divided_difference(t[: k + 1], y[: k + 1])
         if 2 * k + 1 <= min(8, len(t)):
-            e2 = fact * _divided_difference(t[: 2 * k + 1 : 2], y[: 2 * k + 1 : 2])
+            e2 = math.factorial(k) * _divided_difference(t[: 2 * k + 1 : 2], y[: 2 * k + 1 : 2])
             s1 = float(t[k] - t[0])
             s2 = float(t[2 * k] - t[0])
             estimates.append((s2 * e1 - s1 * e2) / (s2 - s1))
@@ -224,12 +220,7 @@ def composition_identity(coeffs, alpha: float, grid: Grid) -> float:
     n = ceil_order(alpha)
     t = grid.nodes
 
-    b_all = []
-    fact = 1.0
-    for j, c in enumerate(coeffs):
-        if j > 0:
-            fact *= j
-        b_all.append(c * fact)
+    b_all = [c * math.factorial(j) for j, c in enumerate(coeffs)]
     b_head = (b_all + [0.0] * n)[:n]
 
     y = SampledFunction(grid, polynomial_from_derivatives(b_all, t), 0.0)
@@ -239,19 +230,12 @@ def composition_identity(coeffs, alpha: float, grid: Grid) -> float:
     return float(np.max(np.abs(lhs.values - rhs)))
 
 
-@dataclass(frozen=True)
-class InitialLimits:
-    """Per-initial-condition diagnostics of one trajectory: the magnitude
-    of the extrapolated t -> 0 limit of I^(alpha - k) phi, which must be 0
-    for the initial data to be attained. The recovery errors
-    |y^(k)(0) - b_k| are ResidualReport.ic_errors."""
-
-    integral_limits: tuple
-
-
-def initial_limit_checks(problem: MultiTermProblem, trajectory: SolutionTrajectory) -> InitialLimits:
+def initial_limit_checks(problem: MultiTermProblem, trajectory: SolutionTrajectory) -> tuple:
     """Check that the fractional integrals I^(alpha - k) phi vanish as
-    t -> 0 for k = 0..n-1."""
+    t -> 0 for k = 0..n-1, which the initial data need in order to be
+    attained. Returns the magnitude of each extrapolated limit, one per
+    initial condition; the recovery errors |y^(k)(0) - b_k| are
+    ResidualReport.ic_errors."""
     grid = trajectory.grid
     if grid.n_intervals < 4:
         raise ValueError("need at least 4 intervals to extrapolate the limits")
@@ -261,4 +245,4 @@ def initial_limit_checks(problem: MultiTermProblem, trajectory: SolutionTrajecto
         op = build_integral_operator(problem.alpha - k, grid)
         vals = integral_node_values(op, trajectory.phi)
         limits.append(abs(_power_limit(t_pos, vals)[0]))
-    return InitialLimits(integral_limits=tuple(limits))
+    return tuple(limits)

@@ -16,6 +16,7 @@ import os
 import subprocess
 import sys
 import warnings
+from math import gamma
 
 import numpy as np
 import pytest
@@ -40,7 +41,6 @@ from fracpicard.fractional_ops import (
     polynomial_from_derivatives,
     weighted_norm,
 )
-from fracpicard.special_functions import gamma
 
 BETAS = (0.3, 0.5, 1.0, 1.7, 2.5)
 
@@ -128,6 +128,14 @@ class TestGrid:
 
     @pytest.mark.parametrize("grading", [math.inf, math.nan])
     def test_non_finite_grading_rejected(self, grading):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="grading"):
+                Grid.graded(1.0, 8, grading)
+
+    @pytest.mark.parametrize("grading", [-1.0, 0.5, math.nan])
+    def test_bad_grading_rejected_without_warning(self, grading):
+        # checked before the nodes are computed: 0 ** -1 would warn first
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="grading"):

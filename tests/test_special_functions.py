@@ -1,4 +1,4 @@
-"""Gamma / Mittag-Leffler tests against stdlib oracles and identities."""
+"""Mittag-Leffler tests against stdlib oracles and identities."""
 
 import math
 
@@ -10,57 +10,10 @@ from hypothesis import strategies as st
 from fracpicard.special_functions import (
     MLParams,
     SeriesConvergenceError,
-    gamma,
-    log_gamma,
     mittag_leffler,
 )
 
-GAMMA_HALF_3 = 0.8862269254527580  # gamma(1.5)
 E_HALF_AT_MINUS_1 = 0.4275835761558070  # exp(1) * erfc(1)
-
-
-class TestGamma:
-    def test_matches_stdlib_across_working_range(self):
-        xs = np.concatenate([np.linspace(0.1, 5.0, 197), np.linspace(5.0, 50.0, 181)])
-        for x in xs:
-            assert gamma(float(x)) == pytest.approx(math.gamma(float(x)), rel=1e-12)
-
-    def test_frozen_value_at_three_halves(self):
-        assert gamma(1.5) == pytest.approx(GAMMA_HALF_3, rel=1e-13)
-
-    def test_negative_non_integers_via_reflection(self):
-        for x in (-0.5, -1.5, -2.25, -6.9, -0.01):
-            assert gamma(x) == pytest.approx(math.gamma(x), rel=1e-11)
-
-    def test_poles_raise(self):
-        for x in (0.0, -1.0, -2.0, -17.0):
-            with pytest.raises(ValueError):
-                gamma(x)
-
-    def test_integer_factorials(self):
-        for n in range(1, 15):
-            assert gamma(float(n)) == pytest.approx(math.factorial(n - 1), rel=1e-13)
-
-    @given(st.floats(min_value=0.05, max_value=40.0))
-    @settings(max_examples=200)
-    def test_recurrence_property(self, x):
-        assert gamma(x + 1.0) == pytest.approx(x * gamma(x), rel=1e-11)
-
-
-class TestLogGamma:
-    def test_matches_stdlib(self):
-        for x in np.concatenate([np.linspace(0.1, 10, 89), np.linspace(10, 200, 77)]):
-            assert log_gamma(float(x)) == pytest.approx(math.lgamma(float(x)), abs=1e-12, rel=1e-13)
-
-    def test_consistent_with_gamma(self):
-        for x in (0.3, 1.0, 2.5, 7.75):
-            assert math.exp(log_gamma(x)) == pytest.approx(gamma(x), rel=1e-12)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            log_gamma(0.0)
-        with pytest.raises(ValueError):
-            log_gamma(-1.2)
 
 
 class TestMittagLeffler:
@@ -113,7 +66,7 @@ class TestMittagLeffler:
         # z is kept moderate: for z << 0 the alternating sum loses digits to
         # cancellation (terms peak at ~exp(|z|^(1/alpha))) on both sides.
         lhs = mittag_leffler(MLParams(alpha, beta), z)
-        rhs = z * mittag_leffler(MLParams(alpha, alpha + beta), z) + 1.0 / gamma(beta)
+        rhs = z * mittag_leffler(MLParams(alpha, alpha + beta), z) + 1.0 / math.gamma(beta)
         assert lhs == pytest.approx(rhs, rel=1e-7, abs=1e-9)
 
     def test_exhausted_budget_raises(self):
@@ -150,13 +103,13 @@ def _series_per_element(params, z):
         if abs(arg - round(arg)) < 1e-12 and arg <= 1e-12:
             term = 0.0
         elif z == 0.0:
-            term = 1.0 / gamma(arg) if k == 0 else 0.0
+            term = 1.0 / math.gamma(arg) if k == 0 else 0.0
         elif arg > 0.5:
-            term = math.exp(k * math.log(abs(z)) - log_gamma(arg))
+            term = math.exp(k * math.log(abs(z)) - math.lgamma(arg))
             if z < 0.0 and k % 2 == 1:
                 term = -term
         else:
-            term = z**k / gamma(arg)
+            term = z**k / math.gamma(arg)
         total += term
         absum += abs(term)
         if abs(term) < params.tol and abs(term) <= prev:

@@ -170,8 +170,8 @@ class TestInitialLimits:
         problem = _manufactured()
         grid, traj = _solved(problem, n=512)
         checks = initial_limit_checks(problem, traj)
-        assert len(checks.integral_limits) == problem.n
-        assert max(checks.integral_limits) < 1e-2
+        assert len(checks) == problem.n
+        assert max(checks) < 1e-2
 
     def test_relaxation_limits_vanish(self):
         problem = problem_from_dict({
@@ -180,7 +180,7 @@ class TestInitialLimits:
         })
         grid, traj = _solved(problem, n=512)
         checks = initial_limit_checks(problem, traj)
-        assert checks.integral_limits[0] < 5e-2
+        assert checks[0] < 5e-2
 
     def test_tiny_grid_rejected(self):
         problem = _manufactured()
