@@ -67,8 +67,10 @@ def mittag_leffler(params: MLParams, z):
 
     For z < 0 the series alternates: its terms grow to about
     exp(|z|^(1/alpha)) before they decay, and the rounding error of the
-    sum grows with sum_k |term_k|. At alpha = 1/2 about 3 correct digits
-    are left at z = -5 and none at z = -10. A term above exp(700), or
+    sum grows with sum_k |term_k|. So the terms above 1 of such a sum are
+    taken to a few ulp, which leaves an error of a few ulp of the largest
+    term: at alpha = 1/2 about 5 correct digits are left at z = -5 and
+    none from z = -6 on. A term above exp(700), or
     params.max_terms terms without stopping, raises SeriesConvergenceError
     naming the z; a non-finite z raises ValueError.
     """
@@ -82,10 +84,18 @@ def mittag_leffler(params: MLParams, z):
     zero = zs == 0.0
     out[zero] = 0.0 if _is_nonpositive_integer(params.beta) else 1.0 / math.gamma(params.beta)
     idx = np.flatnonzero(~zero)  # elements still summing, as indices into zs
-    log_abs = np.log(np.abs(zs[idx]))
+    abs_z = np.abs(zs[idx])
+    log_abs = np.log(abs_z)
     negative = zs[idx] < 0.0
+    # z < 0 whose largest term, about exp(|z|^(1/alpha)), stays below 2^53:
+    # their alternating sums keep digits if the terms are accurate
+    cap = math.log(53.0 * math.log(2.0))
+    cancels = negative & (log_abs < params.alpha * cap)
     total = np.zeros(idx.size)
     prev = np.full(idx.size, math.inf)
+    hi = params.alpha * 134217729.0  # Veltkamp split alpha = hi + lo: hi * k is exact
+    hi -= hi - params.alpha
+    lo = params.alpha - hi
     for k in range(params.max_terms):
         if idx.size == 0:
             break
@@ -99,6 +109,19 @@ def mittag_leffler(params: MLParams, z):
                     f"series term overflow at k = {k} (z = {zs[idx[ln.argmax()]]:g})"
                 )
             term = np.exp(ln, out=ln)
+            big = cancels & (term > 1.0)
+            if arg < 171.0 and k * params.alpha * cap < 700.0 and big.any():
+                # take those terms to a few ulp as |z|^k / Gamma(arg), with
+                # Gamma corrected to first order for the rounding of arg,
+                # delta = (alpha k + beta) - arg by TwoProduct and TwoSum;
+                # here |z|^k < exp(700)
+                p = params.alpha * k
+                b = arg - p
+                delta = (hi * k - p) + lo * k + (p - (arg - b)) + (params.beta - b)
+                psi = (math.lgamma(arg + 1e-4) - math.lgamma(arg - 1e-4)) / 2e-4
+                g = math.gamma(arg) * (1.0 + psi * delta)
+                np.power(abs_z, k, out=term, where=big)
+                np.divide(term, g, out=term, where=big)
             if k % 2 == 1:
                 np.negative(term, out=term, where=negative)
         else:
@@ -110,7 +133,8 @@ def mittag_leffler(params: MLParams, z):
         if done.any():
             out[idx[done]] = total[done]
             keep = ~done
-            idx, log_abs, negative = idx[keep], log_abs[keep], negative[keep]
+            idx, abs_z, log_abs, negative, cancels = (
+                a[keep] for a in (idx, abs_z, log_abs, negative, cancels))
             total, mag = total[keep], mag[keep]
         prev = mag
     if idx.size:

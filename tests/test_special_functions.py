@@ -1,6 +1,7 @@
 """Mittag-Leffler tests against stdlib oracles and identities."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,9 @@ from fracpicard.special_functions import (
 )
 
 E_HALF_AT_MINUS_1 = 0.4275835761558070  # exp(1) * erfc(1)
+# E_(0.4,0.5)(-3) and E_(1/2)(-5) = exp(25) erfc(5), summed in 50-digit arithmetic
+E_04_05_AT_MINUS_3 = 0.052113392617980212
+E_HALF_AT_MINUS_5 = 0.11070463773306863
 
 
 class TestMittagLeffler:
@@ -69,6 +73,14 @@ class TestMittagLeffler:
         rhs = z * mittag_leffler(MLParams(alpha, alpha + beta), z) + 1.0 / math.gamma(beta)
         assert lhs == pytest.approx(rhs, rel=1e-7, abs=1e-9)
 
+    def test_cancelling_sums_keep_digits(self):
+        # the largest terms reach 2.3e6 and 7.2e10, so the sum is within its
+        # tolerance only if those terms are right to a few ulp
+        got = mittag_leffler(MLParams(0.4, 0.5), -3.0)
+        assert got == pytest.approx(E_04_05_AT_MINUS_3, rel=1e-7)
+        got = mittag_leffler(MLParams(0.5, 1.0), -5.0)
+        assert got == pytest.approx(E_HALF_AT_MINUS_5, rel=1e-4)
+
     def test_exhausted_budget_raises(self):
         with pytest.raises(SeriesConvergenceError):
             mittag_leffler(MLParams(0.5, 1.0, max_terms=3), -5.0)
@@ -96,7 +108,10 @@ def _series_per_element(params, z):
     """The per-element scalar loop the array series replaced, kept as the
     reference: returns E_(alpha,beta)(z) and the sum of |term| it added.
     A zero term at a gamma pole still ends its sum, so compare it only
-    where no alpha k + beta is a pole."""
+    where no alpha k + beta is a pole. Like the array series, it takes the
+    terms above 1 of a cancelling sum (z < 0, |z|^(1/alpha) < 53 log 2) as
+    |z|^k / Gamma(alpha k + beta), with the exact alpha k + beta."""
+    cap = math.log(53.0 * math.log(2.0))
     total, absum, prev = 0.0, 0.0, math.inf
     for k in range(params.max_terms):
         arg = params.alpha * k + params.beta
@@ -106,6 +121,11 @@ def _series_per_element(params, z):
             term = 1.0 / math.gamma(arg) if k == 0 else 0.0
         elif arg > 0.5:
             term = math.exp(k * math.log(abs(z)) - math.lgamma(arg))
+            if (z < 0.0 and term > 1.0 and math.log(-z) < params.alpha * cap
+                    and arg < 171.0 and k * params.alpha * cap < 700.0):
+                delta = float(Fraction(params.alpha) * k + Fraction(params.beta) - Fraction(arg))
+                psi = (math.lgamma(arg + 1e-6) - math.lgamma(arg - 1e-6)) / 2e-6
+                term = (-z) ** k / (math.gamma(arg) * (1.0 + psi * delta))
             if z < 0.0 and k % 2 == 1:
                 term = -term
         else:
