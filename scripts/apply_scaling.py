@@ -9,9 +9,13 @@ For N = 2^8 .. 2^16 intervals this times apply_integral of order 0.5 (the
 blocked FFT history sum) on random data and a direct np.convolve of the
 same stencil, and prints a markdown table of the median time per apply
 together with the largest deviation between the two, relative to the
-largest output. A second table gives, for N = 2^8 .. 2^11, the median time
-to build the weighted table of order 0.5 for singular exponent 0.2 on a
-uniform grid and the dense table of order 0.5 on a grid of grading 2.
+largest output. A second table gives, for N = 2^8 .. 2^12, the median time
+to build the weighted table of order 0.5 for singular exponent g = 0.2 on
+a uniform grid and the dense table of order 0.5 on a grid of grading 2,
+each with its worst relative error on inputs the rule integrates exactly:
+t^(-g), whose image is Gamma(1-g)/Gamma(1-g+beta) t^(beta-g), for the
+weighted table, and the constant 1, whose image is t^beta/Gamma(1+beta),
+for the graded one.
 A third table times E_(alpha,1)(lam t^alpha) on the 4097 nodes of a uniform
 grid of [0, 1], for alpha = 0.5, 1, 2 and lam = -3, -10, three ways: a
 per-node loop over a pure-Python scalar series (the evaluation the ml:
@@ -33,6 +37,7 @@ from fracpicard import (
     SampledFunction,
     apply_integral,
     build_integral_operator,
+    integral_node_values,
     mittag_leffler,
 )
 
@@ -103,16 +108,28 @@ def main() -> int:
               f"| {t_ref / t_fast:.1f}x | {dev:.1e} |")
 
     print()
-    print("| N | weighted table | graded table |")
-    print("|---|---|---|")
-    for k in range(8, 12):
+    print("| N | weighted table | exactness | graded table | exactness |")
+    print("|---|---|---|---|---|")
+    for k in range(8, 13):
         n = 2**k
         # a fresh grid each time: the weighted table is kept on the grid
         t_weighted = median_time(
             lambda: build_integral_operator(ORDER, Grid.uniform(1.0, n))._weighted_table(WEIGHT)
         )
         t_graded = median_time(lambda: build_integral_operator(ORDER, Grid.graded(1.0, n, 2.0)))
-        print(f"| {n} | {t_weighted * 1e3:.3g} ms | {t_graded * 1e3:.3g} ms |")
+        grid = Grid.uniform(1.0, n)
+        f = SampledFunction.from_callable(grid, lambda t: t**-WEIGHT, singular_exponent=WEIGHT)
+        exact = (math.gamma(1.0 - WEIGHT) / math.gamma(1.0 - WEIGHT + ORDER)
+                 * grid.nodes[1:] ** (ORDER - WEIGHT))
+        got = integral_node_values(build_integral_operator(ORDER, grid), f)
+        err_weighted = np.max(np.abs(got - exact) / exact)
+        grid = Grid.graded(1.0, n, 2.0)
+        exact = grid.nodes[1:] ** ORDER / math.gamma(1.0 + ORDER)
+        got = integral_node_values(build_integral_operator(ORDER, grid),
+                                   SampledFunction(grid, np.ones(n + 1)))
+        err_graded = np.max(np.abs(got - exact) / exact)
+        print(f"| {n} | {t_weighted * 1e3:.3g} ms | {err_weighted:.1e} "
+              f"| {t_graded * 1e3:.3g} ms | {err_graded:.1e} |")
 
     print()
     print("| alpha | lam | scalar series per node | mittag_leffler per node "

@@ -12,7 +12,8 @@ power-difference form loses eps*(t_n/h) relative digits and cannot hold the
 Inputs carrying a power singularity t^(-g) at the origin are handled by
 applying the same construction to the bounded factor t^g f(t) against the
 weight (t_n - tau)^(beta-1) tau^(-g); the cell moments of that weight are
-incomplete beta functions, evaluated by an in-house series. The weighted
+incomplete beta functions. They and the series branch of the plain moments
+are power series in an argument <= 1/2, summed by Horner's rule. The weighted
 rule is exact on t^(-g) times piecewise-linear inputs, which is what makes
 small-t decay studies of I^beta t^(-g) meaningful at all.
 
@@ -217,59 +218,57 @@ def _kernel_moments(a: np.ndarray, b: np.ndarray, beta: float):
     m1 = np.empty_like(a)
 
     zero = b <= 0.0
-    if np.any(zero):
-        az = a[zero]
-        m0[zero] = az**beta / beta
-        m1[zero] = az ** (beta + 1.0) / (beta * (beta + 1.0))
+    az = a[zero]
+    m0[zero] = az**beta / beta
+    m1[zero] = az ** (beta + 1.0) / (beta * (beta + 1.0))
 
     nz = ~zero
-    if np.any(nz):
-        an, bn, hn = a[nz], b[nz], h[nz]
-        # d1 = a^beta - b^beta without cancellation
-        d1 = -(an**beta) * np.expm1(beta * np.log1p(-hn / an))
-        m0[nz] = d1 / beta
-
-        m1n = np.empty_like(an)
-        r = hn / bn
-        ser = r <= 0.5
-        if np.any(~ser):
-            d2 = -(an ** (beta + 1.0)) * np.expm1((beta + 1.0) * np.log1p(-hn / an))
-            m1n[~ser] = an[~ser] * d1[~ser] / beta - d2[~ser] / (beta + 1.0)
-        if np.any(ser):
-            # M1 = h^2 b^(beta-1) sum_j C(beta-1, j) r^j / ((j+1)(j+2))
-            rs = r[ser]
-            acc = np.zeros_like(rs)
-            c = 1.0
-            rp = np.ones_like(rs)
-            for j in range(60):
-                acc += c * rp / ((j + 1.0) * (j + 2.0))
-                c *= (beta - 1.0 - j) / (j + 1.0)
-                rp *= rs
-            m1n[ser] = hn[ser] ** 2 * bn[ser] ** (beta - 1.0) * acc
-        m1[nz] = m1n
-
+    an, bn, hn = a[nz], b[nz], h[nz]
+    # d1 = a^beta - b^beta without cancellation
+    d1 = -(an**beta) * np.expm1(beta * np.log1p(-hn / an))
+    m0[nz] = d1 / beta
+    m1n = np.empty_like(an)
+    r = hn / bn
+    ser = r <= 0.5
+    d2 = -(an[~ser] ** (beta + 1.0)) * np.expm1((beta + 1.0) * np.log1p(-hn[~ser] / an[~ser]))
+    m1n[~ser] = an[~ser] * d1[~ser] / beta - d2 / (beta + 1.0)
+    # M1 = h^2 b^(beta-1) sum_j C(beta-1, j) r^j / ((j+1)(j+2)); the sum is
+    # integral_0^1 (1 + r s)^(beta-1) (1 - s) ds >= 1/3 for r <= 1/2
+    acc = _power_series(r[ser], 0.5, lambda j: (beta - 1.0 - j) / (j + 3.0), beta - 1.0, 1 / 3)
+    m1n[ser] = hn[ser] ** 2 * bn[ser] ** (beta - 1.0) * acc
+    m1[nz] = m1n
     return m0, m1
 
 
-def _inc_beta_series(p: float, q: float, x: np.ndarray) -> np.ndarray:
-    # B_x(p, q) = sum_k [(1-q)_k / k!] x^(p+k) / (p+k), convergent part x <= 1/2
-    x = np.asarray(x, dtype=float)
-    acc = np.zeros_like(x)
-    coef = 1.0
-    xp = np.where(x > 0.0, x, 1.0) ** p
-    xp = np.where(x > 0.0, xp, 0.0)
-    term = np.empty_like(x)
-    for k in range(80):
-        np.multiply(xp, coef, out=term)
-        term /= p + k
-        acc += term
-        coef *= (k + 1.0 - q) / (k + 1.0)
-        xp *= x
+def _power_series(x: np.ndarray, a0: float, ratio, k_min: float, floor: float) -> np.ndarray:
+    """sum_k a_k x^k for 0 <= x <= 1/2, a_(k+1) = a_k ratio(k), by Horner's
+    rule over scalar coefficients. Given |ratio(k)| < 1 for k >= k_min, the
+    term ratio is below x from there and the tail after K terms is at most
+    |a_K| x^K / (1 - x) <= |a_K| 2^(1-K): the sum stops at the first
+    K >= k_min where that is below 2^-55 floor, a quarter ulp of any sum of
+    at least floor. K depends on the scalars only, so each element's value
+    depends on its own x alone."""
+    coef = [a0]
+    while True:
+        k = len(coef)
+        a_k = coef[-1] * ratio(k - 1)
+        if k >= k_min and abs(a_k) * 2.0 ** (1 - k) <= 2.0**-55 * floor:
+            break
+        coef.append(a_k)
+    acc = np.full_like(x, coef[-1])
+    for c in reversed(coef[:-1]):
+        acc *= x
+        acc += c
     return acc
 
 
-def _beta_complete(p: float, q: float) -> float:
-    return math.gamma(p) * math.gamma(q) / math.gamma(p + q)
+def _inc_beta_series(p: float, q: float, x: np.ndarray) -> np.ndarray:
+    # B_x(p, q) = x^p sum_k [(1-q)_k / k!] x^k / (p+k) for x <= 1/2; the sum
+    # is at least (1-x)^max(q-1, 0) / p >= 2^-max(q-1, 0) / p
+    def ratio(k):
+        return (k + 1.0 - q) / (k + 1.0) * (p + k) / (p + k + 1.0)
+
+    return x**p * _power_series(x, 1.0 / p, ratio, q - 1.0, 2.0 ** -max(q - 1.0, 0.0) / p)
 
 
 def incomplete_beta(p: float, q: float, x) -> np.ndarray:
@@ -283,11 +282,9 @@ def incomplete_beta(p: float, q: float, x) -> np.ndarray:
         raise ValueError("incomplete beta argument must lie in [0, 1]")
     out = np.empty_like(x)
     lo = x <= 0.5
-    if np.any(lo):
-        out[lo] = _inc_beta_series(p, q, x[lo])
-    hi = ~lo
-    if np.any(hi):
-        out[hi] = _beta_complete(p, q) - _inc_beta_series(q, p, 1.0 - x[hi])
+    out[lo] = _inc_beta_series(p, q, x[lo])
+    complete = math.gamma(p) * math.gamma(q) / math.gamma(p + q)
+    out[~lo] = complete - _inc_beta_series(q, p, 1.0 - x[~lo])
     return out
 
 

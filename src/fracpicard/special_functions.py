@@ -70,19 +70,23 @@ def mittag_leffler(params: MLParams, z):
     sum grows with sum_k |term_k|. So the terms above 1 of such a sum are
     taken to a few ulp, which leaves an error of a few ulp of the largest
     term: at alpha = 1/2 about 5 correct digits are left at z = -5 and
-    none from z = -6 on. A term above exp(700), or
+    none from z = -6 on. A term above exp(700), 1/Gamma(beta) included, or
     params.max_terms terms without stopping, raises SeriesConvergenceError
-    naming the z; a non-finite z raises ValueError.
+    naming beta and the z; a non-finite z raises ValueError.
     """
     z_in = np.asarray(z, dtype=float)
     zs = z_in.ravel()
     bad = zs[~np.isfinite(zs)]
     if bad.size:
         raise ValueError(f"Mittag-Leffler argument must be finite, got z = {bad[0]}")
-    out = np.empty_like(zs)
+    out = np.zeros_like(zs)
     # at z = 0 only the k = 0 term, 1/gamma(beta), survives
     zero = zs == 0.0
-    out[zero] = 0.0 if _is_nonpositive_integer(params.beta) else 1.0 / math.gamma(params.beta)
+    if zero.any() and not _is_nonpositive_integer(params.beta):
+        if math.lgamma(params.beta) < -700.0:
+            raise SeriesConvergenceError(
+                f"series term overflow at k = 0 (beta = {params.beta}, z = 0)")
+        out[zero] = 1.0 / math.gamma(params.beta)
     idx = np.flatnonzero(~zero)  # elements still summing, as indices into zs
     abs_z = np.abs(zs[idx])
     log_abs = np.log(abs_z)
@@ -102,12 +106,11 @@ def mittag_leffler(params: MLParams, z):
         arg = params.alpha * k + params.beta
         if _is_nonpositive_integer(arg):
             continue  # 1/gamma vanishes at its poles: no term, and no cue to stop
+        ln = k * log_abs - math.lgamma(arg)
+        if ln.max() > 700.0:
+            raise SeriesConvergenceError(f"series term overflow at k = {k} "
+                                         f"(beta = {params.beta}, z = {zs[idx[ln.argmax()]]:g})")
         if arg > 0.5:
-            ln = k * log_abs - math.lgamma(arg)
-            if ln.max() > 700.0:
-                raise SeriesConvergenceError(
-                    f"series term overflow at k = {k} (z = {zs[idx[ln.argmax()]]:g})"
-                )
             term = np.exp(ln, out=ln)
             big = cancels & (term > 1.0)
             if arg < 171.0 and k * params.alpha * cap < 700.0 and big.any():

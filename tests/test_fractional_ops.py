@@ -6,6 +6,7 @@ Oracles used here:
 - mpmath 40-digit per-cell closed forms for the product-trapezoid rule on
   arbitrary node values,
 - scipy.special.betainc for the in-house incomplete beta,
+- mpmath quadrature for the series branch of the kernel moments,
 - classical uniform-grid weight formulas built from second differences of
   (k)^(beta+1) (accurate enough at small N to serve as a cross-check).
 """
@@ -402,10 +403,11 @@ class TestFastHistorySum:
 class TestIncompleteBeta:
     def test_against_scipy(self):
         special = pytest.importorskip("scipy.special")
-        xs = np.linspace(0.0, 1.0, 41)
+        # x = 1 - 2^-k reaches the symmetric branch's series at 2^-k
+        xs = np.concatenate((np.linspace(0.0, 1.0, 41), 1.0 - 2.0 ** -np.arange(1.0, 53.0)))
         worst = 0.0
         for p in (0.2, 0.5, 1.0, 1.5, 1.99):
-            for q in (0.3, 0.5, 1.0, 1.7, 2.5, 4.0):
+            for q in (0.3, 0.5, 1.0, 1.7, 2.5, 4.0, 6.0, 9.5, 12.0):
                 ours = incomplete_beta(p, q, xs)
                 complete = math.gamma(p) * math.gamma(q) / math.gamma(p + q)
                 ref = special.betainc(p, q, xs) * complete
@@ -425,6 +427,42 @@ class TestIncompleteBeta:
             incomplete_beta(-0.5, 1.0, np.array(0.5))
         with pytest.raises(ValueError):
             incomplete_beta(0.5, 1.0, np.array(1.5))
+
+    def test_shuffled_array_matches_per_element_calls(self):
+        # blocked table builds rely on this: a value depends on its own x only
+        rng = np.random.default_rng(3)
+        x = rng.permutation(np.concatenate((
+            [0.0, 0.5, 1.0], rng.uniform(0.0, 0.5, 40), rng.uniform(0.5, 1.0, 40))))
+        for p, q in ((0.8, 0.7), (1.8, 0.7), (0.5, 2.3), (1.2, 9.5)):
+            per_element = np.array([incomplete_beta(p, q, np.array([v]))[0] for v in x])
+            assert incomplete_beta(p, q, x).tobytes() == per_element.tobytes()
+
+
+class TestKernelMoments:
+    def test_shuffled_array_matches_per_element_calls(self):
+        rng = np.random.default_rng(4)
+        # b = 0, then h / b above and at or below the series threshold 1/2
+        b = rng.permutation(np.concatenate((
+            np.zeros(5), rng.uniform(0.1, 1.9, 30), rng.uniform(2.0, 50.0, 30))))
+        a = b + 1.0
+        for beta in (0.3, 1.0, 1.7, 2.5):
+            m0, m1 = _kernel_moments(a, b, beta)
+            for i in range(a.size):
+                e0, e1 = _kernel_moments(a[i : i + 1], b[i : i + 1], beta)
+                assert (m0[i], m1[i]) == (e0[0], e1[0])
+
+    def test_series_branch_against_mpmath(self):
+        # M1 = integral_b^a u^(beta-1) (a - u) du with r = (a - b) / b <= 1/2
+        mp = pytest.importorskip("mpmath")
+        b = 1.3
+        for r in (1e-8, 0.1, 0.49, 0.5):
+            a = b + r * b
+            for beta in (0.3, 0.5, 1.7, 2.5, 9.5):
+                _, m1 = _kernel_moments(np.array([a]), np.array([b]), beta)
+                with mp.workdps(40):
+                    ma, mb = mp.mpf(a), mp.mpf(b)
+                    ref = mp.quad(lambda u: u ** (beta - 1) * (ma - u), [mb, ma])
+                assert abs(m1[0] - float(ref)) <= 1e-13 * float(ref), (r, beta)
 
 
 class TestWeightedQuadrature:

@@ -1,6 +1,7 @@
 """Mittag-Leffler tests against stdlib oracles and identities."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -210,6 +211,15 @@ class TestMittagLefflerArrays:
         z[17] = -40.0  # alpha = 1/2: terms reach exp(|z|^2) > exp(700)
         with pytest.raises(SeriesConvergenceError, match="-40"):
             mittag_leffler(MLParams(0.5, 1.0), z)
+
+    def test_out_of_range_gamma_raises_clearly(self):
+        # Gamma(beta) leaves the double range, so 1/Gamma(beta) would overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for beta in (-171.7, -200.5):
+                for z in (1.0, 0.0):
+                    with pytest.raises(SeriesConvergenceError, match=f"beta = {beta}, z = {z:g}"):
+                        mittag_leffler(MLParams(0.5, beta), z)
 
     def test_exhausted_budget_names_the_argument(self):
         z = np.array([0.0, 0.1, -5.0])
