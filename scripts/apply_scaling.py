@@ -16,7 +16,12 @@ each with its worst relative error on inputs the rule integrates exactly:
 t^(-g), whose image is Gamma(1-g)/Gamma(1-g+beta) t^(beta-g), for the
 weighted table, and the constant 1, whose image is t^beta/Gamma(1+beta),
 for the graded one.
-A third table times E_(alpha,1)(lam t^alpha) on the 4097 nodes of a uniform
+A third table runs `--mode verify --grading 2` of the command line on
+configs/relaxation_half_order.json at N = 1024 and 2048 and gives its best
+wall time of three runs, the tracemalloc peak of a fourth run, and the
+number of dense tables that run builds (solve and the checks need I^0.5
+on the same grid five times).
+A fourth table times E_(alpha,1)(lam t^alpha) on the 4097 nodes of a uniform
 grid of [0, 1], for alpha = 0.5, 1, 2 and lam = -3, -10, three ways: a
 per-node loop over a pure-Python scalar series (the evaluation the ml:
 oracle used before mittag_leffler took arrays), a per-node loop of
@@ -25,8 +30,14 @@ whole array (median). The last column says whether the array call gives
 every node bit for bit what the per-node calls give.
 """
 
+import contextlib
+import io
 import math
 import statistics
+import tempfile
+import tracemalloc
+import warnings
+from pathlib import Path
 from time import perf_counter
 
 import numpy as np
@@ -40,11 +51,13 @@ from fracpicard import (
     integral_node_values,
     mittag_leffler,
 )
+from fracpicard import cli, fractional_ops
 
 ORDER = 0.5
 WEIGHT = 0.2  # singular exponent of the weighted table
 BUDGET = 0.5  # seconds spent timing each N and method
 ORACLE_NODES = 4097
+VERIFY_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "relaxation_half_order.json"
 
 
 def direct(op, u):
@@ -90,6 +103,37 @@ def median_time(fn) -> float:
     return statistics.median(times)
 
 
+def graded_verify(n: int) -> tuple:
+    """(best wall time of three runs, tracemalloc peak in bytes, dense
+    table builds) of one graded verify from the command line. Every dense
+    table build makes exactly one _fill_lower call, which is counted."""
+    with tempfile.TemporaryDirectory() as out_dir:
+        argv = ["--config", str(VERIFY_CONFIG), "--mode", "verify", "--grading", "2",
+                "--n-points", str(n), "--output", str(Path(out_dir) / "verify.csv")]
+
+        def run():
+            with contextlib.redirect_stdout(io.StringIO()), warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                cli.main(argv)
+
+        wall = min(once(run)[1] for _ in range(3))
+        fill, builds = fractional_ops._fill_lower, []
+
+        def counting(table, cell_weights):
+            builds.append(table.shape)
+            fill(table, cell_weights)
+
+        fractional_ops._fill_lower = counting
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            fractional_ops._fill_lower = fill
+    return wall, peak, len(builds)
+
+
 def main() -> int:
     rng = np.random.default_rng(0)
     print("| N | apply | np.convolve | speed-up | deviation |")
@@ -112,24 +156,31 @@ def main() -> int:
     print("|---|---|---|---|---|")
     for k in range(8, 13):
         n = 2**k
-        # a fresh grid each time: the weighted table is kept on the grid
+        # a fresh grid each time: dense tables are kept on the grid
         t_weighted = median_time(
-            lambda: build_integral_operator(ORDER, Grid.uniform(1.0, n))._weighted_table(WEIGHT)
+            lambda: build_integral_operator(ORDER, Grid.uniform(1.0, n))._dense_table(WEIGHT)
         )
-        t_graded = median_time(lambda: build_integral_operator(ORDER, Grid.graded(1.0, n, 2.0)))
+        t_graded = median_time(lambda: build_integral_operator(ORDER, Grid(1.0, n, 2.0)))
         grid = Grid.uniform(1.0, n)
         f = SampledFunction.from_callable(grid, lambda t: t**-WEIGHT, singular_exponent=WEIGHT)
         exact = (math.gamma(1.0 - WEIGHT) / math.gamma(1.0 - WEIGHT + ORDER)
                  * grid.nodes[1:] ** (ORDER - WEIGHT))
         got = integral_node_values(build_integral_operator(ORDER, grid), f)
         err_weighted = np.max(np.abs(got - exact) / exact)
-        grid = Grid.graded(1.0, n, 2.0)
+        grid = Grid(1.0, n, 2.0)
         exact = grid.nodes[1:] ** ORDER / math.gamma(1.0 + ORDER)
         got = integral_node_values(build_integral_operator(ORDER, grid),
                                    SampledFunction(grid, np.ones(n + 1)))
         err_graded = np.max(np.abs(got - exact) / exact)
         print(f"| {n} | {t_weighted * 1e3:.3g} ms | {err_weighted:.1e} "
               f"| {t_graded * 1e3:.3g} ms | {err_graded:.1e} |")
+
+    print()
+    print("| N | graded verify | tracemalloc peak | dense builds |")
+    print("|---|---|---|---|")
+    for n in (1024, 2048):
+        wall, peak, builds = graded_verify(n)
+        print(f"| {n} | {wall:.3g} s | {peak / 2**20:.3g} MB | {builds} |")
 
     print()
     print("| alpha | lam | scalar series per node | mittag_leffler per node "

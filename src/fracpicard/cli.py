@@ -85,7 +85,7 @@ def _make_grid(problem: MultiTermProblem, n_points: int, grading: float) -> Grid
     if n_points < 16:
         raise CliInputError(f"--n-points must be at least 16, got {n_points}")
     try:
-        return Grid.graded(problem.horizon, n_points, grading)
+        return Grid(problem.horizon, n_points, grading)
     except ValueError as exc:
         raise CliInputError(f"no usable grid for --n-points {n_points}, --grading {grading}: {exc}")
 

@@ -22,11 +22,12 @@ lower-triangular Toeplitz product is split recursively: diagonal triangles
 of up to _NEAR_FIELD points are summed directly, the squares below them by
 FFT, so an apply costs O(N log^2 N) (2 ms at N = 8192, 21 ms at N = 65536)
 while every output keeps the relative accuracy of the direct sum. Graded
-grids fall back to a dense lower-triangular table. Weighted tables are
-always dense; each is built once per grid, order and exponent, and kept on
-the Grid object, so every operator of that order on that grid shares it.
-Dense tables are built in blocks of up to _ROW_BLOCK rows, each over the
-cells left of its last row only.
+grids fall back to a dense lower-triangular table, and weighted tables are
+always dense. A Grid is the value (horizon, N, grading); each dense table
+is built once per grid object, order and exponent (0 for the plain table)
+and kept on the grid, so every operator of that order on that grid shares
+it, and it lives as long as the grid. Dense tables are built in blocks of
+up to _ROW_BLOCK rows, each over the cells left of its last row only.
 """
 
 from __future__ import annotations
@@ -76,76 +77,50 @@ def is_integer_order(alpha: float) -> bool:
     return alpha > 0.0 and abs(alpha - round(alpha)) < _INTEGER_SNAP
 
 
-def _check_grading(grading: float) -> None:
-    if not 1.0 <= grading < math.inf:
-        raise ValueError(f"grading must be finite and >= 1, got {grading}")
-
-
 @dataclass(frozen=True)
 class Grid:
-    """Graded one-sided mesh t_i = T (i/N)^grading, i = 0..N.
+    """Graded one-sided mesh t_i = T (i/N)^grading, i = 0..N, the value
+    Grid(horizon T, n_intervals N, grading).
 
     grading = 1 is the uniform mesh. Grading > 1 clusters nodes near the
     origin, which is where solutions of fractional problems lose
-    smoothness. _weighted holds the weighted tables built on this grid
-    object, {order: {exponent: table}}; a grid with equal nodes starts
-    with its own.
+    smoothness. Grids compare and hash by (horizon, n_intervals, grading).
+    _tables holds the dense tables built on this grid object,
+    {order: {exponent g: table}}, the plain table of a graded grid under
+    g = 0; they live as long as the grid, and an equal grid starts with
+    its own.
     """
 
-    nodes: np.ndarray
+    horizon: float
+    n_intervals: int
     grading: float = 1.0
-    _weighted: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _check_grading(self.grading)
-        nodes = np.asarray(self.nodes, dtype=float)
-        object.__setattr__(self, "nodes", nodes)
-        if nodes.ndim != 1 or nodes.size < 3:
-            raise ValueError("grid needs at least 3 nodes in a 1-d array")
-        if nodes[0] != 0.0:
-            raise ValueError("grid must start at t = 0")
-        if not np.all(np.diff(nodes) > 0.0):
+        try:
+            n = operator.index(self.n_intervals)
+        except TypeError:
+            raise TypeError(f"n_intervals must be an integer, got {self.n_intervals!r}") from None
+        if not 0.0 < self.horizon < math.inf:
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
+        if n < 2:
+            raise ValueError("need at least 2 intervals")
+        if not 1.0 <= self.grading < math.inf:
+            raise ValueError(f"grading must be finite and >= 1, got {self.grading}")
+        nodes = self.horizon * (np.arange(n + 1) / n) ** self.grading
+        if not np.all(np.diff(nodes) > 0.0):  # a steep grading underflows t_1
             raise ValueError("grid nodes must be strictly increasing")
-        n = nodes.size - 1
-        expected = nodes[-1] * (np.arange(n + 1) / n) ** self.grading
-        if not np.allclose(nodes, expected, rtol=0.0, atol=1e-12 * max(nodes[-1], 1.0)):
-            raise ValueError("nodes do not follow t_i = T (i/N)^grading")
+        object.__setattr__(self, "n_intervals", n)
+        object.__setattr__(self, "nodes", nodes)
 
     @classmethod
     def uniform(cls, horizon: float, n_intervals: int) -> "Grid":
-        return cls.graded(horizon, n_intervals, 1.0)
-
-    @classmethod
-    def graded(cls, horizon: float, n_intervals: int, grading: float) -> "Grid":
-        try:
-            n_intervals = operator.index(n_intervals)
-        except TypeError:
-            raise TypeError(f"n_intervals must be an integer, got {n_intervals!r}") from None
-        if not 0.0 < horizon < math.inf:
-            raise ValueError(f"horizon must be positive and finite, got {horizon}")
-        if n_intervals < 2:
-            raise ValueError("need at least 2 intervals")
-        _check_grading(grading)
-        nodes = horizon * (np.arange(n_intervals + 1) / n_intervals) ** grading
-        return cls(nodes, grading)
-
-    @property
-    def horizon(self) -> float:
-        return float(self.nodes[-1])
-
-    @property
-    def n_intervals(self) -> int:
-        return self.nodes.size - 1
+        return cls(horizon, n_intervals)
 
     @property
     def is_uniform(self) -> bool:
         return self.grading == 1.0
-
-    def matches(self, other: "Grid") -> bool:
-        return self is other or (
-            self.nodes.size == other.nodes.size
-            and bool(np.array_equal(self.nodes, other.nodes))
-        )
 
 
 @dataclass(frozen=True)
@@ -187,7 +162,7 @@ class SampledFunction:
         return cls(grid, vals, singular_exponent)
 
     def _check_compatible(self, other: "SampledFunction") -> None:
-        if not self.grid.matches(other.grid):
+        if self.grid != other.grid:
             raise ValueError("sampled functions live on different grids")
         if self.singular_exponent != other.singular_exponent:
             raise ValueError("sampled functions carry different singular exponents")
@@ -339,9 +314,9 @@ class FracIntegralOperator:
     on a fixed Grid. On uniform grids the weights collapse to a length-N
     convolution stencil plus a boundary column, applied by a blocked FFT
     Toeplitz sum in O(N log^2 N) (see _toeplitz_sum); graded grids hold
-    the full lower-triangular table. Weighted tables for singular inputs
-    are built on first use and shared through the grid by every operator
-    of the same order on it.
+    the full lower-triangular table. That table and the weighted tables
+    for singular inputs are kept on the grid, so every operator of the
+    same order on it shares them.
     """
 
     def __init__(self, order: float, grid: Grid) -> None:
@@ -349,38 +324,22 @@ class FracIntegralOperator:
             raise ValueError(f"integral order must be positive, got {order}")
         self.order = float(order)
         self.grid = grid
-        self._weighted_tables = grid._weighted.setdefault(round(self.order, 15), {})
-        t = grid.nodes
+        self._weighted_tables = grid._tables.setdefault(round(self.order, 15), {})
+        self._stencil = self._boundary = self._table = None
+        if not grid.is_uniform:
+            self._table = self._dense_table(0.0)
+            return
         n = grid.n_intervals
+        h = grid.nodes[1]
+        k = np.arange(1, n + 1, dtype=float)
+        m0, m1 = _kernel_moments(k * h, (k - 1.0) * h, self.order)
         ginv = 1.0 / math.gamma(self.order)
-        if grid.is_uniform:
-            h = t[1] - t[0]
-            k = np.arange(1, n + 1, dtype=float)
-            m0, m1 = _kernel_moments(k * h, (k - 1.0) * h, self.order)
-            left = (m0 - m1 / h) * ginv   # weight of f at the cell's far end
-            right = (m1 / h) * ginv       # weight of f at the cell's near end
-            stencil = np.empty(n)
-            stencil[0] = right[0]
-            stencil[1:] = left[:-1] + right[1:]
-            boundary = np.concatenate(([0.0], left))
-            self._stencil = stencil
-            self._boundary = boundary
-            self._table = None
-        else:
-            def cells(rows, live):
-                c = rows[-1]
-                tr = t[rows][:, None]
-                a = (tr - t[None, :c])[live]
-                b = (tr - t[None, 1 : c + 1])[live]
-                h = a - b
-                m0, m1 = _kernel_moments(a, b, self.order)
-                return (m0 - m1 / h) * ginv, (m1 / h) * ginv
-
-            table = np.zeros((n + 1, n + 1))
-            _fill_lower(table[1:], cells)
-            self._stencil = None
-            self._boundary = None
-            self._table = table
+        left = (m0 - m1 / h) * ginv   # weight of f at the cell's far end
+        right = (m1 / h) * ginv       # weight of f at the cell's near end
+        self._stencil = np.empty(n)
+        self._stencil[0] = right[0]
+        self._stencil[1:] = left[:-1] + right[1:]
+        self._boundary = np.concatenate(([0.0], left))
 
     def _apply_regular(self, u: np.ndarray) -> np.ndarray:
         n = self.grid.n_intervals
@@ -393,9 +352,12 @@ class FracIntegralOperator:
             _toeplitz_sum(self._stencil, u[1:], out[1:])
         return out
 
-    def _weighted_table(self, g: float) -> np.ndarray:
-        """Table acting on samples of the bounded factor t^g f(t) (column 0
-        multiplies the extrapolated value at t_0). Exact on inputs whose
+    def _dense_table(self, g: float) -> np.ndarray:
+        """The grid's dense table of this order for singular exponent g,
+        built on first use. g = 0: the plain rule, row r for node t_r (row
+        0 is zero). g > 0: the weighted rule, row r - 1 for node t_r,
+        acting on samples of the bounded factor t^g f(t) (column 0
+        multiplies the extrapolated value at t_0); exact on inputs whose
         bounded factor is piecewise linear."""
         key = round(g, 15)
         cached = self._weighted_tables.get(key)
@@ -404,24 +366,38 @@ class FracIntegralOperator:
         beta = self.order
         t = self.grid.nodes
         n = self.grid.n_intervals
-        # cell moments against (t_row - tau)^(beta-1) tau^(-g):
-        #   J0_j = integral_(t_j)^(t_j+1) ...            = t_row^(beta-g) diff B_x(1-g, beta)
-        #   J1_j = integral ... (tau - 0) tau-weighted   = t_row^(beta-g+1) diff B_x(2-g, beta)
-        # with x_j = t_j / t_row; linear interpolation of the bounded factor
-        # then gives endpoint weights wl = J0 - S/h, wr = S/h, S = J1 - t_j J0.
-        def cells(rows, live):
-            c = rows[-1]
-            tr = t[rows][:, None]
-            x = np.clip(t[None, : c + 1] / tr, 0.0, 1.0)
-            j0 = tr ** (beta - g) * np.diff(incomplete_beta(1.0 - g, beta, x), axis=1)
-            j1 = tr ** (beta - g + 1.0) * np.diff(incomplete_beta(2.0 - g, beta, x), axis=1)
-            hcells = np.diff(t[: c + 1])[None, :]
-            s = j1 - t[None, :c] * j0
-            return (j0 - s / hcells)[live], (s / hcells)[live]
+        ginv = 1.0 / math.gamma(beta)
+        if g == 0.0:
+            def cells(rows, live):
+                c = rows[-1]
+                tr = t[rows][:, None]
+                a = (tr - t[None, :c])[live]
+                b = (tr - t[None, 1 : c + 1])[live]
+                h = a - b
+                m0, m1 = _kernel_moments(a, b, beta)
+                return (m0 - m1 / h) * ginv, (m1 / h) * ginv
 
-        table = np.zeros((n, n + 1))
-        _fill_lower(table, cells)
-        table *= 1.0 / math.gamma(beta)
+            table = np.zeros((n + 1, n + 1))
+            _fill_lower(table[1:], cells)
+        else:
+            # cell moments against (t_row - tau)^(beta-1) tau^(-g):
+            #   J0_j = integral_(t_j)^(t_j+1) ...            = t_row^(beta-g) diff B_x(1-g, beta)
+            #   J1_j = integral ... (tau - 0) tau-weighted   = t_row^(beta-g+1) diff B_x(2-g, beta)
+            # with x_j = t_j / t_row; linear interpolation of the bounded factor
+            # then gives endpoint weights wl = J0 - S/h, wr = S/h, S = J1 - t_j J0.
+            def cells(rows, live):
+                c = rows[-1]
+                tr = t[rows][:, None]
+                x = np.clip(t[None, : c + 1] / tr, 0.0, 1.0)
+                j0 = tr ** (beta - g) * np.diff(incomplete_beta(1.0 - g, beta, x), axis=1)
+                j1 = tr ** (beta - g + 1.0) * np.diff(incomplete_beta(2.0 - g, beta, x), axis=1)
+                hcells = np.diff(t[: c + 1])[None, :]
+                s = j1 - t[None, :c] * j0
+                return (j0 - s / hcells)[live], (s / hcells)[live]
+
+            table = np.zeros((n, n + 1))
+            _fill_lower(table, cells)
+            table *= ginv
         # the store is shared through the grid: should two threads build the
         # same table at once, both return the one stored first
         return self._weighted_tables.setdefault(key, table)
@@ -439,7 +415,7 @@ def integral_node_values(op: FracIntegralOperator, f: SampledFunction) -> np.nda
     it stays usable in the boundary case order <= singular_exponent where
     the image is not continuous at 0 (decay studies need exactly that).
     """
-    if not op.grid.matches(f.grid):
+    if op.grid != f.grid:
         raise ValueError("operator and samples live on different grids")
     g = f.singular_exponent
     if g == 0.0:
@@ -449,7 +425,7 @@ def integral_node_values(op: FracIntegralOperator, f: SampledFunction) -> np.nda
     # the bounded factor is extrapolated linearly to t_0 from its first two samples
     g0 = bounded[0] - (bounded[1] - bounded[0]) * t[1] / (t[2] - t[1])
     gvec = np.concatenate(([g0], bounded))
-    return op._weighted_table(g) @ gvec
+    return op._dense_table(g) @ gvec
 
 
 def apply_integral(op: FracIntegralOperator, f: SampledFunction) -> SampledFunction:

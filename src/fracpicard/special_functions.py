@@ -86,7 +86,10 @@ def mittag_leffler(params: MLParams, z):
         if math.lgamma(params.beta) < -700.0:
             raise SeriesConvergenceError(
                 f"series term overflow at k = 0 (beta = {params.beta}, z = 0)")
-        out[zero] = 1.0 / math.gamma(params.beta)
+        try:
+            out[zero] = 1.0 / math.gamma(params.beta)
+        except OverflowError:  # beta above about 171.6: 1/Gamma is subnormal or 0
+            out[zero] = math.exp(-math.lgamma(params.beta))
     idx = np.flatnonzero(~zero)  # elements still summing, as indices into zs
     abs_z = np.abs(zs[idx])
     log_abs = np.log(abs_z)

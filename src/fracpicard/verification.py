@@ -66,19 +66,18 @@ class ResidualReport:
 def _power_limit(t_pos: np.ndarray, vals: np.ndarray):
     """Extrapolate vals ~ v0 + c t^s to t = 0 from the first, second and
     fourth positive nodes (geometric in index on uniform and graded meshes
-    alike). Returns (limit, exponent, flat); flat means the increments sit
-    at round-off level, in which case the first value is the limit and the
-    exponent is nan."""
+    alike). Returns (limit, flat); flat means the increments sit at
+    round-off level, in which case the first value is the limit."""
     i1, i2, i4 = float(vals[0]), float(vals[1]), float(vals[3])
     d1, d2 = i2 - i1, i4 - i2
     floor = 1e-10 * max(abs(i1), 1e-30)
     flat = abs(d1) <= floor or abs(d2) <= floor
     if flat or d2 / d1 <= 1.0:
-        return i1, float("nan"), flat
+        return i1, flat
     rho = float(t_pos[1] / t_pos[0])
     s = math.log(d2 / d1) / math.log(rho)
     c = d1 / (t_pos[1] ** s - t_pos[0] ** s)
-    return i1 - c * t_pos[0] ** s, s, False
+    return i1 - c * t_pos[0] ** s, False
 
 
 def _divided_difference(ts: np.ndarray, ys: np.ndarray) -> float:
@@ -192,7 +191,7 @@ def origin_decay(gamma_exponent: float, alpha: float, grid: Grid) -> OriginDecay
     else:
         slope = float("nan")
 
-    limit, _, flat = _power_limit(t_pos, vals)
+    limit, flat = _power_limit(t_pos, vals)
     if flat:
         # constant sequence, as happens at the boundary gamma = alpha
         slope = 0.0

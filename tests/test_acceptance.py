@@ -231,10 +231,7 @@ def test_criterion_8_quadrature_exactness():
     for beta in (0.3, 0.5, 1.0, 1.7, 2.5):
         for n in (256, 2048):
             for grading in (1.0, 3.0):
-                grid = (
-                    Grid.uniform(1.0, n) if grading == 1.0
-                    else Grid.graded(1.0, n, grading)
-                )
+                grid = Grid(1.0, n, grading)
                 op = build_integral_operator(beta, grid)
                 ones = SampledFunction.from_callable(grid, np.ones_like, 0.0)
                 got = apply_integral(op, ones).values[1:]

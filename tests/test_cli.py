@@ -252,7 +252,7 @@ class TestStudyMode:
         )
         oracle = _oracle_fn("ml:-2.5", problem)
         sizes = [16 * 2**k for k in range(7)]
-        grids = [Grid.graded(problem.horizon, n, grading) for n in sizes]
+        grids = [Grid(problem.horizon, n, grading) for n in sizes]
         values = [oracle(g.nodes) for g in grids]
         fine, fine_values = grids[-1], values[-1]
         for n, coarse, coarse_values in zip(sizes, grids, values):

@@ -83,7 +83,7 @@ class TestGrid:
         assert np.allclose(np.diff(g.nodes), 0.25)
 
     def test_graded_nodes_cluster_at_origin(self):
-        g = Grid.graded(1.0, 16, 3.0)
+        g = Grid(1.0, 16, 3.0)
         assert g.nodes[0] == 0.0
         assert g.nodes[-1] == 1.0
         assert not g.is_uniform
@@ -91,25 +91,23 @@ class TestGrid:
         assert np.all(np.diff(spacings) > 0.0)  # widening away from 0
         assert g.nodes[1] == pytest.approx((1.0 / 16.0) ** 3)
 
-    def test_matches(self):
+    def test_equality_and_hash(self):
         a = Grid.uniform(1.0, 8)
-        b = Grid.uniform(1.0, 8)
-        c = Grid.uniform(1.0, 16)
-        assert a.matches(b)
-        assert not a.matches(c)
+        assert a == Grid(1.0, 8, 1.0) and hash(a) == hash(Grid(1.0, 8, 1.0))
+        assert a == Grid(1.0, np.int64(8)) and hash(a) == hash(Grid(1.0, np.int64(8)))
+        assert a != Grid.uniform(1.0, 16)
+        assert a != Grid(2.0, 8)
+        assert a != Grid(1.0, 8, 2.0)
+        assert len({a, Grid.uniform(1.0, 8), Grid(1.0, 8, 2.0)}) == 2
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            Grid(np.array([0.0, 1.0]))  # too few nodes
-        with pytest.raises(ValueError):
-            Grid(np.array([0.1, 0.5, 1.0]))  # does not start at 0
-        with pytest.raises(ValueError):
-            Grid(np.array([0.0, 0.5, 0.25]))  # not increasing
-        with pytest.raises(ValueError):
-            Grid.graded(1.0, 8, 0.5)  # grading < 1
-        with pytest.raises(ValueError):
-            Grid(np.array([0.0, 0.9, 1.0]))  # not a power law
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least 2 intervals"):
+            Grid(1.0, 1)
+        with pytest.raises(ValueError, match="grading"):
+            Grid(1.0, 8, 0.5)  # grading < 1
+        with pytest.raises(ValueError, match="increasing"):
+            Grid(1.0, 256, 300.0)  # t_1 underflows to 0
+        with pytest.raises(ValueError, match="horizon"):
             Grid.uniform(-1.0, 8)
 
     @pytest.mark.parametrize("n", [2.5, 8.0])
@@ -118,7 +116,7 @@ class TestGrid:
             Grid.uniform(1.0, n)
 
     def test_numpy_integer_interval_count_accepted(self):
-        assert Grid.graded(1.0, np.int64(8), 2.0).n_intervals == 8
+        assert Grid(1.0, np.int64(8), 2.0).n_intervals == 8
 
     @pytest.mark.parametrize("horizon", [math.inf, math.nan])
     def test_non_finite_horizon_rejected(self, horizon):
@@ -132,7 +130,7 @@ class TestGrid:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="grading"):
-                Grid.graded(1.0, 8, grading)
+                Grid(1.0, 8, grading)
 
     @pytest.mark.parametrize("grading", [-1.0, 0.5, math.nan])
     def test_bad_grading_rejected_without_warning(self, grading):
@@ -140,7 +138,7 @@ class TestGrid:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="grading"):
-                Grid.graded(1.0, 8, grading)
+                Grid(1.0, 8, grading)
 
     @pytest.mark.parametrize("horizon,n", [(1.0, 8), (2.0, 512), (0.3, 1000), (7.5, 3)])
     def test_uniform_nodes_bitwise(self, horizon, n):
@@ -150,7 +148,7 @@ class TestGrid:
     @given(st.integers(min_value=2, max_value=64), st.floats(min_value=1.0, max_value=4.0))
     @settings(max_examples=60)
     def test_graded_construction_property(self, n, r):
-        g = Grid.graded(1.5, n, r)
+        g = Grid(1.5, n, r)
         assert g.nodes.size == n + 1
         assert g.horizon == pytest.approx(1.5)
         assert np.all(np.diff(g.nodes) > 0.0)
@@ -171,7 +169,7 @@ class TestSampledFunction:
                 raise AssertionError("evaluated at t = 0")
             return t**-0.5
 
-        g = Grid.graded(1.0, 8, 2.0)
+        g = Grid(1.0, 8, 2.0)
         s = SampledFunction.from_callable(g, fn, singular_exponent=0.5)
         assert s.values.size == 9
         assert np.isnan(s.values[0])
@@ -242,7 +240,7 @@ class TestRegularQuadrature:
 
     @pytest.mark.parametrize("beta", BETAS)
     def test_exact_on_constants_graded(self, beta):
-        grid = Grid.graded(1.0, 256, 3.0)
+        grid = Grid(1.0, 256, 3.0)
         op = build_integral_operator(beta, grid)
         out = apply_integral(op, SampledFunction.from_callable(grid, lambda t: np.ones_like(t)))
         exact = power_rule(beta, 0.0, grid.nodes)
@@ -294,11 +292,11 @@ class TestRegularQuadrature:
             assert np.allclose(table[row, : row + 1], expected[: row + 1], rtol=0, atol=1e-12)
 
     def test_uniform_and_dense_paths_agree(self):
-        # a grading of exactly 1.0 via the graded constructor uses the dense
-        # table; it must reproduce the convolution path to round-off
+        # a grading a hair above 1 takes the dense table; it must reproduce
+        # the convolution path to round-off
         n = 128
         uni = Grid.uniform(1.0, n)
-        dense_grid = Grid(uni.nodes, grading=1.0 + 1e-15)  # force the dense branch
+        dense_grid = Grid(1.0, n, 1.0 + 1e-15)  # force the dense branch
         rng = np.random.default_rng(11)
         u = rng.normal(size=n + 1)
         for beta in (0.5, 1.7):
@@ -493,7 +491,7 @@ class TestWeightedQuadrature:
 
     def test_exact_on_graded_mesh(self):
         beta, g = 0.5, 0.5
-        grid = Grid.graded(1.0, 128, 2.5)
+        grid = Grid(1.0, 128, 2.5)
         f = SampledFunction.from_callable(grid, lambda t: t**-g, singular_exponent=g)
         vals = integral_node_values(build_integral_operator(beta, grid), f)
         # boundary case beta = g: the exact image is the constant gamma(1-g)
@@ -564,49 +562,53 @@ class TestTableSharing:
         grid = Grid.uniform(1.0, 40)
         a = build_integral_operator(0.7, grid)
         b = build_integral_operator(0.7, grid)
-        assert a._weighted_table(0.3) is b._weighted_table(0.3)
+        assert a._dense_table(0.3) is b._dense_table(0.3)
 
     def test_equal_grid_or_other_order_builds_its_own(self):
         grid = Grid.uniform(1.0, 40)
         twin = Grid.uniform(1.0, 40)
-        table = build_integral_operator(0.7, grid)._weighted_table(0.3)
-        on_twin = build_integral_operator(0.7, twin)._weighted_table(0.3)
-        other_order = build_integral_operator(0.9, grid)._weighted_table(0.3)
+        table = build_integral_operator(0.7, grid)._dense_table(0.3)
+        on_twin = build_integral_operator(0.7, twin)._dense_table(0.3)
+        other_order = build_integral_operator(0.9, grid)._dense_table(0.3)
         assert on_twin is not table and np.array_equal(on_twin, table)
         assert other_order is not table
-        assert grid.matches(twin)
+        assert grid == twin and hash(grid) == hash(twin)
 
     @pytest.mark.parametrize("grading", [1.0, 2.5])
     @pytest.mark.parametrize("n", [40, 130])
     def test_blocked_builds_match_per_row_reference(self, grading, n):
         # 130 rows span three blocks, the last one partial
-        grid = Grid.graded(1.3, n, grading)
+        grid = Grid(1.3, n, grading)
         for beta in (0.4, 1.0, 2.3):
             op = build_integral_operator(beta, grid)
             for g in (0.2, 0.6):
                 ref = per_row_weighted_table(beta, g, grid.nodes)
-                assert op._weighted_table(g).tobytes() == ref.tobytes()
+                assert op._dense_table(g).tobytes() == ref.tobytes()
             if grading != 1.0:
                 assert op._table.tobytes() == per_row_graded_table(beta, grid.nodes).tobytes()
 
-    def test_cli_verify_builds_one_weighted_table(self, tmp_path, monkeypatch):
-        cfg = tmp_path / "singular.json"
+    @pytest.mark.parametrize("gamma,rhs,grading", [
+        (0.3, "t^(-0.3) + 0*z1", "1"),  # the weighted table of phi
+        (0.0, "-z1", "2"),  # the plain table: solve and all four checks use order 0.5
+    ], ids=["singular", "graded"])
+    def test_cli_verify_builds_one_weighted_table(self, tmp_path, monkeypatch, gamma, rhs, grading):
+        cfg = tmp_path / "problem.json"
         cfg.write_text(json.dumps({
             "alpha": 0.5, "derivative_orders": [0.0], "initial_values": [1.0],
-            "horizon": 1.0, "gamma": 0.3, "rhs": "t^(-0.3) + 0*z1",
+            "horizon": 1.0, "gamma": gamma, "rhs": rhs,
         }))
         misses = []
-        build = FracIntegralOperator._weighted_table
+        build = FracIntegralOperator._dense_table
 
         def counting(self, g):
             if round(g, 15) not in self._weighted_tables:
                 misses.append((self.order, g))
             return build(self, g)
 
-        monkeypatch.setattr(FracIntegralOperator, "_weighted_table", counting)
+        monkeypatch.setattr(FracIntegralOperator, "_dense_table", counting)
         main(["--config", str(cfg), "--mode", "verify", "--n-points", "64",
-              "--output", str(tmp_path / "v.csv")])
-        assert misses == [(0.5, 0.3)]
+              "--grading", grading, "--output", str(tmp_path / "v.csv")])
+        assert misses == [(0.5, gamma)]
 
 
 class TestCaputoDerivative:

@@ -55,10 +55,15 @@ class TestMittagLeffler:
         assert val == pytest.approx(math.exp(1.0) * math.erfc(1.0), rel=1e-12)
 
     def test_at_zero_is_reciprocal_gamma(self):
-        for alpha, beta in ((0.5, 1.0), (1.3, 2.2), (0.7, 0.4)):
-            assert mittag_leffler(MLParams(alpha, beta), 0.0) == pytest.approx(
-                1.0 / math.gamma(beta), rel=1e-13
-            )
+        cases = [(a, b, 1.0 / math.gamma(b)) for a, b in ((0.5, 1.0), (1.3, 2.2), (0.7, 0.4))]
+        # Gamma(beta) overflows: 1/Gamma(171.7) = 1/(170.7 Gamma(170.7)) is
+        # subnormal, 1/Gamma(200) rounds to 0
+        cases += [(0.5, 171.7, 1.0 / math.gamma(170.7) / 170.7), (0.5, 200.0, 0.0)]
+        for alpha, beta, expected in cases:
+            p = MLParams(alpha, beta)
+            assert mittag_leffler(p, 0.0) == pytest.approx(expected, rel=1e-13, abs=0.0)
+            got = mittag_leffler(p, np.array([0.0, 1.0]))[0]
+            assert got == pytest.approx(expected, rel=1e-13, abs=0.0)
 
     @given(
         st.floats(min_value=0.4, max_value=2.5),

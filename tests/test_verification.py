@@ -44,9 +44,7 @@ def _manufactured():
 
 
 def _solved(problem, n=256, grading=1.0):
-    grid = Grid.uniform(problem.horizon, n) if grading == 1.0 else Grid.graded(
-        problem.horizon, n, grading
-    )
+    grid = Grid(problem.horizon, n, grading)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ContractionWarning)
         traj = solve(problem, grid)
