@@ -5,13 +5,16 @@ oracle.
 
     PYTHONPATH=src python3 scripts/apply_scaling.py
 
-For N = 2^8 .. 2^16 intervals this times apply_integral of order 0.5 (the
-blocked FFT history sum) on random data and a direct np.convolve of the
-same stencil, and prints a markdown table of the median time per apply
+For N = 2^8 .. 2^16 intervals, and for N = 513, 4097, 6000 and 12000,
+which pad to the next power of two, this times apply_integral of order 0.5
+(the blocked FFT history sum) on random data and a direct np.convolve of
+the same stencil, and prints a markdown table of the median time per apply
 together with the largest deviation between the two, relative to the
-largest output. A second table gives, for N = 2^8 .. 2^12, the median time
-to build the weighted table of order 0.5 for singular exponent g = 0.2 on
-a uniform grid and the dense table of order 0.5 on a grid of grading 2,
+largest output, and the bytes the operator holds: stencil, boundary column
+and, above 512 intervals, the near-field block and stencil spectra of its
+plan. A second table gives, for N = 2^8 .. 2^12, the median time to build
+the weighted table of order 0.5 for singular exponent g = 0.2 on a uniform
+grid and the dense table of order 0.5 on a grid of grading 2,
 each with its worst relative error on inputs the rule integrates exactly:
 t^(-g), whose image is Gamma(1-g)/Gamma(1-g+beta) t^(beta-g), for the
 weighted table, and the constant 1, whose image is t^beta/Gamma(1+beta),
@@ -65,6 +68,15 @@ def direct(op, u):
     out = np.zeros(n + 1)
     out[1:] = np.convolve(op._stencil, u[1:])[:n] + op._boundary[1:] * u[0]
     return out
+
+
+def held_bytes(op) -> int:
+    """Bytes of the arrays a uniform operator keeps for its applies."""
+    arrays = [op._stencil, op._boundary]
+    if op._plan is not None:
+        block, spectra = op._plan
+        arrays += [block, *spectra]
+    return sum(a.nbytes for a in arrays)
 
 
 def scalar_series(alpha: float, z: float, tol: float = 1e-14) -> float:
@@ -136,10 +148,9 @@ def graded_verify(n: int) -> tuple:
 
 def main() -> int:
     rng = np.random.default_rng(0)
-    print("| N | apply | np.convolve | speed-up | deviation |")
-    print("|---|---|---|---|---|")
-    for k in range(8, 17):
-        n = 2**k
+    print("| N | apply | np.convolve | speed-up | deviation | bytes held |")
+    print("|---|---|---|---|---|---|")
+    for n in sorted([2**k for k in range(8, 17)] + [513, 4097, 6000, 12000]):
         grid = Grid.uniform(1.0, n)
         op = build_integral_operator(ORDER, grid)
         f = SampledFunction(grid, rng.normal(size=n + 1))
@@ -149,7 +160,7 @@ def main() -> int:
         t_fast = median_time(lambda: apply_integral(op, f))
         t_ref = median_time(lambda: direct(op, f.values))
         print(f"| {n} | {t_fast * 1e3:.3g} ms | {t_ref * 1e3:.3g} ms "
-              f"| {t_ref / t_fast:.1f}x | {dev:.1e} |")
+              f"| {t_ref / t_fast:.1f}x | {dev:.1e} | {held_bytes(op)} |")
 
     print()
     print("| N | weighted table | exactness | graded table | exactness |")

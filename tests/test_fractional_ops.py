@@ -16,7 +16,9 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from math import gamma
 
 import numpy as np
@@ -358,7 +360,7 @@ def direct_apply(op: FracIntegralOperator, u: np.ndarray) -> np.ndarray:
 
 
 class TestFastHistorySum:
-    @pytest.mark.parametrize("n", (257, 1000, 4097, 8192))
+    @pytest.mark.parametrize("n", (257, 513, 1000, 4097, 6000, 8192))
     @pytest.mark.parametrize("beta", (0.3, 1.7))
     def test_matches_direct_convolution(self, beta, n):
         grid = Grid.uniform(1.0, n)
@@ -367,6 +369,50 @@ class TestFastHistorySum:
         ref = direct_apply(op, u)
         out = apply_integral(op, SampledFunction(grid, u)).values
         assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", (513, 4097, 8192))
+    @pytest.mark.parametrize("beta", (0.3, 1.7))
+    def test_small_outputs_keep_direct_sum_accuracy(self, beta, n):
+        # data spanning 16 decades: every output must keep the error bound of
+        # the direct sum, which a single full-length FFT would break at the
+        # small end
+        grid = Grid.uniform(1.0, n)
+        op = build_integral_operator(beta, grid)
+        rng = np.random.default_rng(n)
+        u = rng.normal(size=n + 1) * 10.0 ** (16.0 * np.arange(n + 1) / n)
+        out = apply_integral(op, SampledFunction(grid, u)).values
+        err = np.abs(out - direct_apply(op, u))[1:]
+        scale = np.convolve(np.abs(op._stencil), np.abs(u[1:]))[:n]
+        eps = np.finfo(float).eps
+        assert np.all(err <= 32 * eps * scale + eps * np.abs(op._boundary[1:] * u[0]))
+
+    def test_repeated_applies_are_bitwise_equal(self):
+        grid = Grid.uniform(1.0, 6000)
+        op = build_integral_operator(0.6, grid)
+        f = SampledFunction(grid, np.random.default_rng(1).normal(size=6001))
+        assert apply_integral(op, f).values.tobytes() == apply_integral(op, f).values.tobytes()
+
+    def test_concurrent_applies_match_serial(self):
+        # the study pool applies operators from several threads
+        grid = Grid.uniform(1.0, 6000)
+        f = SampledFunction(grid, np.random.default_rng(2).normal(size=6001))
+        serial = apply_integral(build_integral_operator(0.6, grid), f).values
+        op = build_integral_operator(0.6, grid)
+        workers = 4
+        start = threading.Barrier(workers, timeout=30)
+
+        def run(_):
+            start.wait()
+            return [apply_integral(op, f).values for _ in range(5)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(workers) as pool:
+                results = list(pool.map(run, range(workers), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(r.tobytes() == serial.tobytes() for rs in results for r in rs)
 
     @pytest.mark.parametrize("beta", BETAS)
     def test_exact_on_constants_at_large_n(self, beta):
