@@ -22,13 +22,9 @@ from .picard_solver import (
     ContractionWarning,
     ConvergenceReport,
     NonFiniteIterateError,
-    OperatorSet,
-    PicardState,
     SolutionTrajectory,
-    build_operator_set,
     derivative_taylor_part,
     estimate_contraction,
-    initial_state,
     picard_step,
     solve,
 )
@@ -74,13 +70,9 @@ __all__ = [
     "ContractionWarning",
     "ConvergenceReport",
     "NonFiniteIterateError",
-    "OperatorSet",
-    "PicardState",
     "SolutionTrajectory",
-    "build_operator_set",
     "derivative_taylor_part",
     "estimate_contraction",
-    "initial_state",
     "picard_step",
     "solve",
     "MultiTermProblem",

@@ -354,8 +354,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         cfg = parser.parse_args(argv)
-        if not cfg.tol > 0.0:
-            raise CliInputError(f"--tol must be positive, got {cfg.tol}")
+        if not 0.0 < cfg.tol < math.inf:
+            raise CliInputError(f"--tol must be finite and positive, got {cfg.tol}")
         if cfg.max_iter < 1:
             raise CliInputError(f"--max-iter must be at least 1, got {cfg.max_iter}")
         return _DISPATCH[cfg.mode](cfg)

@@ -8,8 +8,9 @@ equation turns into a fixed-point problem for phi alone:
 
 where n_h = ceil(alpha_h). Every step therefore applies smoothing
 fractional integrals to the current iterate; no numerical differentiation
-appears anywhere in the loop. The solution is reconstructed at the end as
-y = sum_j b_j t^j / j! + I^alpha phi.
+appears anywhere in the loop, whose only state is phi. The solution is
+reconstructed at the end as y = sum_j b_j t^j / j! + I^alpha phi, which is
+the last inner derivative z_m when alpha_m = 0 (I^alpha is then not built).
 
 The iteration contracts in the weighted norm sup |t^gamma (.)| whenever
 omega = L * sum_h T^(alpha - alpha_h) / gamma(alpha - alpha_h + 1) < 1 for
@@ -28,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fractional_ops import (
-    FracIntegralOperator,
     Grid,
     SampledFunction,
     apply_integral,
@@ -47,13 +47,9 @@ from .problem_model import (
 __all__ = [
     "ContractionWarning",
     "NonFiniteIterateError",
-    "PicardState",
-    "OperatorSet",
     "ConvergenceReport",
     "SolutionTrajectory",
     "derivative_taylor_part",
-    "build_operator_set",
-    "initial_state",
     "picard_step",
     "rhs_samples",
     "estimate_contraction",
@@ -68,29 +64,6 @@ class ContractionWarning(UserWarning):
 
 class NonFiniteIterateError(RuntimeError):
     """An iterate left the finite range (overflow in the right-hand side)."""
-
-
-@dataclass(frozen=True)
-class PicardState:
-    """One iterate: phi approximates D^alpha y, z the inner derivatives
-    consistent with phi (phi = f(t, z)), delta the weighted distance to the
-    previous iterate (inf before the first update)."""
-
-    iteration: int
-    phi: SampledFunction
-    z: tuple
-    delta: float
-
-
-@dataclass(frozen=True)
-class OperatorSet:
-    """Prebuilt integral operators for one problem/grid pair: outer is
-    I^alpha, inner[h] is I^(alpha - alpha_h), and taylor[h] holds the
-    derivative_taylor_part samples of order alpha_h."""
-
-    outer: FracIntegralOperator
-    inner: tuple
-    taylor: tuple
 
 
 @dataclass(frozen=True)
@@ -137,26 +110,6 @@ def derivative_taylor_part(initial_values, alpha_h: float, grid: Grid) -> Sample
     return SampledFunction(grid, vals, 0.0)
 
 
-def build_operator_set(problem: MultiTermProblem, grid: Grid) -> OperatorSet:
-    """Assemble I^alpha and the I^(alpha - alpha_h), sharing operators
-    between coincident orders."""
-    cache: dict = {}
-
-    def get(order: float) -> FracIntegralOperator:
-        key = round(order, 15)
-        if key not in cache:
-            cache[key] = build_integral_operator(order, grid)
-        return cache[key]
-
-    outer = get(problem.alpha)
-    inner = tuple(get(problem.alpha - a) for a in problem.derivative_orders)
-    taylor = tuple(
-        derivative_taylor_part(problem.initial_values, a, grid)
-        for a in problem.derivative_orders
-    )
-    return OperatorSet(outer=outer, inner=inner, taylor=taylor)
-
-
 def rhs_samples(problem: MultiTermProblem, grid: Grid, z_funcs) -> SampledFunction:
     """Evaluate f(t, z) on the grid. When the iterate space is weighted
     (gamma > 0, where f may blow up at the origin) t_0 is skipped and the
@@ -176,29 +129,17 @@ def rhs_samples(problem: MultiTermProblem, grid: Grid, z_funcs) -> SampledFuncti
     return SampledFunction(grid, vals, problem.gamma)
 
 
-def initial_state(problem: MultiTermProblem, operators: OperatorSet) -> PicardState:
-    """Start from the initial polynomial: z^0 holds its fractional
-    derivatives and phi^0 = f(t, z^0)."""
-    phi0 = rhs_samples(problem, operators.outer.grid, operators.taylor)
-    return PicardState(iteration=0, phi=phi0, z=operators.taylor, delta=np.inf)
+def _inner_derivatives(phi: SampledFunction, inner, taylor) -> tuple:
+    """z_h = I^(alpha - alpha_h) phi + taylor_h for every inner order."""
+    return tuple(apply_integral(op, phi) + tp for op, tp in zip(inner, taylor))
 
 
 def picard_step(
-    state: PicardState,
-    problem: MultiTermProblem,
-    operators: OperatorSet,
-) -> PicardState:
-    """One fixed-point update phi -> f(t, I^(alpha-alpha_h) phi + ...)."""
-    grid = operators.outer.grid
-    z_new = tuple(
-        apply_integral(op, state.phi) + tp
-        for op, tp in zip(operators.inner, operators.taylor)
-    )
-    phi_new = rhs_samples(problem, grid, z_new)
-    delta = weighted_norm(phi_new - state.phi, problem.gamma)
-    return PicardState(
-        iteration=state.iteration + 1, phi=phi_new, z=z_new, delta=float(delta)
-    )
+    phi: SampledFunction, problem: MultiTermProblem, inner, taylor
+) -> SampledFunction:
+    """One update phi -> f(t, inner[h] phi + taylor[h]), with inner[h] =
+    I^(alpha - alpha_h) and taylor[h] = derivative_taylor_part(b, alpha_h)."""
+    return rhs_samples(problem, phi.grid, _inner_derivatives(phi, inner, taylor))
 
 
 def estimate_contraction(lipschitz: float, problem: MultiTermProblem, horizon=None) -> float:
@@ -236,15 +177,16 @@ def solve(
     tol: float = 1e-10,
     max_iter: int = 200,
 ) -> SolutionTrajectory:
-    """Iterate picard_step until the weighted update norm drops to tol or
-    max_iter is exhausted; reconstruct y = taylor part + I^alpha phi.
+    """Iterate phi <- picard_step(phi) from phi^0 = f(t, taylor parts) until
+    the weighted update norm drops to tol or max_iter is exhausted;
+    reconstruct y = taylor part + I^alpha phi.
 
     A non-contractive setup only warns (ContractionWarning); an exhausted
     iteration budget returns a trajectory whose report has converged False.
     """
     validate_problem(problem)
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if abs(grid.horizon - problem.horizon) > 1e-12 * max(problem.horizon, 1.0):
@@ -252,29 +194,26 @@ def solve(
             f"grid horizon {grid.horizon:g} does not match problem horizon "
             f"{problem.horizon:g}"
         )
-    operators = build_operator_set(problem, grid)
-    state = initial_state(problem, operators)
+    orders = problem.derivative_orders
+    inner = tuple(build_integral_operator(problem.alpha - a, grid) for a in orders)
+    taylor = tuple(derivative_taylor_part(problem.initial_values, a, grid) for a in orders)
+    phi = rhs_samples(problem, grid, taylor)
     deltas = []
-    converged = False
     for _ in range(max_iter):
-        state = picard_step(state, problem, operators)
-        deltas.append(state.delta)
-        if state.delta <= tol:
-            converged = True
+        phi_new = picard_step(phi, problem, inner, taylor)
+        deltas.append(weighted_norm(phi_new - phi, problem.gamma))
+        phi = phi_new
+        if deltas[-1] <= tol:
             break
 
-    phi = state.phi
-    z_final = tuple(
-        apply_integral(op, phi) + tp
-        for op, tp in zip(operators.inner, operators.taylor)
-    )
-    if problem.derivative_orders and problem.derivative_orders[-1] == 0.0:
-        # I^(alpha - 0) is the shared outer operator and the order-0 Taylor
-        # part is the initial polynomial, so this entry already is y
+    z_final = _inner_derivatives(phi, inner, taylor)
+    if orders and orders[-1] == 0.0:
+        # inner[-1] is I^alpha and taylor[-1] the initial polynomial, so
+        # this entry already is y
         y = z_final[-1]
     else:
-        taylor = derivative_taylor_part(problem.initial_values, 0.0, grid)
-        y = taylor + apply_integral(operators.outer, phi)
+        taylor_0 = derivative_taylor_part(problem.initial_values, 0.0, grid)
+        y = taylor_0 + apply_integral(build_integral_operator(problem.alpha, grid), phi)
 
     try:
         lipschitz = _observed_lipschitz(problem, grid, z_final)
@@ -290,8 +229,8 @@ def solve(
 
     report = ConvergenceReport(
         deltas=tuple(deltas),
-        converged=converged,
-        iterations=state.iteration,
+        converged=deltas[-1] <= tol,
+        iterations=len(deltas),
         tolerance=tol,
         lipschitz_estimate=lipschitz,
         contraction_estimate=omega,

@@ -484,16 +484,16 @@ class ProblemValidationError(ValueError):
 def problem_issues(p: MultiTermProblem) -> list:
     """All violated invariants as (code, message) pairs, empty when valid."""
     issues = []
-    if not p.alpha > 0.0:
-        issues.append(("alpha_positive", f"alpha must be positive, got {p.alpha}"))
-        return issues
     if not np.isfinite(p.alpha):
         issues.append(("alpha_finite", f"alpha must be finite, got {p.alpha}"))
         return issues
-    if not p.horizon > 0.0:
-        issues.append(("horizon_positive", f"horizon must be positive, got {p.horizon}"))
-    elif not np.isfinite(p.horizon):
+    if not p.alpha > 0.0:
+        issues.append(("alpha_positive", f"alpha must be positive, got {p.alpha}"))
+        return issues
+    if not np.isfinite(p.horizon):
         issues.append(("horizon_finite", f"horizon must be finite, got {p.horizon}"))
+    elif not p.horizon > 0.0:
+        issues.append(("horizon_positive", f"horizon must be positive, got {p.horizon}"))
     chain = (p.alpha,) + p.derivative_orders
     for i in range(len(chain) - 1):
         if not chain[i] > chain[i + 1]:

@@ -1,0 +1,52 @@
+"""The names the benchmark in bench/ hooks into must exist in the package.
+
+bench/layers.py installs its wrappers with getattr on fracpicard's modules,
+bench/run.py silences fracpicard.ContractionWarning and bench/workloads.py
+builds its grids with Grid.uniform. A rename in the package would otherwise
+only show when the benchmark runs, since the test suite does not run it.
+"""
+
+import importlib
+from pathlib import Path
+
+import pytest
+
+import fracpicard
+import fracpicard.cli  # noqa: F401  (instrumentation wraps names in the CLI too)
+from fracpicard import Grid, problem_from_dict
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.fixture
+def bench_modules(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    return importlib.import_module("layers"), importlib.import_module("spans")
+
+
+def test_every_wrapped_name_exists(bench_modules):
+    layers, spans = bench_modules
+    hooks = layers.instrumentation(spans.Tracer(), fracpicard)
+    assert hooks and all(callable(wrapper) for _, _, wrapper in hooks)
+
+
+def test_names_the_benchmark_calls_exist():
+    assert issubclass(fracpicard.ContractionWarning, Warning)
+    assert Grid.uniform(2.0, 16) == Grid(2.0, 16)
+
+
+def test_picard_step_spans_count_the_iterations(bench_modules):
+    layers, spans = bench_modules
+    problem = problem_from_dict({
+        "alpha": 0.5, "derivative_orders": [0.0], "initial_values": [1.0],
+        "horizon": 1.0, "rhs": "-z1",
+    })
+    tracer = spans.Tracer()
+    hooks = layers.instrumentation(tracer, fracpicard)
+    with spans.patched(hooks), tracer.span("bench.op") as root:
+        trajectory = fracpicard.picard_solver.solve(problem, Grid(1.0, 64))
+    steps = [s for s in tracer.spans if s.name == "picard_solver.picard_step"]
+    assert trajectory.report.iterations > 1
+    assert len(steps) == trajectory.report.iterations
+    counted = layers.reduce_op(tracer.spans, root, 1)["picard_solver.iterations"]
+    assert counted == trajectory.report.iterations

@@ -347,6 +347,8 @@ class TestBadInput:
         ("initial_values", [float("nan")], "initial_finite"),
         ("horizon", float("inf"), "horizon_finite"),
         ("alpha", float("inf"), "alpha_finite"),
+        ("horizon", float("nan"), "horizon_finite"),
+        ("alpha", float("nan"), "alpha_finite"),
     ])
     def test_non_finite_value(self, tmp_path, capsys, key, value, code):
         cfg = tmp_path / "bad.json"
@@ -394,6 +396,7 @@ class TestBadInput:
         ["--grading", "inf"],
         ["--grading", "0.5"],
         ["--grading", "300"],
+        ["--tol", "inf"],
     ])
     def test_bad_flag_values(self, relaxation_cfg, tmp_path, capsys, flags):
         assert main([

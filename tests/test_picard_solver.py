@@ -19,15 +19,19 @@ import warnings
 import numpy as np
 import pytest
 
-from fracpicard.fractional_ops import Grid, SampledFunction, apply_integral
+from fracpicard.fractional_ops import (
+    FracIntegralOperator,
+    Grid,
+    apply_integral,
+    build_integral_operator,
+)
 from fracpicard.picard_solver import (
     ContractionWarning,
     NonFiniteIterateError,
-    build_operator_set,
     derivative_taylor_part,
     estimate_contraction,
-    initial_state,
     picard_step,
+    rhs_samples,
     solve,
 )
 from fracpicard.problem_model import ProblemValidationError, parse_rhs, problem_from_dict
@@ -125,16 +129,16 @@ class TestIterates:
         # phi_k = -sum_(j<=k) (-sqrt t)^j / gamma(j/2 + 1)
         problem = _relaxation()
         grid = Grid.uniform(1.0, 512)
-        ops = build_operator_set(problem, grid)
+        inner = (build_integral_operator(0.5, grid),)
+        taylor = (derivative_taylor_part(problem.initial_values, 0.0, grid),)
         t = grid.nodes
-        state = initial_state(problem, ops)
+        phi = rhs_samples(problem, grid, taylor)
         for k in range(6):
             expected = -sum(
                 (-np.sqrt(t)) ** j / math.gamma(j / 2.0 + 1.0) for j in range(k + 1)
             )
-            assert state.iteration == k
-            assert np.max(np.abs(state.phi.values - expected)) < 1e-3
-            state = picard_step(state, problem, ops)
+            assert np.max(np.abs(phi.values - expected)) < 1e-3
+            phi = picard_step(phi, problem, inner, taylor)
 
     def test_delta_sequence_closed_form(self):
         # || phi_(k+1) - phi_k || = 1 / gamma((k+2)/2 + ... ) at T = 1:
@@ -149,14 +153,15 @@ class TestIterates:
             assert traj.report.deltas[i] == pytest.approx(expected, rel=1e-2)
 
     def test_state_z_consistent_with_previous_phi(self):
+        # phi_1 = f(t, z) with z = I^(1/2) phi_0 + 1, and f = -z1
         problem = _relaxation()
         grid = Grid.uniform(1.0, 64)
-        ops = build_operator_set(problem, grid)
-        s0 = initial_state(problem, ops)
-        s1 = picard_step(s0, problem, ops)
-        expected_z = apply_integral(ops.inner[0], s0.phi).values + 1.0
-        assert np.allclose(s1.z[0].values, expected_z, rtol=1e-14)
-        assert np.allclose(s1.phi.values, -expected_z, rtol=1e-14)
+        inner = (build_integral_operator(0.5, grid),)
+        taylor = (derivative_taylor_part(problem.initial_values, 0.0, grid),)
+        phi0 = rhs_samples(problem, grid, taylor)
+        phi1 = picard_step(phi0, problem, inner, taylor)
+        expected_z = apply_integral(inner[0], phi0).values + 1.0
+        assert np.allclose(phi1.values, -expected_z, rtol=1e-14)
 
 
 class TestContractionEstimate:
@@ -238,6 +243,12 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve(problem, grid, max_iter=0)
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        # an infinite tol would stop after one update and report convergence
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            solve(_relaxation(), Grid.uniform(1.0, 64), tol=tol)
+
     def test_singular_forcing_closed_form(self):
         # D^0.5 y = t^(-0.3): phi is the forcing itself, so y has the
         # closed form 1 + gamma(0.7)/gamma(1.2) t^0.2 and one step converges
@@ -254,10 +265,30 @@ class TestSolve:
         exact = 1.0 + math.gamma(0.7) / math.gamma(1.2) * t**0.2
         assert np.max(np.abs(traj.y.values - exact)) < 1e-12
 
-    def test_operator_sharing_for_order_zero(self):
-        problem = _relaxation()
-        ops = build_operator_set(problem, Grid.uniform(1.0, 32))
-        assert ops.inner[0] is ops.outer
+    @pytest.mark.parametrize("alpha,orders,rhs,builds", [
+        (0.5, [0.0], "-z1", 1),
+        (1.5, [0.5, 0.0], "-z2 - 0.1*z1", 2),
+        (1.5, [0.5], "-z1", 2),
+    ], ids=["relaxation", "order_zero_tail", "no_order_zero"])
+    def test_one_operator_per_order(self, monkeypatch, alpha, orders, rhs, builds):
+        # one I^(alpha - alpha_h) per inner order, and I^alpha only when the
+        # last inner order is not 0 (otherwise it is the last inner operator)
+        p = problem_from_dict({
+            "alpha": alpha, "derivative_orders": orders,
+            "initial_values": [1.0] * math.ceil(alpha), "horizon": 1.0, "rhs": rhs,
+        })
+        count = []
+        init = FracIntegralOperator.__init__
+
+        def counting_init(self, *args, **kwargs):
+            count.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(FracIntegralOperator, "__init__", counting_init)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ContractionWarning)
+            solve(p, Grid.uniform(1.0, 32))
+        assert len(count) == builds
 
     def test_inner_singularity_guard(self):
         # gamma is in range for alpha = 1, but alpha - alpha_1 <= gamma would
@@ -269,15 +300,6 @@ class TestSolve:
             })
         assert [code for code, _ in exc.value.issues] == ["inner_singular"]
         assert "singular" in str(exc.value)
-
-    def test_operator_set_carries_taylor_samples(self):
-        problem = _relaxation()
-        grid = Grid.uniform(1.0, 32)
-        ops = build_operator_set(problem, grid)
-        assert len(ops.taylor) == 1
-        assert np.array_equal(
-            ops.taylor[0].values, derivative_taylor_part(problem.initial_values, 0.0, grid).values
-        )
 
     def test_overflow_aborts_with_clear_error(self):
         p = problem_from_dict({

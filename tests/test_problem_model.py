@@ -302,6 +302,8 @@ class TestProblemValidation:
             (dict(initial_values=[1.0, float("-inf")]), "initial_finite"),
             (dict(horizon=float("inf")), "horizon_finite"),
             (dict(alpha=float("inf")), "alpha_finite"),
+            (dict(horizon=float("nan")), "horizon_finite"),
+            (dict(alpha=float("nan")), "alpha_finite"),
         ],
     )
     def test_violations_by_code(self, overrides, code):
