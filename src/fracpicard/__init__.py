@@ -33,6 +33,7 @@ from .problem_model import (
     ProblemValidationError,
     RhsDomainError,
     RhsSyntaxError,
+    compile_rhs,
     estimate_lipschitz,
     eval_rhs,
     expr_to_string,
@@ -79,6 +80,7 @@ __all__ = [
     "ProblemValidationError",
     "RhsDomainError",
     "RhsSyntaxError",
+    "compile_rhs",
     "estimate_lipschitz",
     "eval_rhs",
     "expr_to_string",

@@ -2,7 +2,7 @@
 
 Modes:
   solve   integrate the problem, write the trajectory and the per-iteration
-          update norms as CSV
+          update norms (of the window that took the most) as CSV
   verify  solve, then run the residual / initial-limit / decay checks
           against their thresholds
   study   solve on a dyadic ladder of grids against a closed-form oracle
@@ -171,7 +171,8 @@ def run_solve(cfg: argparse.Namespace) -> int:
     print(
         f"solve: {status} after {report.iterations} iterations "
         f"(final delta {report.deltas[-1]:.3g}, contraction estimate "
-        f"{report.contraction_estimate:.3g}); wrote {out} and {conv_path}"
+        f"{report.contraction_estimate:.3g}, {report.windows} windows, worst ratio "
+        f"{report.worst_ratio:.3g}); wrote {out} and {conv_path}"
     )
     return 0 if report.converged else 2
 

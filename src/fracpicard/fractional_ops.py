@@ -21,7 +21,11 @@ Uniform grids store the quadrature as an O(N) convolution stencil. Up to
 _NEAR_FIELD intervals an apply is one np.convolve; larger operators plan
 their Toeplitz product once (see _history_sum), so an apply costs
 O(N log^2 N) (1.1 ms at N = 8192, 10 ms at N = 65536) while every output
-keeps the relative accuracy of the direct sum. Graded
+keeps the relative accuracy of the direct sum. The same plan lets a solve
+march: it pushes each level's share of the history once, as blocks become
+final (push_history), so a solve costs one pass of history plus its
+per-window iterations on 64-point blocks, instead of one apply per
+iteration. Graded
 grids fall back to a dense lower-triangular table, and weighted tables are
 always dense. A Grid is the value (horizon, N, grading); each dense table
 is built once per grid object, order and exponent (0 for the plain table)
@@ -329,6 +333,8 @@ class FracIntegralOperator:
         self.grid = grid
         self._weighted_tables = grid._tables.setdefault(round(self.order, 15), {})
         self._stencil = self._boundary = self._table = self._plan = None
+        # nodes per window of a marching solve: the plan's diagonal block
+        self.window = None
         if not grid.is_uniform:
             self._table = self._dense_table(0.0)
             return
@@ -348,6 +354,32 @@ class FracIntegralOperator:
             levels = [_BLOCK << j for j in range(n.bit_length()) if _BLOCK << j < n]
             self._plan = (np.triu(self._stencil[abs(i[:, None] - i)]),
                           [rfft(self._stencil[: 2 * h], 2 * h) for h in levels])
+            self.window = _BLOCK
+
+    # A marching solve finds f on t_1..t_N window by window, each inside one
+    # _BLOCK of the plan. hist, from history(f(t_0)), collects the apply at
+    # t_1..t_N from final samples; u = f(t_1..t_N) as far as known.
+
+    def history(self, f0: float) -> np.ndarray:
+        """The share of f(t_0) = f0 in the apply at t_1..t_N."""
+        return self._boundary[1:] * f0
+
+    def near_field(self, u: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """The share of u[a:hi] in _history_sum(plan, u)[lo:hi], for lo < hi
+        in the block that starts at a."""
+        a = lo - lo % _BLOCK
+        return u[a:hi] @ self._plan[0][: hi - a, lo - a : hi - a]
+
+    def push_history(self, hist: np.ndarray, u: np.ndarray, p: int) -> None:
+        """Add to hist every level's share of _history_sum that u[:p] has
+        completed, p a multiple of _BLOCK: where p is the middle of a
+        2h-block, that of its first half in its second. Once pushed at every
+        block end up to a, hist[a:] holds all of u[:a]."""
+        for spectrum in self._plan[1]:
+            h = spectrum.size - 1
+            if p % (2 * h) == h:
+                seg = hist[p : p + h]
+                seg += irfft(rfft(u[p - h : p], 2 * h) * spectrum, 2 * h)[h : h + seg.size]
 
     def _apply_regular(self, u: np.ndarray) -> np.ndarray:
         n = self.grid.n_intervals

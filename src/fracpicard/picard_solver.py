@@ -12,12 +12,17 @@ appears anywhere in the loop, whose only state is phi. The solution is
 reconstructed at the end as y = sum_j b_j t^j / j! + I^alpha phi, which is
 the last inner derivative z_m when alpha_m = 0 (I^alpha is then not built).
 
-The iteration contracts in the weighted norm sup |t^gamma (.)| whenever
-omega = L * sum_h T^(alpha - alpha_h) / gamma(alpha - alpha_h + 1) < 1 for
-a Lipschitz constant L of f in z. The solver keeps iterating even when its
-empirical omega estimate is >= 1 (a ContractionWarning is emitted): on a
-finite horizon the Volterra structure still forces convergence, just
-without the a priori geometric rate.
+The iteration contracts in the weighted norm sup |t^gamma (.)| on [0, T]
+when omega = L * sum_h T^(alpha - alpha_h) / gamma(alpha - alpha_h + 1) < 1
+for a Lipschitz constant L of f in z. That condition is local: omega grows
+with T, and on a long horizon a whole-interval iteration need not converge
+at all. So where the operators plan their history sum (uniform grids above
+512 intervals, gamma = 0), solve marches in windows of the plan's block
+(Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985) 532): each
+window iterates with the finished past held fixed, on a horizon short
+enough to contract, and a window whose observed ratio of successive updates
+exceeds 1/2 is halved. Every other solve is the one window [0, T]. The
+solver warns (ContractionWarning) when omega >= 1 on the whole horizon.
 """
 
 from __future__ import annotations
@@ -35,10 +40,10 @@ from .fractional_ops import (
     build_integral_operator,
     ceil_order,
     polynomial_from_derivatives,
-    weighted_norm,
 )
 from .problem_model import (
     MultiTermProblem,
+    compile_rhs,
     eval_rhs,
     estimate_lipschitz,
     validate_problem,
@@ -68,12 +73,19 @@ class NonFiniteIterateError(RuntimeError):
 
 @dataclass(frozen=True)
 class ConvergenceReport:
+    """How the iteration went. A solve runs one or more windows; iterations
+    and deltas (the weighted sup-norm updates) are those of the window that
+    took the most updates, and worst_ratio is the largest ratio of
+    successive updates over all windows (0.0 when none took two)."""
+
     deltas: tuple
     converged: bool
     iterations: int
     tolerance: float
     lipschitz_estimate: float
     contraction_estimate: float
+    windows: int
+    worst_ratio: float
 
 
 @dataclass(frozen=True)
@@ -110,20 +122,22 @@ def derivative_taylor_part(initial_values, alpha_h: float, grid: Grid) -> Sample
     return SampledFunction(grid, vals, 0.0)
 
 
+def _finite(vals: np.ndarray, t: np.ndarray) -> np.ndarray:
+    if not np.isfinite(vals).all():
+        t_bad = float(t[np.argmax(~np.isfinite(vals))])
+        raise NonFiniteIterateError(
+            f"right-hand side produced a non-finite value at t = {t_bad:g}"
+        )
+    return vals
+
+
 def rhs_samples(problem: MultiTermProblem, grid: Grid, z_funcs) -> SampledFunction:
     """Evaluate f(t, z) on the grid. When the iterate space is weighted
     (gamma > 0, where f may blow up at the origin) t_0 is skipped and the
     sample there is nan."""
     skip = 1 if problem.gamma > 0.0 else 0
     t = grid.nodes[skip:]
-    vals = eval_rhs(problem.rhs, t, [zf.values[skip:] for zf in z_funcs])
-    vals = np.asarray(vals, dtype=float)
-    if not np.all(np.isfinite(vals)):
-        bad = ~np.isfinite(vals)
-        t_bad = float(t[np.argmax(bad)])
-        raise NonFiniteIterateError(
-            f"right-hand side produced a non-finite value at t = {t_bad:g}"
-        )
+    vals = _finite(eval_rhs(problem.rhs, t, [zf.values[skip:] for zf in z_funcs]), t)
     if skip:
         vals = np.concatenate(([np.nan], vals))
     return SampledFunction(grid, vals, problem.gamma)
@@ -134,12 +148,29 @@ def _inner_derivatives(phi: SampledFunction, inner, taylor) -> tuple:
     return tuple(apply_integral(op, phi) + tp for op, tp in zip(inner, taylor))
 
 
-def picard_step(
-    phi: SampledFunction, problem: MultiTermProblem, inner, taylor
-) -> SampledFunction:
+def picard_step(phi: SampledFunction, problem: MultiTermProblem, inner, taylor, window=None):
     """One update phi -> f(t, inner[h] phi + taylor[h]), with inner[h] =
-    I^(alpha - alpha_h) and taylor[h] = derivative_taylor_part(b, alpha_h)."""
-    return rhs_samples(problem, phi.grid, _inner_derivatives(phi, inner, taylor))
+    I^(alpha - alpha_h) and taylor[h] = derivative_taylor_part(b, alpha_h).
+    Returns the next phi.
+
+    solve passes window = (rhs, lo, hi, hist) instead and gets the new
+    values at nodes lo..hi-1 only; rhs is f compiled on the nodes it is
+    sampled at (past t_0 when gamma > 0). Without hist the window is the
+    whole grid. Otherwise phi is final before lo, and hist[h] holds what the
+    nodes before the window's block add to inner[h] phi at t_1..t_N (see
+    FracIntegralOperator.push_history); the block adds its near field.
+    """
+    if window is None:
+        return rhs_samples(problem, phi.grid, _inner_derivatives(phi, inner, taylor))
+    rhs, lo, hi, hist = window
+    if hist is None:
+        z = [zh.values[lo:hi] for zh in _inner_derivatives(phi, inner, taylor)]
+    else:
+        u = phi.values[1:]
+        z = [past[lo - 1 : hi - 1] + op.near_field(u, lo - 1, hi - 1) + tp.values[lo:hi]
+             for op, tp, past in zip(inner, taylor, hist)]
+    skip = 1 if problem.gamma > 0.0 else 0
+    return _finite(rhs(slice(lo - skip, hi - skip), z), phi.grid.nodes[lo:hi])
 
 
 def estimate_contraction(lipschitz: float, problem: MultiTermProblem, horizon=None) -> float:
@@ -171,14 +202,70 @@ def _observed_lipschitz(problem: MultiTermProblem, grid: Grid, z_funcs) -> float
     return estimate_lipschitz(problem.rhs, (t_lo, grid.horizon), box, seed=0)
 
 
+def _march(problem: MultiTermProblem, grid: Grid, inner, taylor, tol: float, max_iter: int):
+    """phi, and the deltas of every window solved, in order.
+
+    phi^0 = f(t, taylor parts). When the operators plan their history sum
+    and gamma = 0, the windows lie in the plan's blocks of t_1..t_N. Each
+    iterates until its update is at most tol. One whose update shrinks by
+    less than half in a step starts again at half its length, down to one
+    node, and so do the windows after it. A finished block pushes every
+    operator's history, and the next window starts from the line through
+    the last two values. Otherwise the one window is the whole grid. A
+    window that runs out of iterations ends the march."""
+    skip = 1 if problem.gamma > 0.0 else 0
+    t = grid.nodes
+    rhs = compile_rhs(problem.rhs, t[skip:])
+    values = np.full(t.size, np.nan)
+    values[skip:] = _finite(rhs(slice(None), [tp.values[skip:] for tp in taylor]), t[skip:])
+    phi = SampledFunction(grid, values, problem.gamma)
+    # a weighted iterate (gamma > 0) is integrated by the dense weighted tables
+    block = inner[0].window if inner and not skip else None
+    hist = tuple(op.history(values[0]) for op in inner) if block else None
+    n = grid.n_intervals
+    lo, size = (1, block) if block else (skip, n + 1)
+    done = []
+    while lo <= n:
+        hi = min(lo + size, n + 1)
+        if block:
+            hi = min(hi, lo + block - (lo - 1) % block)
+        deltas, window = [], (rhs, lo, hi, hist)
+        for _ in range(max_iter):
+            new = picard_step(phi, problem, inner, taylor, window)
+            change = new - values[lo:hi]
+            if problem.gamma:
+                change *= t[lo:hi] ** problem.gamma
+            deltas.append(float(abs(change).max()))
+            values[lo:hi] = new
+            if deltas[-1] <= tol:
+                break
+            if block and hi - lo > 1 and len(deltas) > 1 and deltas[-1] > 0.5 * deltas[-2]:
+                size = (hi - lo) // 2
+                break
+        if hi - lo > size:
+            continue  # halved: run the window again, shorter
+        done.append(deltas)
+        if deltas[-1] > tol:
+            break  # out of iterations
+        lo = hi
+        if block and lo <= n:
+            if (lo - 1) % block == 0:
+                for op, past in zip(inner, hist):
+                    op.push_history(past, values[1:], lo - 1)
+            ahead = np.arange(1, min(size, n + 1 - lo) + 1)
+            slope = values[lo - 1] - values[lo - 2]
+            values[lo : lo + ahead.size] = values[lo - 1] + slope * ahead
+    return phi, done
+
+
 def solve(
     problem: MultiTermProblem,
     grid: Grid,
     tol: float = 1e-10,
     max_iter: int = 200,
 ) -> SolutionTrajectory:
-    """Iterate phi <- picard_step(phi) from phi^0 = f(t, taylor parts) until
-    the weighted update norm drops to tol or max_iter is exhausted;
+    """Iterate phi <- picard_step(phi), window by window, until the
+    weighted update norm drops to tol or a window exhausts max_iter;
     reconstruct y = taylor part + I^alpha phi.
 
     A non-contractive setup only warns (ContractionWarning); an exhausted
@@ -197,14 +284,7 @@ def solve(
     orders = problem.derivative_orders
     inner = tuple(build_integral_operator(problem.alpha - a, grid) for a in orders)
     taylor = tuple(derivative_taylor_part(problem.initial_values, a, grid) for a in orders)
-    phi = rhs_samples(problem, grid, taylor)
-    deltas = []
-    for _ in range(max_iter):
-        phi_new = picard_step(phi, problem, inner, taylor)
-        deltas.append(weighted_norm(phi_new - phi, problem.gamma))
-        phi = phi_new
-        if deltas[-1] <= tol:
-            break
+    phi, windows = _march(problem, grid, inner, taylor, tol, max_iter)
 
     z_final = _inner_derivatives(phi, inner, taylor)
     if orders and orders[-1] == 0.0:
@@ -227,12 +307,16 @@ def solve(
             stacklevel=2,
         )
 
+    deltas = max(windows, key=len)
     report = ConvergenceReport(
         deltas=tuple(deltas),
-        converged=deltas[-1] <= tol,
+        converged=windows[-1][-1] <= tol,
         iterations=len(deltas),
         tolerance=tol,
         lipschitz_estimate=lipschitz,
         contraction_estimate=omega,
+        windows=len(windows),
+        worst_ratio=max((d[k + 1] / d[k] for d in windows for k in range(len(d) - 1)),
+                        default=0.0),
     )
     return SolutionTrajectory(grid=grid, y=y, inner=z_final, phi=phi, report=report)

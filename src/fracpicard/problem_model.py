@@ -38,6 +38,7 @@ __all__ = [
     "RhsExpr",
     "parse_rhs",
     "expr_to_string",
+    "compile_rhs",
     "eval_rhs",
     "estimate_lipschitz",
     "MultiTermProblem",
@@ -123,12 +124,8 @@ def _tokenize(text: str):
                 break
             pos = len(text) - len(stripped)
             raise RhsSyntaxError(f"unexpected character {stripped[0]!r}", pos)
-        if m.lastgroup == "num":
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.lastgroup == "ident":
-            tokens.append(("ident", m.group("ident"), m.start("ident")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
+        kind = m.lastgroup
+        tokens.append((kind, m.group(kind), m.start(kind)))
         i = m.end()
     tokens.append(("end", "", len(text)))
     return tokens
@@ -166,24 +163,19 @@ class _Parser:
         return expr
 
     def expr(self) -> RhsExpr:
-        node = self.term()
-        while True:
-            kind, text, pos = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                node = BinOp(text, node, self.term(), pos)
-            else:
-                return node
+        return self.left_assoc("+-", self.term)
 
     def term(self) -> RhsExpr:
-        node = self.unary()
+        return self.left_assoc("*/", self.unary)
+
+    def left_assoc(self, symbols: str, operand) -> RhsExpr:
+        node = operand()
         while True:
             kind, text, pos = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                node = BinOp(text, node, self.unary(), pos)
-            else:
+            if kind != "op" or text not in symbols:
                 return node
+            self.advance()
+            node = BinOp(text, node, operand(), pos)
 
     def unary(self) -> RhsExpr:
         kind, text, pos = self.peek()
@@ -293,78 +285,93 @@ def expr_to_string(e: RhsExpr) -> str:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _first_bad_t(mask: np.ndarray, t: np.ndarray) -> float:
-    flat_t = np.broadcast_to(t, mask.shape).reshape(-1)
-    return float(flat_t[np.argmax(mask.reshape(-1))])
+def _check(bad, message: str, pos: int, t: np.ndarray) -> None:
+    """Raise RhsDomainError at the first node of t where bad holds."""
+    if np.any(bad):
+        flat_t = np.broadcast_to(t, np.shape(bad)).reshape(-1)
+        raise RhsDomainError(message, pos, float(flat_t[np.argmax(np.reshape(bad, -1))]))
 
 
-def _eval(e: RhsExpr, t: np.ndarray, z) -> np.ndarray:
+@np.errstate(over="ignore")
+def _pow(a, b, pos, t):
+    neg_base = a < 0.0
+    if np.any(neg_base):
+        frac_exp = np.broadcast_to(b != np.floor(b), neg_base.shape)
+        _check(neg_base & frac_exp, "negative base with non-integer exponent", pos, t)
+    zero_neg = (a == 0.0) & np.broadcast_to(b < 0.0, np.shape(a))
+    _check(zero_neg, "zero base with negative exponent", pos, t)
+    return a**b
+
+
+# Each operation takes its operands, the expression position and the nodes of
+# its operands, where a domain error finds its first bad t. _check returns
+# None, so "_check(...) or x" is x once the check has passed.
+_OPS = {
+    "neg": lambda a, pos, t: -a,
+    "+": lambda a, b, pos, t: a + b,
+    "-": lambda a, b, pos, t: a - b,
+    "*": lambda a, b, pos, t: a * b,
+    "/": lambda a, b, pos, t: _check(b == 0.0, "division by zero", pos, t) or a / b,
+    "^": _pow,
+    "sin": lambda a, pos, t: np.sin(a),
+    "cos": lambda a, pos, t: np.cos(a),
+    "abs": lambda a, pos, t: np.abs(a),
+    "exp": np.errstate(over="ignore")(lambda a, pos, t: np.exp(a)),
+    "log": lambda a, pos, t: _check(a <= 0.0, "log of a non-positive value", pos, t) or np.log(a),
+    "sqrt": lambda a, pos, t: _check(a < 0.0, "sqrt of a negative value", pos, t) or np.sqrt(a),
+}
+
+
+def _node(e: RhsExpr) -> tuple:
+    """(operation name, operands) of an operation node."""
+    if isinstance(e, BinOp):
+        return e.op, (e.left, e.right)
+    if isinstance(e, Neg):
+        return "neg", (e.operand,)
+    if isinstance(e, Call):
+        return e.func, (e.arg,)
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def _compile(e: RhsExpr, t: np.ndarray):
+    """The values of a subtree free of z, evaluated and domain-checked on
+    the nodes t here; otherwise fn(sl, z), its values on t[sl] for the z
+    arrays of those nodes."""
     if isinstance(e, Num):
         return np.full(t.shape, e.value)
     if isinstance(e, Var):
         if e.name == "t":
-            return np.asarray(t, dtype=float) + 0.0
-        if e.name == "y":
-            if not z:
-                raise RhsDomainError("y is unbound (no inner derivatives)", e.pos, float(t.flat[0]))
-            return np.asarray(z[-1], dtype=float) + 0.0
-        k = int(e.name[1:])
-        if k > len(z):
-            raise RhsDomainError(f"z{k} is unbound", e.pos, float(t.flat[0]))
-        return np.asarray(z[k - 1], dtype=float) + 0.0
-    if isinstance(e, Neg):
-        return -_eval(e.operand, t, z)
-    if isinstance(e, Call):
-        arg = _eval(e.arg, t, z)
-        if e.func == "log":
-            bad = arg <= 0.0
-            if np.any(bad):
-                raise RhsDomainError("log of a non-positive value", e.pos, _first_bad_t(bad, t))
-            return np.log(arg)
-        if e.func == "sqrt":
-            bad = arg < 0.0
-            if np.any(bad):
-                raise RhsDomainError("sqrt of a negative value", e.pos, _first_bad_t(bad, t))
-            return np.sqrt(arg)
-        if e.func == "sin":
-            return np.sin(arg)
-        if e.func == "cos":
-            return np.cos(arg)
-        if e.func == "exp":
-            with np.errstate(over="ignore"):
-                return np.exp(arg)
-        if e.func == "abs":
-            return np.abs(arg)
-        raise RhsDomainError(f"unknown function {e.func!r}", e.pos, float(t.flat[0]))
-    if isinstance(e, BinOp):
-        left = _eval(e.left, t, z)
-        right = _eval(e.right, t, z)
-        if e.op == "+":
-            return left + right
-        if e.op == "-":
-            return left - right
-        if e.op == "*":
-            return left * right
-        if e.op == "/":
-            bad = right == 0.0
-            if np.any(bad):
-                raise RhsDomainError("division by zero", e.pos, _first_bad_t(bad, t))
-            return left / right
-        if e.op == "^":
-            neg_base = left < 0.0
-            if np.any(neg_base):
-                frac_exp = right != np.floor(right)
-                bad = neg_base & np.broadcast_to(frac_exp, neg_base.shape)
-                if np.any(bad):
-                    raise RhsDomainError(
-                        "negative base with non-integer exponent", e.pos, _first_bad_t(bad, t)
-                    )
-            bad = (left == 0.0) & np.broadcast_to(right < 0.0, np.shape(left))
-            if np.any(bad):
-                raise RhsDomainError("zero base with negative exponent", e.pos, _first_bad_t(bad, t))
-            with np.errstate(over="ignore"):
-                return left**right
-    raise TypeError(f"not an expression node: {e!r}")
+            return t + 0.0
+        k = -1 if e.name == "y" else int(e.name[1:]) - 1
+
+        def var(sl, z):
+            if not -len(z) <= k < len(z):
+                raise RhsDomainError(f"{e.name} is unbound", e.pos, float(t[sl].flat[0]))
+            return np.asarray(z[k], dtype=float) + 0.0
+
+        return var
+    name, kids = _node(e)
+    op, pos = _OPS.get(name), e.pos
+    if op is None:
+        raise RhsDomainError(f"unknown function {name!r}", pos, float(t.flat[0]))
+    parts = [_compile(kid, t) for kid in kids]
+    if not any(callable(p) for p in parts):
+        return op(*parts, pos, t)
+    f, *g = [p if callable(p) else (lambda sl, z, v=p: v[sl]) for p in parts]
+    if g:
+        return lambda sl, z, g=g[0]: op(f(sl, z), g(sl, z), pos, t[sl])
+    return lambda sl, z: op(f(sl, z), pos, t[sl])
+
+
+def compile_rhs(e: RhsExpr, t):
+    """Evaluate e partially on the nodes t: every subtree free of z is
+    evaluated and domain-checked here, once, and the rest becomes nested
+    closures. Returns f(sl, z), the values of e on t[sl] for the z samples
+    there. Every float operation is that of a whole-grid evaluation, so a
+    slice gets its values bit for bit. A domain error raises here for a
+    subtree free of z, else in f, naming its position and first bad t."""
+    f = _compile(e, np.asarray(t, dtype=float))
+    return f if callable(f) else (lambda sl, z: f[sl])
 
 
 def eval_rhs(e: RhsExpr, t, z=()) -> np.ndarray:
@@ -377,8 +384,7 @@ def eval_rhs(e: RhsExpr, t, z=()) -> np.ndarray:
     if scalar:
         arr = arr.reshape(1)
         z = [np.asarray(zi, dtype=float).reshape(-1) for zi in z]
-    out = _eval(e, arr, list(z))
-    out = np.asarray(out, dtype=float)
+    out = np.asarray(compile_rhs(e, arr)(slice(None), list(z)), dtype=float)
     if out.shape != arr.shape:
         out = np.broadcast_to(out, arr.shape).copy()
     return float(out[0]) if scalar else out
@@ -386,13 +392,9 @@ def eval_rhs(e: RhsExpr, t, z=()) -> np.ndarray:
 
 def _walk(e: RhsExpr):
     yield e
-    if isinstance(e, Neg):
-        yield from _walk(e.operand)
-    elif isinstance(e, BinOp):
-        yield from _walk(e.left)
-        yield from _walk(e.right)
-    elif isinstance(e, Call):
-        yield from _walk(e.arg)
+    if not isinstance(e, (Num, Var)):
+        for kid in _node(e)[1]:
+            yield from _walk(kid)
 
 
 def uses_y_alias(e: RhsExpr) -> bool:
@@ -400,11 +402,8 @@ def uses_y_alias(e: RhsExpr) -> bool:
 
 
 def max_z_index(e: RhsExpr) -> int:
-    best = 0
-    for node in _walk(e):
-        if isinstance(node, Var) and node.name.startswith("z"):
-            best = max(best, int(node.name[1:]))
-    return best
+    return max((int(node.name[1:]) for node in _walk(e)
+                if isinstance(node, Var) and node.name.startswith("z")), default=0)
 
 
 def estimate_lipschitz(e: RhsExpr, t_range, z_box, samples: int = 400, seed: int = 0) -> float:

@@ -84,6 +84,16 @@ class TestSolveMode:
         assert deltas[-1] <= 1e-10
         assert all(d2 < d1 for d1, d2 in zip(deltas, deltas[1:]))
 
+    def test_reports_windows_and_worst_ratio(self, relaxation_cfg, tmp_path, capsys):
+        rc = main([
+            "--config", str(relaxation_cfg), "--n-points", "1024",
+            "--output", str(tmp_path / "traj.csv"),
+        ])
+        assert rc == 0
+        line = capsys.readouterr().out
+        assert "converged after 12 iterations" in line
+        assert "16 windows, worst ratio 0.221" in line
+
     def test_default_output_name(self, relaxation_cfg, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         rc = main(["--config", str(relaxation_cfg), "--n-points", "64"])

@@ -18,10 +18,12 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import erfcx
 
 from fracpicard.fractional_ops import (
     FracIntegralOperator,
     Grid,
+    SampledFunction,
     apply_integral,
     build_integral_operator,
 )
@@ -34,16 +36,21 @@ from fracpicard.picard_solver import (
     rhs_samples,
     solve,
 )
-from fracpicard.problem_model import ProblemValidationError, parse_rhs, problem_from_dict
+from fracpicard.problem_model import (
+    ProblemValidationError,
+    eval_rhs,
+    parse_rhs,
+    problem_from_dict,
+)
 
 
-def _relaxation(horizon: float = 1.0):
+def _relaxation(horizon: float = 1.0, rate: float = 1.0):
     return problem_from_dict({
         "alpha": 0.5,
         "derivative_orders": [0.0],
         "initial_values": [1.0],
         "horizon": horizon,
-        "rhs": "-z1",
+        "rhs": "-z1" if rate == 1.0 else f"-{rate!r}*z1",
     })
 
 
@@ -331,3 +338,91 @@ class TestSolve:
             warnings.simplefilter("ignore", ContractionWarning)
             traj = solve(problem, grid)
         assert np.array_equal(traj.y.values, traj.inner[0].values)
+
+
+class TestWindows:
+    """Above 512 uniform intervals solve marches in windows of 64 nodes."""
+
+    @pytest.mark.parametrize("horizon,error", [(20.0, 2.65e-3), (50.0, 6.22e-3)])
+    def test_long_horizon_reaches_the_discretisation_error(self, horizon, error):
+        # a whole-interval iteration stalls here: its iterates pass through
+        # cancelling partial sums of the Mittag-Leffler series E_1/2
+        grid = Grid.uniform(horizon, 1024)
+        traj = solve(_relaxation(horizon), grid, tol=1e-10)
+        assert traj.report.converged
+        assert traj.report.windows >= 1024 // 64
+        assert traj.report.worst_ratio <= 0.5
+        sup = np.max(np.abs(traj.y.values - erfcx(np.sqrt(grid.nodes))))
+        assert sup <= 1.1 * error
+
+    def test_agrees_with_the_whole_interval_fixed_point(self):
+        # D^a y = D^a y* + lam (y* - y), y* = b + c t^p, as in the benchmark
+        a, p, b, c, lam = 0.7, 1.6, 1.1, 0.9, -1.5
+        kd = c * math.gamma(p + 1.0) / math.gamma(p + 1.0 - a)
+        problem = problem_from_dict({
+            "alpha": a, "derivative_orders": [0.0], "initial_values": [b],
+            "horizon": 1.0, "rhs": f"{kd!r}*t^{p - a!r} + {lam!r}*({b!r} + {c!r}*t^{p!r} - z1)",
+        })
+        grid = Grid.uniform(1.0, 1024)
+        traj = solve(problem, grid, tol=1e-12)
+        assert traj.report.windows == 16
+        op = build_integral_operator(a, grid)
+        phi = np.zeros(grid.nodes.size)
+        for _ in range(200):
+            z = apply_integral(op, SampledFunction(grid, phi)).values + b
+            phi, old = eval_rhs(problem.rhs, grid.nodes, [z]), phi
+            if np.max(np.abs(phi - old)) <= 1e-14:
+                break
+        y = apply_integral(op, SampledFunction(grid, phi)).values + b
+        assert np.max(np.abs(traj.y.values - y)) <= 1e-9
+        assert np.max(np.abs(traj.y.values - (b + c * grid.nodes**p))) < 1e-3
+
+    def test_stiff_windows_are_halved(self):
+        # lam = 10 does not contract on 64 nodes; the windows shrink until
+        # it does. The discrete equations are lower triangular, so forward
+        # substitution solves them exactly for comparison.
+        rate, grid = 10.0, Grid.uniform(1.0, 1024)
+        traj = solve(_relaxation(rate=rate), grid, tol=1e-12)
+        assert traj.report.converged
+        assert traj.report.windows > 1024 // 64
+        assert traj.report.worst_ratio <= 0.5
+        op = build_integral_operator(0.5, grid)
+        unit = np.eye(2, grid.nodes.size)
+        boundary, first = (apply_integral(op, SampledFunction(grid, e)).values for e in unit)
+        stencil = first[1:]  # stencil[k] weights phi_j at node j + k
+        phi = np.empty(grid.nodes.size)
+        phi[0] = -rate
+        for k in range(1, phi.size):
+            past = boundary[k] * phi[0] + stencil[k - 1 : 0 : -1] @ phi[1:k]
+            phi[k] = -rate * (past + 1.0) / (1.0 + rate * stencil[0])
+        y = apply_integral(op, SampledFunction(grid, phi)).values + 1.0
+        assert np.max(np.abs(traj.y.values - y)) <= 1e-10
+        assert np.max(np.abs(y - erfcx(rate * np.sqrt(grid.nodes)))) < 1.5e-2
+
+    def test_weighted_solve_is_one_window(self):
+        # gamma > 0 goes through the dense weighted tables, not the plan
+        p = problem_from_dict({
+            "alpha": 0.5, "derivative_orders": [0.0], "initial_values": [1.0],
+            "horizon": 1.0, "gamma": 0.3, "rhs": "t^(-0.3) + 0*z1",
+        })
+        grid = Grid.uniform(1.0, 1024)
+        traj = solve(p, grid)
+        assert traj.report.converged and traj.report.windows == 1
+        exact = 1.0 + math.gamma(0.7) / math.gamma(1.2) * grid.nodes**0.2
+        assert np.max(np.abs(traj.y.values - exact)) < 1e-12
+
+    def test_exhausted_window_ends_the_solve(self):
+        grid = Grid.uniform(1.0, 1024)
+        traj = solve(_relaxation(), grid, max_iter=3)
+        assert not traj.report.converged
+        assert traj.report.iterations == 3
+        assert len(traj.report.deltas) == 3
+        assert traj.report.deltas[-1] > traj.report.tolerance
+        assert traj.report.windows == 1
+
+    def test_one_window_report(self):
+        traj = solve(_relaxation(), Grid.uniform(1.0, 512), tol=1e-8)
+        d = traj.report.deltas
+        assert traj.report.windows == 1
+        assert traj.report.iterations == len(d)
+        assert traj.report.worst_ratio == max(b / a for a, b in zip(d, d[1:]))

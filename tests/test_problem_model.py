@@ -22,6 +22,7 @@ from fracpicard.problem_model import (
     RhsDomainError,
     RhsSyntaxError,
     Var,
+    compile_rhs,
     estimate_lipschitz,
     eval_rhs,
     expr_to_string,
@@ -259,6 +260,66 @@ class TestLipschitz:
         e = parse_rhs("log(z1)", 1)
         with pytest.raises(RhsDomainError):
             estimate_lipschitz(e, (0.0, 1.0), [(-1.0, 1.0)])
+
+
+class TestCompiledRhs:
+    """compile_rhs evaluates the z-free subtrees once per grid; the solver
+    then calls the rest on one window of nodes at a time."""
+
+    @given(_expr_strategy(), st.integers(min_value=1, max_value=70))
+    @settings(max_examples=300, deadline=None)
+    def test_windows_match_the_whole_grid_bitwise(self, e, width):
+        t = np.linspace(0.0, 3.0, 301)
+        z = [np.sin(7.0 * t) - 0.3, 2.0 - t**2]
+        with np.errstate(all="ignore"):
+            try:
+                whole = eval_rhs(e, t, z)
+                f = compile_rhs(e, t)
+                cuts = range(0, t.size, width)
+                parts = [f(slice(a, a + width), [zi[a : a + width] for zi in z]) for a in cuts]
+            except RhsDomainError:
+                return  # the strategy draws divisions by zero and such
+        got = np.concatenate(parts)
+        assert np.array_equal(got, whole, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(whole))
+
+    def test_z_free_domain_error_raises_at_compile_time(self):
+        e = parse_rhs("z1 + log(t - 0.25)", 1)
+        t = np.linspace(0.0, 1.0, 9)
+        with pytest.raises(RhsDomainError) as exc:
+            compile_rhs(e, t)
+        assert exc.value.pos == 5
+        assert exc.value.t_value == 0.0
+
+    def test_z_dependent_domain_error_raises_at_call_time(self):
+        e = parse_rhs("t + sqrt(z1)", 1)
+        t = np.linspace(0.0, 1.0, 9)
+        f = compile_rhs(e, t)
+        z1 = np.ones(9)
+        z1[6:] = -1.0
+        assert np.array_equal(f(slice(0, 4), [z1[:4]]), t[:4] + 1.0)
+        with pytest.raises(RhsDomainError) as exc:
+            f(slice(4, 9), [z1[4:]])
+        assert exc.value.pos == 4
+        assert exc.value.t_value == t[6]
+
+    def test_singular_solve_never_evaluates_t0(self):
+        # log(t) and t^(-0.2) fail at t = 0; with gamma > 0 the solver
+        # compiles and calls f on the nodes past t_0 only
+        from fracpicard.fractional_ops import Grid
+        from fracpicard.picard_solver import rhs_samples, solve
+
+        p = problem_from_dict({
+            "alpha": 0.5, "derivative_orders": [0.0], "initial_values": [1.0],
+            "horizon": 1.0, "gamma": 0.2, "rhs": "t^(-0.2) + 0.1*log(t)*z1",
+        })
+        grid = Grid(1.0, 64)
+        traj = solve(p, grid)
+        assert traj.report.converged
+        assert np.isnan(traj.phi.values[0]) and np.all(np.isfinite(traj.phi.values[1:]))
+        assert np.isnan(rhs_samples(p, grid, traj.inner).values[0])
+        with pytest.raises(RhsDomainError):
+            compile_rhs(p.rhs, grid.nodes)
 
 
 def _valid_dict(**overrides):
