@@ -333,8 +333,6 @@ class FracIntegralOperator:
         self.grid = grid
         self._weighted_tables = grid._tables.setdefault(round(self.order, 15), {})
         self._stencil = self._boundary = self._table = self._plan = None
-        # nodes per window of a marching solve: the plan's diagonal block
-        self.window = None
         if not grid.is_uniform:
             self._table = self._dense_table(0.0)
             return
@@ -354,32 +352,42 @@ class FracIntegralOperator:
             levels = [_BLOCK << j for j in range(n.bit_length()) if _BLOCK << j < n]
             self._plan = (np.triu(self._stencil[abs(i[:, None] - i)]),
                           [rfft(self._stencil[: 2 * h], 2 * h) for h in levels])
-            self.window = _BLOCK
 
     # A marching solve finds f on t_1..t_N window by window, each inside one
-    # _BLOCK of the plan. hist, from history(f(t_0)), collects the apply at
-    # t_1..t_N from final samples; u = f(t_1..t_N) as far as known.
+    # _BLOCK of the plan. values holds f at t_0..t_N as far as it is known,
+    # and hist, from history(f(t_0)), collects the apply at t_0..t_N from
+    # final samples.
 
-    def history(self, f0: float) -> np.ndarray:
-        """The share of f(t_0) = f0 in the apply at t_1..t_N."""
-        return self._boundary[1:] * f0
+    def history(self, f0: float):
+        """The share of f(t_0) = f0 in the apply at t_0..t_N. None when the
+        operator has no plan: it applies whole, and a solve runs one window."""
+        return None if self._plan is None else self._boundary * f0
 
-    def near_field(self, u: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """The share of u[a:hi] in _history_sum(plan, u)[lo:hi], for lo < hi
-        in the block that starts at a."""
-        a = lo - lo % _BLOCK
-        return u[a:hi] @ self._plan[0][: hi - a, lo - a : hi - a]
+    def window_end(self, lo: int) -> int:
+        """The first node past the block that holds t_lo, lo >= 1: a window
+        starting at t_lo ends there at the latest."""
+        return min(lo + _BLOCK - (lo - 1) % _BLOCK, self.grid.n_intervals + 1)
 
-    def push_history(self, hist: np.ndarray, u: np.ndarray, p: int) -> None:
-        """Add to hist every level's share of _history_sum that u[:p] has
-        completed, p a multiple of _BLOCK: where p is the middle of a
-        2h-block, that of its first half in its second. Once pushed at every
-        block end up to a, hist[a:] holds all of u[:a]."""
+    def near_field(self, values: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """The share of the samples of one block up to t_(hi-1) in the
+        apply at t_lo..t_(hi-1), for lo < hi in that block."""
+        a = lo - (lo - 1) % _BLOCK
+        return values[a:hi] @ self._plan[0][: hi - a, lo - a : hi - a]
+
+    def push_history(self, hist: np.ndarray, values: np.ndarray, p: int) -> None:
+        """Add to hist what values[:p] completes once t_p starts a block:
+        every level's share of a 2h-block whose middle is t_p, from its
+        first half in its second. Elsewhere this does nothing. Once pushed
+        for every p up to the start a of a block, hist[a:] holds all of
+        values[:a]."""
+        q = p - 1
+        if q % _BLOCK:
+            return
         for spectrum in self._plan[1]:
             h = spectrum.size - 1
-            if p % (2 * h) == h:
+            if q % (2 * h) == h:
                 seg = hist[p : p + h]
-                seg += irfft(rfft(u[p - h : p], 2 * h) * spectrum, 2 * h)[h : h + seg.size]
+                seg += irfft(rfft(values[p - h : p], 2 * h) * spectrum, 2 * h)[h : h + seg.size]
 
     def _apply_regular(self, u: np.ndarray) -> np.ndarray:
         n = self.grid.n_intervals

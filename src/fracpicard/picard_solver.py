@@ -76,7 +76,8 @@ class ConvergenceReport:
     """How the iteration went. A solve runs one or more windows; iterations
     and deltas (the weighted sup-norm updates) are those of the window that
     took the most updates, and worst_ratio is the largest ratio of
-    successive updates over all windows (0.0 when none took two)."""
+    successive updates over all windows, halved attempts included (0.0
+    when none took two)."""
 
     deltas: tuple
     converged: bool
@@ -148,28 +149,23 @@ def _inner_derivatives(phi: SampledFunction, inner, taylor) -> tuple:
     return tuple(apply_integral(op, phi) + tp for op, tp in zip(inner, taylor))
 
 
-def picard_step(phi: SampledFunction, problem: MultiTermProblem, inner, taylor, window=None):
-    """One update phi -> f(t, inner[h] phi + taylor[h]), with inner[h] =
-    I^(alpha - alpha_h) and taylor[h] = derivative_taylor_part(b, alpha_h).
-    Returns the next phi.
+def picard_step(phi: SampledFunction, inner, taylor, rhs, lo: int, hi: int, hist=None):
+    """One update of phi at nodes lo..hi-1: f(t, z) with z_h = inner[h] phi
+    + taylor[h], inner[h] = I^(alpha - alpha_h) and taylor[h] =
+    derivative_taylor_part(b, alpha_h). rhs is f compiled (compile_rhs) on
+    the nodes it is sampled at: past t_0 when phi is weighted (gamma > 0).
 
-    solve passes window = (rhs, lo, hi, hist) instead and gets the new
-    values at nodes lo..hi-1 only; rhs is f compiled on the nodes it is
-    sampled at (past t_0 when gamma > 0). Without hist the window is the
-    whole grid. Otherwise phi is final before lo, and hist[h] holds what the
-    nodes before the window's block add to inner[h] phi at t_1..t_N (see
+    Without hist each step applies inner whole. With hist, phi is final
+    before lo, lo..hi-1 lie in one block of the operators' plan, and
+    hist[h] holds what the blocks before it add to inner[h] phi (see
     FracIntegralOperator.push_history); the block adds its near field.
     """
-    if window is None:
-        return rhs_samples(problem, phi.grid, _inner_derivatives(phi, inner, taylor))
-    rhs, lo, hi, hist = window
     if hist is None:
         z = [zh.values[lo:hi] for zh in _inner_derivatives(phi, inner, taylor)]
     else:
-        u = phi.values[1:]
-        z = [past[lo - 1 : hi - 1] + op.near_field(u, lo - 1, hi - 1) + tp.values[lo:hi]
+        z = [past[lo:hi] + op.near_field(phi.values, lo, hi) + tp.values[lo:hi]
              for op, tp, past in zip(inner, taylor, hist)]
-    skip = 1 if problem.gamma > 0.0 else 0
+    skip = 1 if phi.singular_exponent > 0.0 else 0
     return _finite(rhs(slice(lo - skip, hi - skip), z), phi.grid.nodes[lo:hi])
 
 
@@ -203,43 +199,47 @@ def _observed_lipschitz(problem: MultiTermProblem, grid: Grid, z_funcs) -> float
 
 
 def _march(problem: MultiTermProblem, grid: Grid, inner, taylor, tol: float, max_iter: int):
-    """phi, and the deltas of every window solved, in order.
+    """phi, the deltas of every window solved, in order, and the largest
+    ratio of successive updates in any window, halved ones included.
 
     phi^0 = f(t, taylor parts). When the operators plan their history sum
-    and gamma = 0, the windows lie in the plan's blocks of t_1..t_N. Each
-    iterates until its update is at most tol. One whose update shrinks by
-    less than half in a step starts again at half its length, down to one
-    node, and so do the windows after it. A finished block pushes every
-    operator's history, and the next window starts from the line through
-    the last two values. Otherwise the one window is the whole grid. A
-    window that runs out of iterations ends the march."""
+    and gamma = 0, the windows lie in the plan's blocks of t_1..t_N
+    (FracIntegralOperator.window_end). Each iterates until its update is at
+    most tol. One whose update shrinks by less than half in a step starts
+    again at half its length, down to one node, and so do the windows after
+    it. After each window the operators push the history it completes, and
+    the next window starts from the line through the last two values.
+    Otherwise the one window is the whole grid. A window that runs out of
+    iterations ends the march."""
     skip = 1 if problem.gamma > 0.0 else 0
     t = grid.nodes
+    n = grid.n_intervals
     rhs = compile_rhs(problem.rhs, t[skip:])
-    values = np.full(t.size, np.nan)
+    values = np.full(n + 1, np.nan)
     values[skip:] = _finite(rhs(slice(None), [tp.values[skip:] for tp in taylor]), t[skip:])
     phi = SampledFunction(grid, values, problem.gamma)
-    # a weighted iterate (gamma > 0) is integrated by the dense weighted tables
-    block = inner[0].window if inner and not skip else None
-    hist = tuple(op.history(values[0]) for op in inner) if block else None
-    n = grid.n_intervals
-    lo, size = (1, block) if block else (skip, n + 1)
-    done = []
+    # a weighted iterate (gamma > 0) is integrated by the dense weighted
+    # tables; an operator without a plan keeps no history and applies whole
+    hist = tuple(op.history(values[0]) for op in inner) if not skip else ()
+    if not hist or hist[0] is None:
+        hist = None
+    lo, size = (1, n) if hist else (skip, n + 1)
+    done, worst = [], 0.0
     while lo <= n:
-        hi = min(lo + size, n + 1)
-        if block:
-            hi = min(hi, lo + block - (lo - 1) % block)
-        deltas, window = [], (rhs, lo, hi, hist)
+        hi = min(lo + size, inner[0].window_end(lo) if hist else n + 1)
+        deltas = []
         for _ in range(max_iter):
-            new = picard_step(phi, problem, inner, taylor, window)
+            new = picard_step(phi, inner, taylor, rhs, lo, hi, hist)
             change = new - values[lo:hi]
             if problem.gamma:
                 change *= t[lo:hi] ** problem.gamma
             deltas.append(float(abs(change).max()))
             values[lo:hi] = new
+            if len(deltas) > 1:
+                worst = max(worst, deltas[-1] / deltas[-2])
             if deltas[-1] <= tol:
                 break
-            if block and hi - lo > 1 and len(deltas) > 1 and deltas[-1] > 0.5 * deltas[-2]:
+            if hist and hi - lo > 1 and len(deltas) > 1 and deltas[-1] > 0.5 * deltas[-2]:
                 size = (hi - lo) // 2
                 break
         if hi - lo > size:
@@ -248,14 +248,13 @@ def _march(problem: MultiTermProblem, grid: Grid, inner, taylor, tol: float, max
         if deltas[-1] > tol:
             break  # out of iterations
         lo = hi
-        if block and lo <= n:
-            if (lo - 1) % block == 0:
-                for op, past in zip(inner, hist):
-                    op.push_history(past, values[1:], lo - 1)
+        if hist and lo <= n:
+            for op, past in zip(inner, hist):
+                op.push_history(past, values, lo)
             ahead = np.arange(1, min(size, n + 1 - lo) + 1)
             slope = values[lo - 1] - values[lo - 2]
             values[lo : lo + ahead.size] = values[lo - 1] + slope * ahead
-    return phi, done
+    return phi, done, worst
 
 
 def solve(
@@ -284,7 +283,7 @@ def solve(
     orders = problem.derivative_orders
     inner = tuple(build_integral_operator(problem.alpha - a, grid) for a in orders)
     taylor = tuple(derivative_taylor_part(problem.initial_values, a, grid) for a in orders)
-    phi, windows = _march(problem, grid, inner, taylor, tol, max_iter)
+    phi, windows, worst_ratio = _march(problem, grid, inner, taylor, tol, max_iter)
 
     z_final = _inner_derivatives(phi, inner, taylor)
     if orders and orders[-1] == 0.0:
@@ -316,7 +315,6 @@ def solve(
         lipschitz_estimate=lipschitz,
         contraction_estimate=omega,
         windows=len(windows),
-        worst_ratio=max((d[k + 1] / d[k] for d in windows for k in range(len(d) - 1)),
-                        default=0.0),
+        worst_ratio=worst_ratio,
     )
     return SolutionTrajectory(grid=grid, y=y, inner=z_final, phi=phi, report=report)

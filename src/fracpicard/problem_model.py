@@ -124,8 +124,12 @@ def _tokenize(text: str):
                 break
             pos = len(text) - len(stripped)
             raise RhsSyntaxError(f"unexpected character {stripped[0]!r}", pos)
-        kind = m.lastgroup
-        tokens.append((kind, m.group(kind), m.start(kind)))
+        if m.lastgroup == "num":
+            tokens.append(("num", m.group("num"), m.start("num")))
+        elif m.lastgroup == "ident":
+            tokens.append(("ident", m.group("ident"), m.start("ident")))
+        else:
+            tokens.append(("op", m.group("op"), m.start("op")))
         i = m.end()
     tokens.append(("end", "", len(text)))
     return tokens
@@ -163,19 +167,24 @@ class _Parser:
         return expr
 
     def expr(self) -> RhsExpr:
-        return self.left_assoc("+-", self.term)
-
-    def term(self) -> RhsExpr:
-        return self.left_assoc("*/", self.unary)
-
-    def left_assoc(self, symbols: str, operand) -> RhsExpr:
-        node = operand()
+        node = self.term()
         while True:
             kind, text, pos = self.peek()
-            if kind != "op" or text not in symbols:
+            if kind == "op" and text in "+-":
+                self.advance()
+                node = BinOp(text, node, self.term(), pos)
+            else:
                 return node
-            self.advance()
-            node = BinOp(text, node, operand(), pos)
+
+    def term(self) -> RhsExpr:
+        node = self.unary()
+        while True:
+            kind, text, pos = self.peek()
+            if kind == "op" and text in "*/":
+                self.advance()
+                node = BinOp(text, node, self.unary(), pos)
+            else:
+                return node
 
     def unary(self) -> RhsExpr:
         kind, text, pos = self.peek()
@@ -343,10 +352,11 @@ def _compile(e: RhsExpr, t: np.ndarray):
         if e.name == "t":
             return t + 0.0
         k = -1 if e.name == "y" else int(e.name[1:]) - 1
+        unbound = "y is unbound (no inner derivatives)" if k < 0 else f"{e.name} is unbound"
 
         def var(sl, z):
             if not -len(z) <= k < len(z):
-                raise RhsDomainError(f"{e.name} is unbound", e.pos, float(t[sl].flat[0]))
+                raise RhsDomainError(unbound, e.pos, float(t[sl].flat[0]))
             return np.asarray(z[k], dtype=float) + 0.0
 
         return var
@@ -357,10 +367,12 @@ def _compile(e: RhsExpr, t: np.ndarray):
     parts = [_compile(kid, t) for kid in kids]
     if not any(callable(p) for p in parts):
         return op(*parts, pos, t)
-    f, *g = [p if callable(p) else (lambda sl, z, v=p: v[sl]) for p in parts]
-    if g:
-        return lambda sl, z, g=g[0]: op(f(sl, z), g(sl, z), pos, t[sl])
-    return lambda sl, z: op(f(sl, z), pos, t[sl])
+    fns = [p if callable(p) else (lambda sl, z, v=p: v[sl]) for p in parts]
+    if len(fns) == 1:
+        (f,) = fns
+        return lambda sl, z: op(f(sl, z), pos, t[sl])
+    f, g = fns
+    return lambda sl, z: op(f(sl, z), g(sl, z), pos, t[sl])
 
 
 def compile_rhs(e: RhsExpr, t):
@@ -402,8 +414,11 @@ def uses_y_alias(e: RhsExpr) -> bool:
 
 
 def max_z_index(e: RhsExpr) -> int:
-    return max((int(node.name[1:]) for node in _walk(e)
-                if isinstance(node, Var) and node.name.startswith("z")), default=0)
+    best = 0
+    for node in _walk(e):
+        if isinstance(node, Var) and node.name.startswith("z"):
+            best = max(best, int(node.name[1:]))
+    return best
 
 
 def estimate_lipschitz(e: RhsExpr, t_range, z_box, samples: int = 400, seed: int = 0) -> float:

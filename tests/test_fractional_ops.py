@@ -433,6 +433,29 @@ class TestFastHistorySum:
             out = apply_integral(op, SampledFunction(grid, u)).values
             assert np.array_equal(out, direct_apply(op, u))
 
+    @pytest.mark.parametrize("n", (1000, 1024))
+    def test_pushed_history_and_near_field_make_the_apply(self, n):
+        # how a marching solve sees the apply: windows of several widths
+        # inside the plan's blocks, each its near field plus the history
+        # pushed so far; at N = 1000 the last block and pushes are cut short
+        grid = Grid.uniform(1.0, n)
+        values = np.random.default_rng(n).normal(size=n + 1)
+        for beta in (0.5, 1.7):
+            op = build_integral_operator(beta, grid)
+            ref = apply_integral(op, SampledFunction(grid, values)).values
+            hist = op.history(values[0])
+            got = np.zeros(n + 1)
+            lo, widths = 1, (1, 7, 64, 30)
+            for k in range(n):
+                hi = min(lo + widths[k % 4], op.window_end(lo))
+                got[lo:hi] = hist[lo:hi] + op.near_field(values, lo, hi)
+                lo = hi
+                if lo > n:
+                    break
+                op.push_history(hist, values, lo)
+            assert lo == n + 1
+            assert np.allclose(got, ref, rtol=1e-13, atol=1e-13 * np.max(np.abs(ref)))
+
     def test_fft_module_loaded_on_import(self):
         # numpy loads numpy.fft lazily; the first apply must not pay for it
         src = os.path.dirname(os.path.dirname(fracpicard.__file__))

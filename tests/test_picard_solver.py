@@ -38,6 +38,7 @@ from fracpicard.picard_solver import (
 )
 from fracpicard.problem_model import (
     ProblemValidationError,
+    compile_rhs,
     eval_rhs,
     parse_rhs,
     problem_from_dict,
@@ -139,13 +140,14 @@ class TestIterates:
         inner = (build_integral_operator(0.5, grid),)
         taylor = (derivative_taylor_part(problem.initial_values, 0.0, grid),)
         t = grid.nodes
+        rhs = compile_rhs(problem.rhs, t)
         phi = rhs_samples(problem, grid, taylor)
         for k in range(6):
             expected = -sum(
                 (-np.sqrt(t)) ** j / math.gamma(j / 2.0 + 1.0) for j in range(k + 1)
             )
             assert np.max(np.abs(phi.values - expected)) < 1e-3
-            phi = picard_step(phi, problem, inner, taylor)
+            phi = SampledFunction(grid, picard_step(phi, inner, taylor, rhs, 0, t.size))
 
     def test_delta_sequence_closed_form(self):
         # || phi_(k+1) - phi_k || = 1 / gamma((k+2)/2 + ... ) at T = 1:
@@ -166,9 +168,12 @@ class TestIterates:
         inner = (build_integral_operator(0.5, grid),)
         taylor = (derivative_taylor_part(problem.initial_values, 0.0, grid),)
         phi0 = rhs_samples(problem, grid, taylor)
-        phi1 = picard_step(phi0, problem, inner, taylor)
+        rhs = compile_rhs(problem.rhs, grid.nodes)
+        phi1 = picard_step(phi0, inner, taylor, rhs, 0, grid.nodes.size)
         expected_z = apply_integral(inner[0], phi0).values + 1.0
-        assert np.allclose(phi1.values, -expected_z, rtol=1e-14)
+        assert np.allclose(phi1, -expected_z, rtol=1e-14)
+        # a window of the whole-grid step gets its values bit for bit
+        assert np.array_equal(picard_step(phi0, inner, taylor, rhs, 5, 9), phi1[5:9])
 
 
 class TestContractionEstimate:
@@ -350,22 +355,24 @@ class TestWindows:
         grid = Grid.uniform(horizon, 1024)
         traj = solve(_relaxation(horizon), grid, tol=1e-10)
         assert traj.report.converged
-        assert traj.report.windows >= 1024 // 64
-        assert traj.report.worst_ratio <= 0.5
+        assert traj.report.windows > 1024 // 64
+        assert traj.report.worst_ratio > 0.5  # some window was halved
         sup = np.max(np.abs(traj.y.values - erfcx(np.sqrt(grid.nodes))))
         assert sup <= 1.1 * error
 
-    def test_agrees_with_the_whole_interval_fixed_point(self):
-        # D^a y = D^a y* + lam (y* - y), y* = b + c t^p, as in the benchmark
+    @pytest.mark.parametrize("n", (1024, 1000))
+    def test_agrees_with_the_whole_interval_fixed_point(self, n):
+        # D^a y = D^a y* + lam (y* - y), y* = b + c t^p, as in the benchmark;
+        # at N = 1000 the last block and the last pushes are cut short
         a, p, b, c, lam = 0.7, 1.6, 1.1, 0.9, -1.5
         kd = c * math.gamma(p + 1.0) / math.gamma(p + 1.0 - a)
         problem = problem_from_dict({
             "alpha": a, "derivative_orders": [0.0], "initial_values": [b],
             "horizon": 1.0, "rhs": f"{kd!r}*t^{p - a!r} + {lam!r}*({b!r} + {c!r}*t^{p!r} - z1)",
         })
-        grid = Grid.uniform(1.0, 1024)
+        grid = Grid.uniform(1.0, n)
         traj = solve(problem, grid, tol=1e-12)
-        assert traj.report.windows == 16
+        assert traj.report.windows == -(-n // 64)
         op = build_integral_operator(a, grid)
         phi = np.zeros(grid.nodes.size)
         for _ in range(200):
@@ -385,7 +392,7 @@ class TestWindows:
         traj = solve(_relaxation(rate=rate), grid, tol=1e-12)
         assert traj.report.converged
         assert traj.report.windows > 1024 // 64
-        assert traj.report.worst_ratio <= 0.5
+        assert traj.report.worst_ratio > 0.5
         op = build_integral_operator(0.5, grid)
         unit = np.eye(2, grid.nodes.size)
         boundary, first = (apply_integral(op, SampledFunction(grid, e)).values for e in unit)
