@@ -33,8 +33,14 @@ whole array (median). The last column says whether the array call gives
 every node bit for bit what the per-node calls give.
 A fifth table solves D^0.5 y = -y, y(0) = 1, at tol 1e-10 for T = 1, 5, 20
 and 50 and N = 1024 .. 16384: the median wall time of solve, the number of
-windows it marched, the most iterations one window took, and the sup error
-against the closed form y = exp(t) erfc(sqrt(t)).
+windows it marched, the most iterations one window took, the updates of
+all windows (steps), and the sup error against the closed form
+y = exp(t) erfc(sqrt(t)).
+A sixth table times one history push of a marching solve at N = 8192 for
+the levels h = 64 .. 1024, both ways: the FFT product of the level's
+spectrum and the direct sum np.convolve(s[1:2h], u)[h-1:2h-1], with their
+largest difference relative to the largest output. push_history sums the
+levels up to fractional_ops._DIRECT_PUSH directly.
 """
 
 import contextlib
@@ -48,6 +54,7 @@ from pathlib import Path
 from time import perf_counter
 
 import numpy as np
+from numpy.fft import irfft, rfft
 
 from fracpicard import (
     Grid,
@@ -216,8 +223,8 @@ def main() -> int:
                   f"| {t_array * 1e3:.3g} ms | {t_series / t_array:.0f}x | {'yes' if same else 'no'} |")
 
     print()
-    print("| T | N | solve | windows | most iterations | sup error |")
-    print("|---|---|---|---|---|---|")
+    print("| T | N | solve | windows | most iterations | steps | sup error |")
+    print("|---|---|---|---|---|---|---|")
     for horizon in (1.0, 5.0, 20.0, 50.0):
         problem = problem_from_dict({"alpha": 0.5, "derivative_orders": [0.0],
                                      "initial_values": [1.0], "horizon": horizon,
@@ -232,7 +239,21 @@ def main() -> int:
             report = traj.report
             status = "" if report.converged else " (not converged)"
             print(f"| {horizon:g} | {n} | {wall * 1e3:.3g} ms | {report.windows} "
-                  f"| {report.iterations}{status} | {np.max(np.abs(traj.y.values - exact)):.3e} |")
+                  f"| {report.iterations}{status} | {report.steps} "
+                  f"| {np.max(np.abs(traj.y.values - exact)):.3e} |")
+
+    print()
+    print("| h | FFT push | direct push | deviation |")
+    print("|---|---|---|---|")
+    op = build_integral_operator(ORDER, Grid.uniform(1.0, 8192))
+    for spectrum in op._plan[1][:5]:
+        h = spectrum.size - 1
+        u, s = rng.normal(size=h), op._stencil[1 : 2 * h]
+        fft = irfft(rfft(u, 2 * h) * spectrum, 2 * h)[h:]
+        dev = np.max(np.abs(np.convolve(s, u)[h - 1 : 2 * h - 1] - fft)) / np.max(np.abs(fft))
+        t_fft = median_time(lambda: irfft(rfft(u, 2 * h) * spectrum, 2 * h)[h:])
+        t_direct = median_time(lambda: np.convolve(s, u)[h - 1 : 2 * h - 1])
+        print(f"| {h} | {t_fft * 1e6:.3g} us | {t_direct * 1e6:.3g} us | {dev:.1e} |")
     return 0
 
 

@@ -23,9 +23,9 @@ their Toeplitz product once (see _history_sum), so an apply costs
 O(N log^2 N) (1.1 ms at N = 8192, 10 ms at N = 65536) while every output
 keeps the relative accuracy of the direct sum. The same plan lets a solve
 march: it pushes each level's share of the history once, as blocks become
-final (push_history), so a solve costs one pass of history plus its
-per-window iterations on 64-point blocks, instead of one apply per
-iteration. Graded
+final (push_history, by direct sums up to _DIRECT_PUSH points), so a
+solve costs one pass of history plus its per-window iterations on
+64-point blocks, instead of one apply per iteration. Graded
 grids fall back to a dense lower-triangular table, and weighted tables are
 always dense. A Grid is the value (horizon, N, grading); each dense table
 is built once per grid object, order and exponent (0 for the plain table)
@@ -63,6 +63,8 @@ _INTEGER_SNAP = 1e-9
 _NEAR_FIELD = 512
 # side of the diagonal blocks that a larger uniform apply sums directly
 _BLOCK = 64
+# longest level push_history sums directly (scripts/apply_scaling.py times it)
+_DIRECT_PUSH = 128
 # rows per block of a dense table build
 _ROW_BLOCK = 64
 
@@ -368,26 +370,29 @@ class FracIntegralOperator:
         starting at t_lo ends there at the latest."""
         return min(lo + _BLOCK - (lo - 1) % _BLOCK, self.grid.n_intervals + 1)
 
-    def near_field(self, values: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """The share of the samples of one block up to t_(hi-1) in the
-        apply at t_lo..t_(hi-1), for lo < hi in that block."""
+    def near_field(self, lo: int, hi: int) -> np.ndarray:
+        """Maps values[hi - rows:hi], the samples of one block up to t_(hi-1),
+        to their share in the apply at t_lo..t_(hi-1), for lo < hi in it."""
         a = lo - (lo - 1) % _BLOCK
-        return values[a:hi] @ self._plan[0][: hi - a, lo - a : hi - a]
+        return self._plan[0][: hi - a, lo - a : hi - a]
 
     def push_history(self, hist: np.ndarray, values: np.ndarray, p: int) -> None:
         """Add to hist what values[:p] completes once t_p starts a block:
         every level's share of a 2h-block whose middle is t_p, from its
-        first half in its second. Elsewhere this does nothing. Once pushed
-        for every p up to the start a of a block, hist[a:] holds all of
-        values[:a]."""
+        first half in its second: level h = q & -q, q = p - 1, summed
+        directly up to _DIRECT_PUSH, where an FFT costs more in calls than
+        it saves. Elsewhere this does nothing. Once pushed for every p up to
+        the start a of a block, hist[a:] holds all of values[:a]."""
         q = p - 1
-        if q % _BLOCK:
+        if not q or q % _BLOCK:
             return
-        for spectrum in self._plan[1]:
-            h = spectrum.size - 1
-            if q % (2 * h) == h:
-                seg = hist[p : p + h]
-                seg += irfft(rfft(values[p - h : p], 2 * h) * spectrum, 2 * h)[h : h + seg.size]
+        h = q & -q
+        seg = hist[p : p + h]
+        if h <= _DIRECT_PUSH:
+            seg += np.convolve(self._stencil[1 : 2 * h], values[p - h : p])[h - 1 : h - 1 + seg.size]
+        else:
+            spectrum = self._plan[1][(h // _BLOCK).bit_length() - 1]
+            seg += irfft(rfft(values[p - h : p], 2 * h) * spectrum, 2 * h)[h : h + seg.size]
 
     def _apply_regular(self, u: np.ndarray) -> np.ndarray:
         n = self.grid.n_intervals

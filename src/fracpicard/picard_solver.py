@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -75,9 +76,9 @@ class NonFiniteIterateError(RuntimeError):
 class ConvergenceReport:
     """How the iteration went. A solve runs one or more windows; iterations
     and deltas (the weighted sup-norm updates) are those of the window that
-    took the most updates, and worst_ratio is the largest ratio of
-    successive updates over all windows, halved attempts included (0.0
-    when none took two)."""
+    took the most updates, steps counts the updates of all windows, and
+    worst_ratio is the largest ratio of successive updates over all
+    windows, halved attempts included in both (0.0 when none took two)."""
 
     deltas: tuple
     converged: bool
@@ -87,6 +88,7 @@ class ConvergenceReport:
     contraction_estimate: float
     windows: int
     worst_ratio: float
+    steps: int
 
 
 @dataclass(frozen=True)
@@ -149,24 +151,25 @@ def _inner_derivatives(phi: SampledFunction, inner, taylor) -> tuple:
     return tuple(apply_integral(op, phi) + tp for op, tp in zip(inner, taylor))
 
 
-def picard_step(phi: SampledFunction, inner, taylor, rhs, lo: int, hi: int, hist=None):
-    """One update of phi at nodes lo..hi-1: f(t, z) with z_h = inner[h] phi
-    + taylor[h], inner[h] = I^(alpha - alpha_h) and taylor[h] =
-    derivative_taylor_part(b, alpha_h). rhs is f compiled (compile_rhs) on
-    the nodes it is sampled at: past t_0 when phi is weighted (gamma > 0).
+def picard_step(phi: SampledFunction, inner, taylor, rhs, lo: int, hi: int, window=None):
+    """One update of phi at nodes lo..hi-1, not checked for finiteness:
+    f(t, z) with z_h = inner[h] phi + taylor[h], inner[h] = I^(alpha -
+    alpha_h) and taylor[h] = derivative_taylor_part(b, alpha_h). rhs is f
+    compiled (compile_rhs) on the nodes it is sampled at: past t_0 when phi
+    is weighted (gamma > 0).
 
-    Without hist each step applies inner whole. With hist, phi is final
-    before lo, lo..hi-1 lie in one block of the operators' plan, and
-    hist[h] holds what the blocks before it add to inner[h] phi (see
-    FracIntegralOperator.push_history); the block adds its near field.
+    Without window each step applies inner whole. With window = (past,
+    near), phi is final before lo, lo..hi-1 lie in one block of the
+    operators' plan, past[h] is taylor[h] plus what the blocks before it
+    add to inner[h] phi there (FracIntegralOperator.push_history), and
+    near[h] = inner[h].near_field(lo, hi) adds the block's own share.
     """
-    if hist is None:
+    if window is None:
         z = [zh.values[lo:hi] for zh in _inner_derivatives(phi, inner, taylor)]
     else:
-        z = [past[lo:hi] + op.near_field(phi.values, lo, hi) + tp.values[lo:hi]
-             for op, tp, past in zip(inner, taylor, hist)]
+        z = [past + phi.values[hi - near.shape[0] : hi] @ near for past, near in zip(*window)]
     skip = 1 if phi.singular_exponent > 0.0 else 0
-    return _finite(rhs(slice(lo - skip, hi - skip), z), phi.grid.nodes[lo:hi])
+    return rhs(slice(lo - skip, hi - skip), z)
 
 
 def estimate_contraction(lipschitz: float, problem: MultiTermProblem, horizon=None) -> float:
@@ -198,19 +201,31 @@ def _observed_lipschitz(problem: MultiTermProblem, grid: Grid, z_funcs) -> float
     return estimate_lipschitz(problem.rhs, (t_lo, grid.horizon), box, seed=0)
 
 
+@lru_cache(maxsize=None)
+def _cubic_start(width: int) -> np.ndarray:
+    """E with E @ (f(-3w), f(-2w), f(-w), f(0)) the cubic through those
+    values at 1..w nodes past 0, w = width."""
+    past = np.vander(np.arange(-3.0, 1.0), 4)
+    start = np.vander(np.arange(1, width + 1) / width, 4) @ np.linalg.inv(past)
+    start.flags.writeable = False  # shared by every caller
+    return start
+
+
 def _march(problem: MultiTermProblem, grid: Grid, inner, taylor, tol: float, max_iter: int):
     """phi, the deltas of every window solved, in order, and the largest
-    ratio of successive updates in any window, halved ones included.
+    ratio of successive updates and the number of updates over all windows,
+    halved ones included.
 
     phi^0 = f(t, taylor parts). When the operators plan their history sum
     and gamma = 0, the windows lie in the plan's blocks of t_1..t_N
-    (FracIntegralOperator.window_end). Each iterates until its update is at
-    most tol. One whose update shrinks by less than half in a step starts
-    again at half its length, down to one node, and so do the windows after
-    it. After each window the operators push the history it completes, and
-    the next window starts from the line through the last two values.
-    Otherwise the one window is the whole grid. A window that runs out of
-    iterations ends the march."""
+    (FracIntegralOperator.window_end). A window w nodes long past the first
+    starts from the cubic through the last final value and those w, 2w and
+    3w nodes before it (the line through the last two while t_0 is nearer)
+    and iterates until its update is at most tol. One whose update shrinks
+    by less than half in a step starts again at half its length, down to
+    one node, and so do the windows after it. After each window the
+    operators push the history it completes. Otherwise the one window is
+    the whole grid. A window that runs out of iterations ends the march."""
     skip = 1 if problem.gamma > 0.0 else 0
     t = grid.nodes
     n = grid.n_intervals
@@ -224,16 +239,28 @@ def _march(problem: MultiTermProblem, grid: Grid, inner, taylor, tol: float, max
     if not hist or hist[0] is None:
         hist = None
     lo, size = (1, n) if hist else (skip, n + 1)
-    done, worst = [], 0.0
+    done, worst, steps = [], 0.0, 0
     while lo <= n:
         hi = min(lo + size, inner[0].window_end(lo) if hist else n + 1)
+        window = None
+        if hist:
+            w = hi - lo
+            if lo > 3 * w:
+                values[lo:hi] = _cubic_start(w) @ values[lo - 1 - 3 * w : lo : w]
+            elif lo > 1:
+                slope = values[lo - 1] - values[lo - 2]
+                values[lo:hi] = values[lo - 1] + slope * np.arange(1, w + 1)
+            window = ([past[lo:hi] + tp.values[lo:hi] for past, tp in zip(hist, taylor)],
+                      [op.near_field(lo, hi) for op in inner])
         deltas = []
         for _ in range(max_iter):
-            new = picard_step(phi, inner, taylor, rhs, lo, hi, hist)
+            new = picard_step(phi, inner, taylor, rhs, lo, hi, window)
             change = new - values[lo:hi]
             if problem.gamma:
                 change *= t[lo:hi] ** problem.gamma
             deltas.append(float(abs(change).max()))
+            if not math.isfinite(deltas[-1]):  # max propagates nan and inf
+                _finite(new, t[lo:hi])
             values[lo:hi] = new
             if len(deltas) > 1:
                 worst = max(worst, deltas[-1] / deltas[-2])
@@ -242,6 +269,7 @@ def _march(problem: MultiTermProblem, grid: Grid, inner, taylor, tol: float, max
             if hist and hi - lo > 1 and len(deltas) > 1 and deltas[-1] > 0.5 * deltas[-2]:
                 size = (hi - lo) // 2
                 break
+        steps += len(deltas)
         if hi - lo > size:
             continue  # halved: run the window again, shorter
         done.append(deltas)
@@ -251,10 +279,7 @@ def _march(problem: MultiTermProblem, grid: Grid, inner, taylor, tol: float, max
         if hist and lo <= n:
             for op, past in zip(inner, hist):
                 op.push_history(past, values, lo)
-            ahead = np.arange(1, min(size, n + 1 - lo) + 1)
-            slope = values[lo - 1] - values[lo - 2]
-            values[lo : lo + ahead.size] = values[lo - 1] + slope * ahead
-    return phi, done, worst
+    return phi, done, worst, steps
 
 
 def solve(
@@ -283,7 +308,7 @@ def solve(
     orders = problem.derivative_orders
     inner = tuple(build_integral_operator(problem.alpha - a, grid) for a in orders)
     taylor = tuple(derivative_taylor_part(problem.initial_values, a, grid) for a in orders)
-    phi, windows, worst_ratio = _march(problem, grid, inner, taylor, tol, max_iter)
+    phi, windows, worst_ratio, steps = _march(problem, grid, inner, taylor, tol, max_iter)
 
     z_final = _inner_derivatives(phi, inner, taylor)
     if orders and orders[-1] == 0.0:
@@ -316,5 +341,6 @@ def solve(
         contraction_estimate=omega,
         windows=len(windows),
         worst_ratio=worst_ratio,
+        steps=steps,
     )
     return SolutionTrajectory(grid=grid, y=y, inner=z_final, phi=phi, report=report)

@@ -92,7 +92,7 @@ class TestSolveMode:
         assert rc == 0
         line = capsys.readouterr().out
         assert "converged after 12 iterations" in line
-        assert "16 windows, worst ratio 0.221" in line
+        assert "16 windows, 148 steps, worst ratio 0.221" in line
 
     def test_default_output_name(self, relaxation_cfg, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

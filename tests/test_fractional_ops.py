@@ -433,11 +433,13 @@ class TestFastHistorySum:
             out = apply_integral(op, SampledFunction(grid, u)).values
             assert np.array_equal(out, direct_apply(op, u))
 
-    @pytest.mark.parametrize("n", (1000, 1024))
+    @pytest.mark.parametrize("n", (1000, 1024, 8192))
     def test_pushed_history_and_near_field_make_the_apply(self, n):
         # how a marching solve sees the apply: windows of several widths
         # inside the plan's blocks, each its near field plus the history
-        # pushed so far; at N = 1000 the last block and pushes are cut short
+        # pushed so far; at N = 1000 the last block and pushes are cut
+        # short, and N = 8192 pushes levels 64 and 128 by direct sums and
+        # 256 .. 4096 by FFTs
         grid = Grid.uniform(1.0, n)
         values = np.random.default_rng(n).normal(size=n + 1)
         for beta in (0.5, 1.7):
@@ -448,7 +450,8 @@ class TestFastHistorySum:
             lo, widths = 1, (1, 7, 64, 30)
             for k in range(n):
                 hi = min(lo + widths[k % 4], op.window_end(lo))
-                got[lo:hi] = hist[lo:hi] + op.near_field(values, lo, hi)
+                near = op.near_field(lo, hi)
+                got[lo:hi] = hist[lo:hi] + values[hi - near.shape[0] : hi] @ near
                 lo = hi
                 if lo > n:
                     break

@@ -30,6 +30,7 @@ from fracpicard.fractional_ops import (
 from fracpicard.picard_solver import (
     ContractionWarning,
     NonFiniteIterateError,
+    _cubic_start,
     derivative_taylor_part,
     estimate_contraction,
     picard_step,
@@ -405,6 +406,41 @@ class TestWindows:
         y = apply_integral(op, SampledFunction(grid, phi)).values + 1.0
         assert np.max(np.abs(traj.y.values - y)) <= 1e-10
         assert np.max(np.abs(y - erfcx(rate * np.sqrt(grid.nodes)))) < 1.5e-2
+
+    @pytest.mark.parametrize("width", (1, 7, 64))
+    def test_cubic_start_reproduces_a_cubic(self, width):
+        # the starting iterate of a window: the cubic through the values
+        # 0, w, 2w and 3w nodes before its first node
+        t = 0.3 + 1e-3 * np.arange(4 * width + 1)
+        y = 1.3 - 2.0 * t + 0.7 * t**2 + 4.1 * t**3
+        start = _cubic_start(width) @ y[: 3 * width + 1 : width]
+        assert np.allclose(start, y[3 * width + 1 :], rtol=1e-13, atol=0.0)
+
+    def test_cubic_start_cuts_the_updates(self):
+        # problem 0 of the benchmark's uniform_relax set at seed 1: a start
+        # from the line through the last two values takes 772 updates in
+        # 128 windows, the cubic fewer than 4.5 a window
+        a, lam, b = 0.558308767229092, -1.6851852446941527, 0.9411250050655583
+        c, p = 1.1932884943021687, 1.8184759124244025
+        kd = c * math.gamma(p + 1.0) / math.gamma(p + 1.0 - a)
+        problem = problem_from_dict({
+            "alpha": a, "derivative_orders": [0.0], "initial_values": [b],
+            "horizon": 1.0, "rhs": f"{kd!r}*t^{p - a!r} + {lam!r}*({b!r} + {c!r}*t^{p!r} - z1)",
+        })
+        grid = Grid.uniform(1.0, 8192)
+        traj = solve(problem, grid)
+        assert traj.report.converged and traj.report.windows == 128
+        assert traj.report.steps <= 4.5 * traj.report.windows
+        assert np.max(np.abs(traj.y.values - (b + c * grid.nodes**p))) < 1e-6
+
+    def test_non_finite_update_names_its_node(self):
+        # phi^0 is finite; the march overflows in a later window
+        p = problem_from_dict({
+            "alpha": 0.5, "derivative_orders": [0.0], "initial_values": [1.0],
+            "horizon": 2.0, "rhs": "exp(z1)",
+        })
+        with pytest.raises(NonFiniteIterateError, match=r"at t = 0\.0371094$"):
+            solve(p, Grid.uniform(2.0, 1024))
 
     def test_weighted_solve_is_one_window(self):
         # gamma > 0 goes through the dense weighted tables, not the plan
