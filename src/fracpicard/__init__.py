@@ -16,7 +16,6 @@ from .fractional_ops import (
     caputo_derivative,
     ceil_order,
     integral_node_values,
-    weighted_norm,
 )
 from .picard_solver import (
     ContractionWarning,
@@ -36,7 +35,6 @@ from .problem_model import (
     compile_rhs,
     estimate_lipschitz,
     eval_rhs,
-    expr_to_string,
     load_problem,
     parse_rhs,
     problem_from_dict,
@@ -67,7 +65,6 @@ __all__ = [
     "caputo_derivative",
     "ceil_order",
     "integral_node_values",
-    "weighted_norm",
     "ContractionWarning",
     "ConvergenceReport",
     "NonFiniteIterateError",
@@ -83,7 +80,6 @@ __all__ = [
     "compile_rhs",
     "estimate_lipschitz",
     "eval_rhs",
-    "expr_to_string",
     "load_problem",
     "parse_rhs",
     "problem_from_dict",

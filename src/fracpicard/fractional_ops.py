@@ -53,7 +53,6 @@ __all__ = [
     "apply_integral",
     "integral_node_values",
     "caputo_derivative",
-    "weighted_norm",
     "ceil_order",
     "polynomial_from_derivatives",
 ]
@@ -178,10 +177,6 @@ class SampledFunction:
     def __add__(self, other: "SampledFunction") -> "SampledFunction":
         self._check_compatible(other)
         return SampledFunction(self.grid, self.values + other.values, self.singular_exponent)
-
-    def __sub__(self, other: "SampledFunction") -> "SampledFunction":
-        self._check_compatible(other)
-        return SampledFunction(self.grid, self.values - other.values, self.singular_exponent)
 
 
 def _kernel_moments(a: np.ndarray, b: np.ndarray, beta: float):
@@ -537,17 +532,3 @@ def caputo_derivative(y: SampledFunction, alpha: float, initial_derivs) -> Sampl
     for _ in range(n):
         w = np.gradient(w, t, edge_order=2)
     return SampledFunction(grid, w, 0.0)
-
-
-def weighted_norm(f: SampledFunction, g: float) -> float:
-    """sup over sample nodes of |t^g f(t)|, the norm of the weighted space
-    C_g in which the fixed-point iteration contracts."""
-    if not (0.0 <= g < 1.0):
-        raise ValueError(f"weight exponent must lie in [0, 1), got {g}")
-    if g < f.singular_exponent:
-        raise ValueError(
-            f"weight exponent {g} too small for samples with singular exponent "
-            f"{f.singular_exponent}"
-        )
-    skip = 1 if f.singular_exponent > 0.0 else 0
-    return float(np.max(np.abs(f.grid.nodes[skip:] ** g * f.values[skip:])))

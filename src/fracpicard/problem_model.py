@@ -19,6 +19,7 @@ associative, binding tighter than unary minus so -x^2 is -(x^2)).
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Union
@@ -37,7 +38,6 @@ __all__ = [
     "Call",
     "RhsExpr",
     "parse_rhs",
-    "expr_to_string",
     "compile_rhs",
     "eval_rhs",
     "estimate_lipschitz",
@@ -204,7 +204,10 @@ class _Parser:
     def atom(self) -> RhsExpr:
         kind, text, pos = self.advance()
         if kind == "num":
-            return Num(float(text), pos)
+            value = float(text)
+            if not math.isfinite(value):
+                raise RhsSyntaxError(f"number {text} overflows a double", pos)
+            return Num(value, pos)
         if kind == "ident":
             nk, nt, _ = self.peek()
             if nk == "op" and nt == "(":
@@ -248,50 +251,6 @@ def parse_rhs(text: str, m: int) -> RhsExpr:
     if m < 0:
         raise ValueError("m must be non-negative")
     return _Parser(text, m).parse()
-
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
-
-
-def _prec(e: RhsExpr) -> int:
-    if isinstance(e, BinOp):
-        return _PREC[e.op]
-    if isinstance(e, Neg):
-        return _PREC["neg"]
-    return _PREC["atom"]
-
-
-def expr_to_string(e: RhsExpr) -> str:
-    """Render an expression; parse_rhs(expr_to_string(e), m) rebuilds e."""
-    if isinstance(e, Num):
-        return repr(e.value)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Call):
-        return f"{e.func}({expr_to_string(e.arg)})"
-    if isinstance(e, Neg):
-        inner = expr_to_string(e.operand)
-        if _prec(e.operand) < _PREC["neg"]:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(e, BinOp):
-        left = expr_to_string(e.left)
-        right = expr_to_string(e.right)
-        if e.op == "^":
-            # ^ binds tightest: any compound base needs parentheses, the
-            # exponent may itself be a unary minus or another power
-            if _prec(e.left) < _PREC["atom"]:
-                left = f"({left})"
-            if _prec(e.right) < _PREC["neg"]:
-                right = f"({right})"
-        else:
-            mine = _PREC[e.op]
-            if _prec(e.left) < mine:
-                left = f"({left})"
-            if _prec(e.right) <= mine:
-                right = f"({right})"
-        return f"{left}{e.op}{right}"
-    raise TypeError(f"not an expression node: {e!r}")
 
 
 def _check(bad, message: str, pos: int, t: np.ndarray) -> None:
@@ -504,6 +463,11 @@ def problem_issues(p: MultiTermProblem) -> list:
     if not p.alpha > 0.0:
         issues.append(("alpha_positive", f"alpha must be positive, got {p.alpha}"))
         return issues
+    try:  # Gamma(alpha + 1) bounds every Gamma and factorial value the solve takes
+        math.gamma(p.alpha + 1.0)
+    except OverflowError:
+        issues.append(("alpha_range", f"alpha = {p.alpha} is too large: Gamma(alpha + 1) "
+                       "overflows a double (alpha must stay below about 170.6)"))
     if not np.isfinite(p.horizon):
         issues.append(("horizon_finite", f"horizon must be finite, got {p.horizon}"))
     elif not p.horizon > 0.0:

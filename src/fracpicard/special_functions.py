@@ -24,8 +24,15 @@ class SeriesConvergenceError(ArithmeticError):
     """A series evaluation failed to reach its tolerance."""
 
 
-def _is_nonpositive_integer(x: float, tol: float = 1e-12) -> bool:
-    return x <= tol and abs(x - round(x)) < tol
+# a term below _TOL in magnitude ends its element's sum; _MAX_TERMS caps the
+# sum; a gamma argument within _POLE_TOL of 0, -1, -2, ... is a pole
+_TOL = 1e-14
+_MAX_TERMS = 2000
+_POLE_TOL = 1e-12
+
+
+def _is_nonpositive_integer(x: float) -> bool:
+    return x <= _POLE_TOL and abs(x - round(x)) < _POLE_TOL
 
 
 @dataclass(frozen=True)
@@ -33,24 +40,17 @@ class MLParams:
     """Parameters of a two-parameter Mittag-Leffler evaluation.
 
     alpha > 0 is the series order, beta the second parameter (any finite real;
-    terms whose gamma argument lands on a pole contribute zero). tol is
-    the term-magnitude stopping threshold, max_terms the hard cap.
+    terms whose gamma argument lands on a pole contribute zero).
     """
 
     alpha: float
     beta: float = 1.0
-    tol: float = 1e-14
-    max_terms: int = 2000
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < math.inf:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if not math.isfinite(self.beta):
             raise ValueError(f"beta must be finite, got {self.beta}")
-        if not self.tol > 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.max_terms < 1:
-            raise ValueError(f"max_terms must be >= 1, got {self.max_terms}")
 
 
 def mittag_leffler(params: MLParams, z):
@@ -60,7 +60,7 @@ def mittag_leffler(params: MLParams, z):
     One series runs over the whole array: the gamma argument alpha k + beta,
     its pole test and its (log-)gamma value are computed once per k and
     shared by every element. Each element stops on its own, at the first
-    term below params.tol in magnitude that is no larger than the term
+    term below _TOL in magnitude that is no larger than the term
     before it, and then leaves the working arrays, so its value does not
     depend on the other elements. A scalar z gives a float, an array z an
     array of its shape.
@@ -71,7 +71,7 @@ def mittag_leffler(params: MLParams, z):
     taken to a few ulp, which leaves an error of a few ulp of the largest
     term: at alpha = 1/2 about 5 correct digits are left at z = -5 and
     none from z = -6 on. A term above exp(700), 1/Gamma(beta) included, or
-    params.max_terms terms without stopping, raises SeriesConvergenceError
+    _MAX_TERMS terms without stopping, raises SeriesConvergenceError
     naming beta and the z; a non-finite z raises ValueError.
     """
     z_in = np.asarray(z, dtype=float)
@@ -103,7 +103,7 @@ def mittag_leffler(params: MLParams, z):
     hi = params.alpha * 134217729.0  # Veltkamp split alpha = hi + lo: hi * k is exact
     hi -= hi - params.alpha
     lo = params.alpha - hi
-    for k in range(params.max_terms):
+    for k in range(_MAX_TERMS):
         if idx.size == 0:
             break
         arg = params.alpha * k + params.beta
@@ -135,7 +135,7 @@ def mittag_leffler(params: MLParams, z):
             term = zs[idx] ** k / math.gamma(arg)
         total += term
         mag = np.abs(term)
-        done = (mag < params.tol) & (mag <= prev)
+        done = (mag < _TOL) & (mag <= prev)
         if done.any():
             out[idx[done]] = total[done]
             keep = ~done
@@ -145,7 +145,7 @@ def mittag_leffler(params: MLParams, z):
         prev = mag
     if idx.size:
         raise SeriesConvergenceError(
-            f"Mittag-Leffler series did not converge in {params.max_terms} terms "
+            f"Mittag-Leffler series did not converge in {_MAX_TERMS} terms "
             f"(alpha = {params.alpha}, beta = {params.beta}, z = {zs[idx[0]]:g})"
         )
     out = out.reshape(z_in.shape)

@@ -325,10 +325,23 @@ class TestBadInput:
         }))
         assert main(["--config", str(cfg)]) == 1
 
-    def test_syntax_error_in_rhs(self, tmp_path):
+    def test_syntax_error_in_rhs(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps(dict(RELAXATION, rhs="1 +")))
-        assert main(["--config", str(cfg)]) == 1
+        for rhs, pos in (("1 +", 3), ("1e999*t - z1", 0)):
+            cfg.write_text(json.dumps(dict(RELAXATION, rhs=rhs)))
+            assert main(["--config", str(cfg), "--output", str(tmp_path / "x.csv")]) == 1
+            assert f"(at position {pos})" in capsys.readouterr().err
+            assert not (tmp_path / "x.csv").exists()
+
+    def test_alpha_beyond_the_range_of_gamma(self, tmp_path, capsys):
+        for alpha in (171.5, 172.5):
+            cfg = tmp_path / "big.json"
+            cfg.write_text(json.dumps(dict(
+                RELAXATION, alpha=alpha, initial_values=[1.0] + [0.0] * int(alpha),
+            )))
+            assert main(["--config", str(cfg), "--output", str(tmp_path / "x.csv")]) == 1
+            err = capsys.readouterr().err
+            assert "alpha_range" in err and f"alpha = {alpha}" in err
 
     def test_unknown_mode(self, relaxation_cfg):
         assert main(["--config", str(relaxation_cfg), "--mode", "nope"]) == 1
@@ -446,6 +459,14 @@ class TestBadInput:
             "--oracle", "ml:-1e308", "--output", str(tmp_path / "o.csv"),
         ]) == 1
         assert "--oracle" in capsys.readouterr().err
+
+    def test_expr_oracle_overflowing_literal(self, relaxation_cfg, tmp_path, capsys):
+        assert main([
+            "--config", str(relaxation_cfg), "--mode", "oracle", "--n-points", "32",
+            "--oracle", "expr:1e999", "--output", str(tmp_path / "o.csv"),
+        ]) == 1
+        assert "1e999 overflows a double (at position 0)" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
 
     def test_error_goes_to_stderr(self, tmp_path, capsys):
         main(["--config", str(tmp_path / "nope.json")])

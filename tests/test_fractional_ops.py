@@ -42,7 +42,6 @@ from fracpicard.fractional_ops import (
     integral_node_values,
     is_integer_order,
     polynomial_from_derivatives,
-    weighted_norm,
 )
 
 BETAS = (0.3, 0.5, 1.0, 1.7, 2.5)
@@ -211,7 +210,6 @@ class TestSampledFunction:
         a = SampledFunction(g, np.ones(5))
         b = SampledFunction(g, 2.0 * np.ones(5))
         assert np.allclose((a + b).values, 3.0)
-        assert np.allclose((b - a).values, 1.0)
         c = SampledFunction(Grid.uniform(1.0, 8), np.ones(9))
         with pytest.raises(ValueError):
             _ = a + c
@@ -735,33 +733,3 @@ class TestPolynomialFromDerivatives:
         plain = polynomial_from_derivatives(b, t)
         padded = polynomial_from_derivatives(list(b) + [0.0, 0.0], t)
         assert np.array_equal(plain, padded)
-
-
-class TestWeightedNorm:
-    def test_plain_sup_norm(self):
-        grid = Grid.uniform(1.0, 8)
-        f = SampledFunction(grid, np.array([0.0, -3.0, 1.0, 2.0, 0.5, 0.0, 1.0, -0.5, 2.5]))
-        assert weighted_norm(f, 0.0) == 3.0
-
-    def test_weight_tames_singularity(self):
-        grid = Grid.uniform(1.0, 64)
-        f = SampledFunction.from_callable(grid, lambda t: t**-0.5, singular_exponent=0.5)
-        assert weighted_norm(f, 0.5) == pytest.approx(1.0, rel=1e-14)
-
-    def test_weight_must_cover_exponent(self):
-        grid = Grid.uniform(1.0, 64)
-        f = SampledFunction.from_callable(grid, lambda t: t**-0.5, singular_exponent=0.5)
-        with pytest.raises(ValueError):
-            weighted_norm(f, 0.25)
-        with pytest.raises(ValueError):
-            weighted_norm(f, 1.0)
-
-    @given(st.integers(min_value=0, max_value=1000))
-    @settings(max_examples=40)
-    def test_triangle_inequality_property(self, seed):
-        rng = np.random.default_rng(seed)
-        grid = Grid.uniform(1.0, 16)
-        a = SampledFunction(grid, rng.normal(size=17))
-        b = SampledFunction(grid, rng.normal(size=17))
-        for g in (0.0, 0.5):
-            assert weighted_norm(a + b, g) <= weighted_norm(a, g) + weighted_norm(b, g) + 1e-12
