@@ -135,8 +135,12 @@ def _oracle_fn(spec_text: str, problem: MultiTermProblem):
             raise CliInputError(f"bad oracle expression: {exc}")
 
         def fn(t: np.ndarray) -> np.ndarray:
-            vals = eval_rhs(expr, np.asarray(t, dtype=float))
-            return np.asarray(vals, dtype=float)
+            with np.errstate(all="ignore"):
+                vals = eval_rhs(expr, t)
+            bad = ~np.isfinite(vals)
+            if bad.any():
+                raise CliInputError(f"--oracle {spec_text}: not finite at t = {t[np.argmax(bad)]:g}")
+            return vals
 
         return fn
     raise CliInputError(f"unknown oracle kind {kind!r} (use ml: or expr:)")

@@ -125,12 +125,10 @@ def derivative_taylor_part(initial_values, alpha_h: float, grid: Grid) -> Sample
     return SampledFunction(grid, vals, 0.0)
 
 
-def _finite(vals: np.ndarray, t: np.ndarray) -> np.ndarray:
-    if not np.isfinite(vals).all():
-        t_bad = float(t[np.argmax(~np.isfinite(vals))])
-        raise NonFiniteIterateError(
-            f"right-hand side produced a non-finite value at t = {t_bad:g}"
-        )
+def _finite(vals: np.ndarray, t: np.ndarray, what: str = "right-hand side produced") -> np.ndarray:
+    if not np.isfinite(vals).all():  # vals: one row or several of samples on t
+        t_bad = float(t[np.argmax(~np.isfinite(vals).reshape(-1, t.size).all(axis=0))])
+        raise NonFiniteIterateError(f"{what} a non-finite value at t = {t_bad:g}")
     return vals
 
 
@@ -159,17 +157,16 @@ def picard_step(phi: SampledFunction, inner, taylor, rhs, lo: int, hi: int, wind
     is weighted (gamma > 0).
 
     Without window each step applies inner whole. With window = (past,
-    near), phi is final before lo, lo..hi-1 lie in one block of the
-    operators' plan, past[h] is taylor[h] plus what the blocks before it
-    add to inner[h] phi there (FracIntegralOperator.push_history), and
-    near[h] = inner[h].near_field(lo, hi) adds the block's own share.
-    """
+    near, block, slice(lo, hi)), phi is final before lo, lo..hi-1 lie in
+    one block of the operators' plan, past[h] is taylor[h] plus what the
+    blocks before it add to inner[h] phi there (push_history), and near[h]
+    = inner[h].near_field(lo, hi) maps block, a view of phi there, to the rest."""
     if window is None:
         z = [zh.values[lo:hi] for zh in _inner_derivatives(phi, inner, taylor)]
-    else:
-        z = [past + phi.values[hi - near.shape[0] : hi] @ near for past, near in zip(*window)]
-    skip = 1 if phi.singular_exponent > 0.0 else 0
-    return rhs(slice(lo - skip, hi - skip), z)
+        skip = 1 if phi.singular_exponent > 0.0 else 0
+        return rhs(slice(lo - skip, hi - skip), z)
+    past, near, block, sl = window
+    return rhs(sl, [p + block @ m for p, m in zip(past, near)])
 
 
 def estimate_contraction(lipschitz: float, problem: MultiTermProblem, horizon=None) -> float:
@@ -177,12 +174,14 @@ def estimate_contraction(lipschitz: float, problem: MultiTermProblem, horizon=No
 
         omega = L * sum_h T^(alpha - alpha_h) / gamma(alpha - alpha_h + 1).
 
-    omega < 1 guarantees geometric convergence with ratio omega."""
+    omega < 1 guarantees geometric convergence with ratio omega; inf
+    where the bound overflows a double."""
     t_end = problem.horizon if horizon is None else float(horizon)
-    total = 0.0
-    for a in problem.derivative_orders:
-        mu = problem.alpha - a
-        total += t_end**mu / math.gamma(mu + 1.0)
+    try:
+        total = sum(t_end ** (problem.alpha - a) / math.gamma(problem.alpha - a + 1.0)
+                    for a in problem.derivative_orders)
+    except OverflowError:
+        return math.inf
     return float(lipschitz) * total
 
 
@@ -201,12 +200,15 @@ def _observed_lipschitz(problem: MultiTermProblem, grid: Grid, z_funcs) -> float
     return estimate_lipschitz(problem.rhs, (t_lo, grid.horizon), box, seed=0)
 
 
+_START_DEGREE = 5  # of the polynomial a window starts from
+
+
 @lru_cache(maxsize=None)
-def _cubic_start(width: int) -> np.ndarray:
-    """E with E @ (f(-3w), f(-2w), f(-w), f(0)) the cubic through those
-    values at 1..w nodes past 0, w = width."""
-    past = np.vander(np.arange(-3.0, 1.0), 4)
-    start = np.vander(np.arange(1, width + 1) / width, 4) @ np.linalg.inv(past)
+def _window_start(width: int) -> np.ndarray:
+    """E with E @ (f(-dw), ..., f(-w), f(0)) the polynomial of degree d =
+    _START_DEGREE through those values at 1..w nodes past 0, w = width."""
+    past = np.vander(np.arange(-_START_DEGREE, 1.0), _START_DEGREE + 1)
+    start = np.vander(np.arange(1, width + 1) / width, _START_DEGREE + 1) @ np.linalg.inv(past)
     start.flags.writeable = False  # shared by every caller
     return start
 
@@ -219,11 +221,11 @@ def _march(problem: MultiTermProblem, grid: Grid, inner, taylor, tol: float, max
     phi^0 = f(t, taylor parts). When the operators plan their history sum
     and gamma = 0, the windows lie in the plan's blocks of t_1..t_N
     (FracIntegralOperator.window_end). A window w nodes long past the first
-    starts from the cubic through the last final value and those w, 2w and
-    3w nodes before it (the line through the last two while t_0 is nearer)
-    and iterates until its update is at most tol. One whose update shrinks
-    by less than half in a step starts again at half its length, down to
-    one node, and so do the windows after it. After each window the
+    starts from the quintic through the last final value and those w, 2w,
+    .., 5w nodes before it (the line through the last two while t_0 is
+    nearer) and iterates until its update is at most tol. One whose update
+    shrinks by less than half in a step starts again at half its length,
+    down to one node, and so do the windows after it. After each window the
     operators push the history it completes. Otherwise the one window is
     the whole grid. A window that runs out of iterations ends the march."""
     skip = 1 if problem.gamma > 0.0 else 0
@@ -242,26 +244,27 @@ def _march(problem: MultiTermProblem, grid: Grid, inner, taylor, tol: float, max
     done, worst, steps = [], 0.0, 0
     while lo <= n:
         hi = min(lo + size, inner[0].window_end(lo) if hist else n + 1)
-        window = None
+        cur, window = values[lo:hi], None
         if hist:
             w = hi - lo
-            if lo > 3 * w:
-                values[lo:hi] = _cubic_start(w) @ values[lo - 1 - 3 * w : lo : w]
+            if lo > _START_DEGREE * w:
+                cur[:] = _window_start(w) @ values[lo - 1 - _START_DEGREE * w : lo : w]
             elif lo > 1:
                 slope = values[lo - 1] - values[lo - 2]
-                values[lo:hi] = values[lo - 1] + slope * np.arange(1, w + 1)
+                cur[:] = values[lo - 1] + slope * np.arange(1, w + 1)
+            near = [op.near_field(lo, hi) for op in inner]
             window = ([past[lo:hi] + tp.values[lo:hi] for past, tp in zip(hist, taylor)],
-                      [op.near_field(lo, hi) for op in inner])
+                      near, values[hi - near[0].shape[0] : hi], slice(lo, hi))
         deltas = []
         for _ in range(max_iter):
             new = picard_step(phi, inner, taylor, rhs, lo, hi, window)
-            change = new - values[lo:hi]
+            change = new - cur
             if problem.gamma:
                 change *= t[lo:hi] ** problem.gamma
-            deltas.append(float(abs(change).max()))
+            deltas.append(float(np.abs(change, out=change).max()))
             if not math.isfinite(deltas[-1]):  # max propagates nan and inf
                 _finite(new, t[lo:hi])
-            values[lo:hi] = new
+            cur[:] = new
             if len(deltas) > 1:
                 worst = max(worst, deltas[-1] / deltas[-2])
             if deltas[-1] <= tol:
@@ -318,6 +321,9 @@ def solve(
     else:
         taylor_0 = derivative_taylor_part(problem.initial_values, 0.0, grid)
         y = taylor_0 + apply_integral(build_integral_operator(problem.alpha, grid), phi)
+    # the weights of a high order on a long horizon can overflow where phi does not
+    _finite(np.array([y.values, *(z.values for z in z_final)]), grid.nodes,
+            "y or an inner derivative took")
 
     try:
         lipschitz = _observed_lipschitz(problem, grid, z_final)

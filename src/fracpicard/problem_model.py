@@ -271,19 +271,20 @@ def _pow(a, b, pos, t):
     return a**b
 
 
-# Each operation takes its operands, the expression position and the nodes of
-# its operands, where a domain error finds its first bad t. _check returns
-# None, so "_check(...) or x" is x once the check has passed.
+# An operation that checks its domain takes its operands, the expression
+# position and the nodes of its operands, where a domain error finds its first
+# bad t; _check returns None, so "_check(...) or x" is x once it has passed.
+# The ufuncs check nothing and take the operands alone.
 _OPS = {
-    "neg": lambda a, pos, t: -a,
-    "+": lambda a, b, pos, t: a + b,
-    "-": lambda a, b, pos, t: a - b,
-    "*": lambda a, b, pos, t: a * b,
+    "neg": np.negative,
+    "+": np.add,
+    "-": np.subtract,
+    "*": np.multiply,
     "/": lambda a, b, pos, t: _check(b == 0.0, "division by zero", pos, t) or a / b,
     "^": _pow,
-    "sin": lambda a, pos, t: np.sin(a),
-    "cos": lambda a, pos, t: np.cos(a),
-    "abs": lambda a, pos, t: np.abs(a),
+    "sin": np.sin,
+    "cos": np.cos,
+    "abs": np.abs,
     "exp": np.errstate(over="ignore")(lambda a, pos, t: np.exp(a)),
     "log": lambda a, pos, t: _check(a <= 0.0, "log of a non-positive value", pos, t) or np.log(a),
     "sqrt": lambda a, pos, t: _check(a < 0.0, "sqrt of a negative value", pos, t) or np.sqrt(a),
@@ -314,9 +315,10 @@ def _compile(e: RhsExpr, t: np.ndarray):
         unbound = "y is unbound (no inner derivatives)" if k < 0 else f"{e.name} is unbound"
 
         def var(sl, z):
-            if not -len(z) <= k < len(z):
-                raise RhsDomainError(unbound, e.pos, float(t[sl].flat[0]))
-            return np.asarray(z[k], dtype=float) + 0.0
+            try:
+                return z[k]
+            except IndexError:
+                raise RhsDomainError(unbound, e.pos, float(t[sl].flat[0])) from None
 
         return var
     name, kids = _node(e)
@@ -324,14 +326,21 @@ def _compile(e: RhsExpr, t: np.ndarray):
     if op is None:
         raise RhsDomainError(f"unknown function {name!r}", pos, float(t.flat[0]))
     parts = [_compile(kid, t) for kid in kids]
+    checked = not isinstance(op, np.ufunc)
     if not any(callable(p) for p in parts):
-        return op(*parts, pos, t)
-    fns = [p if callable(p) else (lambda sl, z, v=p: v[sl]) for p in parts]
-    if len(fns) == 1:
-        (f,) = fns
-        return lambda sl, z: op(f(sl, z), pos, t[sl])
-    f, g = fns
-    return lambda sl, z: op(f(sl, z), g(sl, z), pos, t[sl])
+        return op(*parts, pos, t) if checked else op(*parts)
+    if checked:
+        fns = [p if callable(p) else (lambda sl, z, v=p: v[sl]) for p in parts]
+        return lambda sl, z: op(*[f(sl, z) for f in fns], pos, t[sl])
+    if len(parts) == 1:
+        (f,) = parts
+        return lambda sl, z: op(f(sl, z))
+    f, g = parts
+    if not callable(f):
+        return lambda sl, z: op(f[sl], g(sl, z))
+    if not callable(g):
+        return lambda sl, z: op(f(sl, z), g[sl])
+    return lambda sl, z: op(f(sl, z), g(sl, z))
 
 
 def compile_rhs(e: RhsExpr, t):
@@ -350,15 +359,11 @@ def eval_rhs(e: RhsExpr, t, z=()) -> np.ndarray:
     (a sequence of m scalars or arrays shaped like t). Returns a float for
     scalar t, an ndarray otherwise. Domain violations raise RhsDomainError
     with the first offending time."""
-    arr = np.asarray(t, dtype=float)
-    scalar = arr.ndim == 0
-    if scalar:
-        arr = arr.reshape(1)
-        z = [np.asarray(zi, dtype=float).reshape(-1) for zi in z]
-    out = np.asarray(compile_rhs(e, arr)(slice(None), list(z)), dtype=float)
-    if out.shape != arr.shape:
-        out = np.broadcast_to(out, arr.shape).copy()
-    return float(out[0]) if scalar else out
+    arr = np.atleast_1d(np.asarray(t, dtype=float))
+    z = [np.atleast_1d(np.asarray(zi, dtype=float)) for zi in z]
+    # a copy always: the compiled form hands back z itself for e = z_k
+    out = np.broadcast_to(compile_rhs(e, arr)(slice(None), z), arr.shape).astype(float)
+    return float(out[0]) if np.ndim(t) == 0 else out
 
 
 def _walk(e: RhsExpr):

@@ -16,6 +16,7 @@ import math
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -92,7 +93,7 @@ class TestSolveMode:
         assert rc == 0
         line = capsys.readouterr().out
         assert "converged after 12 iterations" in line
-        assert "16 windows, 148 steps, worst ratio 0.221" in line
+        assert "16 windows, 144 steps, worst ratio 0.221" in line
 
     def test_default_output_name(self, relaxation_cfg, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -130,6 +131,23 @@ class TestSolveMode:
         rc = main(["--config", str(cfg), "--n-points", "64",
                    "--output", str(tmp_path / "x.csv")])
         assert rc == 2
+
+    @pytest.mark.parametrize("alpha, horizon", [(60.5, 1e6), (150.5, 1000.0)])
+    def test_overflowing_operator_returns_two(self, tmp_path, capsys, alpha, horizon):
+        # the weights of I^alpha overflow, so y would be nan past t_8
+        cfg = tmp_path / "high.json"
+        cfg.write_text(json.dumps({
+            "alpha": alpha, "derivative_orders": [0.0],
+            "initial_values": [1.0] + [0.0] * (math.ceil(alpha) - 1),
+            "horizon": horizon, "rhs": "t",
+        }))
+        with np.errstate(all="ignore"):
+            rc = main(["--config", str(cfg), "--n-points", "64",
+                       "--output", str(tmp_path / "x.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"y or an inner derivative took a non-finite value at t = {horizon / 8:g}" in err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_deterministic_output_bytes(self, relaxation_cfg, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -466,6 +484,19 @@ class TestBadInput:
             "--oracle", "expr:1e999", "--output", str(tmp_path / "o.csv"),
         ]) == 1
         assert "1e999 overflows a double (at position 0)" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("mode", ["oracle", "study"])
+    def test_expr_oracle_overflowing_value(self, relaxation_cfg, tmp_path, capsys, mode):
+        # every literal is finite, their product is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main([
+                "--config", str(relaxation_cfg), "--mode", mode, "--n-points", "32",
+                "--oracle", "expr:1e308*10", "--output", str(tmp_path / "o.csv"),
+            ])
+        assert rc == 1
+        assert "--oracle expr:1e308*10: not finite at t = 0" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
 
     def test_error_goes_to_stderr(self, tmp_path, capsys):

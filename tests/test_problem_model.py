@@ -272,6 +272,14 @@ class TestCompiledRhs:
         assert np.array_equal(got, whole, equal_nan=True)
         assert np.array_equal(np.signbit(got), np.signbit(whole))
 
+    def test_eval_rhs_never_returns_its_z(self):
+        # the compiled z1 hands back z itself; eval_rhs returns a copy
+        t = np.linspace(0.0, 1.0, 5)
+        z = t**2
+        assert compile_rhs(parse_rhs("z1", 1), t)(slice(None), [z]) is z
+        out = eval_rhs(parse_rhs("z1", 1), t, [z])
+        assert not np.shares_memory(out, z) and np.array_equal(out, z)
+
     def test_z_free_domain_error_raises_at_compile_time(self):
         e = parse_rhs("z1 + log(t - 0.25)", 1)
         t = np.linspace(0.0, 1.0, 9)
