@@ -11,8 +11,8 @@ which pad to the next power of two, this times apply_integral of order 0.5
 the same stencil, and prints a markdown table of the median time per apply
 together with the largest deviation between the two, relative to the
 largest output, and the bytes the operator holds: stencil, boundary column
-and, above 512 intervals, the near-field block and stencil spectra of its
-plan. A second table gives, for N = 2^8 .. 2^12, the median time to build
+and the near-field block and stencil spectra of its plan, which every
+uniform operator keeps for a marching solve. A second table gives, for N = 2^8 .. 2^12, the median time to build
 the weighted table of order 0.5 for singular exponent g = 0.2 on a uniform
 grid and the dense table of order 0.5 on a grid of grading 2,
 each with its worst relative error on inputs the rule integrates exactly:
@@ -85,11 +85,8 @@ def direct(op, u):
 
 def held_bytes(op) -> int:
     """Bytes of the arrays a uniform operator keeps for its applies."""
-    arrays = [op._stencil, op._boundary]
-    if op._plan is not None:
-        block, spectra = op._plan
-        arrays += [block, *spectra]
-    return sum(a.nbytes for a in arrays)
+    block, spectra = op._plan
+    return sum(a.nbytes for a in (op._stencil, op._boundary, block, *spectra))
 
 
 def scalar_series(alpha: float, z: float, tol: float = 1e-14) -> float:

@@ -17,21 +17,19 @@ are power series in an argument <= 1/2, summed by Horner's rule. The weighted
 rule is exact on t^(-g) times piecewise-linear inputs, which is what makes
 small-t decay studies of I^beta t^(-g) meaningful at all.
 
-Uniform grids store the quadrature as an O(N) convolution stencil. Up to
-_NEAR_FIELD intervals an apply is one np.convolve; larger operators plan
-their Toeplitz product once (see _history_sum), so an apply costs
-O(N log^2 N) (1.1 ms at N = 8192, 10 ms at N = 65536) while every output
-keeps the relative accuracy of the direct sum. The same plan lets a solve
-march: it pushes each level's share of the history once, as blocks become
-final (push_history, by direct sums up to _DIRECT_PUSH points), so a
-solve costs one pass of history plus its per-window iterations on
-64-point blocks, instead of one apply per iteration. Graded
-grids fall back to a dense lower-triangular table, and weighted tables are
-always dense. A Grid is the value (horizon, N, grading); each dense table
-is built once per grid object, order and exponent (0 for the plain table)
-and kept on the grid, so every operator of that order on that grid shares
-it, and it lives as long as the grid. Dense tables are built in blocks of
-up to _ROW_BLOCK rows, each over the cells left of its last row only.
+Uniform grids store the quadrature as an O(N) convolution stencil and plan
+its Toeplitz product once (see _history_sum): up to _NEAR_FIELD intervals an
+apply is one np.convolve, above it costs O(N log^2 N) (1.1 ms at N = 8192,
+10 ms at N = 65536) while every output keeps the relative accuracy of the
+direct sum. Graded grids fall back to a dense lower-triangular table, and
+weighted tables are always dense. A solve marches over 64-point blocks of
+either and pushes the history once, as blocks become final (push_history),
+so it costs about one apply plus its per-window iterations. A Grid is the
+value (horizon, N, grading); each dense table is built once per grid object,
+order and exponent (0 for the plain table) and kept on the grid, so every
+operator of that order on that grid shares it, and it lives as long as the
+grid. Dense tables are built in blocks of up to _ROW_BLOCK rows, each over
+the cells left of its last row only.
 """
 
 from __future__ import annotations
@@ -316,11 +314,16 @@ class FracIntegralOperator:
         (I^beta f)(t_n) = 1/gamma(beta) * integral_0^t_n (t_n - tau)^(beta-1) f(tau) dtau
 
     on a fixed Grid. On uniform grids the weights collapse to a length-N
-    convolution stencil plus a boundary column, and above _NEAR_FIELD
-    intervals the operator keeps the plan of _history_sum with them; graded
-    grids hold the full lower-triangular table. That table and the weighted
-    tables for singular inputs are kept on the grid, so every operator of
-    the same order on it shares them.
+    convolution stencil plus a boundary column, kept with the plan of
+    _history_sum; graded grids hold the full lower-triangular table. That
+    table and the weighted tables for singular inputs are kept on the grid,
+    so every operator of the same order on it shares them.
+
+    A marching solve finds f on t_1..t_N window by window, each inside one
+    block of _BLOCK nodes: values holds f at t_0..t_N as far as it is
+    known, and hist, from history, collects the apply from final samples.
+    For singular exponent g > 0 the weighted table applies to t^g f,
+    extrapolated to t_0 from t_1 and t_2, so a window holding t_1 holds t_2.
     """
 
     def __init__(self, order: float, grid: Grid) -> None:
@@ -342,44 +345,53 @@ class FracIntegralOperator:
         right = (m1 / h) * ginv       # weight of f at the cell's near end
         self._stencil = np.concatenate((right[:1], left[:-1] + right[1:]))
         self._boundary = np.concatenate(([0.0], left))
-        if n > _NEAR_FIELD:
-            # the plan of _history_sum: block[j, i] = s[i - j] for i >= j, and
-            # rfft(s[:2h]) of the zero-padded s for each level h = _BLOCK 2^j < n
-            i = np.arange(_BLOCK)
-            levels = [_BLOCK << j for j in range(n.bit_length()) if _BLOCK << j < n]
-            self._plan = (np.triu(self._stencil[abs(i[:, None] - i)]),
-                          [rfft(self._stencil[: 2 * h], 2 * h) for h in levels])
+        # the plan of _history_sum, of s zero-padded: block[j, i] = s[i - j]
+        # for i >= j, and rfft(s[:2h]) for each level h = _BLOCK 2^j < n
+        i = np.arange(_BLOCK)
+        s = np.pad(self._stencil[:_BLOCK], (0, max(_BLOCK - n, 0)))
+        levels = [_BLOCK << j for j in range(n.bit_length()) if _BLOCK << j < n]
+        self._plan = (np.triu(s[abs(i[:, None] - i)]),
+                      [rfft(self._stencil[: 2 * h], 2 * h) for h in levels])
 
-    # A marching solve finds f on t_1..t_N window by window, each inside one
-    # _BLOCK of the plan. values holds f at t_0..t_N as far as it is known,
-    # and hist, from history(f(t_0)), collects the apply at t_0..t_N from
-    # final samples.
+    def history(self, f0: float, g: float = 0.0) -> np.ndarray:
+        """The share of f(t_0) = f0 in the apply at t_0..t_N; none for g > 0."""
+        if g:
+            return np.zeros(self.grid.n_intervals + 1)
+        return (self._boundary if self._table is None else self._table[:, 0]) * f0
 
-    def history(self, f0: float):
-        """The share of f(t_0) = f0 in the apply at t_0..t_N. None when the
-        operator has no plan: it applies whole, and a solve runs one window."""
-        return None if self._plan is None else self._boundary * f0
+    def near_field(self, lo: int, hi: int, g: float = 0.0) -> np.ndarray:
+        """Maps values[a:hi], the samples of the block a = block_bounds(lo, N)[0]
+        up to t_(hi-1), to their share in the apply at t_lo..t_(hi-1)."""
+        a = block_bounds(lo, self.grid.n_intervals)[0]
+        if g:
+            table, scale, t0 = self._weighted(g, a, hi)
+            near = table[lo - 1 : hi - 1, a:hi] * scale
+            if a == 1:
+                near[:, :2] += np.outer(table[lo - 1 : hi - 1, 0], t0)
+            return near.T
+        if self._table is None:
+            return self._plan[0][: hi - a, lo - a : hi - a]
+        return self._table[lo:hi, a:hi].T
 
-    def window_end(self, lo: int) -> int:
-        """The first node past the block that holds t_lo, lo >= 1: a window
-        starting at t_lo ends there at the latest."""
-        return min(lo + _BLOCK - (lo - 1) % _BLOCK, self.grid.n_intervals + 1)
-
-    def near_field(self, lo: int, hi: int) -> np.ndarray:
-        """Maps values[hi - rows:hi], the samples of one block up to t_(hi-1),
-        to their share in the apply at t_lo..t_(hi-1), for lo < hi in it."""
-        a = lo - (lo - 1) % _BLOCK
-        return self._plan[0][: hi - a, lo - a : hi - a]
-
-    def push_history(self, hist: np.ndarray, values: np.ndarray, p: int) -> None:
-        """Add to hist what values[:p] completes once t_p starts a block:
-        every level's share of a 2h-block whose middle is t_p, from its
+    def push_history(self, hist: np.ndarray, values: np.ndarray, p: int, g: float = 0.0) -> None:
+        """Add to hist what values[:p] completes once t_p starts a block.
+        A dense table adds the block's columns to every later row. A plan
+        adds every level's share of a 2h-block whose middle is t_p, from its
         first half in its second: level h = q & -q, q = p - 1, summed
         directly up to _DIRECT_PUSH, where an FFT costs more in calls than
         it saves. Elsewhere this does nothing. Once pushed for every p up to
         the start a of a block, hist[a:] holds all of values[:a]."""
-        q = p - 1
+        q, a = p - 1, p - _BLOCK
         if not q or q % _BLOCK:
+            return
+        if g:
+            table, scale, t0 = self._weighted(g, a, p)
+            hist[p:] += table[p - 1 :, a:p] @ (values[a:p] * scale)
+            if a == 1:
+                hist[p:] += table[p - 1 :, 0] * (t0 @ values[1:3])
+            return
+        if self._table is not None:
+            hist[p:] += self._table[p:, a:p] @ values[a:p]
             return
         h = q & -q
         seg = hist[p : p + h]
@@ -389,6 +401,13 @@ class FracIntegralOperator:
             spectrum = self._plan[1][(h // _BLOCK).bit_length() - 1]
             seg += irfft(rfft(values[p - h : p], 2 * h) * spectrum, 2 * h)[h : h + seg.size]
 
+    def _weighted(self, g: float, a: int, b: int) -> tuple:
+        """The weighted table for g > 0, row r - 1 for node t_r; t^g at
+        t_a..t_(b-1); and t0, the weights of f(t_1), f(t_2) in t^g f at t_0."""
+        t = self.grid.nodes
+        c = t[1] / (t[2] - t[1])
+        return self._dense_table(g), t[a:b] ** g, t[1:3] ** g * (1.0 + c, -c)
+
     def _apply_regular(self, u: np.ndarray) -> np.ndarray:
         n = self.grid.n_intervals
         out = np.empty(n + 1)
@@ -397,7 +416,7 @@ class FracIntegralOperator:
             out[1:] = (self._table @ u)[1:]
         else:
             out[1:] = self._boundary[1:] * u[0]
-            out[1:] += (np.convolve(self._stencil, u[1:])[:n] if self._plan is None
+            out[1:] += (np.convolve(self._stencil, u[1:])[:n] if n <= _NEAR_FIELD
                         else _history_sum(self._plan, u[1:]))
         return out
 
@@ -452,6 +471,13 @@ class FracIntegralOperator:
         return self._weighted_tables.setdefault(key, table)
 
 
+def block_bounds(lo: int, n: int) -> tuple:
+    """(a, b): t_a..t_(b-1) is the block of _BLOCK nodes of t_1..t_n that
+    holds t_lo, so a marching window starting at t_lo ends at b at the latest."""
+    a = lo - (lo - 1) % _BLOCK
+    return a, min(a + _BLOCK, n + 1)
+
+
 def build_integral_operator(order: float, grid: Grid) -> FracIntegralOperator:
     """Assemble the discrete I^order on the given grid."""
     return FracIntegralOperator(order, grid)
@@ -469,12 +495,8 @@ def integral_node_values(op: FracIntegralOperator, f: SampledFunction) -> np.nda
     g = f.singular_exponent
     if g == 0.0:
         return op._apply_regular(f.values)[1:]
-    t = op.grid.nodes
-    bounded = t[1:] ** g * f.values[1:]
-    # the bounded factor is extrapolated linearly to t_0 from its first two samples
-    g0 = bounded[0] - (bounded[1] - bounded[0]) * t[1] / (t[2] - t[1])
-    gvec = np.concatenate(([g0], bounded))
-    return op._dense_table(g) @ gvec
+    table, scale, t0 = op._weighted(g, 1, f.values.size)
+    return table @ np.concatenate(([t0 @ f.values[1:3]], scale * f.values[1:]))
 
 
 def apply_integral(op: FracIntegralOperator, f: SampledFunction) -> SampledFunction:
@@ -492,11 +514,13 @@ def apply_integral(op: FracIntegralOperator, f: SampledFunction) -> SampledFunct
 def polynomial_from_derivatives(coeffs, t) -> np.ndarray:
     """Samples of sum_j coeffs[j] t^j / j!, the polynomial with prescribed
     derivatives coeffs[j] at t = 0. Accumulation order is fixed so that two
-    calls sharing a coefficient prefix agree bitwise on that prefix."""
+    calls sharing a coefficient prefix agree bitwise on that prefix. Zero
+    coefficients are skipped: 0 * t^j is nan where t^j overflows."""
     t = np.asarray(t, dtype=float)
     vals = np.zeros_like(t)
     for j, cj in enumerate(coeffs):
-        vals = vals + (cj / math.factorial(j)) * t**j
+        if cj:
+            vals = vals + (cj / math.factorial(j)) * t**j
     return vals
 
 

@@ -16,13 +16,12 @@ The iteration contracts in the weighted norm sup |t^gamma (.)| on [0, T]
 when omega = L * sum_h T^(alpha - alpha_h) / gamma(alpha - alpha_h + 1) < 1
 for a Lipschitz constant L of f in z. That condition is local: omega grows
 with T, and on a long horizon a whole-interval iteration need not converge
-at all. So where the operators plan their history sum (uniform grids above
-512 intervals, gamma = 0), solve marches in windows of the plan's block
-(Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985) 532): each
-window iterates with the finished past held fixed, on a horizon short
-enough to contract, and a window whose observed ratio of successive updates
-exceeds 1/2 is halved. Every other solve is the one window [0, T]. The
-solver warns (ContractionWarning) when omega >= 1 on the whole horizon.
+at all. So solve marches in windows of at most 64 nodes (Hairer, Lubich &
+Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985) 532): each window iterates
+with the finished past held fixed, on a horizon short enough to contract,
+and a window whose observed ratio of successive updates exceeds 1/2 is
+halved. The solver warns (ContractionWarning) when omega >= 1 on the whole
+horizon.
 """
 
 from __future__ import annotations
@@ -38,6 +37,7 @@ from .fractional_ops import (
     Grid,
     SampledFunction,
     apply_integral,
+    block_bounds,
     build_integral_operator,
     ceil_order,
     polynomial_from_derivatives,
@@ -121,7 +121,8 @@ def derivative_taylor_part(initial_values, alpha_h: float, grid: Grid) -> Sample
     vals = np.zeros_like(t)
     for j in range(n_h, len(initial_values)):
         bj = float(initial_values[j])
-        vals = vals + (bj / math.gamma(j + 1.0 - alpha_h)) * t ** (j - alpha_h)
+        if bj:  # 0 * t^(j - alpha_h) is nan where the power overflows
+            vals = vals + (bj / math.gamma(j + 1.0 - alpha_h)) * t ** (j - alpha_h)
     return SampledFunction(grid, vals, 0.0)
 
 
@@ -144,29 +145,16 @@ def rhs_samples(problem: MultiTermProblem, grid: Grid, z_funcs) -> SampledFuncti
     return SampledFunction(grid, vals, problem.gamma)
 
 
-def _inner_derivatives(phi: SampledFunction, inner, taylor) -> tuple:
-    """z_h = I^(alpha - alpha_h) phi + taylor_h for every inner order."""
-    return tuple(apply_integral(op, phi) + tp for op, tp in zip(inner, taylor))
-
-
-def picard_step(phi: SampledFunction, inner, taylor, rhs, lo: int, hi: int, window=None):
-    """One update of phi at nodes lo..hi-1, not checked for finiteness:
-    f(t, z) with z_h = inner[h] phi + taylor[h], inner[h] = I^(alpha -
-    alpha_h) and taylor[h] = derivative_taylor_part(b, alpha_h). rhs is f
-    compiled (compile_rhs) on the nodes it is sampled at: past t_0 when phi
-    is weighted (gamma > 0).
-
-    Without window each step applies inner whole. With window = (past,
-    near, block, slice(lo, hi)), phi is final before lo, lo..hi-1 lie in
-    one block of the operators' plan, past[h] is taylor[h] plus what the
-    blocks before it add to inner[h] phi there (push_history), and near[h]
-    = inner[h].near_field(lo, hi) maps block, a view of phi there, to the rest."""
-    if window is None:
-        z = [zh.values[lo:hi] for zh in _inner_derivatives(phi, inner, taylor)]
-        skip = 1 if phi.singular_exponent > 0.0 else 0
-        return rhs(slice(lo - skip, hi - skip), z)
-    past, near, block, sl = window
-    return rhs(sl, [p + block @ m for p, m in zip(past, near)])
+def picard_step(rhs, past, near, block, nodes: slice) -> np.ndarray:
+    """One update of phi on the window t_lo..t_(hi-1) of one block, not
+    checked for finiteness: f(t, z) with z_h = past[h] + block @ near[h].
+    rhs is f compiled (compile_rhs) on the nodes it is sampled at (past t_0
+    when gamma > 0), nodes the window's slice of them. past[h] is
+    derivative_taylor_part(b, alpha_h) plus what the blocks before lo add
+    to I^(alpha - alpha_h) phi there (push_history), and near[h] =
+    inner[h].near_field(lo, hi, gamma) maps block, phi in the block up to
+    t_(hi-1), to the rest."""
+    return rhs(nodes, [p + block @ m for p, m in zip(past, near)])
 
 
 def estimate_contraction(lipschitz: float, problem: MultiTermProblem, horizon=None) -> float:
@@ -188,8 +176,6 @@ def estimate_contraction(lipschitz: float, problem: MultiTermProblem, horizon=No
 def _observed_lipschitz(problem: MultiTermProblem, grid: Grid, z_funcs) -> float:
     """Empirical Lipschitz constant of the right-hand side over the box the
     iterates actually visited (widened 10 percent)."""
-    if problem.m == 0:
-        return 0.0
     box = []
     for zf in z_funcs:
         lo = float(np.min(zf.values))
@@ -218,49 +204,44 @@ def _march(problem: MultiTermProblem, grid: Grid, inner, taylor, tol: float, max
     ratio of successive updates and the number of updates over all windows,
     halved ones included.
 
-    phi^0 = f(t, taylor parts). When the operators plan their history sum
-    and gamma = 0, the windows lie in the plan's blocks of t_1..t_N
-    (FracIntegralOperator.window_end). A window w nodes long past the first
-    starts from the quintic through the last final value and those w, 2w,
-    .., 5w nodes before it (the line through the last two while t_0 is
-    nearer) and iterates until its update is at most tol. One whose update
-    shrinks by less than half in a step starts again at half its length,
-    down to one node, and so do the windows after it. After each window the
-    operators push the history it completes. Otherwise the one window is
-    the whole grid. A window that runs out of iterations ends the march."""
-    skip = 1 if problem.gamma > 0.0 else 0
+    phi^0 = f(t, taylor parts). The windows lie in the blocks of t_1..t_N
+    (block_bounds). A window w nodes long starts from the quintic through
+    the last final value and those w, 2w, .., 5w nodes before it (the line
+    through the last two while t_0, or t_1 for gamma > 0, is nearer; the
+    first from phi^0) and iterates until its update is at most tol. One
+    whose update shrinks by less than half in a step starts again at half
+    its length, down to one node (two for the first when gamma > 0, whose
+    t_0 value is extrapolated from t_1 and t_2), and so do the windows after
+    it. After each window the operators push the history it completes. A
+    window that runs out of iterations ends the march."""
+    g = problem.gamma
+    skip = 1 if g > 0.0 else 0
     t = grid.nodes
     n = grid.n_intervals
     rhs = compile_rhs(problem.rhs, t[skip:])
     values = np.full(n + 1, np.nan)
     values[skip:] = _finite(rhs(slice(None), [tp.values[skip:] for tp in taylor]), t[skip:])
-    phi = SampledFunction(grid, values, problem.gamma)
-    # a weighted iterate (gamma > 0) is integrated by the dense weighted
-    # tables; an operator without a plan keeps no history and applies whole
-    hist = tuple(op.history(values[0]) for op in inner) if not skip else ()
-    if not hist or hist[0] is None:
-        hist = None
-    lo, size = (1, n) if hist else (skip, n + 1)
+    hist = [op.history(values[0], g) for op in inner]
+    lo, size = 1, n
     done, worst, steps = [], 0.0, 0
     while lo <= n:
-        hi = min(lo + size, inner[0].window_end(lo) if hist else n + 1)
-        cur, window = values[lo:hi], None
-        if hist:
-            w = hi - lo
-            if lo > _START_DEGREE * w:
-                cur[:] = _window_start(w) @ values[lo - 1 - _START_DEGREE * w : lo : w]
-            elif lo > 1:
-                slope = values[lo - 1] - values[lo - 2]
-                cur[:] = values[lo - 1] + slope * np.arange(1, w + 1)
-            near = [op.near_field(lo, hi) for op in inner]
-            window = ([past[lo:hi] + tp.values[lo:hi] for past, tp in zip(hist, taylor)],
-                      near, values[hi - near[0].shape[0] : hi], slice(lo, hi))
+        a, end = block_bounds(lo, n)
+        hi = min(lo + size, end)
+        w, least = hi - lo, 1 + (skip and lo == 1)
+        cur = values[lo:hi]
+        if lo > _START_DEGREE * w + skip:
+            cur[:] = _window_start(w) @ values[lo - 1 - _START_DEGREE * w : lo : w]
+        elif lo > 1 + skip:  # the line through the last two values
+            cur[:] = values[lo - 1] + (values[lo - 1] - values[lo - 2]) * np.arange(1, w + 1)
+        near = [op.near_field(lo, hi, g) for op in inner]
+        past = [h[lo:hi] + tp.values[lo:hi] for h, tp in zip(hist, taylor)]
+        block, nodes = values[a:hi], slice(lo - skip, hi - skip)
         deltas = []
         for _ in range(max_iter):
-            new = picard_step(phi, inner, taylor, rhs, lo, hi, window)
+            new = picard_step(rhs, past, near, block, nodes)
             change = new - cur
-            if problem.gamma:
-                change *= t[lo:hi] ** problem.gamma
+            if g:
+                change *= t[lo:hi] ** g
             deltas.append(float(np.abs(change, out=change).max()))
             if not math.isfinite(deltas[-1]):  # max propagates nan and inf
                 _finite(new, t[lo:hi])
@@ -269,20 +250,20 @@ def _march(problem: MultiTermProblem, grid: Grid, inner, taylor, tol: float, max
                 worst = max(worst, deltas[-1] / deltas[-2])
             if deltas[-1] <= tol:
                 break
-            if hist and hi - lo > 1 and len(deltas) > 1 and deltas[-1] > 0.5 * deltas[-2]:
-                size = (hi - lo) // 2
+            if w > least and len(deltas) > 1 and deltas[-1] > 0.5 * deltas[-2]:
+                size = max(w // 2, least)
                 break
         steps += len(deltas)
-        if hi - lo > size:
+        if w > size:
             continue  # halved: run the window again, shorter
         done.append(deltas)
         if deltas[-1] > tol:
             break  # out of iterations
         lo = hi
-        if hist and lo <= n:
-            for op, past in zip(inner, hist):
-                op.push_history(past, values, lo)
-    return phi, done, worst, steps
+        if lo <= n:
+            for op, h in zip(inner, hist):
+                op.push_history(h, values, lo, g)
+    return SampledFunction(grid, values, g), done, worst, steps
 
 
 def solve(
@@ -313,10 +294,8 @@ def solve(
     taylor = tuple(derivative_taylor_part(problem.initial_values, a, grid) for a in orders)
     phi, windows, worst_ratio, steps = _march(problem, grid, inner, taylor, tol, max_iter)
 
-    z_final = _inner_derivatives(phi, inner, taylor)
-    if orders and orders[-1] == 0.0:
-        # inner[-1] is I^alpha and taylor[-1] the initial polynomial, so
-        # this entry already is y
+    z_final = tuple(apply_integral(op, phi) + tp for op, tp in zip(inner, taylor))
+    if orders and orders[-1] == 0.0:  # inner[-1] is I^alpha: this entry already is y
         y = z_final[-1]
     else:
         taylor_0 = derivative_taylor_part(problem.initial_values, 0.0, grid)
@@ -331,22 +310,13 @@ def solve(
         lipschitz = float("nan")
     omega = estimate_contraction(lipschitz, problem)
     if omega >= 1.0:
-        warnings.warn(
-            f"estimated contraction factor {omega:.3g} >= 1; convergence may be slow",
-            ContractionWarning,
-            stacklevel=2,
-        )
+        warnings.warn(f"estimated contraction factor {omega:.3g} >= 1; convergence may be slow",
+                      ContractionWarning, stacklevel=2)
 
     deltas = max(windows, key=len)
     report = ConvergenceReport(
-        deltas=tuple(deltas),
-        converged=windows[-1][-1] <= tol,
-        iterations=len(deltas),
-        tolerance=tol,
-        lipschitz_estimate=lipschitz,
-        contraction_estimate=omega,
-        windows=len(windows),
-        worst_ratio=worst_ratio,
-        steps=steps,
+        deltas=tuple(deltas), converged=windows[-1][-1] <= tol, iterations=len(deltas),
+        tolerance=tol, lipschitz_estimate=lipschitz, contraction_estimate=omega,
+        windows=len(windows), worst_ratio=worst_ratio, steps=steps,
     )
     return SolutionTrajectory(grid=grid, y=y, inner=z_final, phi=phi, report=report)

@@ -35,6 +35,7 @@ from fracpicard.fractional_ops import (
     _kernel_moments,
     SampledFunction,
     apply_integral,
+    block_bounds,
     build_integral_operator,
     caputo_derivative,
     ceil_order,
@@ -431,31 +432,41 @@ class TestFastHistorySum:
             out = apply_integral(op, SampledFunction(grid, u)).values
             assert np.array_equal(out, direct_apply(op, u))
 
-    @pytest.mark.parametrize("n", (1000, 1024, 8192))
-    def test_pushed_history_and_near_field_make_the_apply(self, n):
+    @pytest.mark.parametrize("n, grading, g", [
+        *(pytest.param(n, 1.0, 0.0, id=str(n)) for n in (16, 100, _NEAR_FIELD, 1000, 1024, 8192)),
+        pytest.param(200, 2.0, 0.0, id="graded-200"),
+        pytest.param(300, 1.0, 0.2, id="weighted-300"),
+    ])
+    def test_pushed_history_and_near_field_make_the_apply(self, n, grading, g):
         # how a marching solve sees the apply: windows of several widths
-        # inside the plan's blocks, each its near field plus the history
-        # pushed so far; at N = 1000 the last block and pushes are cut
-        # short, and N = 8192 pushes levels 64 and 128 by direct sums and
-        # 256 .. 4096 by FFTs
-        grid = Grid.uniform(1.0, n)
+        # inside blocks of 64 nodes, each its near field plus the history
+        # pushed so far. Uniform grids use the plan (at N = 16 its block
+        # from the zero-padded stencil); at N = 1000 the last block and
+        # pushes are cut short, and N = 8192 pushes levels 64 and 128 by
+        # direct sums and 256 .. 4096 by FFTs. A graded grid and weighted
+        # samples (g > 0) use the dense tables; for g > 0 the first window
+        # holds t_1 and t_2, from which t_0 is extrapolated.
+        grid = Grid(1.0, n, grading)
         values = np.random.default_rng(n).normal(size=n + 1)
+        if g:
+            values[0] = np.nan
+        widths = (7, 1, 64, 30) if g else (1, 7, 64, 30)
         for beta in (0.5, 1.7):
             op = build_integral_operator(beta, grid)
-            ref = apply_integral(op, SampledFunction(grid, values)).values
-            hist = op.history(values[0])
+            ref = integral_node_values(op, SampledFunction(grid, values, g))
+            hist = op.history(values[0], g)
             got = np.zeros(n + 1)
-            lo, widths = 1, (1, 7, 64, 30)
+            lo = 1
             for k in range(n):
-                hi = min(lo + widths[k % 4], op.window_end(lo))
-                near = op.near_field(lo, hi)
+                hi = min(lo + widths[k % 4], block_bounds(lo, n)[1])
+                near = op.near_field(lo, hi, g)
                 got[lo:hi] = hist[lo:hi] + values[hi - near.shape[0] : hi] @ near
                 lo = hi
                 if lo > n:
                     break
-                op.push_history(hist, values, lo)
+                op.push_history(hist, values, lo, g)
             assert lo == n + 1
-            assert np.allclose(got, ref, rtol=1e-13, atol=1e-13 * np.max(np.abs(ref)))
+            assert np.allclose(got[1:], ref, rtol=1e-13, atol=1e-13 * np.max(np.abs(ref)))
 
     def test_fft_module_loaded_on_import(self):
         # numpy loads numpy.fft lazily; the first apply must not pay for it
@@ -725,6 +736,13 @@ class TestPolynomialFromDerivatives:
         b = (1.0, -2.0, 3.0, 0.5)
         expected = sum(b[j] / math.factorial(j) * t**j for j in range(4))
         assert np.allclose(polynomial_from_derivatives(b, t), expected, rtol=1e-14)
+
+    def test_zero_coefficients_skip_an_overflowing_power(self):
+        # t^60 overflows a double at t = 1e6; 0 * inf must not turn 1 into nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = polynomial_from_derivatives([1.0] + [0.0] * 60, [0.0, 1e3, 1e5, 1e6])
+        assert np.array_equal(out, np.ones(4))
 
     @given(st.lists(st.floats(min_value=-5.0, max_value=5.0), min_size=1, max_size=6))
     @settings(max_examples=80)

@@ -65,6 +65,21 @@ def _high_order(alpha: float, horizon: float):
     })
 
 
+def _whole_step(phi, inner, taylor, rhs):
+    """The update of a regular phi at every node, each operator applied
+    whole: the reference for the march's window updates."""
+    z = [apply_integral(op, phi).values + tp.values for op, tp in zip(inner, taylor)]
+    return rhs(slice(None), z)
+
+
+def _first_window(phi, op, taylor, hi):
+    """(past, near, block, nodes) of the window t_1..t_(hi-1), hi <= 65,
+    of a regular phi and one inner operator."""
+    near = op.near_field(1, hi)
+    past = op.history(phi.values[0])[1:hi] + taylor[0].values[1:hi]
+    return [past], [near], phi.values[hi - near.shape[0] : hi], slice(1, hi)
+
+
 class TestReductionIdentity:
     CASES = [
         # (alpha, alpha_h, mu, bs) as exact rationals p/q
@@ -136,6 +151,14 @@ class TestTaylorParts:
         out = derivative_taylor_part((1.0, 2.0), 1.5, grid)
         assert np.max(np.abs(out.values)) == 0.0
 
+    def test_zero_coefficients_skip_an_overflowing_power(self):
+        # t^(61 - 1/2) overflows a double at t = 1e6; 0 * inf is nan
+        grid = Grid.uniform(1e6, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = derivative_taylor_part([1.0, 2.0] + [0.0] * 60, 0.5, grid)
+        assert np.array_equal(out.values, 2.0 / math.gamma(1.5) * grid.nodes**0.5)
+
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             derivative_taylor_part((1.0,), -0.5, Grid.uniform(1.0, 8))
@@ -157,18 +180,16 @@ class TestIterates:
                 (-np.sqrt(t)) ** j / math.gamma(j / 2.0 + 1.0) for j in range(k + 1)
             )
             assert np.max(np.abs(phi.values - expected)) < 1e-3
-            phi = SampledFunction(grid, picard_step(phi, inner, taylor, rhs, 0, t.size))
+            phi = SampledFunction(grid, _whole_step(phi, inner, taylor, rhs))
 
     def test_delta_sequence_closed_form(self):
-        # || phi_(k+1) - phi_k || = 1 / gamma((k+2)/2 + ... ) at T = 1:
-        # deltas[i] = 1 / gamma((i + 1)/2 + 1)
-        problem = _relaxation()
-        grid = Grid.uniform(1.0, 512)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ContractionWarning)
-            traj = solve(problem, grid, tol=1e-8)
+        # || phi_(k+1) - phi_k || on [0, tau] in one window that does not
+        # halve: deltas[i] = tau^((i + 1)/2) / gamma((i + 1)/2 + 1)
+        tau = 0.25
+        traj = solve(_relaxation(tau), Grid.uniform(tau, 64), tol=1e-8)
+        assert traj.report.windows == 1
         for i in range(6):
-            expected = 1.0 / math.gamma((i + 1) / 2.0 + 1.0)
+            expected = tau ** ((i + 1) / 2.0) / math.gamma((i + 1) / 2.0 + 1.0)
             assert traj.report.deltas[i] == pytest.approx(expected, rel=1e-2)
 
     def test_state_z_consistent_with_previous_phi(self):
@@ -179,11 +200,13 @@ class TestIterates:
         taylor = (derivative_taylor_part(problem.initial_values, 0.0, grid),)
         phi0 = rhs_samples(problem, grid, taylor)
         rhs = compile_rhs(problem.rhs, grid.nodes)
-        phi1 = picard_step(phi0, inner, taylor, rhs, 0, grid.nodes.size)
+        # N = 64: the first window of the march is the whole grid past t_0
+        phi1 = picard_step(rhs, *_first_window(phi0, inner[0], taylor, 65))
         expected_z = apply_integral(inner[0], phi0).values + 1.0
-        assert np.allclose(phi1, -expected_z, rtol=1e-14)
-        # a window of the whole-grid step gets its values bit for bit
-        assert np.array_equal(picard_step(phi0, inner, taylor, rhs, 5, 9), phi1[5:9])
+        assert np.allclose(phi1, -expected_z[1:], rtol=1e-14)
+        # a shorter window of the same block gets the same values
+        assert np.allclose(picard_step(rhs, *_first_window(phi0, inner[0], taylor, 9)),
+                           phi1[:8], rtol=1e-14, atol=0.0)
 
 
 class TestContractionEstimate:
@@ -286,11 +309,30 @@ class TestSolve:
         grid = Grid.uniform(1.0, 256)
         traj = solve(p, grid)
         assert traj.report.converged
-        assert traj.report.iterations == 1
+        # the first window starts from phi itself, the later ones from an
+        # extrapolation, which one step replaces by phi
+        delta, last = traj.report.deltas
+        assert delta > 0.0 and last == 0.0
         assert traj.phi.singular_exponent == 0.3
         t = grid.nodes
         exact = 1.0 + math.gamma(0.7) / math.gamma(1.2) * t**0.2
         assert np.max(np.abs(traj.y.values - exact)) < 1e-12
+
+    @pytest.mark.parametrize("grading", [1.0, 2.0])
+    def test_no_inner_derivatives(self, grading):
+        # D^1.5 y = t with zero initial data and no inner derivatives: f
+        # does not depend on z, so every window converges by its second
+        # update, and y = I^1.5 t, on which the product trapezoid rule is exact
+        p = problem_from_dict({
+            "alpha": 1.5, "derivative_orders": [], "initial_values": [0.0, 0.0],
+            "horizon": 1.0, "rhs": "t",
+        })
+        grid = Grid(1.0, 256, grading)
+        traj = solve(p, grid)
+        assert traj.report.converged and traj.report.windows >= 4
+        assert traj.inner == ()
+        exact = grid.nodes**2.5 / math.gamma(3.5)
+        assert np.max(np.abs(traj.y.values - exact)) < 1e-14
 
     @pytest.mark.parametrize("alpha,orders,rhs,builds", [
         (0.5, [0.0], "-z1", 1),
@@ -370,7 +412,8 @@ class TestSolve:
 
 
 class TestWindows:
-    """Above 512 uniform intervals solve marches in windows of 64 nodes."""
+    """Every solve marches in windows of at most 64 nodes, on uniform,
+    graded and weighted grids alike."""
 
     @pytest.mark.parametrize("horizon,error", [(20.0, 2.65e-3), (50.0, 6.22e-3)])
     def test_long_horizon_reaches_the_discretisation_error(self, horizon, error):
@@ -449,13 +492,12 @@ class TestWindows:
         taylor = (derivative_taylor_part(problem.initial_values, 0.0, grid),)
         rhs = compile_rhs(problem.rhs, grid.nodes)
         phi = SampledFunction(grid, np.cos(3.0 * grid.nodes))
-        whole = picard_step(phi, (op,), taylor, rhs, 0, grid.nodes.size)
+        whole = _whole_step(phi, (op,), taylor, rhs)
         hist, lo = op.history(phi.values[0]), 1
         for hi in (30, 65, 100, 129):
             near = op.near_field(lo, hi)
-            window = ([hist[lo:hi] + taylor[0].values[lo:hi]], [near],
-                      phi.values[hi - near.shape[0] : hi], slice(lo, hi))
-            got = picard_step(phi, (op,), taylor, rhs, lo, hi, window)
+            got = picard_step(rhs, [hist[lo:hi] + taylor[0].values[lo:hi]], [near],
+                              phi.values[hi - near.shape[0] : hi], slice(lo, hi))
             assert np.allclose(got, whole[lo:hi], rtol=1e-14, atol=0.0)
             lo = hi
             op.push_history(hist, phi.values, lo)
@@ -487,17 +529,33 @@ class TestWindows:
         with pytest.raises(NonFiniteIterateError, match=r"at t = 0\.0371094$"):
             solve(p, Grid.uniform(2.0, 1024))
 
-    def test_weighted_solve_is_one_window(self):
-        # gamma > 0 goes through the dense weighted tables, not the plan
+    def test_weighted_solve_marches(self):
+        # gamma > 0 marches through the dense weighted tables, not the plan
         p = problem_from_dict({
             "alpha": 0.5, "derivative_orders": [0.0], "initial_values": [1.0],
             "horizon": 1.0, "gamma": 0.3, "rhs": "t^(-0.3) + 0*z1",
         })
         grid = Grid.uniform(1.0, 1024)
         traj = solve(p, grid)
-        assert traj.report.converged and traj.report.windows == 1
+        assert traj.report.converged and traj.report.windows == 1024 // 64
         exact = 1.0 + math.gamma(0.7) / math.gamma(1.2) * grid.nodes**0.2
         assert np.max(np.abs(traj.y.values - exact)) < 1e-12
+
+    @pytest.mark.parametrize("rate, errors", [
+        (5.0, (3.7e-2, 2.1e-2, 1.2e-2, 6.2e-3)),
+        (7.0, (6.0e-2, 3.6e-2, 2.1e-2, 1.1e-2)),
+        (9.0, (8.3e-2, 5.2e-2, 3.1e-2, 1.8e-2)),
+    ])
+    def test_short_grids_reach_the_discretisation_error(self, rate, errors):
+        # D^1/2 y = -lam y, T = 1: iterated on the whole interval, none of
+        # these solves converges within 200 updates, and at lam = 7 and 9
+        # they end 1e10 to 1e35 away from y = erfcx(lam sqrt(t))
+        for n, error in zip((64, 128, 256, 512), errors):
+            grid = Grid.uniform(1.0, n)
+            traj = solve(_relaxation(rate=rate), grid)
+            assert traj.report.converged and traj.report.windows >= -(-n // 64)
+            sup = np.max(np.abs(traj.y.values - erfcx(rate * np.sqrt(grid.nodes))))
+            assert sup <= 1.1 * error
 
     def test_exhausted_window_ends_the_solve(self):
         grid = Grid.uniform(1.0, 1024)
@@ -509,7 +567,8 @@ class TestWindows:
         assert traj.report.windows == 1
 
     def test_one_window_report(self):
-        traj = solve(_relaxation(), Grid.uniform(1.0, 512), tol=1e-8)
+        # at most 64 intervals are one block, and this window does not halve
+        traj = solve(_relaxation(0.25), Grid.uniform(0.25, 64), tol=1e-8)
         d = traj.report.deltas
         assert traj.report.windows == 1
         assert traj.report.iterations == len(d)
