@@ -11,11 +11,12 @@ power-difference form loses eps*(t_n/h) relative digits and cannot hold the
 
 Inputs carrying a power singularity t^(-g) at the origin are handled by
 applying the same construction to the bounded factor t^g f(t) against the
-weight (t_n - tau)^(beta-1) tau^(-g); the cell moments of that weight are
-incomplete beta functions. They and the series branch of the plain moments
-are power series in an argument <= 1/2, summed by Horner's rule. The weighted
-rule is exact on t^(-g) times piecewise-linear inputs, which is what makes
-small-t decay studies of I^beta t^(-g) meaningful at all.
+weight (t_n - tau)^(beta-1) tau^(-g), whose cell moments are incomplete beta
+functions B_x(1-g, beta) and B_x(2-g, beta), the second from the first by
+B_x(p+1, q) = (p B_x(p, q) - x^p (1-x)^q) / (p+q) (DLMF 8.17.20): one series
+per node. It and the series branch of the plain moments are power series in
+an argument <= 1/2, summed by Horner's rule. The weighted rule is exact on
+t^(-g) times piecewise-linear inputs, as small-t decay studies need.
 
 Uniform grids store the quadrature as an O(N) convolution stencil and plan
 its Toeplitz product once (see _history_sum): up to _NEAR_FIELD intervals an
@@ -254,7 +255,7 @@ def incomplete_beta(p: float, q: float, x) -> np.ndarray:
     if p <= 0.0 or q <= 0.0:
         raise ValueError(f"incomplete beta needs positive parameters, got ({p}, {q})")
     x = np.asarray(x, dtype=float)
-    if np.any((x < 0.0) | (x > 1.0)):
+    if not np.all((x >= 0.0) & (x <= 1.0)):
         raise ValueError("incomplete beta argument must lie in [0, 1]")
     out = np.empty_like(x)
     lo = x <= 0.5
@@ -292,20 +293,19 @@ def _fill_lower(table: np.ndarray, cell_weights) -> None:
     """Add the weights of a product trapezoid rule to table, whose row
     r - 1 holds output node t_r, r = 1..table.shape[0].
 
-    Rows go in blocks of up to _ROW_BLOCK. cell_weights(rows, live) gets a
-    block's rows and the mask live[i, j] = j < rows[i] over its cells
-    j < rows[-1], and returns the weights of the live cells (in the order
-    of live's True entries) at each cell's left and right node.
+    Rows go in blocks of up to _ROW_BLOCK. cell_weights(rows) gets a
+    block's rows and returns the weights of its cells j < rows[-1] at each
+    cell's left and right node, one row per output node, zero where j is
+    not left of that node.
     """
     n = table.shape[0]
     for start in range(1, n + 1, _ROW_BLOCK):
         rows = np.arange(start, min(start + _ROW_BLOCK, n + 1))
         c = rows[-1]
-        live = np.arange(c)[None, :] < rows[:, None]
-        wl, wr = cell_weights(rows, live)
+        wl, wr = cell_weights(rows)
         block = table[start - 1 : c, : c + 1]
-        block[:, :-1][live] += wl
-        block[:, 1:][live] += wr
+        block[:, :-1] += wl
+        block[:, 1:] += wr
 
 
 class FracIntegralOperator:
@@ -436,32 +436,38 @@ class FracIntegralOperator:
         n = self.grid.n_intervals
         ginv = 1.0 / math.gamma(beta)
         if g == 0.0:
-            def cells(rows, live):
+            def cells(rows):
                 c = rows[-1]
                 tr = t[rows][:, None]
-                a = (tr - t[None, :c])[live]
-                b = (tr - t[None, 1 : c + 1])[live]
-                h = a - b
+                live = np.arange(c) < rows[:, None]
+                a, b = (tr - t[:c])[live], (tr - t[1 : c + 1])[live]
                 m0, m1 = _kernel_moments(a, b, beta)
-                return (m0 - m1 / h) * ginv, (m1 / h) * ginv
+                wl, wr = np.zeros(live.shape), np.zeros(live.shape)
+                wl[live], wr[live] = (m0 - m1 / (a - b)) * ginv, m1 / (a - b) * ginv
+                return wl, wr
 
             table = np.zeros((n + 1, n + 1))
             _fill_lower(table[1:], cells)
         else:
-            # cell moments against (t_row - tau)^(beta-1) tau^(-g):
-            #   J0_j = integral_(t_j)^(t_j+1) ...            = t_row^(beta-g) diff B_x(1-g, beta)
-            #   J1_j = integral ... (tau - 0) tau-weighted   = t_row^(beta-g+1) diff B_x(2-g, beta)
-            # with x_j = t_j / t_row; linear interpolation of the bounded factor
-            # then gives endpoint weights wl = J0 - S/h, wr = S/h, S = J1 - t_j J0.
-            def cells(rows, live):
+            # cell moments against (t_row - tau)^(beta-1) tau^(-g): with x_j = t_j / t_row,
+            # p = 1 - g, B = B_x(p, beta) and F = x^p (1 - x)^beta,
+            #   J0_j = integral_(t_j)^(t_j+1) ...       = t_row^(beta-g) diff B
+            #   S_j = integral ... (tau - t_j) = J1_j - t_j J0_j
+            #       = t_row^(beta-g+1) ((p/(p+beta) - x_j) diff B - diff F / (p+beta)),
+            # as B_x(p+1, beta) = (p B - F) / (p + beta) (DLMF 8.17.20): one series per
+            # node. Linear interpolation of the bounded factor then gives endpoint weights
+            # wl = J0 - S/h, wr = S/h; cells right of the row have x = 1 at both ends: zero.
+            p = 1.0 - g
+
+            def cells(rows):
                 c = rows[-1]
                 tr = t[rows][:, None]
                 x = np.clip(t[None, : c + 1] / tr, 0.0, 1.0)
-                j0 = tr ** (beta - g) * np.diff(incomplete_beta(1.0 - g, beta, x), axis=1)
-                j1 = tr ** (beta - g + 1.0) * np.diff(incomplete_beta(2.0 - g, beta, x), axis=1)
-                hcells = np.diff(t[: c + 1])[None, :]
-                s = j1 - t[None, :c] * j0
-                return (j0 - s / hcells)[live], (s / hcells)[live]
+                db = np.diff(incomplete_beta(p, beta, x), axis=1)
+                df = np.diff(x**p * (1.0 - x) ** beta, axis=1)
+                s = tr ** (beta - g + 1.0) * ((p / (p + beta) - x[:, :-1]) * db - df / (p + beta))
+                s /= np.diff(t[: c + 1])
+                return tr ** (beta - g) * db - s, s
 
             table = np.zeros((n, n + 1))
             _fill_lower(table, cells)
