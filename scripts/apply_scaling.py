@@ -18,7 +18,14 @@ grid and the dense table of order 0.5 on a grid of grading 2,
 each with its worst relative error on inputs the rule integrates exactly:
 t^(-g), whose image is Gamma(1-g)/Gamma(1-g+beta) t^(beta-g), for the
 weighted table, and the constant 1, whose image is t^beta/Gamma(1+beta),
-for the graded one.
+for the graded one. The weighted build is timed in two fresh processes,
+one with BLAS pinned to one thread (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS
+and MKL_NUM_THREADS set to 1) and one with those variables unset, so
+that the library picks its thread count; the graded build is timed in
+this process. For N <= 1024 the table also gives the largest error of the
+weighted table's last row beyond column fractional_ops._FAR_CELL, the
+cells summed from Toeplitz moments, against a 40-digit mpmath row,
+relative to the row's largest entry (mpmath is needed for that column only).
 A third table runs `--mode verify --grading 2` of the command line on
 configs/relaxation_half_order.json at N = 1024 and 2048 and gives its best
 wall time of three runs, the tracemalloc peak of a fourth run, and the
@@ -45,8 +52,12 @@ levels up to fractional_ops._DIRECT_PUSH directly.
 
 import contextlib
 import io
+import json
 import math
+import os
 import statistics
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -74,6 +85,7 @@ WEIGHT = 0.2  # singular exponent of the weighted table
 BUDGET = 0.5  # seconds spent timing each N and method
 ORACLE_NODES = 4097
 VERIFY_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "relaxation_half_order.json"
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def direct(op, u):
@@ -125,6 +137,52 @@ def median_time(fn) -> float:
     return statistics.median(times)
 
 
+def weighted_build_times(ns) -> list:
+    """Median ms to build the weighted table at each N, on a fresh grid
+    each time (dense tables are kept on the grid)."""
+    return [1e3 * median_time(lambda: build_integral_operator(ORDER, Grid.uniform(1.0, n))
+                              ._dense_table(WEIGHT)) for n in ns]
+
+
+def weighted_build_times_in_child(ns, pinned: bool) -> list:
+    """weighted_build_times in a fresh process, whose BLAS runs one thread
+    (pinned) or as many as the library picks (the variables unset)."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    if pinned:
+        env.update(dict.fromkeys(BLAS_THREADS, "1"))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parent), str(Path(fractional_ops.__file__).parents[1])])
+    code = f"import apply_scaling, json; print(json.dumps(apply_scaling.weighted_build_times({list(ns)})))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def far_row_error(n: int) -> float:
+    """Largest error of row N of the weighted table beyond column
+    _FAR_CELL against 40-digit mpmath on the nodes j / N, relative to the
+    row's largest entry. Each cell's J0 = B_x(p, beta) over the cell comes
+    from mp.betainc, p = 1 - g, and S = J1 - t_j J0 from B_x(p+1, beta) =
+    (p B_x(p, beta) - x^p (1-x)^beta) / (p+beta) (DLMF 8.17.20)."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        beta, g, h = mp.mpf(ORDER), mp.mpf(WEIGHT), mp.mpf(1) / n
+        p = 1 - g
+        x = [mp.mpf(j) / n for j in range(n + 1)]
+        f = [v**p * (1 - v) ** beta for v in x]
+        row = [mp.mpf(0)] * (n + 1)
+        for j in range(n):
+            db = mp.betainc(p, beta, x[j], x[j + 1])
+            s = ((p / (p + beta) - x[j]) * db - (f[j + 1] - f[j]) / (p + beta)) / h
+            row[j] += db - s
+            row[j + 1] += s
+        exact = np.array([float(v / mp.gamma(beta)) for v in row])
+    got = build_integral_operator(ORDER, Grid.uniform(1.0, n))._dense_table(WEIGHT)[-1]
+    far = slice(fractional_ops._FAR_CELL + 1, None)
+    return float(np.max(np.abs(got[far] - exact[far])) / np.max(np.abs(exact)))
+
+
 def graded_verify(n: int) -> tuple:
     """(best wall time of three runs, tracemalloc peak in bytes, dense
     table builds) of one graded verify from the command line. Every dense
@@ -173,14 +231,13 @@ def main() -> int:
               f"| {t_ref / t_fast:.1f}x | {dev:.1e} | {held_bytes(op)} |")
 
     print()
-    print("| N | weighted table | exactness | graded table | exactness |")
-    print("|---|---|---|---|---|")
-    for k in range(8, 13):
-        n = 2**k
-        # a fresh grid each time: dense tables are kept on the grid
-        t_weighted = median_time(
-            lambda: build_integral_operator(ORDER, Grid.uniform(1.0, n))._dense_table(WEIGHT)
-        )
+    print("| N | weighted table | unpinned BLAS | exactness | far-field error "
+          "| graded table | exactness |")
+    print("|---|---|---|---|---|---|---|")
+    sizes = [2**k for k in range(8, 13)]
+    pinned = weighted_build_times_in_child(sizes, pinned=True)
+    unpinned = weighted_build_times_in_child(sizes, pinned=False)
+    for n, t_weighted, t_unpinned in zip(sizes, pinned, unpinned):
         t_graded = median_time(lambda: build_integral_operator(ORDER, Grid(1.0, n, 2.0)))
         grid = Grid.uniform(1.0, n)
         f = SampledFunction.from_callable(grid, lambda t: t**-WEIGHT, singular_exponent=WEIGHT)
@@ -193,7 +250,8 @@ def main() -> int:
         got = integral_node_values(build_integral_operator(ORDER, grid),
                                    SampledFunction(grid, np.ones(n + 1)))
         err_graded = np.max(np.abs(got - exact) / exact)
-        print(f"| {n} | {t_weighted * 1e3:.3g} ms | {err_weighted:.1e} "
+        far = f"{far_row_error(n):.1e}" if n <= 1024 else "-"
+        print(f"| {n} | {t_weighted:.3g} ms | {t_unpinned:.3g} ms | {err_weighted:.1e} | {far} "
               f"| {t_graded * 1e3:.3g} ms | {err_graded:.1e} |")
 
     print()

@@ -14,9 +14,13 @@ applying the same construction to the bounded factor t^g f(t) against the
 weight (t_n - tau)^(beta-1) tau^(-g), whose cell moments are incomplete beta
 functions B_x(1-g, beta) and B_x(2-g, beta), the second from the first by
 B_x(p+1, q) = (p B_x(p, q) - x^p (1-x)^q) / (p+q) (DLMF 8.17.20): one series
-per node. It and the series branch of the plain moments are power series in
-an argument <= 1/2, summed by Horner's rule. The weighted rule is exact on
-t^(-g) times piecewise-linear inputs, as small-t decay studies need.
+per node. On a uniform grid that holds for the first _FAR_CELL cells only;
+from there on tau^(-g) is a series in (tau - t_j)/t_j, so the moments are
+Toeplitz and each block of the table is one matrix product (_far_table),
+without the N^2 eps that differencing B_x costs far below the diagonal. The
+series are in an argument <= 1/2, summed to a quarter ulp. The weighted
+rule is exact on t^(-g) times piecewise-linear inputs, as small-t decay
+studies need.
 
 Uniform grids store the quadrature as an O(N) convolution stencil and plan
 its Toeplitz product once (see _history_sum): up to _NEAR_FIELD intervals an
@@ -29,7 +33,7 @@ so it costs about one apply plus its per-window iterations. A Grid is the
 value (horizon, N, grading); each dense table is built once per grid object,
 order and exponent (0 for the plain table) and kept on the grid, so every
 operator of that order on that grid shares it, and it lives as long as the
-grid. Dense tables are built in blocks of up to _ROW_BLOCK rows, each over
+grid. Graded tables are built in blocks of up to _ROW_BLOCK rows, each over
 the cells left of its last row only.
 """
 
@@ -65,6 +69,10 @@ _BLOCK = 64
 _DIRECT_PUSH = 128
 # rows per block of a dense table build
 _ROW_BLOCK = 64
+# first cell of a uniform weighted table summed from Toeplitz moments, and
+# the terms of its series in 1/j: _FAR_CELL^-_FAR_TERMS <= 2^-55
+_FAR_CELL = 8
+_FAR_TERMS = 19
 
 
 def ceil_order(alpha: float) -> int:
@@ -217,21 +225,28 @@ def _kernel_moments(a: np.ndarray, b: np.ndarray, beta: float):
     return m0, m1
 
 
-def _power_series(x: np.ndarray, a0: float, ratio, k_min: float, floor: float) -> np.ndarray:
-    """sum_k a_k x^k for 0 <= x <= 1/2, a_(k+1) = a_k ratio(k), by Horner's
-    rule over scalar coefficients. Given |ratio(k)| < 1 for k >= k_min, the
-    term ratio is below x from there and the tail after K terms is at most
-    |a_K| x^K / (1 - x) <= |a_K| 2^(1-K): the sum stops at the first
-    K >= k_min where that is below 2^-55 floor, a quarter ulp of any sum of
-    at least floor. K depends on the scalars only, so each element's value
-    depends on its own x alone."""
+def _series_terms(a0: float, ratio, k_min: float, floor: float) -> list:
+    """a_0..a_(K-1) of sum_k a_k x^k, 0 <= x <= 1/2, a_(k+1) = a_k ratio(k).
+    Given |ratio(k)| < 1 for k >= k_min, the term ratio is below x from
+    there and the tail after K terms is at most |a_K| 2^(1-K): K is the
+    first K >= k_min where that is below 2^-55 floor, a quarter ulp of any
+    sum of at least floor."""
     coef = [a0]
     while True:
         k = len(coef)
         a_k = coef[-1] * ratio(k - 1)
+        if not math.isfinite(a_k):
+            raise ValueError(f"series coefficient {k} is not finite")
         if k >= k_min and abs(a_k) * 2.0 ** (1 - k) <= 2.0**-55 * floor:
-            break
+            return coef
         coef.append(a_k)
+
+
+def _power_series(x: np.ndarray, a0: float, ratio, k_min: float, floor: float) -> np.ndarray:
+    """The sum of _series_terms by Horner's rule over scalar coefficients.
+    K depends on the scalars only, so each element's value depends on its
+    own x alone."""
+    coef = _series_terms(a0, ratio, k_min, floor)
     acc = np.full_like(x, coef[-1])
     for c in reversed(coef[:-1]):
         acc *= x
@@ -252,8 +267,8 @@ def incomplete_beta(p: float, q: float, x) -> np.ndarray:
     """Lower incomplete beta B_x(p, q) = integral_0^x u^(p-1)(1-u)^(q-1) du
     for p, q > 0 and x in [0, 1], by series for x <= 1/2 and the symmetry
     B_x(p, q) = B(p, q) - B_(1-x)(q, p) otherwise."""
-    if p <= 0.0 or q <= 0.0:
-        raise ValueError(f"incomplete beta needs positive parameters, got ({p}, {q})")
+    if not (0.0 < p < math.inf and 0.0 < q < math.inf):
+        raise ValueError(f"incomplete beta needs positive finite parameters, got ({p}, {q})")
     x = np.asarray(x, dtype=float)
     if not np.all((x >= 0.0) & (x <= 1.0)):
         raise ValueError("incomplete beta argument must lie in [0, 1]")
@@ -289,23 +304,74 @@ def _history_sum(plan: tuple, u: np.ndarray) -> np.ndarray:
     return out[:n]
 
 
-def _fill_lower(table: np.ndarray, cell_weights) -> None:
+def _fill_lower(table: np.ndarray, cell_weights, row_block: int = _ROW_BLOCK) -> None:
     """Add the weights of a product trapezoid rule to table, whose row
     r - 1 holds output node t_r, r = 1..table.shape[0].
 
-    Rows go in blocks of up to _ROW_BLOCK. cell_weights(rows) gets a
-    block's rows and returns the weights of its cells j < rows[-1] at each
-    cell's left and right node, one row per output node, zero where j is
-    not left of that node.
+    Rows go in blocks of up to row_block. cell_weights(rows) gets a
+    block's rows and returns the weights of its first cells j (at most
+    those left of rows[-1]) at each cell's left and right node, one row per
+    output node, zero where j is not left of that node.
     """
     n = table.shape[0]
-    for start in range(1, n + 1, _ROW_BLOCK):
-        rows = np.arange(start, min(start + _ROW_BLOCK, n + 1))
-        c = rows[-1]
+    for start in range(1, n + 1, row_block):
+        rows = np.arange(start, min(start + row_block, n + 1))
         wl, wr = cell_weights(rows)
-        block = table[start - 1 : c, : c + 1]
+        block = table[start - 1 : rows[-1], : wl.shape[1] + 1]
         block[:, :-1] += wl
         block[:, 1:] += wr
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """out = a @ b in column chunks of at most 2^18 multiply-adds, which
+    OpenBLAS runs on one thread: on a busy 2-CPU machine a second thread
+    made such products up to 200x slower."""
+    step = max(1, 2**18 // a.size)
+    for i in range(0, b.shape[1], step):
+        np.matmul(a, b[:, i : i + step], out=out[:, i : i + step])
+
+
+def _far_table(beta: float, g: float, t: np.ndarray, j_far: int) -> np.ndarray:
+    """The column-major weighted table (row r - 1 for node t_r, without
+    1/gamma(beta)) of the cells j >= j_far >= _FAR_CELL on a uniform grid
+    t_j = j h. With d = r - j and (j+u)^(-g) = j^(-g) sum_m C(-g, m) (u/j)^m,
+    whose terms shrink by 1/8 or more, cell j weighs t^g f at its ends by
+        h t_j^(-g) sum_m C(-g, m) j^-m t_d^(beta-1) {s_m - s_(m+1), s_(m+1)}(d),
+    s_m(d) = integral_0^1 (1 - u/d)^(beta-1) u^m du: B(m+1, beta) at d = 1,
+    else sum_k b_k d^-k / (m+k+1), b_k = (1-beta)_k / k!, to the terms
+    _series_terms keeps for a sum >= 2^-max(beta-1, 0) / (m+1). The moments
+    depend on d alone, so a block of _ROW_BLOCK columns is one product,
+    written straight into them. Powers are of node values only: nothing
+    overflows before they do."""
+    n = t.size - 1
+    m = np.arange(_FAR_TERMS + 1.0)
+    b = _series_terms(1.0, lambda k: (k + 1.0 - beta) / (k + 1.0), beta - 1.0, 2.0 ** min(1 - beta, 0))
+    powers = np.vander(1.0 / np.arange(1.0, n - j_far + 2), len(b), increasing=True)
+    s = np.empty((m.size, n - j_far + 1))  # s_m(d), d = 1..n - j_far + 1
+    _matmul(b / (m[:, None] + np.arange(1.0, len(b) + 1)), powers.T, s)
+    s[:, 0] = np.cumprod(np.concatenate(([1.0 / beta], m[1:] / (m[1:] + beta))))
+    s *= t[1 : n - j_far + 2] ** (beta - 1.0)
+    left = s[:-1, :-1] - s[1:, :-1]
+    left[:, 0] = s[:-1, 0] * beta / (m[:-1] + 1.0 + beta)  # B(m+1, beta+1): no cancelling
+    # column c holds row c - 1 + e, e = r - c >= 0: wl of cell c at d = e (none
+    # at e = 0) and wr of cell c - 1 at d = e + 1; cell j_far - 1 is not far
+    moments = np.vstack((np.pad(left, ((0, 0), (1, 0))), s[1:]))
+    binom = np.cumprod(np.concatenate(([1.0], (-g - m[:-2]) / (m[:-2] + 1.0))))
+    a = t[1] * t[j_far - 1 :, None] ** -g * binom * np.arange(j_far - 1.0, n + 1.0)[:, None] ** -m[:-1]
+    a[0] = 0.0
+    coef = np.hstack((a[1:], a[:-1]))
+    flat = np.zeros((n + 1) * n)
+    for c0 in range(j_far, n, _ROW_BLOCK):
+        c1 = min(c0 + _ROW_BLOCK, n)
+        k, w = c1 - c0, n - c0 + 1
+        # out[q, e] is row c0 + q - 1 + e of column c0 + q; past row n - 1 it
+        # runs on into the top rows of the next column, which must stay zero
+        out = flat[c0 * (n + 1) - 1 : c1 * (n + 1) - 1].reshape(k, n + 1)[:, :w]
+        _matmul(coef[c0 - j_far : c1 - j_far], moments[:, :w], out)
+        out[:, w - k + 1 :][np.add.outer(np.arange(k), np.arange(k - 1)) >= k - 1] = 0.0
+    table = flat.reshape(n + 1, n).T
+    table[-1, -1] = coef[-1] @ moments[:, 0]
+    return table
 
 
 class FracIntegralOperator:
@@ -327,9 +393,13 @@ class FracIntegralOperator:
     """
 
     def __init__(self, order: float, grid: Grid) -> None:
-        if not order > 0.0:
-            raise ValueError(f"integral order must be positive, got {order}")
+        if not 0.0 < order < math.inf:
+            raise ValueError(f"integral order must be positive and finite, got {order}")
         self.order = float(order)
+        try:
+            self._ginv = 1.0 / math.gamma(self.order)
+        except OverflowError:
+            raise ValueError(f"integral order {order} overflows gamma") from None
         self.grid = grid
         self._weighted_tables = grid._tables.setdefault(round(self.order, 15), {})
         self._stencil = self._boundary = self._table = self._plan = None
@@ -340,9 +410,8 @@ class FracIntegralOperator:
         h = grid.nodes[1]
         k = np.arange(1, n + 1, dtype=float)
         m0, m1 = _kernel_moments(k * h, (k - 1.0) * h, self.order)
-        ginv = 1.0 / math.gamma(self.order)
-        left = (m0 - m1 / h) * ginv   # weight of f at the cell's far end
-        right = (m1 / h) * ginv       # weight of f at the cell's near end
+        left = (m0 - m1 / h) * self._ginv   # weight of f at the cell's far end
+        right = (m1 / h) * self._ginv       # weight of f at the cell's near end
         self._stencil = np.concatenate((right[:1], left[:-1] + right[1:]))
         self._boundary = np.concatenate(([0.0], left))
         # the plan of _history_sum, of s zero-padded: block[j, i] = s[i - j]
@@ -434,7 +503,7 @@ class FracIntegralOperator:
         beta = self.order
         t = self.grid.nodes
         n = self.grid.n_intervals
-        ginv = 1.0 / math.gamma(beta)
+        ginv = self._ginv
         if g == 0.0:
             def cells(rows):
                 c = rows[-1]
@@ -457,10 +526,12 @@ class FracIntegralOperator:
             # as B_x(p+1, beta) = (p B - F) / (p + beta) (DLMF 8.17.20): one series per
             # node. Linear interpolation of the bounded factor then gives endpoint weights
             # wl = J0 - S/h, wr = S/h; cells right of the row have x = 1 at both ends: zero.
+            # A uniform grid takes its cells from _FAR_CELL on from _far_table.
             p = 1.0 - g
+            near = min(n, _FAR_CELL) if self.grid.is_uniform else n
 
             def cells(rows):
-                c = rows[-1]
+                c = min(rows[-1], near)
                 tr = t[rows][:, None]
                 x = np.clip(t[None, : c + 1] / tr, 0.0, 1.0)
                 db = np.diff(incomplete_beta(p, beta, x), axis=1)
@@ -469,8 +540,8 @@ class FracIntegralOperator:
                 s /= np.diff(t[: c + 1])
                 return tr ** (beta - g) * db - s, s
 
-            table = np.zeros((n, n + 1))
-            _fill_lower(table, cells)
+            table = _far_table(beta, g, t, near) if near < n else np.zeros((n, n + 1))
+            _fill_lower(table, cells, n if self.grid.is_uniform else _ROW_BLOCK)
             table *= ginv
         # the store is shared through the grid: should two threads build the
         # same table at once, both return the one stored first

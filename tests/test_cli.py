@@ -21,6 +21,7 @@ import warnings
 import numpy as np
 import pytest
 
+from fracpicard import cli
 from fracpicard.cli import _oracle_fn, main
 from fracpicard.fractional_ops import Grid
 from fracpicard.problem_model import MultiTermProblem, parse_rhs
@@ -287,6 +288,25 @@ class TestStudyMode:
             s = sizes[-1] // n
             assert np.array_equal(fine.nodes[::s], coarse.nodes)
             assert np.array_equal(fine_values[::s], coarse_values)
+
+    def test_study_evaluates_the_oracle_once(self, tmp_path, monkeypatch):
+        # one mittag_leffler call per nonzero initial value, on the finest
+        # grid, whatever the number of grids in the ladder
+        cfg = tmp_path / "two_term.json"
+        cfg.write_text(json.dumps(dict(RELAXATION, alpha=1.5, initial_values=[1.0, 0.0])))
+        sizes = []
+
+        def counting(params, z):
+            sizes.append(np.size(z))
+            return ml(params, z)
+
+        ml = cli.mittag_leffler
+        monkeypatch.setattr(cli, "mittag_leffler", counting)
+        assert main([
+            "--config", str(cfg), "--mode", "study", "--study-min", "16",
+            "--n-points", "128", "--oracle", "ml:-1", "--output", str(tmp_path / "s.csv"),
+        ]) == 0
+        assert sizes == [129]
 
 
 class TestOracleMode:

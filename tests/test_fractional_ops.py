@@ -30,10 +30,12 @@ from hypothesis import strategies as st
 import fracpicard
 from fracpicard.cli import main
 from fracpicard.fractional_ops import (
+    _FAR_CELL,
     _NEAR_FIELD,
     FracIntegralOperator,
     Grid,
     _kernel_moments,
+    _series_terms,
     SampledFunction,
     apply_integral,
     block_bounds,
@@ -349,6 +351,12 @@ class TestRegularQuadrature:
         with pytest.raises(ValueError):
             build_integral_operator(0.0, Grid.uniform(1.0, 8))
 
+    @pytest.mark.parametrize("order", [math.inf, 1e300, math.nan])
+    def test_rejects_order_gamma_cannot_hold(self, order):
+        # the kernel-moment series never ended for the first two
+        with pytest.raises(ValueError, match="order"):
+            build_integral_operator(order, Grid.uniform(1.0, 8))
+
 
 def direct_apply(op: FracIntegralOperator, u: np.ndarray) -> np.ndarray:
     """Uniform-grid apply as a direct O(N^2) np.convolve, the reference
@@ -509,6 +517,14 @@ class TestIncompleteBeta:
             incomplete_beta(0.5, 1.0, np.array(1.5))
         with pytest.raises(ValueError):
             incomplete_beta(0.5, 0.7, np.array([0.3, np.nan]))
+        # the series never ended for these
+        for p, q in ((math.nan, 0.5), (0.5, math.inf), (math.inf, 0.5), (0.5, math.nan)):
+            with pytest.raises(ValueError, match="finite"):
+                incomplete_beta(p, q, np.array([0.3]))
+
+    def test_series_stops_at_a_non_finite_coefficient(self):
+        with pytest.raises(ValueError, match="not finite"):
+            _series_terms(1.0, lambda k: math.nan, 0.0, 1.0)
 
     def test_shuffled_array_matches_per_element_calls(self):
         # blocked table builds rely on this: a value depends on its own x only
@@ -663,6 +679,28 @@ def per_row_weighted_table(beta: float, g: float, t: np.ndarray) -> np.ndarray:
     return table * (1.0 / gamma(beta))
 
 
+def mp_weighted_row(beta: float, g: float, horizon: float, n: int, row: int) -> np.ndarray:
+    """Row t_row of the weighted table on the uniform grid t_j = j h, h =
+    horizon / n, in 40-digit mpmath: J0 = t_row^(beta-g) B_x(p, beta) over
+    each cell from mp.betainc, p = 1 - g, x_j = j / row, and S = J1 - t_j J0
+    through B_x(p+1, beta) = (p B_x(p, beta) - x^p (1-x)^beta) / (p+beta)
+    (DLMF 8.17.20)."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        beta, g = mp.mpf(beta), mp.mpf(g)
+        p, h = 1 - g, mp.mpf(horizon) / n
+        tr = row * h
+        x = [mp.mpf(j) / row for j in range(row + 1)]
+        f = [v**p * (1 - v) ** beta for v in x]
+        out = [mp.mpf(0)] * (n + 1)
+        for j in range(row):
+            db = mp.betainc(p, beta, x[j], x[j + 1])
+            s = tr ** (beta - g + 1) * ((p / (p + beta) - x[j]) * db - (f[j + 1] - f[j]) / (p + beta))
+            out[j] += tr ** (beta - g) * db - s / h
+            out[j + 1] += s / h
+        return np.array([float(v / mp.gamma(beta)) for v in out])
+
+
 class TestTableSharing:
     def test_same_order_on_one_grid_shares_the_table(self):
         grid = Grid.uniform(1.0, 40)
@@ -680,16 +718,31 @@ class TestTableSharing:
         assert other_order is not table
         assert grid == twin and hash(grid) == hash(twin)
 
-    @pytest.mark.parametrize("grading", [1.0, 2.5])
-    @pytest.mark.parametrize("n", [40, 130])
-    def test_blocked_builds_match_per_row_reference(self, grading, n):
-        # 130 rows span three blocks, the last one partial
+    @pytest.mark.parametrize("n,grading", [(40, 1.0), (130, 1.0), (512, 1.0), (40, 2.5), (130, 2.5)])
+    def test_blocked_builds_match_per_row_reference(self, n, grading):
+        # 130 rows span three blocks, the last one partial. A uniform table
+        # takes its cells from _FAR_CELL on from Toeplitz moments: its first
+        # columns are the incomplete-beta cells bit for bit, column _FAR_CELL
+        # (which holds the right end of the last of those) is no worse than
+        # that build, and the later columns are within 4e-15 of the row
+        # maximum, where that build loses about N^2 eps
         grid = Grid(1.3, n, grading)
         for beta in (0.4, 1.0, 2.3):
             op = build_integral_operator(beta, grid)
             for g in (0.2, 0.6):
                 ref = per_row_weighted_table(beta, g, grid.nodes)
-                assert op._dense_table(g).tobytes() == ref.tobytes()
+                table = op._dense_table(g)
+                if grading != 1.0:
+                    assert table.tobytes() == ref.tobytes()
+                    continue
+                j = _FAR_CELL
+                assert np.array_equal(table[:, :j], ref[:, :j])
+                for row in sorted({9, 40, n}):
+                    exact = mp_weighted_row(beta, g, 1.3, n, row)
+                    scale = np.max(np.abs(exact))
+                    err = np.abs(table[row - 1] - exact) / scale
+                    assert err[j] <= np.max(np.abs(ref[row - 1, : j + 1] - exact[: j + 1])) / scale
+                    assert np.max(err[j + 1 :]) < 4e-15
             if grading != 1.0:
                 assert op._table.tobytes() == per_row_graded_table(beta, grid.nodes).tobytes()
 
