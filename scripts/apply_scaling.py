@@ -163,7 +163,8 @@ def far_row_error(n: int) -> float:
     _FAR_CELL against 40-digit mpmath on the nodes j / N, relative to the
     row's largest entry. Each cell's J0 = B_x(p, beta) over the cell comes
     from mp.betainc, p = 1 - g, and S = J1 - t_j J0 from B_x(p+1, beta) =
-    (p B_x(p, beta) - x^p (1-x)^beta) / (p+beta) (DLMF 8.17.20)."""
+    (p B_x(p, beta) - x^p (1-x)^beta) / (p+beta) (DLMF 8.17.20). The table
+    carries t_j^g = x_j^g in column j, so the reference does too."""
     import mpmath as mp
 
     with mp.workdps(40):
@@ -177,7 +178,7 @@ def far_row_error(n: int) -> float:
             s = ((p / (p + beta) - x[j]) * db - (f[j + 1] - f[j]) / (p + beta)) / h
             row[j] += db - s
             row[j + 1] += s
-        exact = np.array([float(v / mp.gamma(beta)) for v in row])
+        exact = np.array([float(v * x[j] ** g / mp.gamma(beta)) for j, v in enumerate(row)])
     got = build_integral_operator(ORDER, Grid.uniform(1.0, n))._dense_table(WEIGHT)[-1]
     far = slice(fractional_ops._FAR_CELL + 1, None)
     return float(np.max(np.abs(got[far] - exact[far])) / np.max(np.abs(exact)))

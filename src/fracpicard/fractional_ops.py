@@ -20,14 +20,17 @@ Toeplitz and each block of the table is one matrix product (_far_table),
 without the N^2 eps that differencing B_x costs far below the diagonal. The
 series are in an argument <= 1/2, summed to a quarter ulp. The weighted
 rule is exact on t^(-g) times piecewise-linear inputs, as small-t decay
-studies need.
+studies need. Its table acts on f itself: column j >= 1 carries t_j^g, and
+t^g f at t_0, extrapolated from t_1 and t_2, is folded into columns 1 and
+2, so column 0 is zero.
 
 Uniform grids store the quadrature as an O(N) convolution stencil and plan
 its Toeplitz product once (see _history_sum): up to _NEAR_FIELD intervals an
 apply is one np.convolve, above it costs O(N log^2 N) (1.1 ms at N = 8192,
 10 ms at N = 65536) while every output keeps the relative accuracy of the
 direct sum. Graded grids fall back to a dense lower-triangular table, and
-weighted tables are always dense. A solve marches over 64-point blocks of
+weighted tables are always dense; every dense table is N x (N+1), row r - 1
+for node t_r. A solve marches over 64-point blocks of
 either and pushes the history once, as blocks become final (push_history),
 so it costs about one apply plus its per-window iterations. A Grid is the
 value (horizon, N, grading); each dense table is built once per grid object,
@@ -333,8 +336,8 @@ def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
 
 def _far_table(beta: float, g: float, t: np.ndarray, j_far: int) -> np.ndarray:
     """The column-major weighted table (row r - 1 for node t_r, without
-    1/gamma(beta)) of the cells j >= j_far >= _FAR_CELL on a uniform grid
-    t_j = j h. With d = r - j and (j+u)^(-g) = j^(-g) sum_m C(-g, m) (u/j)^m,
+    1/gamma(beta) or the t^g fold) of the cells j >= j_far >= _FAR_CELL on
+    a uniform grid t_j = j h. With d = r - j and (j+u)^(-g) = j^(-g) sum_m C(-g, m) (u/j)^m,
     whose terms shrink by 1/8 or more, cell j weighs t^g f at its ends by
         h t_j^(-g) sum_m C(-g, m) j^-m t_d^(beta-1) {s_m - s_(m+1), s_(m+1)}(d),
     s_m(d) = integral_0^1 (1 - u/d)^(beta-1) u^m du: B(m+1, beta) at d = 1,
@@ -388,8 +391,9 @@ class FracIntegralOperator:
     A marching solve finds f on t_1..t_N window by window, each inside one
     block of _BLOCK nodes: values holds f at t_0..t_N as far as it is
     known, and hist, from history, collects the apply from final samples.
-    For singular exponent g > 0 the weighted table applies to t^g f,
-    extrapolated to t_0 from t_1 and t_2, so a window holding t_1 holds t_2.
+    For singular exponent g > 0 the window methods read the weighted table
+    instead of the plain rule; its row of t_1 weighs f(t_2) too, so a
+    window holding t_1 holds t_2.
     """
 
     def __init__(self, order: float, grid: Grid) -> None:
@@ -424,23 +428,19 @@ class FracIntegralOperator:
 
     def history(self, f0: float, g: float = 0.0) -> np.ndarray:
         """The share of f(t_0) = f0 in the apply at t_0..t_N; none for g > 0."""
-        if g:
-            return np.zeros(self.grid.n_intervals + 1)
-        return (self._boundary if self._table is None else self._table[:, 0]) * f0
+        table = self._dense_table(g) if g else self._table
+        if table is None:
+            return self._boundary * f0
+        return np.concatenate(([0.0], table[:, 0] * (0.0 if g else f0)))
 
     def near_field(self, lo: int, hi: int, g: float = 0.0) -> np.ndarray:
         """Maps values[a:hi], the samples of the block a = block_bounds(lo, N)[0]
         up to t_(hi-1), to their share in the apply at t_lo..t_(hi-1)."""
         a = block_bounds(lo, self.grid.n_intervals)[0]
-        if g:
-            table, scale, t0 = self._weighted(g, a, hi)
-            near = table[lo - 1 : hi - 1, a:hi] * scale
-            if a == 1:
-                near[:, :2] += np.outer(table[lo - 1 : hi - 1, 0], t0)
-            return near.T
-        if self._table is None:
+        table = self._dense_table(g) if g else self._table
+        if table is None:
             return self._plan[0][: hi - a, lo - a : hi - a]
-        return self._table[lo:hi, a:hi].T
+        return table[lo - 1 : hi - 1, a:hi].T
 
     def push_history(self, hist: np.ndarray, values: np.ndarray, p: int, g: float = 0.0) -> None:
         """Add to hist what values[:p] completes once t_p starts a block.
@@ -453,14 +453,9 @@ class FracIntegralOperator:
         q, a = p - 1, p - _BLOCK
         if not q or q % _BLOCK:
             return
-        if g:
-            table, scale, t0 = self._weighted(g, a, p)
-            hist[p:] += table[p - 1 :, a:p] @ (values[a:p] * scale)
-            if a == 1:
-                hist[p:] += table[p - 1 :, 0] * (t0 @ values[1:3])
-            return
-        if self._table is not None:
-            hist[p:] += self._table[p:, a:p] @ values[a:p]
+        table = self._dense_table(g) if g else self._table
+        if table is not None:
+            hist[p:] += table[p - 1 :, a:p] @ values[a:p]
             return
         h = q & -q
         seg = hist[p : p + h]
@@ -470,32 +465,24 @@ class FracIntegralOperator:
             spectrum = self._plan[1][(h // _BLOCK).bit_length() - 1]
             seg += irfft(rfft(values[p - h : p], 2 * h) * spectrum, 2 * h)[h : h + seg.size]
 
-    def _weighted(self, g: float, a: int, b: int) -> tuple:
-        """The weighted table for g > 0, row r - 1 for node t_r; t^g at
-        t_a..t_(b-1); and t0, the weights of f(t_1), f(t_2) in t^g f at t_0."""
-        t = self.grid.nodes
-        c = t[1] / (t[2] - t[1])
-        return self._dense_table(g), t[a:b] ** g, t[1:3] ** g * (1.0 + c, -c)
-
-    def _apply_regular(self, u: np.ndarray) -> np.ndarray:
+    def _apply(self, u: np.ndarray, g: float = 0.0) -> np.ndarray:
+        """The apply at t_1..t_N to samples u at t_0..t_N, u[0] unused for g > 0."""
+        table = self._dense_table(g) if g else self._table
+        if table is not None:
+            skip = 1 if g else 0
+            return table[:, skip:] @ u[skip:]
         n = self.grid.n_intervals
-        out = np.empty(n + 1)
-        out[0] = 0.0
-        if self._table is not None:
-            out[1:] = (self._table @ u)[1:]
-        else:
-            out[1:] = self._boundary[1:] * u[0]
-            out[1:] += (np.convolve(self._stencil, u[1:])[:n] if n <= _NEAR_FIELD
-                        else _history_sum(self._plan, u[1:]))
+        out = self._boundary[1:] * u[0]
+        out += (np.convolve(self._stencil, u[1:])[:n] if n <= _NEAR_FIELD
+                else _history_sum(self._plan, u[1:]))
         return out
 
     def _dense_table(self, g: float) -> np.ndarray:
         """The grid's dense table of this order for singular exponent g,
-        built on first use. g = 0: the plain rule, row r for node t_r (row
-        0 is zero). g > 0: the weighted rule, row r - 1 for node t_r,
-        acting on samples of the bounded factor t^g f(t) (column 0
-        multiplies the extrapolated value at t_0); exact on inputs whose
-        bounded factor is piecewise linear."""
+        built on first use, row r - 1 for node t_r. g = 0: the plain rule.
+        g > 0: the weighted rule on f, whose bounded factor t^g f(t) it
+        interpolates, extrapolated to t_0 from t_1 and t_2 (column 0 is
+        zero); exact where that factor is piecewise linear."""
         key = round(g, 15)
         cached = self._weighted_tables.get(key)
         if cached is not None:
@@ -515,8 +502,8 @@ class FracIntegralOperator:
                 wl[live], wr[live] = (m0 - m1 / (a - b)) * ginv, m1 / (a - b) * ginv
                 return wl, wr
 
-            table = np.zeros((n + 1, n + 1))
-            _fill_lower(table[1:], cells)
+            table = np.zeros((n, n + 1))
+            _fill_lower(table, cells)
         else:
             # cell moments against (t_row - tau)^(beta-1) tau^(-g): with x_j = t_j / t_row,
             # p = 1 - g, B = B_x(p, beta) and F = x^p (1 - x)^beta,
@@ -543,6 +530,11 @@ class FracIntegralOperator:
             table = _far_table(beta, g, t, near) if near < n else np.zeros((n, n + 1))
             _fill_lower(table, cells, n if self.grid.is_uniform else _ROW_BLOCK)
             table *= ginv
+            # fold in t^g and t^g f at t_0, extrapolated from t_1 and t_2
+            c = t[1] / (t[2] - t[1])
+            table[:, 1:] *= t[1:] ** g
+            table[:, 1:3] += np.outer(table[:, 0], t[1:3] ** g * (1.0 + c, -c))
+            table[:, 0] = 0.0
         # the store is shared through the grid: should two threads build the
         # same table at once, both return the one stored first
         return self._weighted_tables.setdefault(key, table)
@@ -569,11 +561,7 @@ def integral_node_values(op: FracIntegralOperator, f: SampledFunction) -> np.nda
     """
     if op.grid != f.grid:
         raise ValueError("operator and samples live on different grids")
-    g = f.singular_exponent
-    if g == 0.0:
-        return op._apply_regular(f.values)[1:]
-    table, scale, t0 = op._weighted(g, 1, f.values.size)
-    return table @ np.concatenate(([t0 @ f.values[1:3]], scale * f.values[1:]))
+    return op._apply(f.values, f.singular_exponent)
 
 
 def apply_integral(op: FracIntegralOperator, f: SampledFunction) -> SampledFunction:
@@ -629,7 +617,7 @@ def caputo_derivative(y: SampledFunction, alpha: float, initial_derivs) -> Sampl
         w = r
     else:
         op = build_integral_operator(n - alpha, grid)
-        w = op._apply_regular(r)
+        w = np.concatenate(([0.0], op._apply(r)))
     for _ in range(n):
         w = np.gradient(w, t, edge_order=2)
     return SampledFunction(grid, w, 0.0)

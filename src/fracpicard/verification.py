@@ -172,10 +172,7 @@ def origin_decay(gamma_exponent: float, alpha: float, grid: Grid) -> OriginDecay
     if grid.n_intervals < 4:
         raise ValueError("need at least 4 intervals to extrapolate the limit")
 
-    if g == 0.0:
-        f = SampledFunction.from_callable(grid, lambda tt: np.ones_like(tt), 0.0)
-    else:
-        f = SampledFunction.from_callable(grid, lambda tt: tt**(-g), g)
+    f = SampledFunction.from_callable(grid, lambda tt: tt**(-g), g)  # 0.0**-0.0 is 1.0
     op = build_integral_operator(alpha, grid)
     vals = integral_node_values(op, f)
     t_pos = grid.nodes[1:]

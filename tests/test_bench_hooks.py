@@ -51,3 +51,24 @@ def test_picard_step_spans_count_the_iterations(bench_modules):
     assert len(steps) == trajectory.report.steps
     counted = layers.reduce_op(tracer.spans, root, 1)["picard_solver.iterations"]
     assert counted == trajectory.report.steps
+
+
+def test_graded_weighted_solve_reads_the_tables(bench_modules):
+    # layers.py reads op._table, op._stencil, op._boundary and
+    # op._weighted_tables directly: a graded gamma > 0 solve builds the plain
+    # table of I^0.5 and applies its weighted table once the march is done
+    layers, spans = bench_modules
+    problem = problem_from_dict({
+        "alpha": 0.5, "derivative_orders": [0.0], "initial_values": [1.0],
+        "horizon": 1.0, "gamma": 0.3, "rhs": "t^(-0.3) + 0*z1",
+    })
+    grid = Grid(1.0, 128, 2.0)
+    tracer = spans.Tracer()
+    hooks = layers.instrumentation(tracer, fracpicard)
+    with spans.patched(hooks), tracer.span("bench.op") as root:
+        fracpicard.picard_solver.solve(problem, grid)
+    m = layers.reduce_op(tracer.spans, root, 1)
+    plain = fracpicard.build_integral_operator(0.5, grid)._table
+    assert plain.shape == (128, 129)
+    assert m["fractional_ops.table_bytes"] == plain.nbytes
+    assert m["fractional_ops.apply_weighted_s"] > 0

@@ -444,6 +444,7 @@ class TestFastHistorySum:
     @pytest.mark.parametrize("n, grading, g", [
         *(pytest.param(n, 1.0, 0.0, id=str(n)) for n in (16, 100, _NEAR_FIELD, 1000, 1024, 8192)),
         pytest.param(200, 2.0, 0.0, id="graded-200"),
+        pytest.param(200, 2.0, 0.2, id="graded-weighted-200"),
         pytest.param(300, 1.0, 0.2, id="weighted-300"),
     ])
     def test_pushed_history_and_near_field_make_the_apply(self, n, grading, g):
@@ -647,23 +648,25 @@ class TestWeightedQuadrature:
 
 
 def per_row_graded_table(beta: float, t: np.ndarray) -> np.ndarray:
-    """The dense table of a graded grid, built one row at a time."""
+    """The dense table of a graded grid, built one row at a time, row r - 1
+    for node t_r."""
     n = t.size - 1
     ginv = 1.0 / gamma(beta)
-    table = np.zeros((n + 1, n + 1))
+    table = np.zeros((n, n + 1))
     for row in range(1, n + 1):
         a = t[row] - t[:row]
         b = t[row] - t[1 : row + 1]
         m0, m1 = _kernel_moments(a, b, beta)
-        table[row, :row] += (m0 - m1 / (a - b)) * ginv
-        table[row, 1 : row + 1] += (m1 / (a - b)) * ginv
+        table[row - 1, :row] += (m0 - m1 / (a - b)) * ginv
+        table[row - 1, 1 : row + 1] += (m1 / (a - b)) * ginv
     return table
 
 
 def per_row_weighted_table(beta: float, g: float, t: np.ndarray) -> np.ndarray:
     """The weighted table, built one row at a time: S = J1 - t_j J0 from
     one incomplete beta series through B_x(p+1, q) = (p B_x(p, q) - F) / (p+q),
-    F = x^p (1-x)^q."""
+    F = x^p (1-x)^q. Column j >= 1 carries t_j^g, and the weight of t^g f at
+    t_0, extrapolated from t_1 and t_2, moves into columns 1 and 2."""
     n = t.size - 1
     p = 1.0 - g
     table = np.zeros((n, n + 1))
@@ -676,7 +679,12 @@ def per_row_weighted_table(beta: float, g: float, t: np.ndarray) -> np.ndarray:
         s /= np.diff(t[: row + 1])
         table[row - 1, :row] += tr ** (beta - g) * db - s
         table[row - 1, 1 : row + 1] += s
-    return table * (1.0 / gamma(beta))
+    table *= 1.0 / gamma(beta)
+    c = t[1] / (t[2] - t[1])
+    table[:, 1:] *= t[1:] ** g
+    table[:, 1:3] += np.outer(table[:, 0], t[1:3] ** g * (1.0 + c, -c))
+    table[:, 0] = 0.0
+    return table
 
 
 def mp_weighted_row(beta: float, g: float, horizon: float, n: int, row: int) -> np.ndarray:
@@ -684,7 +692,8 @@ def mp_weighted_row(beta: float, g: float, horizon: float, n: int, row: int) -> 
     horizon / n, in 40-digit mpmath: J0 = t_row^(beta-g) B_x(p, beta) over
     each cell from mp.betainc, p = 1 - g, x_j = j / row, and S = J1 - t_j J0
     through B_x(p+1, beta) = (p B_x(p, beta) - x^p (1-x)^beta) / (p+beta)
-    (DLMF 8.17.20)."""
+    (DLMF 8.17.20). Folded as per_row_weighted_table: column j >= 1 times
+    t_j^g, and column 0 into columns 1 and 2 by the line through them."""
     mp = pytest.importorskip("mpmath")
     with mp.workdps(40):
         beta, g = mp.mpf(beta), mp.mpf(g)
@@ -698,6 +707,10 @@ def mp_weighted_row(beta: float, g: float, horizon: float, n: int, row: int) -> 
             s = tr ** (beta - g + 1) * ((p / (p + beta) - x[j]) * db - (f[j + 1] - f[j]) / (p + beta))
             out[j] += tr ** (beta - g) * db - s / h
             out[j + 1] += s / h
+        w0, out[0] = out[0], mp.mpf(0)
+        out = [v * (j * h) ** g for j, v in enumerate(out)]
+        out[1] += 2 * w0 * h**g  # c = t_1 / (t_2 - t_1) = 1
+        out[2] -= w0 * (2 * h) ** g
         return np.array([float(v / mp.gamma(beta)) for v in out])
 
 
