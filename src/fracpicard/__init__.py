@@ -15,6 +15,7 @@ from .fractional_ops import (
     build_integral_operator,
     caputo_derivative,
     ceil_order,
+    derivative_taylor_part,
     integral_node_values,
 )
 from .picard_solver import (
@@ -22,7 +23,6 @@ from .picard_solver import (
     ConvergenceReport,
     NonFiniteIterateError,
     SolutionTrajectory,
-    derivative_taylor_part,
     estimate_contraction,
     picard_step,
     solve,
@@ -64,12 +64,12 @@ __all__ = [
     "build_integral_operator",
     "caputo_derivative",
     "ceil_order",
+    "derivative_taylor_part",
     "integral_node_values",
     "ContractionWarning",
     "ConvergenceReport",
     "NonFiniteIterateError",
     "SolutionTrajectory",
-    "derivative_taylor_part",
     "estimate_contraction",
     "picard_step",
     "solve",

@@ -184,32 +184,23 @@ def run_solve(cfg: argparse.Namespace) -> int:
 def _verify_checks(
     cfg: argparse.Namespace, problem: MultiTermProblem, trajectory: SolutionTrajectory
 ):
-    checks = []
-    report = trajectory.report
-    final_delta = report.deltas[-1] if report.deltas else float("inf")
-    checks.append(("converged", final_delta, cfg.tol, report.converged))
-
+    """(name, value, threshold, passed) rows: convergence, then checks that
+    pass when value <= threshold. Only the ode_residual threshold is a flag;
+    the initial-condition one scales with 1 + |b_k|."""
     residuals = check_equivalence(trajectory, problem)
-    checks.append(("volterra_residual", residuals.volterra_residual, cfg.volterra_tol, None))
-    checks.append(("ode_residual", residuals.ode_residual, cfg.ode_tol, None))
-    for k, err in enumerate(residuals.ic_errors):
-        tol_k = cfg.ic_tol * (1.0 + abs(problem.initial_values[k]))
-        checks.append((f"ic_error_{k}", err, tol_k, None))
-
-    for k, mag in enumerate(initial_limit_checks(problem, trajectory)):
-        checks.append((f"initial_limit_{k}", mag, cfg.limit_tol, None))
-
+    rows = [("volterra_residual", residuals.volterra_residual, 1e-3),
+            ("ode_residual", residuals.ode_residual, cfg.ode_tol)]
+    rows += [(f"ic_error_{k}", err, 5e-2 * (1.0 + abs(problem.initial_values[k])))
+             for k, err in enumerate(residuals.ic_errors)]
+    rows += [(f"initial_limit_{k}", mag, 5e-2)
+             for k, mag in enumerate(initial_limit_checks(problem, trajectory))]
     decay = origin_decay(problem.gamma, problem.alpha, trajectory.grid)
-    slope_err = abs(decay.slope - (problem.alpha - problem.gamma))
-    checks.append(("decay_slope_error", slope_err, cfg.slope_tol, None))
-    checks.append(("decay_limit", abs(decay.limit_estimate), cfg.decay_limit_tol, None))
-
-    resolved = []
-    for name, value, threshold, passed in checks:
-        if passed is None:
-            passed = value <= threshold
-        resolved.append((name, float(value), float(threshold), bool(passed)))
-    return resolved
+    rows += [("decay_slope_error", abs(decay.slope - (problem.alpha - problem.gamma)), 0.05),
+             ("decay_limit", abs(decay.limit_estimate), 1e-3)]
+    report = trajectory.report
+    return [("converged", report.deltas[-1], cfg.tol, report.converged)] + [
+        (name, float(value), threshold, bool(value <= threshold)) for name, value, threshold in rows
+    ]
 
 
 def run_verify(cfg: argparse.Namespace) -> int:
@@ -341,18 +332,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="closed form oracle, ml:<lambda> or expr:<text>")
     p.add_argument("--study-min", type=int, default=16, dest="study_min",
                    help="smallest grid in study mode (default 16)")
-    p.add_argument("--volterra-tol", type=float, default=1e-3, dest="volterra_tol",
-                   help="verify: integral-form residual threshold (default 1e-3)")
     p.add_argument("--ode-tol", type=float, default=1e-2, dest="ode_tol",
                    help="verify: differential-form residual threshold (default 1e-2)")
-    p.add_argument("--ic-tol", type=float, default=5e-2, dest="ic_tol",
-                   help="verify: initial-condition recovery threshold, scaled by 1+|b_k| (default 5e-2)")
-    p.add_argument("--limit-tol", type=float, default=5e-2, dest="limit_tol",
-                   help="verify: first-node bound on I^(alpha-k) phi (default 5e-2)")
-    p.add_argument("--slope-tol", type=float, default=0.05, dest="slope_tol",
-                   help="verify: allowed deviation of the decay slope (default 0.05)")
-    p.add_argument("--decay-limit-tol", type=float, default=1e-3, dest="decay_limit_tol",
-                   help="verify: bound on the extrapolated t->0 decay limit (default 1e-3)")
     p.add_argument("--self-test-corrupt", action="store_true", dest="self_test_corrupt",
                    help="verify: corrupt the trajectory first (the checks must then fail)")
     return p
@@ -362,8 +343,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         cfg = parser.parse_args(argv)
-        if not 0.0 < cfg.tol < math.inf:
-            raise CliInputError(f"--tol must be finite and positive, got {cfg.tol}")
+        for flag, value in (("--tol", cfg.tol), ("--ode-tol", cfg.ode_tol)):
+            if not 0.0 < value < math.inf:
+                raise CliInputError(f"{flag} must be finite and positive, got {value}")
         if cfg.max_iter < 1:
             raise CliInputError(f"--max-iter must be at least 1, got {cfg.max_iter}")
         return _DISPATCH[cfg.mode](cfg)

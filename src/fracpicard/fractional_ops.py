@@ -60,7 +60,7 @@ __all__ = [
     "integral_node_values",
     "caputo_derivative",
     "ceil_order",
-    "polynomial_from_derivatives",
+    "derivative_taylor_part",
 ]
 
 _INTEGER_SNAP = 1e-9
@@ -576,17 +576,25 @@ def apply_integral(op: FracIntegralOperator, f: SampledFunction) -> SampledFunct
     return SampledFunction(op.grid, np.concatenate(([0.0], integral_node_values(op, f))), 0.0)
 
 
-def polynomial_from_derivatives(coeffs, t) -> np.ndarray:
-    """Samples of sum_j coeffs[j] t^j / j!, the polynomial with prescribed
-    derivatives coeffs[j] at t = 0. Accumulation order is fixed so that two
-    calls sharing a coefficient prefix agree bitwise on that prefix. Zero
-    coefficients are skipped: 0 * t^j is nan where t^j overflows."""
-    t = np.asarray(t, dtype=float)
+def derivative_taylor_part(initial_values, alpha_h: float, grid: Grid) -> SampledFunction:
+    """Caputo derivative of order alpha_h >= 0 of the initial polynomial
+    sum_j b_j t^j / j! with b_j = initial_values[j]:
+
+        sum_(j = n_h)^(n-1) b_j t^(j - alpha_h) / gamma(j + 1 - alpha_h),
+
+    with n_h = ceil(alpha_h); the first n_h terms are annihilated. Order 0
+    gives the polynomial itself. Zero coefficients are skipped (0 * t^p is
+    nan where the power overflows), and the terms are added in ascending j,
+    so two calls sharing a coefficient prefix agree bitwise on that prefix."""
+    if not alpha_h >= 0.0:
+        raise ValueError(f"derivative order must be >= 0, got {alpha_h}")
+    t = grid.nodes
     vals = np.zeros_like(t)
-    for j, cj in enumerate(coeffs):
-        if cj:
-            vals = vals + (cj / math.factorial(j)) * t**j
-    return vals
+    for j in range(ceil_order(alpha_h) if alpha_h else 0, len(initial_values)):
+        bj = float(initial_values[j])
+        if bj:
+            vals = vals + (bj / math.gamma(j + 1.0 - alpha_h)) * t ** (j - alpha_h)
+    return SampledFunction(grid, vals, 0.0)
 
 
 def caputo_derivative(y: SampledFunction, alpha: float, initial_derivs) -> SampledFunction:
@@ -612,7 +620,7 @@ def caputo_derivative(y: SampledFunction, alpha: float, initial_derivs) -> Sampl
             f"grid too coarse to difference {n} times: N = {grid.n_intervals} < {2 * n}"
         )
     t = grid.nodes
-    r = y.values - polynomial_from_derivatives(initial_derivs, t)
+    r = y.values - derivative_taylor_part(initial_derivs, 0.0, grid).values
     if is_integer_order(alpha):
         w = r
     else:

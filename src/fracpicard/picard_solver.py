@@ -39,8 +39,7 @@ from .fractional_ops import (
     apply_integral,
     block_bounds,
     build_integral_operator,
-    ceil_order,
-    polynomial_from_derivatives,
+    derivative_taylor_part,
 )
 from .problem_model import (
     MultiTermProblem,
@@ -55,7 +54,6 @@ __all__ = [
     "NonFiniteIterateError",
     "ConvergenceReport",
     "SolutionTrajectory",
-    "derivative_taylor_part",
     "picard_step",
     "rhs_samples",
     "estimate_contraction",
@@ -104,28 +102,6 @@ class SolutionTrajectory:
     report: ConvergenceReport
 
 
-def derivative_taylor_part(initial_values, alpha_h: float, grid: Grid) -> SampledFunction:
-    """Caputo derivative of order alpha_h of the initial polynomial:
-
-        sum_(j = n_h)^(n-1) b_j t^(j - alpha_h) / gamma(j + 1 - alpha_h),
-
-    with n_h = ceil(alpha_h); the first n_h terms are annihilated. For
-    alpha_h = 0 this is the polynomial sum_j b_j t^j / j! carrying the
-    initial data itself."""
-    if alpha_h < 0.0:
-        raise ValueError(f"derivative order must be >= 0, got {alpha_h}")
-    t = grid.nodes
-    if alpha_h == 0.0:
-        return SampledFunction(grid, polynomial_from_derivatives(initial_values, t), 0.0)
-    n_h = ceil_order(alpha_h)
-    vals = np.zeros_like(t)
-    for j in range(n_h, len(initial_values)):
-        bj = float(initial_values[j])
-        if bj:  # 0 * t^(j - alpha_h) is nan where the power overflows
-            vals = vals + (bj / math.gamma(j + 1.0 - alpha_h)) * t ** (j - alpha_h)
-    return SampledFunction(grid, vals, 0.0)
-
-
 def _finite(vals: np.ndarray, t: np.ndarray, what: str = "right-hand side produced") -> np.ndarray:
     if not np.isfinite(vals).all():  # vals: one row or several of samples on t
         t_bad = float(t[np.argmax(~np.isfinite(vals).reshape(-1, t.size).all(axis=0))])
@@ -157,16 +133,15 @@ def picard_step(rhs, past, near, block, nodes: slice) -> np.ndarray:
     return rhs(nodes, [p + block @ m for p, m in zip(past, near)])
 
 
-def estimate_contraction(lipschitz: float, problem: MultiTermProblem, horizon=None) -> float:
+def estimate_contraction(lipschitz: float, problem: MultiTermProblem) -> float:
     """A priori contraction factor of one update in the weighted norm:
 
         omega = L * sum_h T^(alpha - alpha_h) / gamma(alpha - alpha_h + 1).
 
     omega < 1 guarantees geometric convergence with ratio omega; inf
     where the bound overflows a double."""
-    t_end = problem.horizon if horizon is None else float(horizon)
     try:
-        total = sum(t_end ** (problem.alpha - a) / math.gamma(problem.alpha - a + 1.0)
+        total = sum(problem.horizon ** (problem.alpha - a) / math.gamma(problem.alpha - a + 1.0)
                     for a in problem.derivative_orders)
     except OverflowError:
         return math.inf
@@ -183,7 +158,7 @@ def _observed_lipschitz(problem: MultiTermProblem, grid: Grid, z_funcs) -> float
         pad = 0.1 * (hi - lo) + 1e-6
         box.append((lo - pad, hi + pad))
     t_lo = float(grid.nodes[1]) if problem.gamma > 0.0 else 0.0
-    return estimate_lipschitz(problem.rhs, (t_lo, grid.horizon), box, seed=0)
+    return estimate_lipschitz(problem.rhs, (t_lo, grid.horizon), box)
 
 
 _START_DEGREE = 5  # of the polynomial a window starts from

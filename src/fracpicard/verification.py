@@ -30,10 +30,10 @@ from .fractional_ops import (
     build_integral_operator,
     caputo_derivative,
     ceil_order,
+    derivative_taylor_part,
     integral_node_values,
-    polynomial_from_derivatives,
 )
-from .picard_solver import SolutionTrajectory, derivative_taylor_part, rhs_samples
+from .picard_solver import SolutionTrajectory, rhs_samples
 from .problem_model import MultiTermProblem
 
 __all__ = [
@@ -214,15 +214,14 @@ def composition_identity(coeffs, alpha: float, grid: Grid) -> float:
         raise ValueError(f"alpha must be positive, got {alpha}")
     coeffs = [float(c) for c in coeffs]
     n = ceil_order(alpha)
-    t = grid.nodes
 
     b_all = [c * math.factorial(j) for j, c in enumerate(coeffs)]
     b_head = (b_all + [0.0] * n)[:n]
 
-    y = SampledFunction(grid, polynomial_from_derivatives(b_all, t), 0.0)
+    y = derivative_taylor_part(b_all, 0.0, grid)
     deriv = caputo_derivative(y, alpha, b_head)
     lhs = apply_integral(build_integral_operator(alpha, grid), deriv)
-    rhs = y.values - polynomial_from_derivatives(b_head, t)
+    rhs = y.values - derivative_taylor_part(b_head, 0.0, grid).values
     return float(np.max(np.abs(lhs.values - rhs)))
 
 

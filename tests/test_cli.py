@@ -178,7 +178,19 @@ class TestVerifyMode:
             "converged", "volterra_residual", "ode_residual", "ic_error_0",
             "initial_limit_0", "decay_slope_error", "decay_limit",
         ]
+        assert [r[2] for r in rows] == [
+            "1e-10", "0.001", "0.01", "0.10000000000000001", "0.050000000000000003",
+            "0.050000000000000003", "0.001",
+        ]
         assert all(r[3] == "1" for r in rows)
+        # the other thresholds are fixed: no flag sets them
+        for flag in ("--volterra-tol", "--ic-tol", "--limit-tol", "--slope-tol",
+                     "--decay-limit-tol"):
+            assert main([
+                "--config", str(relaxation_cfg), "--mode", "verify", flag, "1",
+                "--output", str(tmp_path / "w.csv"),
+            ]) == 1
+        assert not (tmp_path / "w.csv").exists()
 
     def test_corrupted_trajectory_fails(self, relaxation_cfg, tmp_path, capsys):
         rc = main([
@@ -458,6 +470,9 @@ class TestBadInput:
         ["--grading", "0.5"],
         ["--grading", "300"],
         ["--tol", "inf"],
+        ["--ode-tol", "nan", "--mode", "verify"],
+        ["--ode-tol", "0", "--mode", "verify"],
+        ["--ode-tol", "inf", "--mode", "verify"],
     ])
     def test_bad_flag_values(self, relaxation_cfg, tmp_path, capsys, flags):
         assert main([

@@ -42,10 +42,10 @@ from fracpicard.fractional_ops import (
     build_integral_operator,
     caputo_derivative,
     ceil_order,
+    derivative_taylor_part,
     incomplete_beta,
     integral_node_values,
     is_integer_order,
-    polynomial_from_derivatives,
 )
 
 BETAS = (0.3, 0.5, 1.0, 1.7, 2.5)
@@ -814,7 +814,7 @@ class TestCaputoDerivative:
     def test_annihilates_initial_polynomial(self):
         grid = Grid.uniform(1.0, 64)
         b = (0.7, -1.3)
-        y = SampledFunction(grid, polynomial_from_derivatives(b, grid.nodes))
+        y = derivative_taylor_part(b, 0.0, grid)
         d = caputo_derivative(y, 1.5, b)
         assert np.max(np.abs(d.values)) == 0.0
 
@@ -833,23 +833,36 @@ class TestCaputoDerivative:
 
 
 class TestPolynomialFromDerivatives:
+    """derivative_taylor_part at order 0: the polynomial sum_j b_j t^j / j!."""
+
     def test_matches_factorial_series(self):
-        t = np.linspace(0.0, 2.0, 9)
+        grid = Grid(2.0, 8)
+        t = grid.nodes
         b = (1.0, -2.0, 3.0, 0.5)
         expected = sum(b[j] / math.factorial(j) * t**j for j in range(4))
-        assert np.allclose(polynomial_from_derivatives(b, t), expected, rtol=1e-14)
+        assert np.allclose(derivative_taylor_part(b, 0.0, grid).values, expected, rtol=1e-14)
+
+    def test_factorial_series_bitwise_through_degree_22(self):
+        # gamma(j + 1) is j! exactly and t^(j - 0.0) is t^j bitwise for j <= 22
+        grid = Grid(3.0, 40)
+        t = grid.nodes
+        b = np.random.default_rng(5).uniform(-2.0, 2.0, 23)
+        expected = np.zeros_like(t)
+        for j, bj in enumerate(b):
+            expected = expected + (bj / math.factorial(j)) * t**j
+        assert np.array_equal(derivative_taylor_part(b, 0.0, grid).values, expected)
 
     def test_zero_coefficients_skip_an_overflowing_power(self):
         # t^60 overflows a double at t = 1e6; 0 * inf must not turn 1 into nan
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = polynomial_from_derivatives([1.0] + [0.0] * 60, [0.0, 1e3, 1e5, 1e6])
+            out = derivative_taylor_part([1.0] + [0.0] * 60, 0.0, Grid(1e6, 3)).values
         assert np.array_equal(out, np.ones(4))
 
     @given(st.lists(st.floats(min_value=-5.0, max_value=5.0), min_size=1, max_size=6))
     @settings(max_examples=80)
     def test_zero_padding_is_bitwise_neutral(self, b):
-        t = np.linspace(0.0, 1.0, 33)
-        plain = polynomial_from_derivatives(b, t)
-        padded = polynomial_from_derivatives(list(b) + [0.0, 0.0], t)
+        grid = Grid(1.0, 32)
+        plain = derivative_taylor_part(b, 0.0, grid).values
+        padded = derivative_taylor_part(list(b) + [0.0, 0.0], 0.0, grid).values
         assert np.array_equal(plain, padded)

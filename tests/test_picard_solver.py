@@ -26,13 +26,13 @@ from fracpicard.fractional_ops import (
     SampledFunction,
     apply_integral,
     build_integral_operator,
+    derivative_taylor_part,
 )
 from fracpicard.picard_solver import (
     ContractionWarning,
     NonFiniteIterateError,
     _START_DEGREE,
     _window_start,
-    derivative_taylor_part,
     estimate_contraction,
     picard_step,
     rhs_samples,
@@ -234,8 +234,8 @@ class TestContractionEstimate:
         assert estimate_contraction(3.0, p) == pytest.approx(expected, rel=1e-13)
 
     def test_horizon_override(self):
-        problem = _relaxation(horizon=1.0)
-        shorter = estimate_contraction(1.0, problem, horizon=0.25)
+        problem = _relaxation(horizon=0.25)
+        shorter = estimate_contraction(1.0, problem)
         assert shorter == pytest.approx(0.564189583547756, abs=1e-12)
 
     def test_overflowing_bound_is_inf(self):

@@ -229,7 +229,7 @@ class TestLipschitz:
 
     def test_smooth_nonlinearity(self):
         e = parse_rhs("sin(z1)", 1)
-        L = estimate_lipschitz(e, (0.0, 1.0), [(-0.2, 0.2)], samples=2000)
+        L = estimate_lipschitz(e, (0.0, 1.0), [(-0.2, 0.2)])
         assert 0.9 <= L <= 1.0 + 1e-9
 
     def test_no_z_dependence(self):
@@ -239,11 +239,9 @@ class TestLipschitz:
 
     def test_seed_determinism(self):
         e = parse_rhs("z1^2", 1)
-        a = estimate_lipschitz(e, (0.0, 1.0), [(0.0, 2.0)], seed=42)
-        b = estimate_lipschitz(e, (0.0, 1.0), [(0.0, 2.0)], seed=42)
-        c = estimate_lipschitz(e, (0.0, 1.0), [(0.0, 2.0)], seed=43)
+        a = estimate_lipschitz(e, (0.0, 1.0), [(0.0, 2.0)])
+        b = estimate_lipschitz(e, (0.0, 1.0), [(0.0, 2.0)])
         assert a == b
-        assert a != c  # different sampling, almost surely different max
 
     def test_domain_error_propagates(self):
         e = parse_rhs("log(z1)", 1)
