@@ -175,7 +175,8 @@ def run_solve(cfg: argparse.Namespace) -> int:
     print(
         f"solve: {status} after {report.iterations} iterations "
         f"(final delta {report.deltas[-1]:.3g}, contraction estimate "
-        f"{report.contraction_estimate:.3g}, {report.windows} windows, {report.steps} steps, "
+        f"{report.contraction_estimate:.3g}, {report.exact_windows} exact of {report.windows} "
+        f"windows, {report.steps} steps, "
         f"worst ratio {report.worst_ratio:.3g}); wrote {out} and {conv_path}"
     )
     return 0 if report.converged else 2

@@ -36,8 +36,9 @@ so it costs about one apply plus its per-window iterations. A Grid is the
 value (horizon, N, grading); each dense table is built once per grid object,
 order and exponent (0 for the plain table) and kept on the grid, so every
 operator of that order on that grid shares it, and it lives as long as the
-grid. Graded tables are built in blocks of up to _ROW_BLOCK rows, each over
-the cells left of its last row only.
+grid. Uniform plans are shared too, but only on the uniform grid planned on
+last (_recent_plans). Graded tables are built in blocks of up to _ROW_BLOCK
+rows, each over the cells left of its last row only.
 """
 
 from __future__ import annotations
@@ -78,12 +79,20 @@ _FAR_CELL = 8
 _FAR_TERMS = 19
 
 
+# {(horizon, N): {order: (stencil, boundary, plan)}} of the last uniform grid
+# value an operator was built on, and of no other: the checks that follow a
+# solve share its plans, while a ladder of grids, whose trajectories keep
+# their grids alive, does not keep one plan per grid. Threads that race on it
+# may build a plan twice, never use a wrong one: each reads the dict it holds
+_recent_plans = {}
+
+
 def ceil_order(alpha: float) -> int:
     """Number of initial conditions attached to a derivative of order alpha:
-    the smallest integer n with n - 1 < alpha <= n (so n = alpha when alpha
-    is a positive integer)."""
-    if not alpha > 0.0:
-        raise ValueError(f"order must be positive, got {alpha}")
+    the smallest integer n >= 0 with n - 1 < alpha <= n (so n = alpha when
+    alpha is an integer, and 0 for order 0)."""
+    if not alpha >= 0.0:
+        raise ValueError(f"order must be non-negative, got {alpha}")
     if is_integer_order(alpha):
         return int(round(alpha))
     return int(math.ceil(alpha))
@@ -386,7 +395,8 @@ class FracIntegralOperator:
     convolution stencil plus a boundary column, kept with the plan of
     _history_sum; graded grids hold the full lower-triangular table. That
     table and the weighted tables for singular inputs are kept on the grid,
-    so every operator of the same order on it shares them.
+    so every operator of the same order on it shares them; the stencil,
+    boundary and plan are shared through _recent_plans.
 
     A marching solve finds f on t_1..t_N window by window, each inside one
     block of _BLOCK nodes: values holds f at t_0..t_N as far as it is
@@ -410,21 +420,31 @@ class FracIntegralOperator:
         if not grid.is_uniform:
             self._table = self._dense_table(0.0)
             return
-        n = grid.n_intervals
-        h = grid.nodes[1]
+        key = (grid.horizon, grid.n_intervals)  # a plan depends on these alone
+        if key not in _recent_plans:
+            _recent_plans.clear()
+        plans = _recent_plans.setdefault(key, {})
+        order = round(self.order, 15)
+        if order not in plans:
+            plans.setdefault(order, self._planned())
+        self._stencil, self._boundary, self._plan = plans[order]
+
+    def _planned(self) -> tuple:
+        """(stencil, boundary, plan) of the uniform rule of this order."""
+        n = self.grid.n_intervals
+        h = self.grid.nodes[1]
         k = np.arange(1, n + 1, dtype=float)
         m0, m1 = _kernel_moments(k * h, (k - 1.0) * h, self.order)
         left = (m0 - m1 / h) * self._ginv   # weight of f at the cell's far end
         right = (m1 / h) * self._ginv       # weight of f at the cell's near end
-        self._stencil = np.concatenate((right[:1], left[:-1] + right[1:]))
-        self._boundary = np.concatenate(([0.0], left))
+        stencil = np.concatenate((right[:1], left[:-1] + right[1:]))
         # the plan of _history_sum, of s zero-padded: block[j, i] = s[i - j]
         # for i >= j, and rfft(s[:2h]) for each level h = _BLOCK 2^j < n
         i = np.arange(_BLOCK)
-        s = np.pad(self._stencil[:_BLOCK], (0, max(_BLOCK - n, 0)))
+        s = np.pad(stencil[:_BLOCK], (0, max(_BLOCK - n, 0)))
         levels = [_BLOCK << j for j in range(n.bit_length()) if _BLOCK << j < n]
-        self._plan = (np.triu(s[abs(i[:, None] - i)]),
-                      [rfft(self._stencil[: 2 * h], 2 * h) for h in levels])
+        plan = (np.triu(s[abs(i[:, None] - i)]), [rfft(stencil[: 2 * h], 2 * h) for h in levels])
+        return stencil, np.concatenate(([0.0], left)), plan
 
     def history(self, f0: float, g: float = 0.0) -> np.ndarray:
         """The share of f(t_0) = f0 in the apply at t_0..t_N; none for g > 0."""
@@ -585,12 +605,11 @@ def derivative_taylor_part(initial_values, alpha_h: float, grid: Grid) -> Sample
     with n_h = ceil(alpha_h); the first n_h terms are annihilated. Order 0
     gives the polynomial itself. Zero coefficients are skipped (0 * t^p is
     nan where the power overflows), and the terms are added in ascending j,
-    so two calls sharing a coefficient prefix agree bitwise on that prefix."""
-    if not alpha_h >= 0.0:
-        raise ValueError(f"derivative order must be >= 0, got {alpha_h}")
+    so two calls sharing a coefficient prefix agree bitwise on that prefix.
+    A negative or nan order raises ValueError (ceil_order)."""
     t = grid.nodes
     vals = np.zeros_like(t)
-    for j in range(ceil_order(alpha_h) if alpha_h else 0, len(initial_values)):
+    for j in range(ceil_order(alpha_h), len(initial_values)):
         bj = float(initial_values[j])
         if bj:
             vals = vals + (bj / math.gamma(j + 1.0 - alpha_h)) * t ** (j - alpha_h)

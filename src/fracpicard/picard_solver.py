@@ -20,8 +20,12 @@ at all. So solve marches in windows of at most 64 nodes (Hairer, Lubich &
 Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985) 532): each window iterates
 with the finished past held fixed, on a horizon short enough to contract,
 and a window whose observed ratio of successive updates exceeds 1/2 is
-halved. The solver warns (ContractionWarning) when omega >= 1 on the whole
-horizon.
+halved. Where f is affine in z, the window's equations are linear, and
+where their diagonal contraction is at most 1/2 as well, Picard's limit on
+the window exists and one exact (Newton) step reaches it: the window takes
+that step once instead of halving, and plain updates then confirm it to
+the tolerance. The solver warns (ContractionWarning) when omega >= 1 on
+the whole horizon.
 """
 
 from __future__ import annotations
@@ -44,8 +48,10 @@ from .fractional_ops import (
 from .problem_model import (
     MultiTermProblem,
     compile_rhs,
+    depends_on_z,
     eval_rhs,
     estimate_lipschitz,
+    rhs_derivatives,
     validate_problem,
 )
 
@@ -76,7 +82,8 @@ class ConvergenceReport:
     and deltas (the weighted sup-norm updates) are those of the window that
     took the most updates, steps counts the updates of all windows, and
     worst_ratio is the largest ratio of successive updates over all
-    windows, halved attempts included in both (0.0 when none took two)."""
+    windows, halved attempts included in both (0.0 when none took two).
+    exact_windows counts the windows that the exact step finished."""
 
     deltas: tuple
     converged: bool
@@ -87,6 +94,7 @@ class ConvergenceReport:
     windows: int
     worst_ratio: float
     steps: int
+    exact_windows: int
 
 
 @dataclass(frozen=True)
@@ -174,10 +182,49 @@ def _window_start(width: int) -> np.ndarray:
     return start
 
 
+def _affine_slopes(problem: MultiTermProblem, t: np.ndarray):
+    """df/dz_h on the nodes t, one array per inner derivative, where f is
+    affine in z; () where it is not."""
+    trees = rhs_derivatives(problem.rhs, problem.m)
+    if any(depends_on_z(d) for d in trees):
+        return ()
+    return [compile_rhs(d, t)(slice(None), ()) for d in trees]
+
+
+def _window_system(slopes, near, r: int, nodes: slice):
+    """I - M, with M = sum_h diag(df/dz_h) near[h][r:].T the derivative of a
+    window's update by its own values (rows r.. of each near field); None
+    where max |diag M| > 1/2, the march's own contraction threshold."""
+    m = sum(s[nodes, None] * block[r:].T for s, block in zip(slopes, near))
+    return np.eye(len(m)) - m if np.abs(m.diagonal()).max() <= 0.5 else None
+
+
+def _exact_step(slopes, near, r: int, nodes: slice, res: np.ndarray, solved):
+    """delta with (I - M) delta = res, the update's change: for f affine in
+    z, the iterate before that update plus delta is the window's fixed
+    point. None where _window_system refuses M, or the step is not finite.
+    solved, where not None, keeps (I - M)^-1 per pair of the window's first
+    and end rows in its block, for grids where M depends on them alone."""
+    try:
+        if solved is None:
+            lhs = _window_system(slopes, near, r, nodes)
+            step = None if lhs is None else np.linalg.solve(lhs, res)
+        else:
+            key = (r, r + res.size)
+            if key not in solved:
+                lhs = _window_system(slopes, near, r, nodes)
+                solved[key] = None if lhs is None else np.linalg.inv(lhs)
+            step = None if solved[key] is None else solved[key] @ res
+    except np.linalg.LinAlgError:
+        return None
+    return step if step is not None and np.isfinite(step).all() else None
+
+
 def _march(problem: MultiTermProblem, grid: Grid, inner, taylor, tol: float, max_iter: int):
-    """phi, the deltas of every window solved, in order, and the largest
-    ratio of successive updates and the number of updates over all windows,
-    halved ones included.
+    """phi, the deltas of every window solved, in order, the largest ratio
+    of successive updates and the number of updates over all windows,
+    halved ones included, and the number of windows the exact step
+    finished.
 
     phi^0 = f(t, taylor parts). The windows lie in the blocks of t_1..t_N
     (block_bounds). A window w nodes long starts from the quintic through
@@ -187,8 +234,14 @@ def _march(problem: MultiTermProblem, grid: Grid, inner, taylor, tol: float, max
     whose update shrinks by less than half in a step starts again at half
     its length, down to one node (two for the first when gamma > 0, whose
     t_0 value is extrapolated from t_1 and t_2), and so do the windows after
-    it. After each window the operators push the history it completes. A
-    window that runs out of iterations ends the march."""
+    it. Once per window, the exact step may stand in for the halving: where
+    f is affine in z (derivative trees from rhs_derivatives, built the
+    first time a window would halve) and _window_system accepts the window,
+    the iterate before that update moves to the window's fixed point and
+    the updates go on. The next one is at round-off level; should it too
+    shrink by less than half, the window halves after all. After each
+    window the operators push the history it completes. A window that runs
+    out of iterations ends the march."""
     g = problem.gamma
     skip = 1 if g > 0.0 else 0
     t = grid.nodes
@@ -197,8 +250,9 @@ def _march(problem: MultiTermProblem, grid: Grid, inner, taylor, tol: float, max
     values = np.full(n + 1, np.nan)
     values[skip:] = _finite(rhs(slice(None), [tp.values[skip:] for tp in taylor]), t[skip:])
     hist = [op.history(values[0], g) for op in inner]
+    slopes = solved = None  # df/dz_h, from the first window that would halve
     lo, size = 1, n
-    done, worst, steps = [], 0.0, 0
+    done, worst, steps, exact_windows = [], 0.0, 0, 0
     while lo <= n:
         a, end = block_bounds(lo, n)
         hi = min(lo + size, end)
@@ -211,13 +265,11 @@ def _march(problem: MultiTermProblem, grid: Grid, inner, taylor, tol: float, max
         near = [op.near_field(lo, hi, g) for op in inner]
         past = [h[lo:hi] + tp.values[lo:hi] for h, tp in zip(hist, taylor)]
         block, nodes = values[a:hi], slice(lo - skip, hi - skip)
-        deltas = []
+        deltas, tried, exact = [], False, False
         for _ in range(max_iter):
             new = picard_step(rhs, past, near, block, nodes)
-            change = new - cur
-            if g:
-                change *= t[lo:hi] ** g
-            deltas.append(float(np.abs(change, out=change).max()))
+            res = new - cur
+            deltas.append(float(np.abs(res * t[lo:hi] ** g if g else res).max()))
             if not math.isfinite(deltas[-1]):  # max propagates nan and inf
                 _finite(new, t[lo:hi])
             cur[:] = new
@@ -226,19 +278,32 @@ def _march(problem: MultiTermProblem, grid: Grid, inner, taylor, tol: float, max
             if deltas[-1] <= tol:
                 break
             if w > least and len(deltas) > 1 and deltas[-1] > 0.5 * deltas[-2]:
+                if not tried:  # once per window: the exact step, where f allows it
+                    tried = True
+                    if slopes is None:
+                        slopes = _affine_slopes(problem, t[skip:])
+                        # M then depends on the window's place in its block alone
+                        if grid.is_uniform and not g and all(s.min() == s.max() for s in slopes):
+                            solved = {}
+                    step = _exact_step(slopes, near, lo - a, nodes, res, solved) if slopes else None
+                    if step is not None:
+                        cur += step - res  # the iterate before new, plus the step
+                        exact = True
+                        continue
                 size = max(w // 2, least)
                 break
         steps += len(deltas)
         if w > size:
             continue  # halved: run the window again, shorter
         done.append(deltas)
+        exact_windows += exact
         if deltas[-1] > tol:
             break  # out of iterations
         lo = hi
         if lo <= n:
             for op, h in zip(inner, hist):
                 op.push_history(h, values, lo, g)
-    return SampledFunction(grid, values, g), done, worst, steps
+    return SampledFunction(grid, values, g), done, worst, steps, exact_windows
 
 
 def solve(
@@ -267,7 +332,8 @@ def solve(
     orders = problem.derivative_orders
     inner = tuple(build_integral_operator(problem.alpha - a, grid) for a in orders)
     taylor = tuple(derivative_taylor_part(problem.initial_values, a, grid) for a in orders)
-    phi, windows, worst_ratio, steps = _march(problem, grid, inner, taylor, tol, max_iter)
+    phi, windows, worst_ratio, steps, exact_windows = _march(
+        problem, grid, inner, taylor, tol, max_iter)
 
     z_final = tuple(apply_integral(op, phi) + tp for op, tp in zip(inner, taylor))
     if orders and orders[-1] == 0.0:  # inner[-1] is I^alpha: this entry already is y
@@ -292,6 +358,6 @@ def solve(
     report = ConvergenceReport(
         deltas=tuple(deltas), converged=windows[-1][-1] <= tol, iterations=len(deltas),
         tolerance=tol, lipschitz_estimate=lipschitz, contraction_estimate=omega,
-        windows=len(windows), worst_ratio=worst_ratio, steps=steps,
+        windows=len(windows), worst_ratio=worst_ratio, steps=steps, exact_windows=exact_windows,
     )
     return SolutionTrajectory(grid=grid, y=y, inner=z_final, phi=phi, report=report)

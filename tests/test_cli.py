@@ -96,6 +96,16 @@ class TestSolveMode:
         assert "converged after 12 iterations" in line
         assert "16 windows, 144 steps, worst ratio 0.221" in line
 
+    def test_reports_the_windows_solved_exactly(self, tmp_path, capsys):
+        # on T = 20 every 64-node window would halve; each ends with the
+        # exact step instead, after two updates and before a last one
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(dict(RELAXATION, horizon=20.0)))
+        rc = main(["--config", str(path), "--n-points", "1024",
+                   "--output", str(tmp_path / "traj.csv")])
+        assert rc == 0
+        assert "16 exact of 16 windows, 48 steps" in capsys.readouterr().out
+
     def test_default_output_name(self, relaxation_cfg, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         rc = main(["--config", str(relaxation_cfg), "--n-points", "64"])

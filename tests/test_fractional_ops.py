@@ -64,12 +64,13 @@ class TestCeilOrder:
         assert ceil_order(2.0) == 2
         assert ceil_order(2.0 + 1e-12) == 2  # snaps to the integer
         assert ceil_order(2.5) == 3
+        assert ceil_order(0.0) == 0  # order 0 needs no initial condition
 
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            ceil_order(0.0)
+    def test_rejects_negative_and_nan(self):
         with pytest.raises(ValueError):
             ceil_order(-1.5)
+        with pytest.raises(ValueError):
+            ceil_order(float("nan"))
 
     def test_integer_detection(self):
         assert is_integer_order(2.0)
@@ -720,6 +721,15 @@ class TestTableSharing:
         a = build_integral_operator(0.7, grid)
         b = build_integral_operator(0.7, grid)
         assert a._dense_table(0.3) is b._dense_table(0.3)
+
+    def test_same_order_on_one_grid_shares_the_plan(self):
+        grid = Grid(1.0, 1024)
+        a = build_integral_operator(0.7, grid)
+        b = build_integral_operator(0.7, grid)
+        assert a._stencil is b._stencil and a._boundary is b._boundary
+        assert a._plan[0] is b._plan[0]
+        assert all(x is y for x, y in zip(a._plan[1], b._plan[1]))
+        assert build_integral_operator(0.9, grid)._plan[0] is not a._plan[0]
 
     def test_equal_grid_or_other_order_builds_its_own(self):
         grid = Grid.uniform(1.0, 40)

@@ -13,6 +13,7 @@ trusted. The iterate tests then compare against hand-derived closed forms
 of the Picard sequence for the half-order relaxation problem.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -63,6 +64,21 @@ def _high_order(alpha: float, horizon: float):
         "alpha": alpha, "derivative_orders": [0.0], "initial_values": [1.0] + [0.0] * (n - 1),
         "horizon": horizon, "rhs": "t",
     })
+
+
+def _forward_substitution(rate: float, grid) -> np.ndarray:
+    """y of D^1/2 y = -rate y, y(0) = 1, from the discrete equations, which
+    are lower triangular: forward substitution solves them exactly."""
+    op = build_integral_operator(0.5, grid)
+    unit = np.eye(2, grid.nodes.size)
+    boundary, first = (apply_integral(op, SampledFunction(grid, e)).values for e in unit)
+    stencil = first[1:]  # stencil[k] weights phi_j at node j + k
+    phi = np.empty(grid.nodes.size)
+    phi[0] = -rate
+    for k in range(1, phi.size):
+        past = boundary[k] * phi[0] + stencil[k - 1 : 0 : -1] @ phi[1:k]
+        phi[k] = -rate * (past + 1.0) / (1.0 + rate * stencil[0])
+    return apply_integral(op, SampledFunction(grid, phi)).values + 1.0
 
 
 def _whole_step(phi, inner, taylor, rhs):
@@ -418,12 +434,14 @@ class TestWindows:
     @pytest.mark.parametrize("horizon,error", [(20.0, 2.65e-3), (50.0, 6.22e-3)])
     def test_long_horizon_reaches_the_discretisation_error(self, horizon, error):
         # a whole-interval iteration stalls here: its iterates pass through
-        # cancelling partial sums of the Mittag-Leffler series E_1/2
+        # cancelling partial sums of the Mittag-Leffler series E_1/2. Every
+        # 64-node window would halve, and f is affine with a diagonal below
+        # 1/2, so each ends with the exact step instead
         grid = Grid.uniform(horizon, 1024)
         traj = solve(_relaxation(horizon), grid, tol=1e-10)
         assert traj.report.converged
-        assert traj.report.windows > 1024 // 64
-        assert traj.report.worst_ratio > 0.5  # some window was halved
+        assert traj.report.exact_windows == traj.report.windows == 1024 // 64
+        assert traj.report.worst_ratio > 0.5  # where a window would halve
         sup = np.max(np.abs(traj.y.values - erfcx(np.sqrt(grid.nodes))))
         assert sup <= 1.1 * error
 
@@ -451,27 +469,31 @@ class TestWindows:
         assert np.max(np.abs(traj.y.values - y)) <= 1e-9
         assert np.max(np.abs(traj.y.values - (b + c * grid.nodes**p))) < 1e-3
 
-    def test_stiff_windows_are_halved(self):
-        # lam = 10 does not contract on 64 nodes; the windows shrink until
-        # it does. The discrete equations are lower triangular, so forward
-        # substitution solves them exactly for comparison.
+    def test_stiff_windows_are_solved_exactly(self):
+        # lam = 10 does not contract on 64 nodes: each window would halve.
+        # f is affine and the diagonal, 10 h^1/2 / gamma(5/2) = 0.235, is
+        # below 1/2, so the exact step finishes each of them instead
         rate, grid = 10.0, Grid.uniform(1.0, 1024)
         traj = solve(_relaxation(rate=rate), grid, tol=1e-12)
         assert traj.report.converged
-        assert traj.report.windows > 1024 // 64
+        assert traj.report.exact_windows == traj.report.windows == 1024 // 64
         assert traj.report.worst_ratio > 0.5
-        op = build_integral_operator(0.5, grid)
-        unit = np.eye(2, grid.nodes.size)
-        boundary, first = (apply_integral(op, SampledFunction(grid, e)).values for e in unit)
-        stencil = first[1:]  # stencil[k] weights phi_j at node j + k
-        phi = np.empty(grid.nodes.size)
-        phi[0] = -rate
-        for k in range(1, phi.size):
-            past = boundary[k] * phi[0] + stencil[k - 1 : 0 : -1] @ phi[1:k]
-            phi[k] = -rate * (past + 1.0) / (1.0 + rate * stencil[0])
-        y = apply_integral(op, SampledFunction(grid, phi)).values + 1.0
+        y = _forward_substitution(rate, grid)
         assert np.max(np.abs(traj.y.values - y)) <= 1e-10
         assert np.max(np.abs(y - erfcx(rate * np.sqrt(grid.nodes)))) < 1.5e-2
+
+    @pytest.mark.parametrize("rhs", ["-9*z1", "-9*z1 + 0.01*z1^2", "-9*sin(z1)"])
+    def test_windows_halve_where_the_exact_step_is_refused(self, rhs):
+        # -9 z1 is affine, but at N = 64 its diagonal, 9 h^1/2 / gamma(5/2)
+        # = 0.85, is above 1/2; the other two are not affine in z. Either
+        # way the windows halve as they did before the exact step existed
+        grid = Grid.uniform(1.0, 64)
+        problem = dataclasses.replace(_relaxation(), rhs=parse_rhs(rhs, 1))
+        traj = solve(problem, grid, tol=1e-12)
+        assert traj.report.converged and traj.report.exact_windows == 0
+        assert traj.report.windows > 1 and traj.report.worst_ratio > 0.5
+        if rhs == "-9*z1":
+            assert np.max(np.abs(traj.y.values - _forward_substitution(9.0, grid))) <= 1e-10
 
     @pytest.mark.parametrize("width", (1, 7, 64))
     def test_window_start_reproduces_its_degree(self, width):
