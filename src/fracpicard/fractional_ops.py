@@ -36,9 +36,8 @@ so it costs about one apply plus its per-window iterations. A Grid is the
 value (horizon, N, grading); each dense table is built once per grid object,
 order and exponent (0 for the plain table) and kept on the grid, so every
 operator of that order on that grid shares it, and it lives as long as the
-grid. Uniform plans are shared too, but only on the uniform grid planned on
-last (_recent_plans). Graded tables are built in blocks of up to _ROW_BLOCK
-rows, each over the cells left of its last row only.
+grid. Graded tables are built in blocks of up to _ROW_BLOCK rows, each over
+the cells left of its last row only.
 """
 
 from __future__ import annotations
@@ -77,14 +76,6 @@ _ROW_BLOCK = 64
 # the terms of its series in 1/j: _FAR_CELL^-_FAR_TERMS <= 2^-55
 _FAR_CELL = 8
 _FAR_TERMS = 19
-
-
-# {(horizon, N): {order: (stencil, boundary, plan)}} of the last uniform grid
-# value an operator was built on, and of no other: the checks that follow a
-# solve share its plans, while a ladder of grids, whose trajectories keep
-# their grids alive, does not keep one plan per grid. Threads that race on it
-# may build a plan twice, never use a wrong one: each reads the dict it holds
-_recent_plans = {}
 
 
 def ceil_order(alpha: float) -> int:
@@ -395,8 +386,7 @@ class FracIntegralOperator:
     convolution stencil plus a boundary column, kept with the plan of
     _history_sum; graded grids hold the full lower-triangular table. That
     table and the weighted tables for singular inputs are kept on the grid,
-    so every operator of the same order on it shares them; the stencil,
-    boundary and plan are shared through _recent_plans.
+    so every operator of the same order on it shares them.
 
     A marching solve finds f on t_1..t_N window by window, each inside one
     block of _BLOCK nodes: values holds f at t_0..t_N as far as it is
@@ -420,31 +410,21 @@ class FracIntegralOperator:
         if not grid.is_uniform:
             self._table = self._dense_table(0.0)
             return
-        key = (grid.horizon, grid.n_intervals)  # a plan depends on these alone
-        if key not in _recent_plans:
-            _recent_plans.clear()
-        plans = _recent_plans.setdefault(key, {})
-        order = round(self.order, 15)
-        if order not in plans:
-            plans.setdefault(order, self._planned())
-        self._stencil, self._boundary, self._plan = plans[order]
-
-    def _planned(self) -> tuple:
-        """(stencil, boundary, plan) of the uniform rule of this order."""
-        n = self.grid.n_intervals
-        h = self.grid.nodes[1]
+        n = grid.n_intervals
+        h = grid.nodes[1]
         k = np.arange(1, n + 1, dtype=float)
         m0, m1 = _kernel_moments(k * h, (k - 1.0) * h, self.order)
         left = (m0 - m1 / h) * self._ginv   # weight of f at the cell's far end
         right = (m1 / h) * self._ginv       # weight of f at the cell's near end
-        stencil = np.concatenate((right[:1], left[:-1] + right[1:]))
+        self._stencil = np.concatenate((right[:1], left[:-1] + right[1:]))
+        self._boundary = np.concatenate(([0.0], left))
         # the plan of _history_sum, of s zero-padded: block[j, i] = s[i - j]
         # for i >= j, and rfft(s[:2h]) for each level h = _BLOCK 2^j < n
         i = np.arange(_BLOCK)
-        s = np.pad(stencil[:_BLOCK], (0, max(_BLOCK - n, 0)))
+        s = np.pad(self._stencil[:_BLOCK], (0, max(_BLOCK - n, 0)))
         levels = [_BLOCK << j for j in range(n.bit_length()) if _BLOCK << j < n]
-        plan = (np.triu(s[abs(i[:, None] - i)]), [rfft(stencil[: 2 * h], 2 * h) for h in levels])
-        return stencil, np.concatenate(([0.0], left)), plan
+        self._plan = (np.triu(s[abs(i[:, None] - i)]),
+                      [rfft(self._stencil[: 2 * h], 2 * h) for h in levels])
 
     def history(self, f0: float, g: float = 0.0) -> np.ndarray:
         """The share of f(t_0) = f0 in the apply at t_0..t_N; none for g > 0."""

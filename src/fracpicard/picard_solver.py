@@ -48,7 +48,6 @@ from .fractional_ops import (
 from .problem_model import (
     MultiTermProblem,
     compile_rhs,
-    depends_on_z,
     eval_rhs,
     estimate_lipschitz,
     rhs_derivatives,
@@ -186,38 +185,24 @@ def _affine_slopes(problem: MultiTermProblem, t: np.ndarray):
     """df/dz_h on the nodes t, one array per inner derivative, where f is
     affine in z; () where it is not."""
     trees = rhs_derivatives(problem.rhs, problem.m)
-    if any(depends_on_z(d) for d in trees):
-        return ()
-    return [compile_rhs(d, t)(slice(None), ()) for d in trees]
+    return () if trees is None else [compile_rhs(d, t)(slice(None), ()) for d in trees]
 
 
-def _window_system(slopes, near, r: int, nodes: slice):
-    """I - M, with M = sum_h diag(df/dz_h) near[h][r:].T the derivative of a
-    window's update by its own values (rows r.. of each near field); None
-    where max |diag M| > 1/2, the march's own contraction threshold."""
-    m = sum(s[nodes, None] * block[r:].T for s, block in zip(slopes, near))
-    return np.eye(len(m)) - m if np.abs(m.diagonal()).max() <= 0.5 else None
-
-
-def _exact_step(slopes, near, r: int, nodes: slice, res: np.ndarray, solved):
-    """delta with (I - M) delta = res, the update's change: for f affine in
+def _exact_step(slopes, near, r: int, nodes: slice, res: np.ndarray):
+    """delta with (I - M) delta = res, the update's change, where
+    M = sum_h diag(df/dz_h) near[h][r:].T is the derivative of a window's
+    update by its own values (rows r.. of each near field): for f affine in
     z, the iterate before that update plus delta is the window's fixed
-    point. None where _window_system refuses M, or the step is not finite.
-    solved, where not None, keeps (I - M)^-1 per pair of the window's first
-    and end rows in its block, for grids where M depends on them alone."""
+    point. None where max |diag M| > 1/2, the march's own contraction
+    threshold, or where the step is not finite."""
+    m = sum(s[nodes, None] * block[r:].T for s, block in zip(slopes, near))
+    if np.abs(m.diagonal()).max() > 0.5:
+        return None
     try:
-        if solved is None:
-            lhs = _window_system(slopes, near, r, nodes)
-            step = None if lhs is None else np.linalg.solve(lhs, res)
-        else:
-            key = (r, r + res.size)
-            if key not in solved:
-                lhs = _window_system(slopes, near, r, nodes)
-                solved[key] = None if lhs is None else np.linalg.inv(lhs)
-            step = None if solved[key] is None else solved[key] @ res
+        step = np.linalg.solve(np.eye(len(m)) - m, res)
     except np.linalg.LinAlgError:
         return None
-    return step if step is not None and np.isfinite(step).all() else None
+    return step if np.isfinite(step).all() else None
 
 
 def _march(problem: MultiTermProblem, grid: Grid, inner, taylor, tol: float, max_iter: int):
@@ -235,8 +220,8 @@ def _march(problem: MultiTermProblem, grid: Grid, inner, taylor, tol: float, max
     its length, down to one node (two for the first when gamma > 0, whose
     t_0 value is extrapolated from t_1 and t_2), and so do the windows after
     it. Once per window, the exact step may stand in for the halving: where
-    f is affine in z (derivative trees from rhs_derivatives, built the
-    first time a window would halve) and _window_system accepts the window,
+    f is affine in z (its slopes from rhs_derivatives, taken the first
+    time a window would halve) and _exact_step accepts the window,
     the iterate before that update moves to the window's fixed point and
     the updates go on. The next one is at round-off level; should it too
     shrink by less than half, the window halves after all. After each
@@ -250,7 +235,7 @@ def _march(problem: MultiTermProblem, grid: Grid, inner, taylor, tol: float, max
     values = np.full(n + 1, np.nan)
     values[skip:] = _finite(rhs(slice(None), [tp.values[skip:] for tp in taylor]), t[skip:])
     hist = [op.history(values[0], g) for op in inner]
-    slopes = solved = None  # df/dz_h, from the first window that would halve
+    slopes = None  # df/dz_h, from the first window that would halve
     lo, size = 1, n
     done, worst, steps, exact_windows = [], 0.0, 0, 0
     while lo <= n:
@@ -282,10 +267,7 @@ def _march(problem: MultiTermProblem, grid: Grid, inner, taylor, tol: float, max
                     tried = True
                     if slopes is None:
                         slopes = _affine_slopes(problem, t[skip:])
-                        # M then depends on the window's place in its block alone
-                        if grid.is_uniform and not g and all(s.min() == s.max() for s in slopes):
-                            solved = {}
-                    step = _exact_step(slopes, near, lo - a, nodes, res, solved) if slopes else None
+                    step = _exact_step(slopes, near, lo - a, nodes, res) if slopes else None
                     if step is not None:
                         cur += step - res  # the iterate before new, plus the step
                         exact = True

@@ -41,7 +41,6 @@ __all__ = [
     "compile_rhs",
     "eval_rhs",
     "rhs_derivatives",
-    "depends_on_z",
     "estimate_lipschitz",
     "MultiTermProblem",
     "ProblemValidationError",
@@ -290,8 +289,6 @@ _OPS = {
     "exp": np.errstate(over="ignore")(lambda a, pos, t: np.exp(a)),
     "log": lambda a, pos, t: _check(a <= 0.0, "log of a non-positive value", pos, t) or np.log(a),
     "sqrt": lambda a, pos, t: _check(a < 0.0, "sqrt of a negative value", pos, t) or np.sqrt(a),
-    # abs' derivative only (the grammar has no sign): +1 at 0, one-sided
-    "sign": lambda a, pos, t: np.where(a < 0.0, -1.0, 1.0),
 }
 
 
@@ -389,83 +386,46 @@ def max_z_index(e: RhsExpr) -> int:
     return best
 
 
-def depends_on_z(e: RhsExpr) -> bool:
+def _reads_z(e: RhsExpr) -> bool:
     """True when e reads an inner derivative (z_h or y)."""
     return any(isinstance(node, Var) and node.name != "t" for node in _walk(e))
 
 
-_ZERO = Num(0.0)
-
-
-def _plus(a: RhsExpr, b: RhsExpr, op: str, pos: int) -> RhsExpr:
-    """a + b or a - b, without a zero term."""
-    if b == _ZERO:
-        return a
-    if a == _ZERO:
-        return b if op == "+" else Neg(b, pos)
-    return BinOp(op, a, b, pos)
-
-
-def _times(a: RhsExpr, b: RhsExpr, pos: int) -> RhsExpr:
-    """a * b, without a zero or unit factor."""
-    if _ZERO in (a, b):
-        return _ZERO
-    if a == Num(1.0):
-        return b
-    return a if b == Num(1.0) else BinOp("*", a, b, pos)
-
-
-# d func(u) / du of each function of the grammar, from u, func(u) and its position
-_OUTER = {
-    "sin": lambda u, e, pos: Call("cos", u, pos),
-    "cos": lambda u, e, pos: Neg(Call("sin", u, pos), pos),
-    "exp": lambda u, e, pos: e,
-    "log": lambda u, e, pos: BinOp("/", Num(1.0), u, pos),
-    "sqrt": lambda u, e, pos: BinOp("/", Num(0.5), e, pos),
-    "abs": lambda u, e, pos: Call("sign", u, pos),
-    "sign": lambda u, e, pos: _ZERO,
-}
-
-
-def _derivative(e: RhsExpr, names: frozenset) -> RhsExpr:
-    """The tree of de/dv, v the variable that names call it by. Each new
-    node takes the position of the node it differentiates, so a domain
-    error in the derivative points into the text of e."""
-    if isinstance(e, Num):
-        return _ZERO
+def _slope(e: RhsExpr, names: frozenset):
+    """The tree of de/dv, v the variable that names call it by, where e is
+    affine in z; None where it is not. Each new node takes the position of
+    the node it differentiates."""
+    if not _reads_z(e):
+        return Num(0.0)
     if isinstance(e, Var):
-        return Num(1.0) if e.name in names else _ZERO
+        return Num(1.0 if e.name in names else 0.0)
     name, kids = _node(e)
-    u, pos = kids[0], e.pos
-    du = _derivative(u, names)
+    if name not in ("neg", "+", "-", "*", "/"):
+        return None  # a function or a power of a term that reads z
+    slopes = [_slope(kid, names) for kid in kids]
+    if None in slopes:
+        return None
     if name == "neg":
-        return _ZERO if du == _ZERO else Neg(du, pos)
-    if len(kids) == 1:
-        return _ZERO if du == _ZERO else _times(_OUTER[name](u, e, pos), du, pos)
-    v = kids[1]
-    dv = _derivative(v, names)
-    if name in "+-":
-        return _plus(du, dv, name, pos)
-    if name == "*":
-        return _plus(_times(du, v, pos), _times(u, dv, pos), "+", pos)
-    if name == "/":  # (du - (u / v) dv) / v: one division by v, as in e
-        top = _plus(du, _times(BinOp("/", u, v, pos), dv, pos), "-", pos)
-        return _ZERO if top == _ZERO else BinOp("/", top, v, pos)
-    # d(u^v) = v u^(v - 1) du + u^v log(u) dv
-    less = Num(v.value - 1.0) if isinstance(v, Num) else BinOp("-", v, Num(1.0), pos)
-    power = Num(1.0) if less == _ZERO else BinOp("^", u, less, pos)  # u^0 is 1, nan included
-    by_base = _times(_times(v, power, pos), du, pos)
-    return _plus(by_base, _times(_times(e, Call("log", u, pos), pos), dv, pos), "+", pos)
+        return Neg(slopes[0], e.pos)
+    (u, v), (du, dv), pos = kids, slopes, e.pos
+    if name in ("+", "-"):
+        return BinOp(name, du, dv, pos)
+    if name == "*" and not (_reads_z(u) and _reads_z(v)):
+        return BinOp("*", du, v, pos) if _reads_z(u) else BinOp("*", u, dv, pos)
+    if name == "/" and not _reads_z(v):
+        return BinOp("/", du, v, pos)
+    return None  # a product of two terms that read z, or a divisor that does
 
 
-def rhs_derivatives(e: RhsExpr, m: int) -> tuple:
-    """The trees of df/dz_h, h = 1..m, y counting as z_m. f is affine in z
-    where none of them depends_on_z. Zero and unit factors and zero terms
-    are left out, so a term like 0*z1 differentiates to 0. Where f has a
-    kink (abs at 0) the derivative is the one-sided one from the right;
-    sqrt and log at 0 have none and raise RhsDomainError where evaluated."""
-    return tuple(_derivative(e, frozenset({f"z{h}"} | ({"y"} if h == m else set())))
-                 for h in range(1, m + 1))
+def rhs_derivatives(e: RhsExpr, m: int):
+    """The trees of df/dz_h, h = 1..m, y counting as z_m, where f is affine
+    in z; None where it is not. f counts as affine where only +, -, *, /
+    and negation act on the terms that read z, no two of them multiply and
+    none divides, so z1*z1, z1^1 and abs(z1) do not, while 0*z1 does. The
+    trees are free of z and divide by nothing that f does not."""
+    trees = tuple(_slope(e, frozenset({f"z{h}"} | ({"y"} if h == m else set())))
+                  for h in range(1, m + 1))
+    return None if None in trees else trees
 
 
 def estimate_lipschitz(e: RhsExpr, t_range, z_box) -> float:

@@ -722,15 +722,6 @@ class TestTableSharing:
         b = build_integral_operator(0.7, grid)
         assert a._dense_table(0.3) is b._dense_table(0.3)
 
-    def test_same_order_on_one_grid_shares_the_plan(self):
-        grid = Grid(1.0, 1024)
-        a = build_integral_operator(0.7, grid)
-        b = build_integral_operator(0.7, grid)
-        assert a._stencil is b._stencil and a._boundary is b._boundary
-        assert a._plan[0] is b._plan[0]
-        assert all(x is y for x, y in zip(a._plan[1], b._plan[1]))
-        assert build_integral_operator(0.9, grid)._plan[0] is not a._plan[0]
-
     def test_equal_grid_or_other_order_builds_its_own(self):
         grid = Grid.uniform(1.0, 40)
         twin = Grid.uniform(1.0, 40)

@@ -23,7 +23,6 @@ from fracpicard.problem_model import (
     RhsSyntaxError,
     Var,
     compile_rhs,
-    depends_on_z,
     estimate_lipschitz,
     eval_rhs,
     load_problem,
@@ -322,18 +321,16 @@ class TestCompiledRhs:
 class TestDerivatives:
     """rhs_derivatives against central differences, and affine detection."""
 
-    # each operation of the grammar, on z1 in [0.5, 2] and z2 in [-2, -0.5]:
-    # no kink of abs and no pole of / or log there
+    # affine in z, with every function of the grammar on t
     @pytest.mark.parametrize("text", [
-        "z1 + t*z2", "z1 - 3*z2", "-z1*z2", "z1/z2", "t/(z1 + z2 - 3)",
-        "z1^z2", "z1^3 + z2^2", "2^(z1*z2)", "(t + 1)^z1", "sin(z1*z2)",
-        "cos(z1 + z2)", "exp(z1*t)", "log(z1)", "sqrt(z1*t)", "abs(z1 + 3*z2)",
-        "abs(z2)*y", "sqrt(exp(z1)/abs(z2)) - log(z1^2)*sin(z2)",
+        "z1 + t*z2", "z1 - 3*z2", "-(z1*t) - z2", "z1/(t + 1) - z2/3",
+        "sin(t)*z1 - cos(t)*z2", "exp(-t)*(z1 + 2*z2) + log(t)",
+        "sqrt(t)*y - abs(t - 1)*z1", "t^(-0.3)*z1 + 2^t", "(z1 - 0.5*z2)/sqrt(t)*3",
     ])
     def test_matches_central_differences(self, text):
         rng = np.random.default_rng(7)
         t = rng.uniform(0.1, 2.0, 50)
-        z = [rng.uniform(0.5, 2.0, 50), rng.uniform(-2.0, -0.5, 50)]
+        z = [rng.uniform(-2.0, 2.0, 50), rng.uniform(-2.0, 2.0, 50)]
         expr = parse_rhs(text, 2)
         h = 1e-6
         for k, tree in enumerate(rhs_derivatives(expr, 2)):
@@ -345,19 +342,21 @@ class TestDerivatives:
 
     def test_y_is_the_last_inner_derivative(self):
         d1, d2 = rhs_derivatives(parse_rhs("3*z1 + t*y", 2), 2)
-        assert d1 == Num(3.0) and d2 == Var("t")
+        t = np.array([0.5, 2.0])
+        assert list(eval_rhs(d1, t)) == [3.0, 3.0] and list(eval_rhs(d2, t)) == [0.5, 2.0]
 
     @pytest.mark.parametrize("text", ["-8*z1", "sin(t)*z1 - t", "z1/3 + z2", "t^(-0.3) + 0*z1"])
     def test_affine(self, text):
-        assert not any(depends_on_z(d) for d in rhs_derivatives(parse_rhs(text, 2), 2))
+        # each tree is free of z: it evaluates with no z bound
+        for d in rhs_derivatives(parse_rhs(text, 2), 2):
+            assert np.isfinite(eval_rhs(d, np.array([0.5, 2.0]))).all()
 
-    @pytest.mark.parametrize("text", ["z1*z1", "z1^2", "exp(z1)", "abs(z1)", "2^z1"])
+    @pytest.mark.parametrize("text", [
+        "z1*z1", "z1^2", "exp(z1)", "abs(z1)", "2^z1", "t/z1", "sin(z1)", "log(z2)",
+        "sqrt(z1)", "cos(y)", "3 + t*(z1*z2)",
+    ])
     def test_not_affine(self, text):
-        assert depends_on_z(rhs_derivatives(parse_rhs(text, 2), 2)[0])
-
-    def test_abs_takes_the_derivative_from_the_right_at_its_kink(self):
-        (d,) = rhs_derivatives(parse_rhs("abs(z1)", 1), 1)
-        assert list(eval_rhs(d, np.zeros(3), [np.array([-1.0, 0.0, 2.0])])) == [-1.0, 1.0, 1.0]
+        assert rhs_derivatives(parse_rhs(text, 2), 2) is None
 
 
 def _valid_dict(**overrides):
