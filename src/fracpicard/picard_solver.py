@@ -21,11 +21,13 @@ Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985) 532): each window iterates
 with the finished past held fixed, on a horizon short enough to contract,
 and a window whose observed ratio of successive updates exceeds 1/2 is
 halved. Where f is affine in z, the window's equations are linear, and
-where their diagonal contraction is at most 1/2 as well, Picard's limit on
-the window exists and one exact (Newton) step reaches it: the window takes
-that step once instead of halving, and plain updates then confirm it to
-the tolerance. The solver warns (ContractionWarning) when omega >= 1 on
-the whole horizon.
+an update scales the error of a one-node window by its diagonal rho, so
+plain updates would finish the window within max_iter only where
+rho^max_iter <= tol. Where every diagonal entry is within that bound,
+tol^(1/max_iter), one exact (Newton) step reaches Picard's limit on the
+window: the window takes that step once instead of halving, and plain
+updates then confirm it to the tolerance. The solver warns
+(ContractionWarning) when omega >= 1 on the whole horizon.
 """
 
 from __future__ import annotations
@@ -82,7 +84,9 @@ class ConvergenceReport:
     took the most updates, steps counts the updates of all windows, and
     worst_ratio is the largest ratio of successive updates over all
     windows, halved attempts included in both (0.0 when none took two).
-    exact_windows counts the windows that the exact step finished."""
+    exact_windows counts the windows that the exact step finished, and
+    largest_diagonal is the largest max |diag M| of any window that tried
+    it (0.0 when none did)."""
 
     deltas: tuple
     converged: bool
@@ -94,6 +98,7 @@ class ConvergenceReport:
     worst_ratio: float
     steps: int
     exact_windows: int
+    largest_diagonal: float
 
 
 @dataclass(frozen=True)
@@ -188,28 +193,30 @@ def _affine_slopes(problem: MultiTermProblem, t: np.ndarray):
     return () if trees is None else [compile_rhs(d, t)(slice(None), ()) for d in trees]
 
 
-def _exact_step(slopes, near, r: int, nodes: slice, res: np.ndarray):
-    """delta with (I - M) delta = res, the update's change, where
-    M = sum_h diag(df/dz_h) near[h][r:].T is the derivative of a window's
-    update by its own values (rows r.. of each near field): for f affine in
-    z, the iterate before that update plus delta is the window's fixed
-    point. None where max |diag M| > 1/2, the march's own contraction
-    threshold, or where the step is not finite."""
+def _exact_step(slopes, near, r: int, nodes: slice, res: np.ndarray, bound: float):
+    """max |diag M| and delta with (I - M) delta = res, the update's change,
+    where M = sum_h diag(df/dz_h) near[h][r:].T is the derivative of a
+    window's update by its own values (rows r.. of each near field): for f
+    affine in z, the iterate before that update plus delta is the window's
+    fixed point. delta is None where max |diag M| > bound, above which plain
+    updates would not finish the window even on one node, or where the step
+    is not finite."""
     m = sum(s[nodes, None] * block[r:].T for s, block in zip(slopes, near))
-    if np.abs(m.diagonal()).max() > 0.5:
-        return None
+    diagonal = float(np.abs(m.diagonal()).max())
+    if diagonal > bound:
+        return diagonal, None
     try:
         step = np.linalg.solve(np.eye(len(m)) - m, res)
     except np.linalg.LinAlgError:
-        return None
-    return step if np.isfinite(step).all() else None
+        return diagonal, None
+    return diagonal, step if np.isfinite(step).all() else None
 
 
 def _march(problem: MultiTermProblem, grid: Grid, inner, taylor, tol: float, max_iter: int):
     """phi, the deltas of every window solved, in order, the largest ratio
     of successive updates and the number of updates over all windows,
-    halved ones included, and the number of windows the exact step
-    finished.
+    halved ones included, the number of windows the exact step finished
+    and the largest diagonal of any window that tried it.
 
     phi^0 = f(t, taylor parts). The windows lie in the blocks of t_1..t_N
     (block_bounds). A window w nodes long starts from the quintic through
@@ -221,12 +228,15 @@ def _march(problem: MultiTermProblem, grid: Grid, inner, taylor, tol: float, max
     t_0 value is extrapolated from t_1 and t_2), and so do the windows after
     it. Once per window, the exact step may stand in for the halving: where
     f is affine in z (its slopes from rhs_derivatives, taken the first
-    time a window would halve) and _exact_step accepts the window,
-    the iterate before that update moves to the window's fixed point and
-    the updates go on. The next one is at round-off level; should it too
-    shrink by less than half, the window halves after all. After each
-    window the operators push the history it completes. A window that runs
-    out of iterations ends the march."""
+    time a window would halve) and _exact_step accepts the window, whose
+    diagonal must be at most the bound tol^(1/max_iter) (on one node an
+    update scales the error by the diagonal rho, so max_iter updates reach
+    tol only where rho^max_iter <= tol), the iterate before that update
+    moves to the window's fixed point and the updates go on. The next one
+    is at round-off level; should it too shrink by less than half, the
+    window halves after all. After each window the operators push the
+    history it completes. A window that runs out of iterations ends the
+    march."""
     g = problem.gamma
     skip = 1 if g > 0.0 else 0
     t = grid.nodes
@@ -236,8 +246,9 @@ def _march(problem: MultiTermProblem, grid: Grid, inner, taylor, tol: float, max
     values[skip:] = _finite(rhs(slice(None), [tp.values[skip:] for tp in taylor]), t[skip:])
     hist = [op.history(values[0], g) for op in inner]
     slopes = None  # df/dz_h, from the first window that would halve
+    bound = tol ** (1.0 / max_iter)  # the largest diagonal plain updates finish
     lo, size = 1, n
-    done, worst, steps, exact_windows = [], 0.0, 0, 0
+    done, worst, steps, exact_windows, largest = [], 0.0, 0, 0, 0.0
     while lo <= n:
         a, end = block_bounds(lo, n)
         hi = min(lo + size, end)
@@ -267,7 +278,9 @@ def _march(problem: MultiTermProblem, grid: Grid, inner, taylor, tol: float, max
                     tried = True
                     if slopes is None:
                         slopes = _affine_slopes(problem, t[skip:])
-                    step = _exact_step(slopes, near, lo - a, nodes, res) if slopes else None
+                    diagonal, step = (_exact_step(slopes, near, lo - a, nodes, res, bound)
+                                      if slopes else (0.0, None))
+                    largest = max(largest, diagonal)
                     if step is not None:
                         cur += step - res  # the iterate before new, plus the step
                         exact = True
@@ -285,7 +298,7 @@ def _march(problem: MultiTermProblem, grid: Grid, inner, taylor, tol: float, max
         if lo <= n:
             for op, h in zip(inner, hist):
                 op.push_history(h, values, lo, g)
-    return SampledFunction(grid, values, g), done, worst, steps, exact_windows
+    return SampledFunction(grid, values, g), done, worst, steps, exact_windows, largest
 
 
 def solve(
@@ -314,7 +327,7 @@ def solve(
     orders = problem.derivative_orders
     inner = tuple(build_integral_operator(problem.alpha - a, grid) for a in orders)
     taylor = tuple(derivative_taylor_part(problem.initial_values, a, grid) for a in orders)
-    phi, windows, worst_ratio, steps, exact_windows = _march(
+    phi, windows, worst_ratio, steps, exact_windows, largest_diagonal = _march(
         problem, grid, inner, taylor, tol, max_iter)
 
     z_final = tuple(apply_integral(op, phi) + tp for op, tp in zip(inner, taylor))
@@ -341,5 +354,6 @@ def solve(
         deltas=tuple(deltas), converged=windows[-1][-1] <= tol, iterations=len(deltas),
         tolerance=tol, lipschitz_estimate=lipschitz, contraction_estimate=omega,
         windows=len(windows), worst_ratio=worst_ratio, steps=steps, exact_windows=exact_windows,
+        largest_diagonal=largest_diagonal,
     )
     return SolutionTrajectory(grid=grid, y=y, inner=z_final, phi=phi, report=report)

@@ -36,12 +36,12 @@ def test_names_the_benchmark_calls_exist():
 
 
 def test_picard_step_spans_count_the_iterations(bench_modules):
-    # -9 z1 at N = 64 halves its windows: its diagonal, 0.85, is too large
-    # for the exact step, which would end each window in three updates
+    # -9 sin(z1) at N = 64 halves its windows: f is not affine in z, so
+    # no exact step ends them early
     layers, spans = bench_modules
     problem = problem_from_dict({
         "alpha": 0.5, "derivative_orders": [0.0], "initial_values": [1.0],
-        "horizon": 1.0, "rhs": "-9*z1",
+        "horizon": 1.0, "rhs": "-9*sin(z1)",
     })
     tracer = spans.Tracer()
     hooks = layers.instrumentation(tracer, fracpicard)

@@ -106,6 +106,17 @@ class TestSolveMode:
         assert rc == 0
         assert "16 exact of 16 windows, 48 steps" in capsys.readouterr().out
 
+    def test_reports_the_diagonal_above_the_bound(self, tmp_path, capsys):
+        # at N = 16 the diagonal of -9 z1 is above (1e-10)^(1/200) = 0.891:
+        # the failing solve says so
+        path = tmp_path / "stiff.json"
+        path.write_text(json.dumps(dict(RELAXATION, rhs="-9*z1")))
+        rc = main(["--config", str(path), "--n-points", "16",
+                   "--output", str(tmp_path / "traj.csv")])
+        assert rc == 2
+        line = capsys.readouterr().out
+        assert "NOT converged" in line and "largest diagonal 1.69 > 0.891" in line
+
     def test_default_output_name(self, relaxation_cfg, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         rc = main(["--config", str(relaxation_cfg), "--n-points", "64"])

@@ -482,18 +482,42 @@ class TestWindows:
         assert np.max(np.abs(traj.y.values - y)) <= 1e-10
         assert np.max(np.abs(y - erfcx(rate * np.sqrt(grid.nodes)))) < 1.5e-2
 
-    @pytest.mark.parametrize("rhs", ["-9*z1", "-9*z1 + 0.01*z1^2", "-9*sin(z1)"])
+    @pytest.mark.parametrize("rhs", ["-9*z1 + 0.01*z1^2", "-9*sin(z1)"])
     def test_windows_halve_where_the_exact_step_is_refused(self, rhs):
-        # -9 z1 is affine, but at N = 64 its diagonal, 9 h^1/2 / gamma(5/2)
-        # = 0.85, is above 1/2; the other two are not affine in z. Either
-        # way the windows halve as they did before the exact step existed
+        # neither is affine in z, so the windows halve as they did before
+        # the exact step existed
         grid = Grid.uniform(1.0, 64)
         problem = dataclasses.replace(_relaxation(), rhs=parse_rhs(rhs, 1))
         traj = solve(problem, grid, tol=1e-12)
         assert traj.report.converged and traj.report.exact_windows == 0
         assert traj.report.windows > 1 and traj.report.worst_ratio > 0.5
-        if rhs == "-9*z1":
-            assert np.max(np.abs(traj.y.values - _forward_substitution(9.0, grid))) <= 1e-10
+
+    def test_exact_step_takes_diagonals_up_to_the_budget_bound(self):
+        # at N = 64 the diagonal of -9 z1, 9 h^1/2 / gamma(5/2) = 0.85, is
+        # above 1/2 but within (1e-12)^(1/200) = 0.87: the one window ends
+        # with the exact step instead of halving to one node
+        grid = Grid.uniform(1.0, 64)
+        traj = solve(_relaxation(rate=9.0), grid, tol=1e-12)
+        assert traj.report.converged and traj.report.exact_windows == 1
+        assert traj.report.largest_diagonal == pytest.approx(9.0 / 8.0 / math.gamma(2.5))
+        assert np.max(np.abs(traj.y.values - _forward_substitution(9.0, grid))) <= 1e-10
+
+    @pytest.mark.parametrize("rate,diagonal", [(5.0, 0.94), (9.0, 1.69)])
+    def test_windows_above_the_bound_halve_and_fail(self, rate, diagonal):
+        # at N = 16 these diagonals are above 0.89, the bound at the default
+        # tol and max_iter: plain updates cannot finish even one node, and
+        # the exact step, which would rescue them, is not taken
+        traj = solve(_relaxation(rate=rate), Grid.uniform(1.0, 16))
+        assert not traj.report.converged and traj.report.exact_windows == 0
+        assert traj.report.steps == 208
+        assert traj.report.largest_diagonal == pytest.approx(diagonal, abs=5e-3)
+
+    def test_the_bound_follows_the_iteration_budget(self):
+        # with max_iter = 100 the bound is (1e-10)^(1/100) = 0.79, below
+        # the 0.85 diagonal of -9 z1 at N = 64, which then halves and fails
+        traj = solve(_relaxation(rate=9.0), Grid.uniform(1.0, 64), max_iter=100)
+        assert not traj.report.converged and traj.report.exact_windows == 0
+        assert traj.report.steps == 112
 
     @pytest.mark.parametrize("width", (1, 7, 64))
     def test_window_start_reproduces_its_degree(self, width):
