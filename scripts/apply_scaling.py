@@ -25,7 +25,8 @@ that the library picks its thread count; the graded build is timed in
 this process. For N <= 1024 the table also gives the largest error of the
 weighted table's last row beyond column fractional_ops._FAR_CELL, the
 cells summed from Toeplitz moments, against a 40-digit mpmath row,
-relative to the row's largest entry (mpmath is needed for that column only).
+relative to the row's largest entry (mpmath is needed for that column and
+the closed forms of the fourth table only).
 A third table runs `--mode verify --grading 2` of the command line on
 configs/relaxation_half_order.json at N = 1024 and 2048 and gives its best
 wall time of three runs, the tracemalloc peak of a fourth run, and the
@@ -36,8 +37,10 @@ grid of [0, 1], for alpha = 0.5, 1, 2 and lam = -3, -10, three ways: a
 per-node loop over a pure-Python scalar series (the evaluation the ml:
 oracle used before mittag_leffler took arrays), a per-node loop of
 mittag_leffler calls (both timed once), and one mittag_leffler call on the
-whole array (median). The last column says whether the array call gives
-every node bit for bit what the per-node calls give.
+whole array (median). A column says whether the array call gives
+every node bit for bit what the per-node calls give, and the last one
+gives its largest error relative to the closed form at each node:
+erfcx(-z), exp(z) and cos(sqrt(-z)) in 30-digit mpmath.
 A fifth table solves D^0.5 y = -y, y(0) = 1, at tol 1e-10 for T = 1, 5, 20
 and 50 and N = 1024 .. 16384: the median wall time of solve, the number of
 windows it marched, how many of them the exact step finished, the most
@@ -185,6 +188,17 @@ def far_row_error(n: int) -> float:
     return float(np.max(np.abs(got[far] - exact[far])) / np.max(np.abs(exact)))
 
 
+def closed_form(alpha: float, z: np.ndarray) -> np.ndarray:
+    """E_alpha(z) for alpha = 1/2, 1 and 2 and z <= 0 in 30-digit mpmath:
+    exp(z^2) erfc(-z), exp(z) and cos(sqrt(-z))."""
+    import mpmath as mp
+
+    forms = {0.5: lambda v: mp.exp(v * v) * mp.erfc(-v), 1.0: mp.exp,
+             2.0: lambda v: mp.cos(mp.sqrt(-v))}
+    with mp.workdps(30):
+        return np.array([float(forms[alpha](mp.mpf(v))) for v in z])
+
+
 def graded_verify(n: int) -> tuple:
     """(best wall time of three runs, tracemalloc peak in bytes, dense
     table builds) of one graded verify from the command line. Every dense
@@ -265,8 +279,8 @@ def main() -> int:
 
     print()
     print("| alpha | lam | scalar series per node | mittag_leffler per node "
-          "| array call | speed-up | same per node |")
-    print("|---|---|---|---|---|---|---|")
+          "| array call | speed-up | same per node | error |")
+    print("|---|---|---|---|---|---|---|---|")
     t = np.linspace(0.0, 1.0, ORACLE_NODES)
     for alpha in (0.5, 1.0, 2.0):
         params = MLParams(alpha, 1.0)
@@ -275,9 +289,13 @@ def main() -> int:
             _, t_series = once(lambda: [scalar_series(alpha, zi) for zi in z])
             per_node, t_calls = once(lambda: [mittag_leffler(params, zi) for zi in z])
             t_array = median_time(lambda: mittag_leffler(params, z))
-            same = np.array_equal(mittag_leffler(params, z), per_node)
+            got = mittag_leffler(params, z)
+            same = np.array_equal(got, per_node)
+            exact = closed_form(alpha, z)
+            err = np.max(np.abs(got - exact) / np.abs(exact))
             print(f"| {alpha:g} | {lam:g} | {t_series * 1e3:.0f} ms | {t_calls * 1e3:.0f} ms "
-                  f"| {t_array * 1e3:.3g} ms | {t_series / t_array:.0f}x | {'yes' if same else 'no'} |")
+                  f"| {t_array * 1e3:.3g} ms | {t_series / t_array:.0f}x | {'yes' if same else 'no'} "
+                  f"| {err:.1e} |")
 
     print()
     print("| T | N | solve | windows | exact | most iterations | steps | sup error |")

@@ -17,6 +17,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -359,6 +360,22 @@ class TestOracleMode:
             assert float(y_str) == pytest.approx(
                 math.exp(t) * math.erfc(math.sqrt(t)), rel=1e-10, abs=1e-12
             )
+
+    @pytest.mark.parametrize("rate", [-7.0, -50.0])
+    def test_stiff_half_order_oracle_is_erfcx(self, tmp_path, rate):
+        # E_(1/2)(rate sqrt t) = erfcx(|rate| sqrt t): the alternating series
+        # was off by 1.7e8 relative at -7 and overflowed at -50
+        erfcx = pytest.importorskip("scipy.special").erfcx
+        cfg = Path(__file__).resolve().parent.parent / "configs" / "relaxation_half_order.json"
+        out = tmp_path / "oracle.csv"
+        rc = main([
+            "--config", str(cfg), "--mode", "oracle",
+            "--oracle", f"ml:{rate:g}", "--n-points", "64", "--output", str(out),
+        ])
+        assert rc == 0
+        _, rows = _read_csv(out)
+        t, y = np.array(rows, dtype=float).T
+        np.testing.assert_allclose(y, erfcx(-rate * np.sqrt(t)), rtol=1e-13, atol=0.0)
 
     def test_expr_oracle(self, relaxation_cfg, tmp_path):
         out = tmp_path / "oracle.csv"

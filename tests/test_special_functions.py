@@ -18,9 +18,11 @@ from fracpicard.special_functions import (
 )
 
 E_HALF_AT_MINUS_1 = 0.4275835761558070  # exp(1) * erfc(1)
-# E_(0.4,0.5)(-3) and E_(1/2)(-5) = exp(25) erfc(5), summed in 50-digit arithmetic
+# E_(0.4,0.5)(-3), E_(1/2)(-5) = exp(25) erfc(5) and E_(0.4,2.5)(-3), summed in
+# 50-digit arithmetic
 E_04_05_AT_MINUS_3 = 0.052113392617980212
 E_HALF_AT_MINUS_5 = 0.11070463773306863
+E_04_25_AT_MINUS_3 = 0.22806604720026073
 
 
 class TestMittagLeffler:
@@ -82,12 +84,22 @@ class TestMittagLeffler:
         assert lhs == pytest.approx(rhs, rel=1e-7, abs=1e-9)
 
     def test_cancelling_sums_keep_digits(self):
-        # the largest terms reach 2.3e6 and 7.2e10, so the sum is within its
-        # tolerance only if those terms are right to a few ulp
+        # the series' terms would reach 2.4e6 and 5.8e9 at the first two;
+        # the contour takes both
         got = mittag_leffler(MLParams(0.4, 0.5), -3.0)
         assert got == pytest.approx(E_04_05_AT_MINUS_3, rel=1e-7)
         got = mittag_leffler(MLParams(0.5, 1.0), -5.0)
-        assert got == pytest.approx(E_HALF_AT_MINUS_5, rel=1e-4)
+        assert got == pytest.approx(E_HALF_AT_MINUS_5, rel=1e-13)
+        # beta = 2.5 stays on the series, whose terms reach 9.7e3: the sum is
+        # within its tolerance only if those terms are right to a few ulp
+        got = mittag_leffler(MLParams(0.4, 2.5), -3.0)
+        assert got == pytest.approx(E_04_25_AT_MINUS_3, rel=1e-9)
+
+    def test_series_with_no_digit_left_raises(self):
+        # the terms of E_1(-40) reach 1.5e16 > 2^53, and the sum would read -104
+        # where exp(-40) = 4.2e-18
+        with pytest.raises(SeriesConvergenceError, match="beta = 1.0, z = -40"):
+            mittag_leffler(MLParams(1.0, 1.0), np.array([-1.0, -40.0]))
 
     def test_exhausted_budget_raises(self):
         # at alpha = 0.001 the terms are about 0.999^k: 0.13 after 2000 of them
@@ -173,6 +185,7 @@ class TestMittagLefflerArrays:
 
     @pytest.mark.parametrize("alpha,beta", [
         (0.5, 1.0), (1.0, 1.0), (2.0, 2.0), (0.7, 0.4), (1.3, 2.2), (0.8, -0.3),
+        (0.5, 2.0), (0.5, 2.5),
     ])
     def test_matches_per_element_loop(self, alpha, beta):
         # numpy's exp/log may differ from math's in the last ulp, so each
@@ -212,8 +225,8 @@ class TestMittagLefflerArrays:
 
     def test_one_overflowing_element_raises(self):
         z = np.linspace(-1.0, 1.0, 50)
-        z[17] = -40.0  # alpha = 1/2: terms reach exp(|z|^2) > exp(700)
-        with pytest.raises(SeriesConvergenceError, match="-40"):
+        z[17] = 40.0  # alpha = 1/2: terms reach exp(|z|^2) > exp(700)
+        with pytest.raises(SeriesConvergenceError, match="z = 40"):
             mittag_leffler(MLParams(0.5, 1.0), z)
 
     def test_out_of_range_gamma_raises_clearly(self):
@@ -229,3 +242,62 @@ class TestMittagLefflerArrays:
         z = np.array([0.0, 0.1, 0.999])
         with pytest.raises(SeriesConvergenceError, match="z = 0.999"):
             mittag_leffler(MLParams(0.001, 1.0), z)
+
+
+def _ml_quadrature(mp, alpha, x):
+    """E_alpha(-x) for 0 < alpha < 1 and x > 0 in 30-digit arithmetic, from
+    (sin(alpha pi) / (alpha pi)) int_0^inf exp(-u^(1/alpha)) x
+    / (u^2 + 2 x u cos(alpha pi) + x^2) du (Gorenflo, Loutchko & Luchko,
+    Fract. Calc. Appl. Anal. 5 (2002) 491), split where the integrand turns."""
+    with mp.workdps(30):
+        a, x = mp.mpf(alpha), mp.mpf(x)
+        c = mp.cos(a * mp.pi)
+        points = sorted({mp.mpf(0), x / 2, x, 2 * x, mp.mpf(1), mp.mpf(2)}) + [mp.inf]
+        value = mp.quad(lambda u: mp.exp(-u ** (1 / a)) * x / (u * u + 2 * x * u * c + x * x),
+                        points)
+        return float(mp.sin(a * mp.pi) / (a * mp.pi) * value)
+
+
+def _ml_series_mp(mp, alpha, beta, z):
+    """E_(alpha,beta)(z) summed in 120-digit arithmetic, past its largest term
+    and on to a term below 1e-40."""
+    with mp.workdps(120):
+        a, b, z = mp.mpf(alpha), mp.mpf(beta), mp.mpf(z)
+        total, zk, k = mp.mpf(0), mp.mpf(1), 0
+        while True:
+            term = zk * mp.rgamma(a * k + b)
+            total += term
+            if a * k > abs(z) ** (1 / a) and abs(term) < mp.mpf(10) ** -40:
+                return float(total)
+            k += 1
+            zk *= z
+
+
+class TestContour:
+    """E_(alpha,beta)(z) for 0 < alpha < 1, 0 < beta <= 1.9 and z < 0, which
+    takes the Bromwich contour, against references that do not use it."""
+
+    def test_half_order_is_erfcx(self):
+        erfcx = pytest.importorskip("scipy.special").erfcx
+        for x in (np.linspace(0.0, 50.0, 2001), np.geomspace(1e-6, 1e8, 401)):
+            got = mittag_leffler(MLParams(0.5, 1.0), -x)
+            np.testing.assert_allclose(got, erfcx(x), rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.2, 0.5, 0.8, 0.95, 0.995])
+    def test_beta_one_against_quadrature(self, alpha):
+        mp = pytest.importorskip("mpmath")
+        x = np.geomspace(1e-6, 1e4, 6)
+        got = mittag_leffler(MLParams(alpha, 1.0), -x)
+        expected = [_ml_quadrature(mp, alpha, xi) for xi in x]
+        np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("beta", [0.001, 0.4, 1.7, 1.9])
+    def test_other_beta_against_series(self, alpha, beta):
+        # |z|^(1/alpha) up to 40 keeps the largest term of the 120-digit sum
+        # below e^40; the rule's error is largest near z = 0
+        mp = pytest.importorskip("mpmath")
+        x = np.array([1e-6, 0.3, 1.0]) * 40.0**alpha
+        got = mittag_leffler(MLParams(alpha, beta), -x)
+        expected = [_ml_series_mp(mp, alpha, beta, -xi) for xi in x]
+        np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-13)
