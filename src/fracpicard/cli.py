@@ -172,14 +172,14 @@ def run_solve(cfg: argparse.Namespace) -> int:
 
     report = trajectory.report
     status = "converged" if report.converged else "NOT converged"
-    bound = cfg.tol ** (1.0 / cfg.max_iter)  # the largest diagonal the exact step takes
-    versus = ">" if report.largest_diagonal > bound else "<="
+    versus = ">" if report.largest_diagonal > report.diagonal_bound else "<="
     print(
         f"solve: {status} after {report.iterations} iterations "
         f"(final delta {report.deltas[-1]:.3g}, contraction estimate "
         f"{report.contraction_estimate:.3g}, {report.exact_windows} exact of {report.windows} "
         f"windows, {report.steps} steps, worst ratio {report.worst_ratio:.3g}, largest diagonal "
-        f"{report.largest_diagonal:.3g} {versus} {bound:.3g}); wrote {out} and {conv_path}"
+        f"{report.largest_diagonal:.3g} {versus} {report.diagonal_bound:.3g}); "
+        f"wrote {out} and {conv_path}"
     )
     return 0 if report.converged else 2
 

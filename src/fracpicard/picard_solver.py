@@ -84,9 +84,10 @@ class ConvergenceReport:
     took the most updates, steps counts the updates of all windows, and
     worst_ratio is the largest ratio of successive updates over all
     windows, halved attempts included in both (0.0 when none took two).
-    exact_windows counts the windows that the exact step finished, and
+    exact_windows counts the windows that the exact step finished,
     largest_diagonal is the largest max |diag M| of any window that tried
-    it (0.0 when none did)."""
+    it (0.0 when none did), and diagonal_bound the largest it takes,
+    tol^(1/max_iter)."""
 
     deltas: tuple
     converged: bool
@@ -99,6 +100,7 @@ class ConvergenceReport:
     steps: int
     exact_windows: int
     largest_diagonal: float
+    diagonal_bound: float
 
 
 @dataclass(frozen=True)
@@ -212,7 +214,8 @@ def _exact_step(slopes, near, r: int, nodes: slice, res: np.ndarray, bound: floa
     return diagonal, step if np.isfinite(step).all() else None
 
 
-def _march(problem: MultiTermProblem, grid: Grid, inner, taylor, tol: float, max_iter: int):
+def _march(problem: MultiTermProblem, grid: Grid, inner, taylor, tol: float, max_iter: int,
+           bound: float):
     """phi, the deltas of every window solved, in order, the largest ratio
     of successive updates and the number of updates over all windows,
     halved ones included, the number of windows the exact step finished
@@ -229,7 +232,7 @@ def _march(problem: MultiTermProblem, grid: Grid, inner, taylor, tol: float, max
     it. Once per window, the exact step may stand in for the halving: where
     f is affine in z (its slopes from rhs_derivatives, taken the first
     time a window would halve) and _exact_step accepts the window, whose
-    diagonal must be at most the bound tol^(1/max_iter) (on one node an
+    diagonal must be at most bound, tol^(1/max_iter) (on one node an
     update scales the error by the diagonal rho, so max_iter updates reach
     tol only where rho^max_iter <= tol), the iterate before that update
     moves to the window's fixed point and the updates go on. The next one
@@ -246,7 +249,6 @@ def _march(problem: MultiTermProblem, grid: Grid, inner, taylor, tol: float, max
     values[skip:] = _finite(rhs(slice(None), [tp.values[skip:] for tp in taylor]), t[skip:])
     hist = [op.history(values[0], g) for op in inner]
     slopes = None  # df/dz_h, from the first window that would halve
-    bound = tol ** (1.0 / max_iter)  # the largest diagonal plain updates finish
     lo, size = 1, n
     done, worst, steps, exact_windows, largest = [], 0.0, 0, 0, 0.0
     while lo <= n:
@@ -327,8 +329,9 @@ def solve(
     orders = problem.derivative_orders
     inner = tuple(build_integral_operator(problem.alpha - a, grid) for a in orders)
     taylor = tuple(derivative_taylor_part(problem.initial_values, a, grid) for a in orders)
+    bound = tol ** (1.0 / max_iter)  # the largest diagonal plain updates finish
     phi, windows, worst_ratio, steps, exact_windows, largest_diagonal = _march(
-        problem, grid, inner, taylor, tol, max_iter)
+        problem, grid, inner, taylor, tol, max_iter, bound)
 
     z_final = tuple(apply_integral(op, phi) + tp for op, tp in zip(inner, taylor))
     if orders and orders[-1] == 0.0:  # inner[-1] is I^alpha: this entry already is y
@@ -354,6 +357,6 @@ def solve(
         deltas=tuple(deltas), converged=windows[-1][-1] <= tol, iterations=len(deltas),
         tolerance=tol, lipschitz_estimate=lipschitz, contraction_estimate=omega,
         windows=len(windows), worst_ratio=worst_ratio, steps=steps, exact_windows=exact_windows,
-        largest_diagonal=largest_diagonal,
+        largest_diagonal=largest_diagonal, diagonal_bound=bound,
     )
     return SolutionTrajectory(grid=grid, y=y, inner=z_final, phi=phi, report=report)

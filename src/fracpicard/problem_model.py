@@ -125,12 +125,8 @@ def _tokenize(text: str):
                 break
             pos = len(text) - len(stripped)
             raise RhsSyntaxError(f"unexpected character {stripped[0]!r}", pos)
-        if m.lastgroup == "num":
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.lastgroup == "ident":
-            tokens.append(("ident", m.group("ident"), m.start("ident")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
+        kind = m.lastgroup  # num, ident or op
+        tokens.append((kind, m.group(kind), m.start(kind)))
         i = m.end()
     tokens.append(("end", "", len(text)))
     return tokens
@@ -167,25 +163,16 @@ class _Parser:
             raise RhsSyntaxError(f"unexpected {text!r} after expression", pos)
         return expr
 
-    def expr(self) -> RhsExpr:
-        node = self.term()
+    def expr(self, level: int = 0) -> RhsExpr:
+        """A left-associative chain of + - (level 0) or * / (level 1)."""
+        operand = self.unary if level else (lambda: self.expr(1))
+        node = operand()
         while True:
             kind, text, pos = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                node = BinOp(text, node, self.term(), pos)
-            else:
+            if kind != "op" or text not in ("+-", "*/")[level]:
                 return node
-
-    def term(self) -> RhsExpr:
-        node = self.unary()
-        while True:
-            kind, text, pos = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                node = BinOp(text, node, self.unary(), pos)
-            else:
-                return node
+            self.advance()
+            node = BinOp(text, node, operand(), pos)
 
     def unary(self) -> RhsExpr:
         kind, text, pos = self.peek()
@@ -239,7 +226,7 @@ class _Parser:
         if m is not None:
             k = int(m.group(1))
             if 1 <= k <= self.m:
-                return name
+                return f"z{k}"  # z01 is z1
             raise RhsSyntaxError(
                 f"unknown identifier {name!r} (only z1..z{self.m} exist)", pos
             )
@@ -261,15 +248,13 @@ def _check(bad, message: str, pos: int, t: np.ndarray) -> None:
         raise RhsDomainError(message, pos, float(flat_t[np.argmax(np.reshape(bad, -1))]))
 
 
-@np.errstate(over="ignore")
 def _pow(a, b, pos, t):
-    neg_base = a < 0.0
-    if np.any(neg_base):
-        frac_exp = np.broadcast_to(b != np.floor(b), neg_base.shape)
-        _check(neg_base & frac_exp, "negative base with non-integer exponent", pos, t)
-    zero_neg = (a == 0.0) & np.broadcast_to(b < 0.0, np.shape(a))
-    _check(zero_neg, "zero base with negative exponent", pos, t)
-    return a**b
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        out = a**b
+    if not np.isfinite(out).all():  # each domain error leaves nan or inf
+        _check((a < 0.0) & (b != np.floor(b)), "negative base with non-integer exponent", pos, t)
+        _check((a == 0.0) & (b < 0.0), "zero base with negative exponent", pos, t)
+    return out
 
 
 # An operation that checks its domain takes its operands, the expression
@@ -367,28 +352,18 @@ def eval_rhs(e: RhsExpr, t, z=()) -> np.ndarray:
     return float(out[0]) if np.ndim(t) == 0 else out
 
 
-def _walk(e: RhsExpr):
-    yield e
-    if not isinstance(e, (Num, Var)):
-        for kid in _node(e)[1]:
-            yield from _walk(kid)
-
-
-def uses_y_alias(e: RhsExpr) -> bool:
-    return any(isinstance(node, Var) and node.name == "y" for node in _walk(e))
-
-
-def max_z_index(e: RhsExpr) -> int:
-    best = 0
-    for node in _walk(e):
-        if isinstance(node, Var) and node.name.startswith("z"):
-            best = max(best, int(node.name[1:]))
-    return best
+def _names(e: RhsExpr) -> set:
+    """The names of the variables e reads."""
+    if isinstance(e, Var):
+        return {e.name}
+    if isinstance(e, Num):
+        return set()
+    return set().union(*(_names(kid) for kid in _node(e)[1]))
 
 
 def _reads_z(e: RhsExpr) -> bool:
     """True when e reads an inner derivative (z_h or y)."""
-    return any(isinstance(node, Var) and node.name != "t" for node in _walk(e))
+    return bool(_names(e) - {"t"})
 
 
 def _slope(e: RhsExpr, names: frozenset):
@@ -577,15 +552,10 @@ def problem_issues(p: MultiTermProblem) -> list:
                     f"alpha = {p.alpha} provides (need ceil(alpha) > ceil(alpha_1))",
                 )
             )
-    if uses_y_alias(p.rhs):
-        if p.m == 0 or p.derivative_orders[-1] != 0.0:
-            issues.append(
-                (
-                    "y_alias",
-                    "y may only appear when the last inner order is 0",
-                )
-            )
-    k = max_z_index(p.rhs)
+    names = _names(p.rhs)
+    if "y" in names and (p.m == 0 or p.derivative_orders[-1] != 0.0):
+        issues.append(("y_alias", "y may only appear when the last inner order is 0"))
+    k = max((int(v[1:]) for v in names if v.startswith("z")), default=0)
     if k > p.m:
         issues.append(
             ("z_index", f"rhs references z{k} but only {p.m} inner derivatives exist")

@@ -387,12 +387,13 @@ class TestSolve:
         assert "singular" in str(exc.value)
 
     def test_overflow_aborts_with_clear_error(self):
-        p = problem_from_dict({
-            "alpha": 0.5, "derivative_orders": [0.0], "initial_values": [800.0],
-            "horizon": 1.0, "rhs": "exp(z1)",
-        })
-        with pytest.raises(NonFiniteIterateError):
-            solve(p, Grid.uniform(1.0, 64))
+        for rhs in ("exp(z1)", "z1^400"):  # each overflows to inf, not an error
+            p = problem_from_dict({
+                "alpha": 0.5, "derivative_orders": [0.0], "initial_values": [800.0],
+                "horizon": 1.0, "rhs": rhs,
+            })
+            with pytest.raises(NonFiniteIterateError):
+                solve(p, Grid.uniform(1.0, 64))
 
     @pytest.mark.parametrize("alpha, horizon", [(60.5, 1e6), (150.5, 1000.0)])
     def test_overflowing_operator_aborts(self, alpha, horizon):
@@ -518,6 +519,7 @@ class TestWindows:
         traj = solve(_relaxation(rate=9.0), Grid.uniform(1.0, 64), max_iter=100)
         assert not traj.report.converged and traj.report.exact_windows == 0
         assert traj.report.steps == 112
+        assert traj.report.diagonal_bound == 1e-10 ** (1.0 / 100)
 
     @pytest.mark.parametrize("width", (1, 7, 64))
     def test_window_start_reproduces_its_degree(self, width):

@@ -70,10 +70,11 @@ class TestParser:
         assert parse_rhs("sqrt(abs(z1))", 1) == Call("sqrt", Call("abs", Var("z1")))
 
     def test_z_variables_bounded_by_m(self):
-        assert parse_rhs("z2", 3) == Var("z2")
-        with pytest.raises(RhsSyntaxError) as exc:
-            parse_rhs("z3", 2)
-        assert "z3" in str(exc.value)
+        assert parse_rhs("z2", 3) == parse_rhs("z02", 3) == Var("z2")
+        for name in ("z3", "z03"):  # an error names the variable as written
+            with pytest.raises(RhsSyntaxError) as exc:
+                parse_rhs(name, 2)
+            assert f"{name!r}" in str(exc.value)
 
     def test_y_alias_needs_inner_terms(self):
         assert parse_rhs("y", 1) == Var("y")
@@ -161,6 +162,9 @@ class TestEval:
         out = eval_rhs(e, np.linspace(0, 1, 5))
         assert out.shape == (5,)
         assert np.all(out == 3.5)
+        # so does a scalar z, under a power whose exponent reads t
+        t = np.linspace(0.5, 2.0, 4)
+        assert np.array_equal(eval_rhs(parse_rhs("z1^t", 1), t, [2.0]), 2.0**t)
 
     def test_y_aliases_last_inner_term(self):
         e = parse_rhs("y + z1", 2)
@@ -288,16 +292,26 @@ class TestCompiledRhs:
         assert exc.value.t_value == 0.0
 
     def test_z_dependent_domain_error_raises_at_call_time(self):
-        e = parse_rhs("t + sqrt(z1)", 1)
+        # a power looks for its domain errors only where its value is not
+        # finite; it names them as eagerly as sqrt names its own
         t = np.linspace(0.0, 1.0, 9)
-        f = compile_rhs(e, t)
-        z1 = np.ones(9)
-        z1[6:] = -1.0
-        assert np.array_equal(f(slice(0, 4), [z1[:4]]), t[:4] + 1.0)
-        with pytest.raises(RhsDomainError) as exc:
-            f(slice(4, 9), [z1[4:]])
-        assert exc.value.pos == 4
-        assert exc.value.t_value == t[6]
+        for text, bad, message, pos in [
+            ("t + sqrt(z1)", -1.0, "sqrt of a negative value", 4),
+            ("t + z1^0.5", -1.0, "negative base with non-integer exponent", 6),
+            ("t + z1^-1", 0.0, "zero base with negative exponent", 6),
+        ]:
+            f = compile_rhs(parse_rhs(text, 1), t)
+            z1 = np.ones(9)
+            z1[6:] = bad
+            assert np.array_equal(f(slice(0, 4), [z1[:4]]), t[:4] + 1.0)
+            with pytest.raises(RhsDomainError) as exc:
+                f(slice(4, 9), [z1[4:]])
+            assert str(exc.value) == f"{message} at t = 0.75 (expression position {pos})"
+            assert exc.value.pos == pos
+            assert exc.value.t_value == t[6]
+        # an overflowing power is no domain error: it returns inf
+        f = compile_rhs(parse_rhs("t + z1^400", 1), t)
+        assert np.array_equal(f(slice(4, 9), [np.full(5, 10.0)]), np.full(5, np.inf))
 
     def test_singular_solve_never_evaluates_t0(self):
         # log(t) and t^(-0.2) fail at t = 0; with gamma > 0 the solver
@@ -326,6 +340,7 @@ class TestDerivatives:
         "z1 + t*z2", "z1 - 3*z2", "-(z1*t) - z2", "z1/(t + 1) - z2/3",
         "sin(t)*z1 - cos(t)*z2", "exp(-t)*(z1 + 2*z2) + log(t)",
         "sqrt(t)*y - abs(t - 1)*z1", "t^(-0.3)*z1 + 2^t", "(z1 - 0.5*z2)/sqrt(t)*3",
+        "z01 - 3*z02",
     ])
     def test_matches_central_differences(self, text):
         rng = np.random.default_rng(7)
