@@ -306,10 +306,8 @@ def main() -> int:
                                      "rhs": "-z1"})
         for n in (1024, 2048, 4096, 8192, 16384):
             grid = Grid.uniform(horizon, n)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # the whole-horizon omega is >= 1
-                traj = solve(problem, grid)
-                wall = median_time(lambda: solve(problem, grid))
+            traj = solve(problem, grid)
+            wall = median_time(lambda: solve(problem, grid))
             exact = [math.exp(t) * math.erfc(math.sqrt(t)) for t in grid.nodes]
             report = traj.report
             status = "" if report.converged else " (not converged)"

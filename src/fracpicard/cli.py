@@ -25,7 +25,6 @@ pool sized by FRACPICARD_THREADS (default: up to 4).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -34,7 +33,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .fractional_ops import Grid, SampledFunction
+from .fractional_ops import Grid
 from .picard_solver import (
     NonFiniteIterateError,
     SolutionTrajectory,
@@ -51,7 +50,7 @@ from .problem_model import (
 from .special_functions import MLParams, SeriesConvergenceError, mittag_leffler
 from .verification import check_equivalence, initial_limit_checks, origin_decay
 
-__all__ = ["main", "entry"]
+__all__ = ["main"]
 
 
 class CliInputError(Exception):
@@ -212,11 +211,6 @@ def run_verify(cfg: argparse.Namespace) -> int:
         raise CliInputError(f"verify needs --n-points >= 2 ceil(alpha) = {2 * problem.n}")
     grid = _make_grid(problem, cfg.n_points, cfg.grading)
     trajectory = solve(problem, grid, tol=cfg.tol, max_iter=cfg.max_iter)
-    if cfg.self_test_corrupt:
-        corrupted = SampledFunction(trajectory.grid, trajectory.y.values * 1.1, 0.0)
-        trajectory = dataclasses.replace(trajectory, y=corrupted)
-        print("self test: trajectory deliberately corrupted (y scaled by 1.1)")
-
     checks = _verify_checks(cfg, problem, trajectory)
     out = _output_path(cfg)
     _write_csv(
@@ -337,8 +331,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="smallest grid in study mode (default 16)")
     p.add_argument("--ode-tol", type=float, default=1e-2, dest="ode_tol",
                    help="verify: differential-form residual threshold (default 1e-2)")
-    p.add_argument("--self-test-corrupt", action="store_true", dest="self_test_corrupt",
-                   help="verify: corrupt the trajectory first (the checks must then fail)")
     return p
 
 
@@ -358,10 +350,6 @@ def main(argv=None) -> int:
     except (NonFiniteIterateError, SeriesConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def entry() -> None:
-    sys.exit(main())
 
 
 if __name__ == "__main__":

@@ -26,14 +26,14 @@ plain updates would finish the window within max_iter only where
 rho^max_iter <= tol. Where every diagonal entry is within that bound,
 tol^(1/max_iter), one exact (Newton) step reaches Picard's limit on the
 window: the window takes that step once instead of halving, and plain
-updates then confirm it to the tolerance. The solver warns
-(ContractionWarning) when omega >= 1 on the whole horizon.
+updates then confirm it to the tolerance. The report still carries omega
+beside the observed ratios, but since each window contracts on its own,
+omega >= 1 on the whole horizon is no sign of trouble.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -69,8 +69,9 @@ __all__ = [
 
 
 class ContractionWarning(UserWarning):
-    """The estimated contraction factor is >= 1; convergence is not
-    geometric and may be slow."""
+    """No longer raised: the windowed march converges where the
+    whole-horizon factor omega is >= 1. Kept so that callers which
+    filter it by name still run."""
 
 
 class NonFiniteIterateError(RuntimeError):
@@ -313,8 +314,9 @@ def solve(
     weighted update norm drops to tol or a window exhausts max_iter;
     reconstruct y = taylor part + I^alpha phi.
 
-    A non-contractive setup only warns (ContractionWarning); an exhausted
-    iteration budget returns a trajectory whose report has converged False.
+    An exhausted iteration budget returns a trajectory whose report has
+    converged False; its worst_ratio, and largest_diagonal against
+    diagonal_bound, show why.
     """
     validate_problem(problem)
     if not 0.0 < tol < math.inf:
@@ -347,15 +349,12 @@ def solve(
         lipschitz = _observed_lipschitz(problem, grid, z_final)
     except ArithmeticError:
         lipschitz = float("nan")
-    omega = estimate_contraction(lipschitz, problem)
-    if omega >= 1.0:
-        warnings.warn(f"estimated contraction factor {omega:.3g} >= 1; convergence may be slow",
-                      ContractionWarning, stacklevel=2)
 
     deltas = max(windows, key=len)
     report = ConvergenceReport(
         deltas=tuple(deltas), converged=windows[-1][-1] <= tol, iterations=len(deltas),
-        tolerance=tol, lipschitz_estimate=lipschitz, contraction_estimate=omega,
+        tolerance=tol, lipschitz_estimate=lipschitz,
+        contraction_estimate=estimate_contraction(lipschitz, problem),
         windows=len(windows), worst_ratio=worst_ratio, steps=steps, exact_windows=exact_windows,
         largest_diagonal=largest_diagonal, diagonal_bound=bound,
     )

@@ -11,8 +11,10 @@ exactly that, including the threaded study mode.
 """
 
 import csv
+import dataclasses
 import json
 import math
+import runpy
 import shutil
 import subprocess
 import sys
@@ -24,8 +26,12 @@ import pytest
 
 from fracpicard import cli
 from fracpicard.cli import _oracle_fn, main
-from fracpicard.fractional_ops import Grid
+from fracpicard.fractional_ops import Grid, SampledFunction
+from fracpicard.picard_solver import solve
 from fracpicard.problem_model import MultiTermProblem, parse_rhs
+
+ROOT = Path(__file__).resolve().parent.parent
+SHIPPED = sorted((ROOT / "configs").glob("*.json"))
 
 RELAXATION = {
     "alpha": 0.5,
@@ -214,17 +220,23 @@ class TestVerifyMode:
             ]) == 1
         assert not (tmp_path / "w.csv").exists()
 
-    def test_corrupted_trajectory_fails(self, relaxation_cfg, tmp_path, capsys):
-        rc = main([
-            "--config", str(relaxation_cfg), "--mode", "verify",
-            "--self-test-corrupt", "--output", str(tmp_path / "v.csv"),
-        ])
+    def test_corrupted_trajectory_fails(self, relaxation_cfg, tmp_path, capsys, monkeypatch):
+        def corrupted(*args, **kwargs):
+            traj = solve(*args, **kwargs)
+            y = SampledFunction(traj.grid, traj.y.values * 1.1, 0.0)
+            return dataclasses.replace(traj, y=y)
+
+        monkeypatch.setattr(cli, "solve", corrupted)
+        argv = ["--config", str(relaxation_cfg), "--mode", "verify",
+                "--output", str(tmp_path / "v.csv")]
+        rc = main(argv)
         captured = capsys.readouterr().out
         assert rc == 2
-        assert "self test" in captured
         assert "FAIL" in captured
         _, rows = _read_csv(tmp_path / "v.csv")
         assert any(r[3] == "0" for r in rows)
+        # the CLI has no flag of its own for this
+        assert main(argv + ["--self-test-corrupt"]) == 1
 
     def test_two_initial_conditions_reported(self, manufactured_cfg, tmp_path, capsys):
         rc = main([
@@ -366,7 +378,7 @@ class TestOracleMode:
         # E_(1/2)(rate sqrt t) = erfcx(|rate| sqrt t): the alternating series
         # was off by 1.7e8 relative at -7 and overflowed at -50
         erfcx = pytest.importorskip("scipy.special").erfcx
-        cfg = Path(__file__).resolve().parent.parent / "configs" / "relaxation_half_order.json"
+        cfg = ROOT / "configs" / "relaxation_half_order.json"
         out = tmp_path / "oracle.csv"
         rc = main([
             "--config", str(cfg), "--mode", "oracle",
@@ -577,6 +589,22 @@ class TestBadInput:
         captured = capsys.readouterr()
         assert "error:" in captured.err
         assert captured.out == ""
+
+
+class TestShippedConfigs:
+    """Every shipped config solves and verifies, with the arguments the
+    benchmark script gives it, without a warning of any kind."""
+
+    @pytest.mark.parametrize("cfg", SHIPPED, ids=[c.stem for c in SHIPPED])
+    def test_runs_without_warnings(self, cfg, tmp_path):
+        extra = runpy.run_path(str(ROOT / "scripts" / "run_benchmarks.py"))["EXTRA_VERIFY"]
+        runs = [["--mode", "solve"], ["--mode", "verify"] + extra.get(cfg.stem, [])]
+        for args in runs:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                rc = main(["--config", str(cfg), "--output", str(tmp_path / "out.csv")] + args)
+            assert rc == 0, args
+            assert [str(w.message) for w in caught] == [], args
 
 
 class TestEntryPoints:

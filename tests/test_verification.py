@@ -14,13 +14,12 @@ which the weighted product rule reproduces to near machine precision.
 
 import dataclasses
 import math
-import warnings
 
 import numpy as np
 import pytest
 
 from fracpicard.fractional_ops import Grid, SampledFunction
-from fracpicard.picard_solver import ContractionWarning, solve
+from fracpicard.picard_solver import solve
 from fracpicard.problem_model import problem_from_dict
 from fracpicard.verification import (
     check_equivalence,
@@ -45,9 +44,7 @@ def _manufactured():
 
 def _solved(problem, n=256, grading=1.0):
     grid = Grid(problem.horizon, n, grading)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ContractionWarning)
-        traj = solve(problem, grid)
+    traj = solve(problem, grid)
     assert traj.report.converged
     return grid, traj
 
