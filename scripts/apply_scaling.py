@@ -41,12 +41,14 @@ whole array (median). A column says whether the array call gives
 every node bit for bit what the per-node calls give, and the last one
 gives its largest error relative to the closed form at each node:
 erfcx(-z), exp(z) and cos(sqrt(-z)) in 30-digit mpmath.
-A fifth table solves D^0.5 y = -y, y(0) = 1, at tol 1e-10 for T = 1, 5, 20
-and 50 and N = 1024 .. 16384: the median wall time of solve, the number of
-windows it marched, how many of them the exact step finished, the most
-iterations one window took, the updates of all windows (steps), and the
-sup error against the closed form
-y = exp(t) erfc(sqrt(t)).
+A fifth table solves D^0.5 y = f, y(0) = 1, at tol 1e-10: f = -y for T = 1,
+5, 20 and 50 and N = 1024 .. 16384, then, at T = 1 and N = 4096, f = -10 y,
+whose constant slope takes the exact step from one Toeplitz inverse, and
+f = -(5 + 5t) y, whose varying slope solves each window's own system. It
+gives the median wall time of solve, the number of windows it marched, how
+many of them the exact step finished, the most iterations one window took,
+the updates of all windows (steps), and the sup error against the closed
+form y = exp(lam^2 t) erfc(lam sqrt(t)) of f = -lam y (none for the last).
 A sixth table times one history push of a marching solve at N = 8192 for
 the levels h = 64 .. 1024, both ways: the FFT product of the level's
 spectrum and the direct sum np.convolve(s[1:2h], u)[h-1:2h-1], with their
@@ -298,22 +300,26 @@ def main() -> int:
                   f"| {err:.1e} |")
 
     print()
-    print("| T | N | solve | windows | exact | most iterations | steps | sup error |")
-    print("|---|---|---|---|---|---|---|---|")
-    for horizon in (1.0, 5.0, 20.0, 50.0):
+    print("| f | T | N | solve | windows | exact | most iterations | steps | sup error |")
+    print("|---|---|---|---|---|---|---|---|---|")
+    rows = [("-z1", 1.0, horizon, n) for horizon in (1.0, 5.0, 20.0, 50.0)
+            for n in (1024, 2048, 4096, 8192, 16384)]
+    rows += [("-10*z1", 10.0, 1.0, 4096), ("-(5+5*t)*z1", None, 1.0, 4096)]
+    for rhs, lam, horizon, n in rows:
         problem = problem_from_dict({"alpha": 0.5, "derivative_orders": [0.0],
-                                     "initial_values": [1.0], "horizon": horizon,
-                                     "rhs": "-z1"})
-        for n in (1024, 2048, 4096, 8192, 16384):
-            grid = Grid.uniform(horizon, n)
-            traj = solve(problem, grid)
-            wall = median_time(lambda: solve(problem, grid))
-            exact = [math.exp(t) * math.erfc(math.sqrt(t)) for t in grid.nodes]
-            report = traj.report
-            status = "" if report.converged else " (not converged)"
-            print(f"| {horizon:g} | {n} | {wall * 1e3:.3g} ms | {report.windows} "
-                  f"| {report.exact_windows} | {report.iterations}{status} | {report.steps} "
-                  f"| {np.max(np.abs(traj.y.values - exact)):.3e} |")
+                                     "initial_values": [1.0], "horizon": horizon, "rhs": rhs})
+        grid = Grid.uniform(horizon, n)
+        traj = solve(problem, grid)
+        wall = median_time(lambda: solve(problem, grid))
+        error = "-"
+        if lam is not None:
+            exact = [math.exp(lam * lam * t) * math.erfc(lam * math.sqrt(t)) for t in grid.nodes]
+            error = f"{np.max(np.abs(traj.y.values - exact)):.3e}"
+        report = traj.report
+        status = "" if report.converged else " (not converged)"
+        print(f"| {rhs} | {horizon:g} | {n} | {wall * 1e3:.3g} ms | {report.windows} "
+              f"| {report.exact_windows} | {report.iterations}{status} | {report.steps} "
+              f"| {error} |")
 
     print()
     print("| h | FFT push | direct push | deviation |")

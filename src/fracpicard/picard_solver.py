@@ -26,9 +26,11 @@ plain updates would finish the window within max_iter only where
 rho^max_iter <= tol. Where every diagonal entry is within that bound,
 tol^(1/max_iter), one exact (Newton) step reaches Picard's limit on the
 window: the window takes that step once instead of halving, and plain
-updates then confirm it to the tolerance. The report still carries omega
-beside the observed ratios, but since each window contracts on its own,
-omega >= 1 on the whole horizon is no sign of trouble.
+updates then confirm it to the tolerance. With constant slopes on a
+uniform grid every window's step comes from one Toeplitz inverse per
+solve (_exact_steps). The report still carries omega beside the observed
+ratios, but since each window contracts on its own, omega >= 1 on the
+whole horizon is no sign of trouble.
 """
 
 from __future__ import annotations
@@ -88,7 +90,11 @@ class ConvergenceReport:
     exact_windows counts the windows that the exact step finished,
     largest_diagonal is the largest max |diag M| of any window that tried
     it (0.0 when none did), and diagonal_bound the largest it takes,
-    tol^(1/max_iter)."""
+    tol^(1/max_iter). lipschitz_estimate is L of f in z, in the L1 norm on
+    z: max_h |df/dz_h| where every slope is constant on the nodes, else
+    sampled by estimate_lipschitz over the box the final inner derivatives
+    visit (nan where f fails there); contraction_estimate is omega from it
+    (estimate_contraction)."""
 
     deltas: tuple
     converged: bool
@@ -215,41 +221,110 @@ def _exact_step(slopes, near, r: int, nodes: slice, res: np.ndarray, bound: floa
     return diagonal, step if np.isfinite(step).all() else None
 
 
-def _march(problem: MultiTermProblem, grid: Grid, inner, taylor, tol: float, max_iter: int,
-           bound: float):
+def _toeplitz_inverse(slopes, inner, n: int, bound: float):
+    """max |diag M_W| and (I - M_W)^-1, None where _exact_step refuses M_W,
+    for M_W = sum_h s_h near_field(1, 1 + W).T, the M of a whole block of
+    W nodes on a uniform grid of n intervals where every slope s_h is
+    constant. M_W is lower-triangular Toeplitz, and so is its inverse:
+    Inv[i, j] = c[i - j], with (I - M_W) c = e_1."""
+    width = block_bounds(1, n)[1] - 1
+    near = [op.near_field(1, 1 + width) for op in inner]
+    diagonal, c = _exact_step(slopes, near, 0, slice(0, width), np.eye(width, 1)[:, 0], bound)
+    i = np.arange(width)
+    return diagonal, None if c is None else np.tril(c[i[:, None] - i])
+
+
+def _exact_steps(slopes, constant: bool, inner, grid: Grid, g: float, bound: float):
+    """The exact step of a solve's windows, step(near, r, nodes, res) ->
+    (max |diag M|, delta or None) as _exact_step gives it; None where f is
+    not affine in z.
+
+    Where every slope is constant on a uniform grid and g = 0, each near
+    field is a slice of one Toeplitz plan block, so a window w nodes wide
+    has M = M_W[:w, :w] wherever it lies. The inverse of a leading block of
+    a lower-triangular matrix is the leading block of its inverse: the
+    first window that tries the step computes max |diag M_W| and, where
+    that is within bound, (I - M_W)^-1 (_toeplitz_inverse), and every step
+    is then one product with its leading w x w block. Varying slopes,
+    graded grids and g > 0 solve each window's own system."""
+    if not slopes:
+        return None
+    if not (constant and grid.is_uniform and g == 0.0):
+        return lambda near, r, nodes, res: _exact_step(slopes, near, r, nodes, res, bound)
+    toeplitz = None
+
+    def step(near, r, nodes, res):
+        nonlocal toeplitz
+        if toeplitz is None:
+            toeplitz = _toeplitz_inverse(slopes, inner, grid.n_intervals, bound)
+        diagonal, inv = toeplitz
+        if inv is None:
+            return diagonal, None
+        delta = inv[: res.size, : res.size] @ res
+        return diagonal, delta if np.isfinite(delta).all() else None
+
+    return step
+
+
+def _window(update, cur: np.ndarray, t: np.ndarray, g: float, tol: float, max_iter: int,
+            halve: bool, exact):
+    """Iterate one window until its update is at most tol or max_iter
+    updates are spent: its deltas, how it ended, "plain", "exact" or
+    "halved", and max |diag M| of its exact step (0.0 where it tried none).
+
+    update() is the window's next iterate, cur its current one (a view of
+    phi's values, moved in place) and t its nodes. Where halve holds and an
+    update shrinks by less than half, the window halves. The first time,
+    exact(res) may stand in for that: where it gives the step, the iterate
+    before that update moves to the window's fixed point, and the updates
+    go on. The next one is at round-off level; should it too shrink by less
+    than half, the window halves after all."""
+    deltas, ended, diagonal = [], "plain", 0.0
+    for _ in range(max_iter):
+        new = update()
+        res = new - cur
+        deltas.append(float(np.abs(res * t ** g if g else res).max()))
+        if not math.isfinite(deltas[-1]):  # max propagates nan and inf
+            _finite(new, t)
+        cur[:] = new
+        if deltas[-1] <= tol:
+            break
+        if halve and len(deltas) > 1 and deltas[-1] > 0.5 * deltas[-2]:
+            if ended == "plain" and exact is not None:  # once per window
+                diagonal, step = exact(res)
+                if step is not None:
+                    cur += step - res  # the iterate before new, plus the step
+                    ended = "exact"
+                    continue
+            return deltas, "halved", diagonal
+    return deltas, ended, diagonal
+
+
+def _march(problem: MultiTermProblem, grid: Grid, inner, taylor, rhs, exact, tol: float,
+           max_iter: int):
     """phi, the deltas of every window solved, in order, the largest ratio
     of successive updates and the number of updates over all windows,
     halved ones included, the number of windows the exact step finished
     and the largest diagonal of any window that tried it.
 
-    phi^0 = f(t, taylor parts). The windows lie in the blocks of t_1..t_N
-    (block_bounds). A window w nodes long starts from the quintic through
-    the last final value and those w, 2w, .., 5w nodes before it (the line
-    through the last two while t_0, or t_1 for gamma > 0, is nearer; the
-    first from phi^0) and iterates until its update is at most tol. One
-    whose update shrinks by less than half in a step starts again at half
+    phi^0 = f(t, taylor parts), with rhs f compiled on the nodes it is
+    sampled at. The windows lie in the blocks of t_1..t_N (block_bounds).
+    A window w nodes long starts from the quintic through the last final
+    value and those w, 2w, .., 5w nodes before it (the line through the
+    last two while t_0, or t_1 for gamma > 0, is nearer; the first from
+    phi^0) and iterates (_window), where exact, from _exact_steps, may
+    stand in for its halving once. One that halves starts again at half
     its length, down to one node (two for the first when gamma > 0, whose
-    t_0 value is extrapolated from t_1 and t_2), and so do the windows after
-    it. Once per window, the exact step may stand in for the halving: where
-    f is affine in z (its slopes from rhs_derivatives, taken the first
-    time a window would halve) and _exact_step accepts the window, whose
-    diagonal must be at most bound, tol^(1/max_iter) (on one node an
-    update scales the error by the diagonal rho, so max_iter updates reach
-    tol only where rho^max_iter <= tol), the iterate before that update
-    moves to the window's fixed point and the updates go on. The next one
-    is at round-off level; should it too shrink by less than half, the
-    window halves after all. After each window the operators push the
-    history it completes. A window that runs out of iterations ends the
-    march."""
+    t_0 value is extrapolated from t_1 and t_2), and so do the windows
+    after it. After each window the operators push the history it
+    completes. A window that runs out of iterations ends the march."""
     g = problem.gamma
     skip = 1 if g > 0.0 else 0
     t = grid.nodes
     n = grid.n_intervals
-    rhs = compile_rhs(problem.rhs, t[skip:])
     values = np.full(n + 1, np.nan)
     values[skip:] = _finite(rhs(slice(None), [tp.values[skip:] for tp in taylor]), t[skip:])
     hist = [op.history(values[0], g) for op in inner]
-    slopes = None  # df/dz_h, from the first window that would halve
     lo, size = 1, n
     done, worst, steps, exact_windows, largest = [], 0.0, 0, 0, 0.0
     while lo <= n:
@@ -264,37 +339,17 @@ def _march(problem: MultiTermProblem, grid: Grid, inner, taylor, tol: float, max
         near = [op.near_field(lo, hi, g) for op in inner]
         past = [h[lo:hi] + tp.values[lo:hi] for h, tp in zip(hist, taylor)]
         block, nodes = values[a:hi], slice(lo - skip, hi - skip)
-        deltas, tried, exact = [], False, False
-        for _ in range(max_iter):
-            new = picard_step(rhs, past, near, block, nodes)
-            res = new - cur
-            deltas.append(float(np.abs(res * t[lo:hi] ** g if g else res).max()))
-            if not math.isfinite(deltas[-1]):  # max propagates nan and inf
-                _finite(new, t[lo:hi])
-            cur[:] = new
-            if len(deltas) > 1:
-                worst = max(worst, deltas[-1] / deltas[-2])
-            if deltas[-1] <= tol:
-                break
-            if w > least and len(deltas) > 1 and deltas[-1] > 0.5 * deltas[-2]:
-                if not tried:  # once per window: the exact step, where f allows it
-                    tried = True
-                    if slopes is None:
-                        slopes = _affine_slopes(problem, t[skip:])
-                    diagonal, step = (_exact_step(slopes, near, lo - a, nodes, res, bound)
-                                      if slopes else (0.0, None))
-                    largest = max(largest, diagonal)
-                    if step is not None:
-                        cur += step - res  # the iterate before new, plus the step
-                        exact = True
-                        continue
-                size = max(w // 2, least)
-                break
+        deltas, ended, diagonal = _window(
+            lambda: picard_step(rhs, past, near, block, nodes), cur, t[lo:hi], g, tol, max_iter,
+            w > least, exact and (lambda res: exact(near, lo - a, nodes, res)))
         steps += len(deltas)
-        if w > size:
-            continue  # halved: run the window again, shorter
+        worst = max([worst, *(d1 / d0 for d0, d1 in zip(deltas, deltas[1:]))])
+        largest = max(largest, diagonal)
+        if ended == "halved":
+            size = max(w // 2, least)
+            continue  # run the window again, shorter
         done.append(deltas)
-        exact_windows += exact
+        exact_windows += ended == "exact"
         if deltas[-1] > tol:
             break  # out of iterations
         lo = hi
@@ -332,8 +387,15 @@ def solve(
     inner = tuple(build_integral_operator(problem.alpha - a, grid) for a in orders)
     taylor = tuple(derivative_taylor_part(problem.initial_values, a, grid) for a in orders)
     bound = tol ** (1.0 / max_iter)  # the largest diagonal plain updates finish
+    t = grid.nodes[1 if problem.gamma > 0.0 else 0 :]
+    rhs = compile_rhs(problem.rhs, t)  # before the slopes: f's own domain errors come first
+    slopes = _affine_slopes(problem, t)
+    constant = bool(slopes) and all(np.ptp(s) == 0.0 for s in slopes)  # nan, inf: not constant
+    if constant:  # one value each, broadcast: the march holds no N-array of slopes
+        slopes = [np.broadcast_to(s[0], s.shape) for s in slopes]
+    exact = _exact_steps(slopes, constant, inner, grid, problem.gamma, bound)
     phi, windows, worst_ratio, steps, exact_windows, largest_diagonal = _march(
-        problem, grid, inner, taylor, tol, max_iter, bound)
+        problem, grid, inner, taylor, rhs, exact, tol, max_iter)
 
     z_final = tuple(apply_integral(op, phi) + tp for op, tp in zip(inner, taylor))
     if orders and orders[-1] == 0.0:  # inner[-1] is I^alpha: this entry already is y
@@ -345,10 +407,13 @@ def solve(
     _finite(np.array([y.values, *(z.values for z in z_final)]), grid.nodes,
             "y or an inner derivative took")
 
-    try:
-        lipschitz = _observed_lipschitz(problem, grid, z_final)
-    except ArithmeticError:
-        lipschitz = float("nan")
+    if constant:  # |f(z) - f(z')| <= max_h |s_h| ||z - z'||_1, and equal for some pair
+        lipschitz = float(max(abs(s[0]) for s in slopes))
+    else:
+        try:
+            lipschitz = _observed_lipschitz(problem, grid, z_final)
+        except ArithmeticError:
+            lipschitz = float("nan")
 
     deltas = max(windows, key=len)
     report = ConvergenceReport(

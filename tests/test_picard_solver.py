@@ -21,17 +21,21 @@ import numpy as np
 import pytest
 from scipy.special import erfcx
 
+from fracpicard import picard_solver
 from fracpicard.fractional_ops import (
     FracIntegralOperator,
     Grid,
     SampledFunction,
     apply_integral,
+    block_bounds,
     build_integral_operator,
     derivative_taylor_part,
 )
 from fracpicard.picard_solver import (
     NonFiniteIterateError,
     _START_DEGREE,
+    _observed_lipschitz,
+    _toeplitz_inverse,
     _window_start,
     estimate_contraction,
     picard_step,
@@ -612,3 +616,114 @@ class TestWindows:
         assert traj.report.windows == 1
         assert traj.report.iterations == len(d)
         assert traj.report.worst_ratio == max(b / a for a, b in zip(d, d[1:]))
+
+
+def _count_calls(monkeypatch, *names):
+    """{name: calls} of the named picard_solver functions, counted from now on."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, fn=getattr(picard_solver, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(picard_solver, name, counted)
+    return calls
+
+
+def _problem(rhs: str, **spec):
+    return problem_from_dict({"alpha": 0.5, "derivative_orders": [0.0], "initial_values": [1.0],
+                              "horizon": 1.0, "rhs": rhs, **spec})
+
+
+class TestToeplitzStep:
+    """With constant slopes on a uniform grid and gamma = 0, every window's
+    M is a leading block of one lower-triangular Toeplitz M_W, and its exact
+    step a product with the leading block of (I - M_W)^-1."""
+
+    @pytest.mark.parametrize("n, slopes, orders, width", [
+        *((4096, (-10.0,), (0.5,), w) for w in (1, 2, 16, 64)),
+        *((16, (-2.0,), (0.5,), w) for w in (1, 2, 16)),  # a zero-padded plan block
+        *((4096, (-4.0, -9.0), (1.0, 1.5), w) for w in (1, 2, 16, 64)),
+    ])
+    def test_leading_block_inverts_the_window(self, n, slopes, orders, width):
+        grid = Grid.uniform(1.0, n)
+        ops = [build_integral_operator(order, grid) for order in orders]
+        diagonal, inv = _toeplitz_inverse([np.full(n + 1, s) for s in slopes], ops, n, 0.891)
+        # the window that ends a block in the middle of the grid
+        a, end = block_bounds(n // 2, n)
+        lo = end - width
+        m = sum(s * op.near_field(lo, end)[lo - a :].T for s, op in zip(slopes, ops))
+        ref = np.linalg.inv(np.eye(width) - m)
+        assert diagonal == np.abs(m.diagonal()).max()
+        assert np.max(np.abs(inv[:width, :width] - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("rate, n, tol, steps, diagonal, error", [
+        (10.0, 4096, 1e-10, 192, 0.11753949657244922, 3.2730046242419597e-3),
+        (9.0, 64, 1e-12, 3, 0.8462843753216344, 8.325552192224595e-2),
+    ])
+    def test_one_inverse_serves_every_window(self, monkeypatch, rate, n, tol, steps, diagonal,
+                                             error):
+        # the steps, exact windows and largest diagonal of a solve of each
+        # window's own system, from one inverse
+        calls = _count_calls(monkeypatch, "_exact_step", "_toeplitz_inverse")
+        grid = Grid.uniform(1.0, n)
+        traj = solve(_relaxation(rate=rate), grid, tol=tol)
+        report = traj.report
+        assert calls == {"_exact_step": 1, "_toeplitz_inverse": 1}  # the inverse's one solve
+        assert report.converged and report.steps == steps
+        assert report.exact_windows == report.windows == -(-n // 64)
+        assert report.largest_diagonal == diagonal
+        sup = np.max(np.abs(traj.y.values - erfcx(rate * np.sqrt(grid.nodes))))
+        assert sup == pytest.approx(error, rel=1e-9)
+
+    @pytest.mark.parametrize("problem, grid", [
+        (_problem("-(5+5*t)*z1"), Grid.uniform(1.0, 64)),  # slopes that vary
+        (_problem("-10*z1"), Grid(1.0, 256, 2.0)),
+        (_problem("t^(-0.3) - 5*z1", gamma=0.3), Grid.uniform(1.0, 256)),
+    ])
+    def test_other_solves_solve_each_window(self, monkeypatch, problem, grid):
+        calls = _count_calls(monkeypatch, "_exact_step", "_toeplitz_inverse")
+        report = solve(problem, grid).report
+        assert report.converged and report.exact_windows > 0
+        assert calls["_exact_step"] >= report.exact_windows and calls["_toeplitz_inverse"] == 0
+
+    def test_a_refused_diagonal_is_remembered(self, monkeypatch):
+        # every window of -9 z1 at N = 16 would halve and is refused, down
+        # to one node; the diagonal is computed once
+        calls = _count_calls(monkeypatch, "_exact_step", "_toeplitz_inverse")
+        report = solve(_relaxation(rate=9.0), Grid.uniform(1.0, 16)).report
+        assert calls == {"_exact_step": 1, "_toeplitz_inverse": 1}
+        assert not report.converged and report.exact_windows == 0
+        assert f"{report.largest_diagonal:.3g} > {report.diagonal_bound:.3g}" == "1.69 > 0.891"
+
+
+class TestLipschitzEstimate:
+    """Where every df/dz_h is constant, the report's L is max_h |df/dz_h|,
+    the sharp constant in the L1 norm on z that estimate_lipschitz samples;
+    elsewhere it is sampled."""
+
+    @pytest.mark.parametrize("spec, lipschitz", [
+        ({"rhs": "-z1"}, 1.0),
+        ({"rhs": "2*z1 + 3*z2", "alpha": 1.5, "derivative_orders": [0.5, 0.0],
+          "initial_values": [1.0, 0.0]}, 3.0),  # not 2 + 3
+        ({"rhs": "0*z1 + t"}, 0.0),
+    ])
+    def test_constant_slopes_are_read_off(self, monkeypatch, spec, lipschitz):
+        calls = _count_calls(monkeypatch, "estimate_lipschitz")
+        traj = solve(_problem(**spec), Grid.uniform(1.0, 64))
+        assert traj.report.lipschitz_estimate == lipschitz and calls["estimate_lipschitz"] == 0
+
+    @pytest.mark.parametrize("rhs, lipschitz", [
+        ("-(5+5*t)*z1", 9.986049678946058),
+        ("sin(20*t)*z1", 0.9999983720409569),
+        ("-z1^3", 3.1844890984851117),
+    ])
+    def test_other_slopes_are_sampled(self, rhs, lipschitz):
+        # the values sampled before the slopes were read; on the sine, the
+        # largest slope on the nodes alone would read below the sample
+        grid = Grid.uniform(1.0, 64)
+        traj = solve(_problem(rhs), grid)
+        assert traj.report.lipschitz_estimate == lipschitz
+        assert lipschitz == _observed_lipschitz(_problem(rhs), grid, traj.inner)
+        if rhs.startswith("sin"):
+            assert np.abs(np.sin(20.0 * grid.nodes)).max() < lipschitz
