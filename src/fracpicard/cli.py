@@ -18,8 +18,7 @@ Exit codes: 0 success, 1 bad input (file, flags, problem validation),
 2 non-convergence or a failed verification threshold.
 
 All floats are written with repr-faithful precision (%.17g), so repeated
-runs produce byte-identical files. The study mode solves grids in a thread
-pool sized by FRACPICARD_THREADS (default: up to 4).
+runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ import json
 import math
 import os
 import sys
+# unused: bench/layers.py wraps cli.ThreadPoolExecutor; goes with ROADMAP item 1's bench edit
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -225,20 +225,6 @@ def run_verify(cfg: argparse.Namespace) -> int:
     return 0 if n_pass == len(checks) else 2
 
 
-def _thread_cap(n_tasks: int) -> int:
-    env = os.environ.get("FRACPICARD_THREADS", "")
-    if env:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise CliInputError(f"FRACPICARD_THREADS must be an integer, got {env!r}")
-        if cap < 1:
-            raise CliInputError("FRACPICARD_THREADS must be >= 1")
-    else:
-        cap = min(4, os.cpu_count() or 1)
-    return max(1, min(cap, n_tasks))
-
-
 def run_study(cfg: argparse.Namespace) -> int:
     problem = _load(cfg)
     if not cfg.oracle:
@@ -264,8 +250,7 @@ def run_study(cfg: argparse.Namespace) -> int:
         err = float(np.max(np.abs(trajectory.y.values - exact[:: cfg.n_points // n])))
         return err, trajectory.report.iterations, trajectory.report.converged
 
-    with ThreadPoolExecutor(max_workers=_thread_cap(len(sizes))) as pool:
-        results = list(pool.map(one, sizes))
+    results = [one(n) for n in sizes]
 
     rows = []
     all_converged = True

@@ -535,8 +535,8 @@ class FracIntegralOperator:
             table[:, 1:] *= t[1:] ** g
             table[:, 1:3] += np.outer(table[:, 0], t[1:3] ** g * (1.0 + c, -c))
             table[:, 0] = 0.0
-        # the store is shared through the grid: should two threads build the
-        # same table at once, both return the one stored first
+        # the store is shared through the grid: should a library caller's two
+        # threads build the same table at once, both return the one stored first
         return self._weighted_tables.setdefault(key, table)
 
 

@@ -7,7 +7,7 @@ entry points actually launch.
 
 Output files use repr-faithful float formatting, so reruns with identical
 inputs must produce byte-identical CSVs; the determinism tests assert
-exactly that, including the threaded study mode.
+exactly that, including the study mode.
 """
 
 import csv
@@ -18,6 +18,7 @@ import runpy
 import shutil
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -283,17 +284,7 @@ class TestStudyMode:
         ])
         assert rc == 1
 
-    def test_thread_env_must_be_integer(self, relaxation_cfg, tmp_path, monkeypatch):
-        monkeypatch.setenv("FRACPICARD_THREADS", "abc")
-        rc = main([
-            "--config", str(relaxation_cfg), "--mode", "study",
-            "--study-min", "16", "--n-points", "32",
-            "--oracle", "ml:-1", "--output", str(tmp_path / "s.csv"),
-        ])
-        assert rc == 1
-
-    def test_threaded_run_is_deterministic(self, relaxation_cfg, tmp_path, monkeypatch):
-        monkeypatch.setenv("FRACPICARD_THREADS", "3")
+    def test_study_is_deterministic(self, relaxation_cfg, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):
             assert main([
@@ -303,11 +294,10 @@ class TestStudyMode:
             ]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_threaded_two_term_graded_run_is_deterministic(self, tmp_path, monkeypatch):
+    def test_two_term_graded_study_is_deterministic(self, tmp_path):
         # two nonzero initial values: two array series per grid
         cfg = tmp_path / "two_term.json"
         cfg.write_text(json.dumps(dict(RELAXATION, alpha=1.5, initial_values=[1.0, 0.5])))
-        monkeypatch.setenv("FRACPICARD_THREADS", "3")
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):
             assert main([
@@ -316,6 +306,26 @@ class TestStudyMode:
                 "--oracle", "ml:-1", "--output", str(out),
             ]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_study_runs_in_the_calling_thread(self, relaxation_cfg, tmp_path, monkeypatch):
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("the study built an executor")
+
+        threads = []
+
+        def traced_solve(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", NoPool)
+        monkeypatch.setattr(cli, "solve", traced_solve)
+        assert main([
+            "--config", str(relaxation_cfg), "--mode", "study",
+            "--study-min", "16", "--n-points", "64",
+            "--oracle", "ml:-1", "--output", str(tmp_path / "s.csv"),
+        ]) == 0
+        assert threads == [threading.get_ident()] * 3
 
     @pytest.mark.parametrize("grading", [1.0, 2.0])
     def test_ladder_grids_share_nodes_and_oracle_values(self, grading):

@@ -402,7 +402,7 @@ class TestFastHistorySum:
         assert apply_integral(op, f).values.tobytes() == apply_integral(op, f).values.tobytes()
 
     def test_concurrent_applies_match_serial(self):
-        # the study pool applies operators from several threads
+        # library callers may apply one grid's operators from several threads
         grid = Grid.uniform(1.0, 6000)
         f = SampledFunction(grid, np.random.default_rng(2).normal(size=6001))
         serial = apply_integral(build_integral_operator(0.6, grid), f).values

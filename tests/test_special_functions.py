@@ -101,6 +101,15 @@ class TestMittagLeffler:
         with pytest.raises(SeriesConvergenceError, match="beta = 1.0, z = -40"):
             mittag_leffler(MLParams(1.0, 1.0), np.array([-1.0, -40.0]))
 
+    def test_order_one_series_error_is_absolute(self):
+        # at alpha = 1 the series keeps a few ulp of its largest term,
+        # about e^x / sqrt(2 pi x), up to where it raises: relative error
+        # passes 1 from x = 19.4 on, yet no value is further off than this
+        x = np.linspace(1.0, 36.7, 4000)
+        err = np.abs(mittag_leffler(MLParams(1.0, 1.0), -x) - np.exp(-x))
+        eps = np.finfo(float).eps
+        assert np.all(err <= 8 * eps * np.exp(x) / np.sqrt(2 * np.pi * x))
+
     def test_exhausted_budget_raises(self):
         # at alpha = 0.001 the terms are about 0.999^k: 0.13 after 2000 of them
         with pytest.raises(SeriesConvergenceError, match=f"{_MAX_TERMS} terms"):
