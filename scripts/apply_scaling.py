@@ -14,8 +14,9 @@ largest output, and the bytes the operator holds: stencil, boundary column
 and the near-field block and stencil spectra of its plan, which every
 uniform operator keeps for a marching solve. A second table gives, for N = 2^8 .. 2^12, the median time to build
 the weighted table of order 0.5 for singular exponent g = 0.2 on a uniform
-grid and the dense table of order 0.5 on a grid of grading 2,
-each with its worst relative error on inputs the rule integrates exactly:
+grid and the dense table of order 0.5 on a grid of grading 2 (timed on
+the first read of the operator's _table, which builds it), each with its
+worst relative error on inputs the rule integrates exactly:
 t^(-g), whose image is Gamma(1-g)/Gamma(1-g+beta) t^(beta-g), for the
 weighted table, and the constant 1, whose image is t^beta/Gamma(1+beta),
 for the graded one. The weighted build is timed in two fresh processes,
@@ -27,11 +28,12 @@ weighted table's last row beyond column fractional_ops._FAR_CELL, the
 cells summed from Toeplitz moments, against a 40-digit mpmath row,
 relative to the row's largest entry (mpmath is needed for that column and
 the closed forms of the fourth table only).
-A third table runs `--mode verify --grading 2` of the command line on
-configs/relaxation_half_order.json at N = 1024 and 2048 and gives its best
-wall time of three runs, the tracemalloc peak of a fourth run, and the
-number of dense tables that run builds (solve and the checks need I^0.5
-on the same grid five times).
+A third table runs the command line at grading 2 and N = 1024 and 2048:
+`--mode verify` on configs/relaxation_half_order.json (solve and the
+checks need I^0.5 on the same grid five times) and `--mode solve` on
+configs/singular_forcing.json (gamma = 0.3, which needs the weighted
+table only). It gives the best wall time of three runs, the tracemalloc
+peak of a fourth run, and the number of dense tables that run builds.
 A fourth table times E_(alpha,1)(lam t^alpha) on the 4097 nodes of a uniform
 grid of [0, 1], for alpha = 0.5, 1, 2 and lam = -3, -10, three ways: a
 per-node loop over a pure-Python scalar series (the evaluation the ml:
@@ -90,7 +92,7 @@ ORDER = 0.5
 WEIGHT = 0.2  # singular exponent of the weighted table
 BUDGET = 0.5  # seconds spent timing each N and method
 ORACLE_NODES = 4097
-VERIFY_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "relaxation_half_order.json"
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -201,13 +203,14 @@ def closed_form(alpha: float, z: np.ndarray) -> np.ndarray:
         return np.array([float(forms[alpha](mp.mpf(v))) for v in z])
 
 
-def graded_verify(n: int) -> tuple:
+def graded_run(config: str, mode: str, n: int) -> tuple:
     """(best wall time of three runs, tracemalloc peak in bytes, dense
-    table builds) of one graded verify from the command line. Every dense
-    table build makes exactly one _fill_lower call, which is counted."""
+    table builds) of one run of configs/<config>.json at grading 2 from the
+    command line. Every dense table build makes exactly one _fill_lower
+    call, which is counted."""
     with tempfile.TemporaryDirectory() as out_dir:
-        argv = ["--config", str(VERIFY_CONFIG), "--mode", "verify", "--grading", "2",
-                "--n-points", str(n), "--output", str(Path(out_dir) / "verify.csv")]
+        argv = ["--config", str(CONFIGS / f"{config}.json"), "--mode", mode, "--grading", "2",
+                "--n-points", str(n), "--output", str(Path(out_dir) / "out.csv")]
 
         def run():
             with contextlib.redirect_stdout(io.StringIO()), warnings.catch_warnings():
@@ -217,9 +220,9 @@ def graded_verify(n: int) -> tuple:
         wall = min(once(run)[1] for _ in range(3))
         fill, builds = fractional_ops._fill_lower, []
 
-        def counting(table, cell_weights):
+        def counting(table, *args):
             builds.append(table.shape)
-            fill(table, cell_weights)
+            fill(table, *args)
 
         fractional_ops._fill_lower = counting
         tracemalloc.start()
@@ -256,7 +259,7 @@ def main() -> int:
     pinned = weighted_build_times_in_child(sizes, pinned=True)
     unpinned = weighted_build_times_in_child(sizes, pinned=False)
     for n, t_weighted, t_unpinned in zip(sizes, pinned, unpinned):
-        t_graded = median_time(lambda: build_integral_operator(ORDER, Grid(1.0, n, 2.0)))
+        t_graded = median_time(lambda: build_integral_operator(ORDER, Grid(1.0, n, 2.0))._table)
         grid = Grid.uniform(1.0, n)
         f = SampledFunction.from_callable(grid, lambda t: t**-WEIGHT, singular_exponent=WEIGHT)
         exact = (math.gamma(1.0 - WEIGHT) / math.gamma(1.0 - WEIGHT + ORDER)
@@ -273,11 +276,12 @@ def main() -> int:
               f"| {t_graded * 1e3:.3g} ms | {err_graded:.1e} |")
 
     print()
-    print("| N | graded verify | tracemalloc peak | dense builds |")
-    print("|---|---|---|---|")
-    for n in (1024, 2048):
-        wall, peak, builds = graded_verify(n)
-        print(f"| {n} | {wall:.3g} s | {peak / 2**20:.3g} MB | {builds} |")
+    print("| graded run | N | wall time | tracemalloc peak | dense builds |")
+    print("|---|---|---|---|---|")
+    for config, mode in (("relaxation_half_order", "verify"), ("singular_forcing", "solve")):
+        for n in (1024, 2048):
+            wall, peak, builds = graded_run(config, mode, n)
+            print(f"| {mode} `{config}` | {n} | {wall:.3g} s | {peak / 2**20:.3g} MB | {builds} |")
 
     print()
     print("| alpha | lam | scalar series per node | mittag_leffler per node "

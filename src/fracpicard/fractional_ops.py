@@ -38,6 +38,13 @@ order and exponent (0 for the plain table) and kept on the grid, so every
 operator of that order on that grid shares it, and it lives as long as the
 grid. Graded tables are built in blocks of up to _ROW_BLOCK rows, each over
 the cells left of its last row only.
+
+Building an operator computes nothing but 1/gamma(beta): each part of the
+plain rule is built on its first read, each weighted table on its first
+use. So an operator that only meets singular samples, like I^alpha of a
+gamma > 0 solve and its checks, never builds the plain rule. A uniform
+rule is often first read inside a marching solve, so its cell moments are
+summed in place, on a few arrays of N floats.
 """
 
 from __future__ import annotations
@@ -197,34 +204,36 @@ def _kernel_moments(a: np.ndarray, b: np.ndarray, beta: float):
 
     evaluated in difference form so that M0, M1 keep full relative
     precision even when a - b << a. The gamma(beta) normalization is NOT
-    included here.
+    included here. Every entry takes the series branch of b > 0, in place
+    on arrays of the input's length, so the work holds few of them at
+    once: the entries with b <= 0 (inf there, silenced) or r = (a - b) / b
+    > 1/2 (summed at r = 1/2) are then overwritten by their own branch.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    h = a - b
-    m0 = np.empty_like(a)
-    m1 = np.empty_like(a)
-
     zero = b <= 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = a - b
+        # d1 = a^beta - b^beta without cancellation
+        d1 = -(a**beta) * np.expm1(beta * np.log1p(-h / a))
+        m0 = d1 / beta
+        r = h / b
+        far = (r > 0.5) & ~zero
+        af, hf = a[far], h[far]
+        d2 = -(af ** (beta + 1.0)) * np.expm1((beta + 1.0) * np.log1p(-hf / af))
+        m1_far = af * d1[far] / beta - d2 / (beta + 1.0)
+        del d1
+        # M1 = h^2 b^(beta-1) sum_j C(beta-1, j) r^j / ((j+1)(j+2)); the sum is
+        # integral_0^1 (1 + r s)^(beta-1) (1 - s) ds >= 1/3 for r <= 1/2
+        m1 = h**2
+        del h
+        m1 *= b ** (beta - 1.0)
+        np.minimum(r, 0.5, out=r)  # the far entries' series stays finite
+        m1 *= _power_series(r, 0.5, lambda j: (beta - 1.0 - j) / (j + 3.0), beta - 1.0, 1 / 3)
+    m1[far] = m1_far
     az = a[zero]
     m0[zero] = az**beta / beta
     m1[zero] = az ** (beta + 1.0) / (beta * (beta + 1.0))
-
-    nz = ~zero
-    an, bn, hn = a[nz], b[nz], h[nz]
-    # d1 = a^beta - b^beta without cancellation
-    d1 = -(an**beta) * np.expm1(beta * np.log1p(-hn / an))
-    m0[nz] = d1 / beta
-    m1n = np.empty_like(an)
-    r = hn / bn
-    ser = r <= 0.5
-    d2 = -(an[~ser] ** (beta + 1.0)) * np.expm1((beta + 1.0) * np.log1p(-hn[~ser] / an[~ser]))
-    m1n[~ser] = an[~ser] * d1[~ser] / beta - d2 / (beta + 1.0)
-    # M1 = h^2 b^(beta-1) sum_j C(beta-1, j) r^j / ((j+1)(j+2)); the sum is
-    # integral_0^1 (1 + r s)^(beta-1) (1 - s) ds >= 1/3 for r <= 1/2
-    acc = _power_series(r[ser], 0.5, lambda j: (beta - 1.0 - j) / (j + 3.0), beta - 1.0, 1 / 3)
-    m1n[ser] = hn[ser] ** 2 * bn[ser] ** (beta - 1.0) * acc
-    m1[nz] = m1n
     return m0, m1
 
 
@@ -377,6 +386,31 @@ def _far_table(beta: float, g: float, t: np.ndarray, j_far: int) -> np.ndarray:
     return table
 
 
+def _uniform_rule(beta: float, ginv: float, grid: Grid) -> tuple:
+    """(stencil, boundary column) of I^beta on a uniform grid, ginv =
+    1/gamma(beta): the apply at t_k is boundary[k] f_0 plus
+    sum_(j < k) stencil[j] f_(k-j)."""
+    n = grid.n_intervals
+    h = grid.nodes[1]
+    ends = np.arange(n + 1.0) * h  # cell k spans ends[k - 1]..ends[k]
+    left, right = _kernel_moments(ends[1:], ends[:-1], beta)
+    right /= h
+    left -= right
+    left *= ginv    # weight of f at the cell's far end
+    right *= ginv   # weight of f at the cell's near end
+    return np.concatenate((right[:1], left[:-1] + right[1:])), np.concatenate(([0.0], left))
+
+
+def _history_plan(stencil: np.ndarray) -> tuple:
+    """The plan of _history_sum, of s = stencil zero-padded: block[j, i] =
+    s[i - j] for i >= j, and rfft(s[:2h]) for each level h = _BLOCK 2^j < N."""
+    n = stencil.size
+    i = np.arange(_BLOCK)
+    s = np.pad(stencil[:_BLOCK], (0, max(_BLOCK - n, 0)))
+    levels = [_BLOCK << j for j in range(n.bit_length()) if _BLOCK << j < n]
+    return np.triu(s[abs(i[:, None] - i)]), [rfft(stencil[: 2 * h], 2 * h) for h in levels]
+
+
 class FracIntegralOperator:
     """Product-trapezoidal discretization of the fractional integral
 
@@ -386,7 +420,8 @@ class FracIntegralOperator:
     convolution stencil plus a boundary column, kept with the plan of
     _history_sum; graded grids hold the full lower-triangular table. That
     table and the weighted tables for singular inputs are kept on the grid,
-    so every operator of the same order on it shares them.
+    so every operator of the same order on it shares them. Each is built on
+    its first read (__getattr__, _dense_table).
 
     A marching solve finds f on t_1..t_N window by window, each inside one
     block of _BLOCK nodes: values holds f at t_0..t_N as far as it is
@@ -406,25 +441,25 @@ class FracIntegralOperator:
             raise ValueError(f"integral order {order} overflows gamma") from None
         self.grid = grid
         self._weighted_tables = grid._tables.setdefault(round(self.order, 15), {})
-        self._stencil = self._boundary = self._table = self._plan = None
-        if not grid.is_uniform:
-            self._table = self._dense_table(0.0)
-            return
-        n = grid.n_intervals
-        h = grid.nodes[1]
-        k = np.arange(1, n + 1, dtype=float)
-        m0, m1 = _kernel_moments(k * h, (k - 1.0) * h, self.order)
-        left = (m0 - m1 / h) * self._ginv   # weight of f at the cell's far end
-        right = (m1 / h) * self._ginv       # weight of f at the cell's near end
-        self._stencil = np.concatenate((right[:1], left[:-1] + right[1:]))
-        self._boundary = np.concatenate(([0.0], left))
-        # the plan of _history_sum, of s zero-padded: block[j, i] = s[i - j]
-        # for i >= j, and rfft(s[:2h]) for each level h = _BLOCK 2^j < n
-        i = np.arange(_BLOCK)
-        s = np.pad(self._stencil[:_BLOCK], (0, max(_BLOCK - n, 0)))
-        levels = [_BLOCK << j for j in range(n.bit_length()) if _BLOCK << j < n]
-        self._plan = (np.triu(s[abs(i[:, None] - i)]),
-                      [rfft(self._stencil[: 2 * h], 2 * h) for h in levels])
+
+    def __getattr__(self, name: str):
+        """The plain rule, built on the first read of one of its parts and
+        then kept: on a uniform grid _stencil and _boundary together
+        (_uniform_rule), then _plan from the stencil (_history_plan); on a
+        graded grid _table, the grid's plain table. The other kind's parts
+        read None."""
+        if name not in ("_stencil", "_boundary", "_plan", "_table"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        uniform = self.grid.is_uniform
+        if name == "_table":
+            self._table = None if uniform else self._dense_table(0.0)
+        elif not uniform:
+            self._stencil = self._boundary = self._plan = None
+        elif name == "_plan":
+            self._plan = _history_plan(self._stencil)
+        else:
+            self._stencil, self._boundary = _uniform_rule(self.order, self._ginv, self.grid)
+        return self.__dict__[name]
 
     def history(self, f0: float, g: float = 0.0) -> np.ndarray:
         """The share of f(t_0) = f0 in the apply at t_0..t_N; none for g > 0."""

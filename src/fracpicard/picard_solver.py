@@ -266,14 +266,15 @@ def _exact_steps(slopes, constant: bool, inner, grid: Grid, g: float, bound: flo
     return step
 
 
-def _window(update, cur: np.ndarray, t: np.ndarray, g: float, tol: float, max_iter: int,
+def _window(update, cur: np.ndarray, t: np.ndarray, weight, tol: float, max_iter: int,
             halve: bool, exact):
     """Iterate one window until its update is at most tol or max_iter
     updates are spent: its deltas, how it ended, "plain", "exact" or
     "halved", and max |diag M| of its exact step (0.0 where it tried none).
 
     update() is the window's next iterate, cur its current one (a view of
-    phi's values, moved in place) and t its nodes. Where halve holds and an
+    phi's values, moved in place), t its nodes and weight t^gamma there
+    (None for gamma = 0), which the deltas carry. Where halve holds and an
     update shrinks by less than half, the window halves. The first time,
     exact(res) may stand in for that: where it gives the step, the iterate
     before that update moves to the window's fixed point, and the updates
@@ -283,7 +284,7 @@ def _window(update, cur: np.ndarray, t: np.ndarray, g: float, tol: float, max_it
     for _ in range(max_iter):
         new = update()
         res = new - cur
-        deltas.append(float(np.abs(res * t ** g if g else res).max()))
+        deltas.append(float(np.abs(res if weight is None else res * weight).max()))
         if not math.isfinite(deltas[-1]):  # max propagates nan and inf
             _finite(new, t)
         cur[:] = new
@@ -321,6 +322,7 @@ def _march(problem: MultiTermProblem, grid: Grid, inner, taylor, rhs, exact, tol
     g = problem.gamma
     skip = 1 if g > 0.0 else 0
     t = grid.nodes
+    weight = t**g if g else None  # of the deltas, once per solve
     n = grid.n_intervals
     values = np.full(n + 1, np.nan)
     values[skip:] = _finite(rhs(slice(None), [tp.values[skip:] for tp in taylor]), t[skip:])
@@ -340,8 +342,9 @@ def _march(problem: MultiTermProblem, grid: Grid, inner, taylor, rhs, exact, tol
         past = [h[lo:hi] + tp.values[lo:hi] for h, tp in zip(hist, taylor)]
         block, nodes = values[a:hi], slice(lo - skip, hi - skip)
         deltas, ended, diagonal = _window(
-            lambda: picard_step(rhs, past, near, block, nodes), cur, t[lo:hi], g, tol, max_iter,
-            w > least, exact and (lambda res: exact(near, lo - a, nodes, res)))
+            lambda: picard_step(rhs, past, near, block, nodes), cur, t[lo:hi],
+            None if weight is None else weight[lo:hi], tol, max_iter, w > least,
+            exact and (lambda res: exact(near, lo - a, nodes, res)))
         steps += len(deltas)
         worst = max([worst, *(d1 / d0 for d0, d1 in zip(deltas, deltas[1:]))])
         largest = max(largest, diagonal)

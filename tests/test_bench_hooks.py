@@ -57,8 +57,9 @@ def test_picard_step_spans_count_the_iterations(bench_modules):
 
 def test_graded_weighted_solve_reads_the_tables(bench_modules):
     # layers.py reads op._table, op._stencil, op._boundary and
-    # op._weighted_tables directly: a graded gamma > 0 solve builds the plain
-    # table of I^0.5 and applies its weighted table once the march is done
+    # op._weighted_tables directly. A graded gamma > 0 solve applies only
+    # the weighted table of I^0.5, once the march is done; the plain table
+    # is built here because the build hook reads op._table
     layers, spans = bench_modules
     problem = problem_from_dict({
         "alpha": 0.5, "derivative_orders": [0.0], "initial_values": [1.0],

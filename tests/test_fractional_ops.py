@@ -21,11 +21,13 @@ import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from math import gamma
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.fft import rfft
 
 import fracpicard
 from fracpicard.cli import main
@@ -49,6 +51,7 @@ from fracpicard.fractional_ops import (
 )
 
 BETAS = (0.3, 0.5, 1.0, 1.7, 2.5)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def power_rule(beta: float, mu: float, t: np.ndarray) -> np.ndarray:
@@ -538,6 +541,32 @@ class TestIncompleteBeta:
             assert incomplete_beta(p, q, x).tobytes() == per_element.tobytes()
 
 
+def masked_kernel_moments(a: np.ndarray, b: np.ndarray, beta: float):
+    """_kernel_moments branch by branch, each on masked copies of its own
+    entries: the reference its in-place form must match bit for bit."""
+    h = a - b
+    m0, m1 = np.empty_like(a), np.empty_like(a)
+    zero = b <= 0.0
+    m0[zero] = a[zero] ** beta / beta
+    m1[zero] = a[zero] ** (beta + 1.0) / (beta * (beta + 1.0))
+    nz = ~zero
+    an, bn, hn = a[nz], b[nz], h[nz]
+    d1 = -(an**beta) * np.expm1(beta * np.log1p(-hn / an))
+    m0[nz] = d1 / beta
+    m1n = np.empty_like(an)
+    r = hn / bn
+    ser = r <= 0.5
+    d2 = -(an[~ser] ** (beta + 1.0)) * np.expm1((beta + 1.0) * np.log1p(-hn[~ser] / an[~ser]))
+    m1n[~ser] = an[~ser] * d1[~ser] / beta - d2 / (beta + 1.0)
+    coef = _series_terms(0.5, lambda j: (beta - 1.0 - j) / (j + 3.0), beta - 1.0, 1 / 3)
+    acc = np.full_like(r[ser], coef[-1])
+    for c in reversed(coef[:-1]):
+        acc = acc * r[ser] + c
+    m1n[ser] = hn[ser] ** 2 * bn[ser] ** (beta - 1.0) * acc
+    m1[nz] = m1n
+    return m0, m1
+
+
 class TestKernelMoments:
     def test_shuffled_array_matches_per_element_calls(self):
         rng = np.random.default_rng(4)
@@ -550,6 +579,18 @@ class TestKernelMoments:
             for i in range(a.size):
                 e0, e1 = _kernel_moments(a[i : i + 1], b[i : i + 1], beta)
                 assert (m0[i], m1[i]) == (e0[0], e1[0])
+
+    def test_in_place_form_matches_masked_reference(self):
+        rng = np.random.default_rng(5)
+        # b = 0, then r = h / b above, at and below the series threshold 1/2
+        b = rng.permutation(np.concatenate((
+            np.zeros(5), [2.0, 2.0 - 1e-15], rng.uniform(1e-6, 1.9, 60),
+            rng.uniform(2.0, 50.0, 60))))
+        a = b + 1.0
+        for beta in (0.3, 0.5, 1.0, 1.7, 2.5, 9.5):
+            got, ref = _kernel_moments(a, b, beta), masked_kernel_moments(a, b, beta)
+            assert got[0].tobytes() == ref[0].tobytes()
+            assert got[1].tobytes() == ref[1].tobytes()
 
     def test_series_branch_against_mpmath(self):
         # M1 = integral_b^a u^(beta-1) (a - u) du with r = (a - b) / b <= 1/2
@@ -793,6 +834,93 @@ class TestTableSharing:
         main(["--config", str(cfg), "--mode", "verify", "--n-points", "64",
               "--grading", grading, "--output", str(tmp_path / "v.csv")])
         assert misses == [(0.5, gamma)]
+
+
+def one_call_rule(beta: float, grid: Grid) -> tuple:
+    """Stencil, boundary column and _history_sum plan (near-field block,
+    level spectra) of a uniform operator, from one masked_kernel_moments
+    call over all N cells."""
+    n, h = grid.n_intervals, grid.nodes[1]
+    k = np.arange(1, n + 1, dtype=float)
+    m0, m1 = masked_kernel_moments(k * h, (k - 1.0) * h, beta)
+    ginv = 1.0 / gamma(beta)
+    left, right = (m0 - m1 / h) * ginv, (m1 / h) * ginv
+    stencil = np.concatenate((right[:1], left[:-1] + right[1:]))
+    i = np.arange(64)
+    s = np.pad(stencil[:64], (0, max(64 - n, 0)))
+    levels = [64 << j for j in range(n.bit_length()) if 64 << j < n]
+    return (stencil, np.concatenate(([0.0], left)), np.triu(s[abs(i[:, None] - i)]),
+            [rfft(stencil[: 2 * w], 2 * w) for w in levels])
+
+
+class TestPlainRuleOnFirstUse:
+    def test_construction_builds_nothing(self):
+        for grid in (Grid.uniform(1.0, 64), Grid(1.0, 64, 2.0)):
+            op = build_integral_operator(0.5, grid)
+            assert not {"_stencil", "_boundary", "_plan", "_table"} & set(vars(op))
+            assert grid._tables == {0.5: {}}
+
+    def test_each_kind_reads_none_for_the_other(self):
+        grid = Grid.uniform(1.0, 64)
+        uniform = build_integral_operator(0.5, grid)
+        assert uniform._table is None and "_stencil" not in vars(uniform)
+        grid = Grid(1.0, 64, 2.0)
+        graded = build_integral_operator(0.5, grid)
+        assert graded._stencil is None and graded._boundary is None and graded._plan is None
+        assert grid._tables == {0.5: {}}
+        assert graded._table is grid._tables[0.5][0.0]
+        with pytest.raises(AttributeError, match="_stencils"):
+            graded._stencils
+
+    @pytest.mark.parametrize("n", [16, 512, 4097, 8192])
+    def test_parts_match_one_call_reference(self, n):
+        grid = Grid.uniform(1.3, n)
+        for beta in (0.3, 0.6, 1.0, 2.5):
+            stencil, boundary, block, spectra = one_call_rule(beta, grid)
+            first_plan = build_integral_operator(beta, grid)
+            assert first_plan._plan[0].tobytes() == block.tobytes()
+            assert [s.tobytes() for s in first_plan._plan[1]] == [s.tobytes() for s in spectra]
+            assert first_plan._stencil.tobytes() == stencil.tobytes()
+            first_boundary = build_integral_operator(beta, grid)
+            assert first_boundary._boundary.tobytes() == boundary.tobytes()
+            assert first_boundary._stencil.tobytes() == stencil.tobytes()
+
+    def test_rule_build_holds_few_arrays(self):
+        # a marching solve reads the rule first with its own arrays alive:
+        # the build's peak adds to theirs
+        n = 8192
+        grid = Grid.uniform(1.0, n)
+        tracemalloc.start()
+        try:
+            build_integral_operator(0.6, grid)._stencil
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 8 * n
+
+    def test_singular_verify_takes_the_moments_once(self, tmp_path, monkeypatch):
+        # I^0.5 (solve and three checks) only meets weighted samples; only
+        # the Caputo derivative's I^0.5 applies the plain rule
+        calls = []
+        moments = fracpicard.fractional_ops._kernel_moments
+
+        def counting(a, b, beta):
+            calls.append(beta)
+            return moments(a, b, beta)
+
+        monkeypatch.setattr(fracpicard.fractional_ops, "_kernel_moments", counting)
+        rc = main(["--config", str(CONFIGS / "singular_forcing.json"), "--mode", "verify",
+                   "--n-points", "512", "--ode-tol", "0.05", "--output", str(tmp_path / "v.csv")])
+        assert rc == 0 and calls == [0.5]
+
+    def test_graded_singular_solve_builds_no_plain_table(self):
+        problem = fracpicard.problem_from_dict({
+            "alpha": 0.5, "derivative_orders": [0.0], "initial_values": [1.0],
+            "horizon": 1.0, "gamma": 0.3, "rhs": "t^(-0.3) + 0*z1",
+        })
+        grid = Grid(1.0, 128, 2.0)
+        fracpicard.solve(problem, grid)
+        assert list(grid._tables) == [0.5] and list(grid._tables[0.5]) == [0.3]
 
 
 class TestCaputoDerivative:
