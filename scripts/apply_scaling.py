@@ -7,10 +7,12 @@ oracle.
 
 For N = 2^8 .. 2^16 intervals, and for N = 513, 4097, 6000 and 12000,
 which pad to the next power of two, this times apply_integral of order 0.5
-(the blocked FFT history sum) on random data and a direct np.convolve of
-the same stencil, and prints a markdown table of the median time per apply
-together with the largest deviation between the two, relative to the
-largest output, and the bytes the operator holds: stencil, boundary column
+(the blocked FFT history sum above fractional_ops._NEAR_FIELD = 512
+intervals; at N = 256 and 512 it is np.convolve itself) on random data
+and a direct np.convolve of the same stencil, and prints a markdown table
+of the median time per apply together with the largest deviation between
+the two, relative to the largest output, and the bytes the operator
+holds: stencil, boundary column
 and the near-field block and stencil spectra of its plan, which every
 uniform operator keeps for a marching solve. A second table gives, for N = 2^8 .. 2^12, the median time to build
 the weighted table of order 0.5 for singular exponent g = 0.2 on a uniform

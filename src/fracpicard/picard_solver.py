@@ -93,8 +93,8 @@ class ConvergenceReport:
     tol^(1/max_iter). lipschitz_estimate is L of f in z, in the L1 norm on
     z: max_h |df/dz_h| where every slope is constant on the nodes, else
     sampled by estimate_lipschitz over the box the final inner derivatives
-    visit (nan where f fails there); contraction_estimate is omega from it
-    (estimate_contraction)."""
+    visit (nan where f fails or overflows there); contraction_estimate is
+    omega from it (estimate_contraction)."""
 
     deltas: tuple
     converged: bool
@@ -193,13 +193,6 @@ def _window_start(width: int) -> np.ndarray:
     start = np.vander(np.arange(1, width + 1) / width, _START_DEGREE + 1) @ np.linalg.inv(past)
     start.flags.writeable = False  # shared by every caller
     return start
-
-
-def _affine_slopes(problem: MultiTermProblem, t: np.ndarray):
-    """df/dz_h on the nodes t, one array per inner derivative, where f is
-    affine in z; () where it is not."""
-    trees = rhs_derivatives(problem.rhs, problem.m)
-    return () if trees is None else [compile_rhs(d, t)(slice(None), ()) for d in trees]
 
 
 def _exact_step(slopes, near, r: int, nodes: slice, res: np.ndarray, bound: float):
@@ -303,10 +296,8 @@ def _window(update, cur: np.ndarray, t: np.ndarray, weight, tol: float, max_iter
 
 def _march(problem: MultiTermProblem, grid: Grid, inner, taylor, rhs, exact, tol: float,
            max_iter: int):
-    """phi, the deltas of every window solved, in order, the largest ratio
-    of successive updates and the number of updates over all windows,
-    halved ones included, the number of windows the exact step finished
-    and the largest diagonal of any window that tried it.
+    """phi and the march's record: the (deltas, ended, diagonal) of every
+    _window call, in order, halved attempts included.
 
     phi^0 = f(t, taylor parts), with rhs f compiled on the nodes it is
     sampled at. The windows lie in the blocks of t_1..t_N (block_bounds).
@@ -327,8 +318,7 @@ def _march(problem: MultiTermProblem, grid: Grid, inner, taylor, rhs, exact, tol
     values = np.full(n + 1, np.nan)
     values[skip:] = _finite(rhs(slice(None), [tp.values[skip:] for tp in taylor]), t[skip:])
     hist = [op.history(values[0], g) for op in inner]
-    lo, size = 1, n
-    done, worst, steps, exact_windows, largest = [], 0.0, 0, 0, 0.0
+    lo, size, windows = 1, n, []
     while lo <= n:
         a, end = block_bounds(lo, n)
         hi = min(lo + size, end)
@@ -341,25 +331,21 @@ def _march(problem: MultiTermProblem, grid: Grid, inner, taylor, rhs, exact, tol
         near = [op.near_field(lo, hi, g) for op in inner]
         past = [h[lo:hi] + tp.values[lo:hi] for h, tp in zip(hist, taylor)]
         block, nodes = values[a:hi], slice(lo - skip, hi - skip)
-        deltas, ended, diagonal = _window(
+        windows.append(_window(
             lambda: picard_step(rhs, past, near, block, nodes), cur, t[lo:hi],
             None if weight is None else weight[lo:hi], tol, max_iter, w > least,
-            exact and (lambda res: exact(near, lo - a, nodes, res)))
-        steps += len(deltas)
-        worst = max([worst, *(d1 / d0 for d0, d1 in zip(deltas, deltas[1:]))])
-        largest = max(largest, diagonal)
+            exact and (lambda res: exact(near, lo - a, nodes, res))))
+        deltas, ended, _ = windows[-1]
         if ended == "halved":
             size = max(w // 2, least)
             continue  # run the window again, shorter
-        done.append(deltas)
-        exact_windows += ended == "exact"
         if deltas[-1] > tol:
             break  # out of iterations
         lo = hi
         if lo <= n:
             for op, h in zip(inner, hist):
                 op.push_history(h, values, lo, g)
-    return SampledFunction(grid, values, g), done, worst, steps, exact_windows, largest
+    return SampledFunction(grid, values, g), windows
 
 
 def solve(
@@ -372,9 +358,11 @@ def solve(
     weighted update norm drops to tol or a window exhausts max_iter;
     reconstruct y = taylor part + I^alpha phi.
 
-    An exhausted iteration budget returns a trajectory whose report has
+    The report is read off _march's record of every window attempt. An
+    exhausted iteration budget returns a trajectory whose report has
     converged False; its worst_ratio, and largest_diagonal against
-    diagonal_bound, show why.
+    diagonal_bound, show why. No numpy floating-point warning escapes: an
+    overflow raises NonFiniteIterateError where it reaches phi or y.
     """
     validate_problem(problem)
     if not 0.0 < tol < math.inf:
@@ -386,44 +374,49 @@ def solve(
             f"grid horizon {grid.horizon:g} does not match problem horizon "
             f"{problem.horizon:g}"
         )
-    orders = problem.derivative_orders
-    inner = tuple(build_integral_operator(problem.alpha - a, grid) for a in orders)
-    taylor = tuple(derivative_taylor_part(problem.initial_values, a, grid) for a in orders)
-    bound = tol ** (1.0 / max_iter)  # the largest diagonal plain updates finish
-    t = grid.nodes[1 if problem.gamma > 0.0 else 0 :]
-    rhs = compile_rhs(problem.rhs, t)  # before the slopes: f's own domain errors come first
-    slopes = _affine_slopes(problem, t)
-    constant = bool(slopes) and all(np.ptp(s) == 0.0 for s in slopes)  # nan, inf: not constant
-    if constant:  # one value each, broadcast: the march holds no N-array of slopes
-        slopes = [np.broadcast_to(s[0], s.shape) for s in slopes]
-    exact = _exact_steps(slopes, constant, inner, grid, problem.gamma, bound)
-    phi, windows, worst_ratio, steps, exact_windows, largest_diagonal = _march(
-        problem, grid, inner, taylor, rhs, exact, tol, max_iter)
+    with np.errstate(all="ignore"):  # what leaves passes _finite or the exact step's check
+        orders = problem.derivative_orders
+        inner = tuple(build_integral_operator(problem.alpha - a, grid) for a in orders)
+        taylor = tuple(derivative_taylor_part(problem.initial_values, a, grid) for a in orders)
+        bound = tol ** (1.0 / max_iter)  # the largest diagonal plain updates finish
+        t = grid.nodes[1 if problem.gamma > 0.0 else 0 :]
+        rhs = compile_rhs(problem.rhs, t)  # before the slopes: f's own domain errors come first
+        trees = rhs_derivatives(problem.rhs, problem.m) or ()  # None where f is not affine in z
+        slopes = [compile_rhs(d, t)(slice(None), ()) for d in trees]  # df/dz_h on t
+        constant = bool(slopes) and all(np.ptp(s) == 0.0 for s in slopes)  # nan, inf: not constant
+        if constant:  # one value each, broadcast: the march holds no N-array of slopes
+            slopes = [np.broadcast_to(s[0], s.shape) for s in slopes]
+        exact = _exact_steps(slopes, constant, inner, grid, problem.gamma, bound)
+        phi, windows = _march(problem, grid, inner, taylor, rhs, exact, tol, max_iter)
 
-    z_final = tuple(apply_integral(op, phi) + tp for op, tp in zip(inner, taylor))
-    if orders and orders[-1] == 0.0:  # inner[-1] is I^alpha: this entry already is y
-        y = z_final[-1]
-    else:
-        taylor_0 = derivative_taylor_part(problem.initial_values, 0.0, grid)
-        y = taylor_0 + apply_integral(build_integral_operator(problem.alpha, grid), phi)
-    # the weights of a high order on a long horizon can overflow where phi does not
-    _finite(np.array([y.values, *(z.values for z in z_final)]), grid.nodes,
-            "y or an inner derivative took")
+        z_final = tuple(apply_integral(op, phi) + tp for op, tp in zip(inner, taylor))
+        if orders and orders[-1] == 0.0:  # inner[-1] is I^alpha: this entry already is y
+            y = z_final[-1]
+        else:
+            taylor_0 = derivative_taylor_part(problem.initial_values, 0.0, grid)
+            y = taylor_0 + apply_integral(build_integral_operator(problem.alpha, grid), phi)
+        # the weights of a high order on a long horizon can overflow where phi does not
+        _finite(np.array([y.values, *(z.values for z in z_final)]), grid.nodes,
+                "y or an inner derivative took")
 
-    if constant:  # |f(z) - f(z')| <= max_h |s_h| ||z - z'||_1, and equal for some pair
-        lipschitz = float(max(abs(s[0]) for s in slopes))
-    else:
-        try:
-            lipschitz = _observed_lipschitz(problem, grid, z_final)
-        except ArithmeticError:
-            lipschitz = float("nan")
+        if constant:  # |f(z) - f(z')| <= max_h |s_h| ||z - z'||_1, and equal for some pair
+            lipschitz = float(max(abs(s[0]) for s in slopes))
+        else:
+            try:
+                lipschitz = _observed_lipschitz(problem, grid, z_final)
+            except ArithmeticError:
+                lipschitz = math.nan
+            if not math.isfinite(lipschitz):  # f overflowed on the box
+                lipschitz = math.nan
 
-    deltas = max(windows, key=len)
+    done = [(d, e) for d, e, _ in windows if e != "halved"]
+    deltas = max((d for d, _ in done), key=len)  # the first longest
     report = ConvergenceReport(
-        deltas=tuple(deltas), converged=windows[-1][-1] <= tol, iterations=len(deltas),
+        deltas=tuple(deltas), converged=done[-1][0][-1] <= tol, iterations=len(deltas),
         tolerance=tol, lipschitz_estimate=lipschitz,
-        contraction_estimate=estimate_contraction(lipschitz, problem),
-        windows=len(windows), worst_ratio=worst_ratio, steps=steps, exact_windows=exact_windows,
-        largest_diagonal=largest_diagonal, diagonal_bound=bound,
+        contraction_estimate=estimate_contraction(lipschitz, problem), windows=len(done),
+        worst_ratio=max([0.0, *(b / a for d, _, _ in windows for a, b in zip(d, d[1:]))]),
+        steps=sum(len(d) for d, _, _ in windows), exact_windows=sum(e == "exact" for _, e in done),
+        largest_diagonal=max([0.0, *(diag for _, _, diag in windows)]), diagonal_bound=bound,
     )
     return SolutionTrajectory(grid=grid, y=y, inner=z_final, phi=phi, report=report)

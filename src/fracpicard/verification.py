@@ -53,7 +53,10 @@ class ResidualReport:
     volterra_residual: sup over all nodes of |y - taylor part - I^alpha f|.
     ode_residual: sup over interior nodes of |D^alpha y - f|, where D^alpha
     is formed by differencing (hence the near-boundary exclusion).
-    ic_errors: |recovered y^(k)(0) - b_k| per initial condition.
+    ic_errors: |recovered y^(k)(0) - b_k| per initial condition. The k = 0
+    entry is 0 by construction: y(0) is read as y[0], which solve's
+    reconstruction sets to b_0 + 0.0 exactly. Whether I^alpha phi vanishes
+    at the origin is initial_limit_checks' first entry (initial_limit_0).
     nodes_skipped: how many nodes the differencing excluded (both ends).
     """
 
@@ -77,7 +80,7 @@ def _power_limit(t_pos: np.ndarray, vals: np.ndarray):
     rho = float(t_pos[1] / t_pos[0])
     s = math.log(d2 / d1) / math.log(rho)
     c = d1 / (t_pos[1] ** s - t_pos[0] ** s)
-    return i1 - c * t_pos[0] ** s, False
+    return float(i1 - c * t_pos[0] ** s), False
 
 
 def _divided_difference(ts: np.ndarray, ys: np.ndarray) -> float:
@@ -197,7 +200,7 @@ def origin_decay(gamma_exponent: float, alpha: float, grid: Grid) -> OriginDecay
         gamma_exponent=g,
         slope=slope,
         first_value=float(vals[0]),
-        limit_estimate=float(limit),
+        limit_estimate=limit,
         hypothesis_ok=g < alpha,
     )
 

@@ -398,10 +398,27 @@ class TestSolve:
     def test_overflowing_operator_aborts(self, alpha, horizon):
         # phi = t is finite, but the weights of I^alpha overflow from t_8 on,
         # so y would be nan there
-        with np.errstate(all="ignore"), pytest.raises(
+        with pytest.raises(
             NonFiniteIterateError, match=f"non-finite value at t = {horizon / 8:g}$"
         ):
             solve(_high_order(alpha, horizon), Grid.uniform(horizon, 64))
+
+    @pytest.mark.parametrize("spec, n, max_iter, converged", [
+        # iterates that grow to 4e253 stay finite, but f's values on the
+        # Lipschitz box overflow and their differences are inf - inf
+        ({"alpha": 1.5, "initial_values": [50.0, 0.0], "horizon": 2.0, "rhs": "z1^2"}, 32, 8,
+         False),
+        ({"rhs": "-4*z1^3"}, 16, 3, False),  # the product itself overflows
+        # only the top of the box overflows exp, so a difference reads inf
+        ({"initial_values": [672.0], "rhs": "1e-300*exp(z1) - z1"}, 64, 200, True),
+    ])
+    def test_overflow_on_the_lipschitz_box_reads_nan(self, spec, n, max_iter, converged):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = solve(_problem(**spec), Grid.uniform(spec.get("horizon", 1.0), n),
+                           max_iter=max_iter).report
+        assert report.converged == converged
+        assert math.isnan(report.lipschitz_estimate)
 
     def test_two_inner_terms(self):
         p = problem_from_dict({
@@ -727,3 +744,41 @@ class TestLipschitzEstimate:
         assert lipschitz == _observed_lipschitz(_problem(rhs), grid, traj.inner)
         if rhs.startswith("sin"):
             assert np.abs(np.sin(20.0 * grid.nodes)).max() < lipschitz
+
+
+class TestReportFromWindows:
+    """Every report field is read off the _window calls of the march:
+    halved attempts count in steps, worst_ratio and largest_diagonal, not
+    in windows and exact_windows, and deltas are the first longest window
+    that completed."""
+
+    @pytest.mark.parametrize("rhs, n, max_iter, endings", [
+        ("-9*z1", 64, 200, {"exact"}),  # the step from the Toeplitz inverse
+        ("-(5+5*t)*z1", 4096, 200, {"plain", "exact"}),  # one solve per window
+        ("-9*sin(z1)", 64, 200, {"plain", "halved"}),  # no exact step
+        ("-z1", 1024, 3, {"plain"}),  # out of iterations
+    ])
+    def test_fields_follow_the_windows(self, monkeypatch, rhs, n, max_iter, endings):
+        calls = []
+
+        def recorded(*args, fn=picard_solver._window):
+            calls.append(fn(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(picard_solver, "_window", recorded)
+        report = solve(_problem(rhs), Grid.uniform(1.0, n), max_iter=max_iter).report
+        assert {ended for _, ended, _ in calls} == endings
+        done = [(deltas, ended) for deltas, ended, _ in calls if ended != "halved"]
+        ratios = [b / a for deltas, _, _ in calls for a, b in zip(deltas, deltas[1:])]
+        assert report.steps == sum(len(deltas) for deltas, _, _ in calls)
+        assert report.worst_ratio == max(ratios, default=0.0)
+        assert report.windows == len(done)
+        assert report.exact_windows == sum(ended == "exact" for _, ended in done)
+        assert report.largest_diagonal == max(diagonal for _, _, diagonal in calls)
+        longest = max(len(deltas) for deltas, _ in done)
+        assert report.deltas == tuple(next(d for d, _ in done if len(d) == longest))
+        assert report.iterations == longest
+        assert report.converged == (done[-1][0][-1] <= report.tolerance) == (max_iter > 3)
+        if "halved" in endings:  # the halved attempts do count where they should
+            assert report.steps > sum(len(deltas) for deltas, _ in done)
+            assert report.worst_ratio > max(b / a for d, _ in done for a, b in zip(d, d[1:]))

@@ -177,6 +177,16 @@ class TestInitialLimits:
         checks = initial_limit_checks(problem, traj)
         assert checks[0] < 5e-2
 
+    @pytest.mark.parametrize("alpha, b, rhs", [
+        (0.5, [1.0], "t"),  # an extrapolated limit
+        (1.5, [1.0, 0.0], "0*z1"),  # phi = 0: flat, the first value is the limit
+    ])
+    def test_limits_are_floats(self, alpha, b, rhs):
+        problem = problem_from_dict({"alpha": alpha, "derivative_orders": [0.0],
+                                     "initial_values": b, "horizon": 1.0, "rhs": rhs})
+        _, traj = _solved(problem, n=64)
+        assert all(type(v) is float for v in initial_limit_checks(problem, traj))
+
     def test_tiny_grid_rejected(self):
         problem = _manufactured()
         _, traj = _solved(problem, n=3)
