@@ -6,15 +6,14 @@ oracle.
     PYTHONPATH=src python3 scripts/apply_scaling.py
 
 For N = 2^8 .. 2^16 intervals, and for N = 513, 4097, 6000 and 12000,
-which pad to the next power of two, this times apply_integral of order 0.5
-(the blocked FFT history sum above fractional_ops._NEAR_FIELD = 512
-intervals; at N = 256 and 512 it is np.convolve itself) on random data
-and a direct np.convolve of the same stencil, and prints a markdown table
-of the median time per apply together with the largest deviation between
-the two, relative to the largest output, and the bytes the operator
-holds: stencil, boundary column
-and the near-field block and stencil spectra of its plan, which every
-uniform operator keeps for a marching solve. A second table gives, for N = 2^8 .. 2^12, the median time to build
+whose last block and pushes are cut short, this times apply_integral of
+order 0.5 (the steps of a marching solve: history, push_history at every
+block start and close) on random data and a direct np.convolve of the same
+stencil, and prints a markdown table of the median time per apply together
+with the largest deviation between the two, relative to the largest
+output, and the bytes the operator holds: stencil, boundary column and
+the near-field block and level spectra of its plan. A second table gives,
+for N = 2^8 .. 2^12, the median time to build
 the weighted table of order 0.5 for singular exponent g = 0.2 on a uniform
 grid and the dense table of order 0.5 on a grid of grading 2 (timed on
 the first read of the operator's _table, which builds it), each with its
@@ -55,9 +54,11 @@ the updates of all windows (steps), and the sup error against the closed
 form y = exp(lam^2 t) erfc(lam sqrt(t)) of f = -lam y (none for the last).
 A sixth table times one history push of a marching solve at N = 8192 for
 the levels h = 64 .. 1024, both ways: the FFT product of the level's
-spectrum and the direct sum np.convolve(s[1:2h], u)[h-1:2h-1], with their
-largest difference relative to the largest output. push_history sums the
-levels up to fractional_ops._DIRECT_PUSH directly.
+spectrum rfft(s[:2h], 2h), computed here, and the direct sum
+np.convolve(s[1:2h], u)[h-1:2h-1], with their largest difference relative
+to the largest output. push_history sums the levels up to
+fractional_ops._DIRECT_PUSH directly, and the operator's plan holds the
+spectra of the levels above it only.
 """
 
 import contextlib
@@ -331,8 +332,8 @@ def main() -> int:
     print("| h | FFT push | direct push | deviation |")
     print("|---|---|---|---|")
     op = build_integral_operator(ORDER, Grid.uniform(1.0, 8192))
-    for spectrum in op._plan[1][:5]:
-        h = spectrum.size - 1
+    for h in (64, 128, 256, 512, 1024):
+        spectrum = rfft(op._stencil[: 2 * h], 2 * h)
         u, s = rng.normal(size=h), op._stencil[1 : 2 * h]
         fft = irfft(rfft(u, 2 * h) * spectrum, 2 * h)[h:]
         dev = np.max(np.abs(np.convolve(s, u)[h - 1 : 2 * h - 1] - fft)) / np.max(np.abs(fft))

@@ -24,15 +24,15 @@ studies need. Its table acts on f itself: column j >= 1 carries t_j^g, and
 t^g f at t_0, extrapolated from t_1 and t_2, is folded into columns 1 and
 2, so column 0 is zero.
 
-Uniform grids store the quadrature as an O(N) convolution stencil and plan
-its Toeplitz product once (see _history_sum): up to _NEAR_FIELD intervals an
-apply is one np.convolve, above it costs O(N log^2 N) (1.1 ms at N = 8192,
-10 ms at N = 65536) while every output keeps the relative accuracy of the
-direct sum. Graded grids fall back to a dense lower-triangular table, and
-weighted tables are always dense; every dense table is N x (N+1), row r - 1
-for node t_r. A solve marches over 64-point blocks of
-either and pushes the history once, as blocks become final (push_history),
-so it costs about one apply plus its per-window iterations. A Grid is the
+Uniform grids store the quadrature as an O(N) convolution stencil and a
+plan of its Toeplitz product. Every apply on them takes the steps of the
+blocked history scheme (Hairer, Lubich & Schlichte 1985) that a marching
+solve takes: history, push_history at each _BLOCK-node block start, close
+for each block's own share; O(N log^2 N), 2-2.5 ms at N = 8192, with every
+output at the relative accuracy of the direct sum. Graded grids and
+weighted samples use dense N x (N+1) tables, row r - 1 for node t_r, one
+product per whole apply; a solve marches over those with the same steps.
+So a solve costs about one apply plus its per-window iterations. A Grid is the
 value (horizon, N, grading); each dense table is built once per grid object,
 order and exponent (0 for the plain table) and kept on the grid, so every
 operator of that order on that grid shares it, and it lives as long as the
@@ -60,6 +60,7 @@ from numpy.fft import irfft, rfft
 
 __all__ = [
     "Grid",
+    "NonFiniteIterateError",
     "SampledFunction",
     "FracIntegralOperator",
     "build_integral_operator",
@@ -71,9 +72,7 @@ __all__ = [
 ]
 
 _INTEGER_SNAP = 1e-9
-# largest uniform grid whose apply is one direct np.convolve
-_NEAR_FIELD = 512
-# side of the diagonal blocks that a larger uniform apply sums directly
+# side of the blocks a uniform apply and a marching solve go through
 _BLOCK = 64
 # longest level push_history sums directly (scripts/apply_scaling.py times it)
 _DIRECT_PUSH = 128
@@ -83,6 +82,18 @@ _ROW_BLOCK = 64
 # the terms of its series in 1/j: _FAR_CELL^-_FAR_TERMS <= 2^-55
 _FAR_CELL = 8
 _FAR_TERMS = 19
+
+
+class NonFiniteIterateError(RuntimeError):
+    """An iterate (overflow in the right-hand side) or the apply of finite
+    samples (overflow in the weights) left the finite range."""
+
+
+def _finite(vals: np.ndarray, t: np.ndarray, what: str = "right-hand side produced") -> np.ndarray:
+    if not np.isfinite(vals).all():  # vals: one row or several of samples on t
+        t_bad = float(t[np.argmax(~np.isfinite(vals).reshape(-1, t.size).all(axis=0))])
+        raise NonFiniteIterateError(f"{what} a non-finite value at t = {t_bad:g}")
+    return vals
 
 
 def ceil_order(alpha: float) -> int:
@@ -292,30 +303,6 @@ def incomplete_beta(p: float, q: float, x) -> np.ndarray:
     return out
 
 
-def _history_sum(plan: tuple, u: np.ndarray) -> np.ndarray:
-    """The causal convolution sum_(j <= k) s[k - j] u[j], k < u.size, from
-    the plan of the stencil s kept by FracIntegralOperator.
-
-    With u zero-padded to P, the next power of two >= u.size, the diagonal
-    blocks of _BLOCK points are one matrix product. Level h adds, for every 2h-block, the first
-    half's share of the second half: one circular FFT product of length
-    2h, batched over the blocks, whose outputs [h, 2h) do not wrap. Output
-    k thus only meets FFT round-off scaled by data within 2h points before
-    it, which keeps small outputs at the relative accuracy of the direct
-    sum (a single full-length FFT loses digits there).
-    """
-    block, spectra = plan
-    n = u.size
-    x = np.concatenate((u, np.zeros((1 << (n - 1).bit_length()) - n)))
-    out = (x.reshape(-1, _BLOCK) @ block).ravel()
-    for spectrum in spectra:
-        h = spectrum.size - 1
-        m = -(-(n - h) // (2 * h)) * 2 * h  # to the last block whose second half starts before n
-        xb, ob = x[:m].reshape(-1, 2 * h), out[:m].reshape(-1, 2 * h)
-        ob[:, h:] += irfft(rfft(xb[:, :h], 2 * h) * spectrum, 2 * h)[:, h:]
-    return out[:n]
-
-
 def _fill_lower(table: np.ndarray, cell_weights, row_block: int = _ROW_BLOCK) -> None:
     """Add the weights of a product trapezoid rule to table, whose row
     r - 1 holds output node t_r, r = 1..table.shape[0].
@@ -402,12 +389,12 @@ def _uniform_rule(beta: float, ginv: float, grid: Grid) -> tuple:
 
 
 def _history_plan(stencil: np.ndarray) -> tuple:
-    """The plan of _history_sum, of s = stencil zero-padded: block[j, i] =
-    s[i - j] for i >= j, and rfft(s[:2h]) for each level h = _BLOCK 2^j < N."""
+    """The plan of s = stencil zero-padded: block[j, i] = s[i - j] for
+    i >= j, and rfft(s[:2h]) for each level _DIRECT_PUSH < h < N."""
     n = stencil.size
     i = np.arange(_BLOCK)
     s = np.pad(stencil[:_BLOCK], (0, max(_BLOCK - n, 0)))
-    levels = [_BLOCK << j for j in range(n.bit_length()) if _BLOCK << j < n]
+    levels = [_DIRECT_PUSH << j for j in range(1, n.bit_length()) if _DIRECT_PUSH << j < n]
     return np.triu(s[abs(i[:, None] - i)]), [rfft(stencil[: 2 * h], 2 * h) for h in levels]
 
 
@@ -417,15 +404,16 @@ class FracIntegralOperator:
         (I^beta f)(t_n) = 1/gamma(beta) * integral_0^t_n (t_n - tau)^(beta-1) f(tau) dtau
 
     on a fixed Grid. On uniform grids the weights collapse to a length-N
-    convolution stencil plus a boundary column, kept with the plan of
-    _history_sum; graded grids hold the full lower-triangular table. That
+    convolution stencil plus a boundary column, kept with the plan of its
+    Toeplitz product; graded grids hold the full lower-triangular table. That
     table and the weighted tables for singular inputs are kept on the grid,
     so every operator of the same order on it shares them. Each is built on
     its first read (__getattr__, _dense_table).
 
     A marching solve finds f on t_1..t_N window by window, each inside one
     block of _BLOCK nodes: values holds f at t_0..t_N as far as it is
-    known, and hist, from history, collects the apply from final samples.
+    known, and hist, from history, collects the apply from final samples
+    until close completes it.
     For singular exponent g > 0 the window methods read the weighted table
     instead of the plain rule; its row of t_1 weighs f(t_2) too, so a
     window holding t_1 holds t_2.
@@ -483,10 +471,10 @@ class FracIntegralOperator:
         adds every level's share of a 2h-block whose middle is t_p, from its
         first half in its second: level h = q & -q, q = p - 1, summed
         directly up to _DIRECT_PUSH, where an FFT costs more in calls than
-        it saves. Elsewhere this does nothing. Once pushed for every p up to
-        the start a of a block, hist[a:] holds all of values[:a]."""
+        it saves. Elsewhere, or for p > N, this does nothing. Once pushed for
+        every p up to the start a of a block, hist[a:] holds values[:a]."""
         q, a = p - 1, p - _BLOCK
-        if not q or q % _BLOCK:
+        if not q or q % _BLOCK or q >= self.grid.n_intervals:
             return
         table = self._dense_table(g) if g else self._table
         if table is not None:
@@ -497,8 +485,17 @@ class FracIntegralOperator:
         if h <= _DIRECT_PUSH:
             seg += np.convolve(self._stencil[1 : 2 * h], values[p - h : p])[h - 1 : h - 1 + seg.size]
         else:
-            spectrum = self._plan[1][(h // _BLOCK).bit_length() - 1]
+            spectrum = self._plan[1][(h // _DIRECT_PUSH).bit_length() - 2]
             seg += irfft(rfft(values[p - h : p], 2 * h) * spectrum, 2 * h)[h : h + seg.size]
+
+    def close(self, hist: np.ndarray, values: np.ndarray, g: float = 0.0) -> np.ndarray:
+        """Add to hist, pushed at every block start, each block's own share:
+        hist[1:] is then the apply to values at t_1..t_N. Returns hist."""
+        n = self.grid.n_intervals
+        for a in range(1, n + 1, _BLOCK):
+            b = min(a + _BLOCK, n + 1)
+            hist[a:b] += values[a:b] @ self.near_field(a, b, g)
+        return hist
 
     def _apply(self, u: np.ndarray, g: float = 0.0) -> np.ndarray:
         """The apply at t_1..t_N to samples u at t_0..t_N, u[0] unused for g > 0."""
@@ -506,11 +503,10 @@ class FracIntegralOperator:
         if table is not None:
             skip = 1 if g else 0
             return table[:, skip:] @ u[skip:]
-        n = self.grid.n_intervals
-        out = self._boundary[1:] * u[0]
-        out += (np.convolve(self._stencil, u[1:])[:n] if n <= _NEAR_FIELD
-                else _history_sum(self._plan, u[1:]))
-        return out
+        hist = self.history(u[0])
+        for p in range(_BLOCK + 1, self.grid.n_intervals + 1, _BLOCK):
+            self.push_history(hist, u, p)
+        return self.close(hist, u)[1:]
 
     def _dense_table(self, g: float) -> np.ndarray:
         """The grid's dense table of this order for singular exponent g,
@@ -593,10 +589,16 @@ def integral_node_values(op: FracIntegralOperator, f: SampledFunction) -> np.nda
     Unlike apply_integral this makes no continuity claim at the origin, so
     it stays usable in the boundary case order <= singular_exponent where
     the image is not continuous at 0 (decay studies need exactly that).
+    Finite samples whose apply overflows raise NonFiniteIterateError.
     """
     if op.grid != f.grid:
         raise ValueError("operator and samples live on different grids")
-    return op._apply(f.values, f.singular_exponent)
+    g = f.singular_exponent
+    with np.errstate(all="ignore"):  # checked below
+        out = op._apply(f.values, g)
+    if np.isfinite(f.values[1 if g else 0 :]).all():
+        _finite(out, op.grid.nodes[1:], f"I^{op.order:g} of finite samples took")
+    return out
 
 
 def apply_integral(op: FracIntegralOperator, f: SampledFunction) -> SampledFunction:

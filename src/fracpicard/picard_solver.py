@@ -8,9 +8,9 @@ equation turns into a fixed-point problem for phi alone:
 
 where n_h = ceil(alpha_h). Every step therefore applies smoothing
 fractional integrals to the current iterate; no numerical differentiation
-appears anywhere in the loop, whose only state is phi. The solution is
-reconstructed at the end as y = sum_j b_j t^j / j! + I^alpha phi, which is
-the last inner derivative z_m when alpha_m = 0 (I^alpha is then not built).
+appears anywhere in the loop, whose only state is phi. Each z_h at the end
+closes the history the march pushed, and y = sum_j b_j t^j / j! + I^alpha
+phi is the last of them when alpha_m = 0 (I^alpha is then not built).
 
 The iteration contracts in the weighted norm sup |t^gamma (.)| on [0, T]
 when omega = L * sum_h T^(alpha - alpha_h) / gamma(alpha - alpha_h + 1) < 1
@@ -43,7 +43,9 @@ import numpy as np
 
 from .fractional_ops import (
     Grid,
+    NonFiniteIterateError,
     SampledFunction,
+    _finite,
     apply_integral,
     block_bounds,
     build_integral_operator,
@@ -74,10 +76,6 @@ class ContractionWarning(UserWarning):
     """No longer raised: the windowed march converges where the
     whole-horizon factor omega is >= 1. Kept so that callers which
     filter it by name still run."""
-
-
-class NonFiniteIterateError(RuntimeError):
-    """An iterate left the finite range (overflow in the right-hand side)."""
 
 
 @dataclass(frozen=True)
@@ -121,13 +119,6 @@ class SolutionTrajectory:
     inner: tuple
     phi: SampledFunction
     report: ConvergenceReport
-
-
-def _finite(vals: np.ndarray, t: np.ndarray, what: str = "right-hand side produced") -> np.ndarray:
-    if not np.isfinite(vals).all():  # vals: one row or several of samples on t
-        t_bad = float(t[np.argmax(~np.isfinite(vals).reshape(-1, t.size).all(axis=0))])
-        raise NonFiniteIterateError(f"{what} a non-finite value at t = {t_bad:g}")
-    return vals
 
 
 def rhs_samples(problem: MultiTermProblem, grid: Grid, z_funcs) -> SampledFunction:
@@ -296,8 +287,8 @@ def _window(update, cur: np.ndarray, t: np.ndarray, weight, tol: float, max_iter
 
 def _march(problem: MultiTermProblem, grid: Grid, inner, taylor, rhs, exact, tol: float,
            max_iter: int):
-    """phi and the march's record: the (deltas, ended, diagonal) of every
-    _window call, in order, halved attempts included.
+    """phi, the march's record, the (deltas, ended, diagonal) of every
+    _window call in order, halved attempts included, and each hist.
 
     phi^0 = f(t, taylor parts), with rhs f compiled on the nodes it is
     sampled at. The windows lie in the blocks of t_1..t_N (block_bounds).
@@ -309,7 +300,8 @@ def _march(problem: MultiTermProblem, grid: Grid, inner, taylor, rhs, exact, tol
     its length, down to one node (two for the first when gamma > 0, whose
     t_0 value is extrapolated from t_1 and t_2), and so do the windows
     after it. After each window the operators push the history it
-    completes. A window that runs out of iterations ends the march."""
+    completes. A window that runs out of iterations ends the march, and
+    the start values after it are pushed too."""
     g = problem.gamma
     skip = 1 if g > 0.0 else 0
     t = grid.nodes
@@ -342,10 +334,13 @@ def _march(problem: MultiTermProblem, grid: Grid, inner, taylor, rhs, exact, tol
         if deltas[-1] > tol:
             break  # out of iterations
         lo = hi
-        if lo <= n:
-            for op, h in zip(inner, hist):
-                op.push_history(h, values, lo, g)
-    return SampledFunction(grid, values, g), windows
+        for op, h in zip(inner, hist):
+            op.push_history(h, values, lo, g)
+    while lo <= n:  # out of iterations: push the block starts past the window too
+        lo = block_bounds(lo, n)[1]
+        for op, h in zip(inner, hist):
+            op.push_history(h, values, lo, g)
+    return SampledFunction(grid, values, g), windows, hist
 
 
 def solve(
@@ -387,9 +382,10 @@ def solve(
         if constant:  # one value each, broadcast: the march holds no N-array of slopes
             slopes = [np.broadcast_to(s[0], s.shape) for s in slopes]
         exact = _exact_steps(slopes, constant, inner, grid, problem.gamma, bound)
-        phi, windows = _march(problem, grid, inner, taylor, rhs, exact, tol, max_iter)
+        phi, windows, hist = _march(problem, grid, inner, taylor, rhs, exact, tol, max_iter)
 
-        z_final = tuple(apply_integral(op, phi) + tp for op, tp in zip(inner, taylor))
+        z_final = tuple(SampledFunction(grid, op.close(h, phi.values, problem.gamma) + tp.values)
+                        for op, h, tp in zip(inner, hist, taylor))
         if orders and orders[-1] == 0.0:  # inner[-1] is I^alpha: this entry already is y
             y = z_final[-1]
         else:

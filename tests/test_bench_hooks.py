@@ -57,9 +57,10 @@ def test_picard_step_spans_count_the_iterations(bench_modules):
 
 def test_graded_weighted_solve_reads_the_tables(bench_modules):
     # layers.py reads op._table, op._stencil, op._boundary and
-    # op._weighted_tables directly. A graded gamma > 0 solve applies only
-    # the weighted table of I^0.5, once the march is done; the plain table
-    # is built here because the build hook reads op._table
+    # op._weighted_tables directly. A graded gamma > 0 solve marches over
+    # the weighted table of I^0.5 and closes its own history, so the
+    # weighted apply is made here, on the solve's phi; the plain table is
+    # built because the build hook reads op._table
     layers, spans = bench_modules
     problem = problem_from_dict({
         "alpha": 0.5, "derivative_orders": [0.0], "initial_values": [1.0],
@@ -68,8 +69,10 @@ def test_graded_weighted_solve_reads_the_tables(bench_modules):
     grid = Grid(1.0, 128, 2.0)
     tracer = spans.Tracer()
     hooks = layers.instrumentation(tracer, fracpicard)
+    op = fracpicard.build_integral_operator(0.5, grid)
     with spans.patched(hooks), tracer.span("bench.op") as root:
-        fracpicard.picard_solver.solve(problem, grid)
+        trajectory = fracpicard.picard_solver.solve(problem, grid)
+        fracpicard.fractional_ops.integral_node_values(op, trajectory.phi)
     m = layers.reduce_op(tracer.spans, root, 1)
     plain = fracpicard.build_integral_operator(0.5, grid)._table
     assert plain.shape == (128, 129)

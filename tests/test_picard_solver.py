@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from scipy.special import erfcx
 
-from fracpicard import picard_solver
+from fracpicard import fractional_ops, picard_solver
 from fracpicard.fractional_ops import (
     FracIntegralOperator,
     Grid,
@@ -30,6 +30,7 @@ from fracpicard.fractional_ops import (
     block_bounds,
     build_integral_operator,
     derivative_taylor_part,
+    integral_node_values,
 )
 from fracpicard.picard_solver import (
     NonFiniteIterateError,
@@ -650,6 +651,50 @@ def _count_calls(monkeypatch, *names):
 def _problem(rhs: str, **spec):
     return problem_from_dict({"alpha": 0.5, "derivative_orders": [0.0], "initial_values": [1.0],
                               "horizon": 1.0, "rhs": rhs, **spec})
+
+
+class TestInnerFromHistory:
+    """solve closes the history its march pushed into each z: it applies no
+    inner operator again, and a march that runs out of iterations pushes
+    the start values past its last window too."""
+
+    @pytest.mark.parametrize("spec, grading", [
+        ({"rhs": "-z1"}, 1.0),
+        ({"rhs": "-9*sin(z1)"}, 2.0),
+        ({"rhs": "t^(-0.3) - z1", "gamma": 0.3}, 1.0),
+        ({"alpha": 1.5, "derivative_orders": [0.5, 0.0], "initial_values": [1.0, 0.0],
+          "rhs": "-z2 - 0.1*z1"}, 1.0),
+    ])
+    def test_order_zero_solve_applies_no_operator(self, monkeypatch, spec, grading):
+        calls = []
+        for module, name in ((picard_solver, "apply_integral"),
+                             (fractional_ops, "apply_integral"),
+                             (fractional_ops, "integral_node_values")):
+            def counted(*args, fn=getattr(module, name), name=name):
+                calls.append(name)
+                return fn(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        traj = solve(_problem(**spec), Grid(1.0, 256, grading))
+        assert traj.report.converged
+        assert calls == []
+
+    @pytest.mark.parametrize("spec, grading", [
+        ({"rhs": "-9*sin(z1)"}, 1.0),
+        ({"rhs": "-9*sin(z1)"}, 2.0),
+        ({"rhs": "t^(-0.3) - 9*sin(z1)", "gamma": 0.3}, 1.0),
+    ])
+    def test_unconverged_inner_is_the_apply_to_phi(self, spec, grading):
+        problem = _problem(**spec)
+        grid = Grid(1.0, 256, grading)
+        traj = solve(problem, grid, max_iter=3)
+        assert not traj.report.converged
+        assert traj.report.windows == 1  # stopped in the first of four blocks
+        for a, z in zip(problem.derivative_orders, traj.inner):
+            op = build_integral_operator(problem.alpha - a, grid)
+            ref = derivative_taylor_part(problem.initial_values, a, grid).values
+            ref[1:] += integral_node_values(op, traj.phi)
+            assert np.max(np.abs(z.values - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 class TestToeplitzStep:

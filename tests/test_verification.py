@@ -14,12 +14,13 @@ which the weighted product rule reproduces to near machine precision.
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from fracpicard.fractional_ops import Grid, SampledFunction
-from fracpicard.picard_solver import solve
+from fracpicard.picard_solver import NonFiniteIterateError, solve
 from fracpicard.problem_model import problem_from_dict
 from fracpicard.verification import (
     check_equivalence,
@@ -141,6 +142,14 @@ class TestDecayLaw:
         report = origin_decay(0.6, 0.5, Grid.uniform(1.0, 256))
         assert not report.hypothesis_ok
         assert report.slope < 0.0
+
+
+    def test_overflowing_weights_raise(self):
+        # I^60.5 t^0 overflows from t_8 = 125000 on: no report of nan values
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteIterateError, match=r"^I\^60.5 .* at t = 125000$"):
+                origin_decay(0.0, 60.5, Grid(1e6, 64))
 
 
 class TestCompositionIdentity:
