@@ -7,8 +7,11 @@ oracle.
 
 For N = 2^8 .. 2^16 intervals, and for N = 513, 4097, 6000 and 12000,
 whose last block and pushes are cut short, this times apply_integral of
-order 0.5 (the steps of a marching solve: history, push_history at every
-block start and close) on random data and a direct np.convolve of the same
+order 0.5 (the steps of a marching solve, level by level: history,
+push_history of all block starts of one level at once, the top level
+first, one batched FFT per level above fractional_ops._DIRECT_PUSH, then
+close, one product for all full blocks) on random data and a direct
+np.convolve of the same
 stencil, and prints a markdown table of the median time per apply together
 with the largest deviation between the two, relative to the largest
 output, and the bytes the operator holds: stencil, boundary column and
@@ -55,7 +58,7 @@ form y = exp(lam^2 t) erfc(lam sqrt(t)) of f = -lam y (none for the last).
 A sixth table times one history push of a marching solve at N = 8192 for
 the levels h = 64 .. 1024, both ways: the FFT product of the level's
 spectrum rfft(s[:2h], 2h), computed here, and the direct sum
-np.convolve(s[1:2h], u)[h-1:2h-1], with their largest difference relative
+np.convolve(s[1:2h], u, "valid"), with their largest difference relative
 to the largest output. push_history sums the levels up to
 fractional_ops._DIRECT_PUSH directly, and the operator's plan holds the
 spectra of the levels above it only.
@@ -336,9 +339,9 @@ def main() -> int:
         spectrum = rfft(op._stencil[: 2 * h], 2 * h)
         u, s = rng.normal(size=h), op._stencil[1 : 2 * h]
         fft = irfft(rfft(u, 2 * h) * spectrum, 2 * h)[h:]
-        dev = np.max(np.abs(np.convolve(s, u)[h - 1 : 2 * h - 1] - fft)) / np.max(np.abs(fft))
+        dev = np.max(np.abs(np.convolve(s, u, "valid") - fft)) / np.max(np.abs(fft))
         t_fft = median_time(lambda: irfft(rfft(u, 2 * h) * spectrum, 2 * h)[h:])
-        t_direct = median_time(lambda: np.convolve(s, u)[h - 1 : 2 * h - 1])
+        t_direct = median_time(lambda: np.convolve(s, u, "valid"))
         print(f"| {h} | {t_fft * 1e6:.3g} us | {t_direct * 1e6:.3g} us | {dev:.1e} |")
     return 0
 

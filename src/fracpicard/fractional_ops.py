@@ -27,9 +27,12 @@ t^g f at t_0, extrapolated from t_1 and t_2, is folded into columns 1 and
 Uniform grids store the quadrature as an O(N) convolution stencil and a
 plan of its Toeplitz product. Every apply on them takes the steps of the
 blocked history scheme (Hairer, Lubich & Schlichte 1985) that a marching
-solve takes: history, push_history at each _BLOCK-node block start, close
-for each block's own share; O(N log^2 N), 2-2.5 ms at N = 8192, with every
-output at the relative accuracy of the direct sum. Graded grids and
+solve takes: history, push_history of the _BLOCK-node block starts, close
+for each block's own share. A whole apply pushes all starts of one level
+at once (one batched FFT per level above _DIRECT_PUSH) and closes every
+full block in one product; O(N log^2 N), about 0.8 ms at N = 8192, with
+every output at the relative accuracy of the direct sum, and every push
+bitwise the one a march makes. Graded grids and
 weighted samples use dense N x (N+1) tables, row r - 1 for node t_r, one
 product per whole apply; a solve marches over those with the same steps.
 So a solve costs about one apply plus its per-window iterations. A Grid is the
@@ -465,47 +468,73 @@ class FracIntegralOperator:
             return self._plan[0][: hi - a, lo - a : hi - a]
         return table[lo - 1 : hi - 1, a:hi].T
 
-    def push_history(self, hist: np.ndarray, values: np.ndarray, p: int, g: float = 0.0) -> None:
-        """Add to hist what values[:p] completes once t_p starts a block.
-        A dense table adds the block's columns to every later row. A plan
-        adds every level's share of a 2h-block whose middle is t_p, from its
-        first half in its second: level h = q & -q, q = p - 1, summed
-        directly up to _DIRECT_PUSH, where an FFT costs more in calls than
-        it saves. Elsewhere, or for p > N, this does nothing. Once pushed for
-        every p up to the start a of a block, hist[a:] holds values[:a]."""
-        q, a = p - 1, p - _BLOCK
+    def push_history(self, hist: np.ndarray, values: np.ndarray, starts: range, g: float = 0.0) -> None:
+        """Add to hist what values[:p] completes once t_p starts a block, for
+        each p in starts: range(p, p + 1) as a march ends a window, or every
+        block start of one level h, range(h + 1, N + 1, 2h), as a whole
+        apply pushes them. A dense table adds the block's columns to every
+        later row. A plan adds every level's share of a 2h-block whose
+        middle is t_p, from its first half in its second: level h = q & -q,
+        q = p - 1, summed directly up to _DIRECT_PUSH, where an FFT costs
+        more in calls than it saves, and above by one batched rfft/irfft
+        whose rows are each start's own FFT. Where starts[0] starts no
+        block, or is past N, this does nothing. Once pushed for every p up
+        to the start a of a block, hist[a:] holds values[:a]."""
+        q = starts[0] - 1
         if not q or q % _BLOCK or q >= self.grid.n_intervals:
             return
         table = self._dense_table(g) if g else self._table
         if table is not None:
-            hist[p:] += table[p - 1 :, a:p] @ values[a:p]
+            for p in starts:
+                hist[p:] += table[p - 1 :, p - _BLOCK : p] @ values[p - _BLOCK : p]
             return
         h = q & -q
-        seg = hist[p : p + h]
         if h <= _DIRECT_PUSH:
-            seg += np.convolve(self._stencil[1 : 2 * h], values[p - h : p])[h - 1 : h - 1 + seg.size]
-        else:
-            spectrum = self._plan[1][(h // _DIRECT_PUSH).bit_length() - 2]
-            seg += irfft(rfft(values[p - h : p], 2 * h) * spectrum, 2 * h)[h : h + seg.size]
+            stencil = self._stencil[1 : 2 * h]
+            for p in starts:
+                seg = hist[p : p + h]
+                seg += np.convolve(stencil, values[p - h : p], "valid")[: seg.size]
+            return
+        spectrum = self._plan[1][(h // _DIRECT_PUSH).bit_length() - 2]
+        rows = irfft(rfft([values[p - h : p] for p in starts], 2 * h) * spectrum, 2 * h)
+        for p, row in zip(starts, rows):
+            seg = hist[p : p + h]
+            seg += row[h : h + seg.size]
 
     def close(self, hist: np.ndarray, values: np.ndarray, g: float = 0.0) -> np.ndarray:
-        """Add to hist, pushed at every block start, each block's own share:
-        hist[1:] is then the apply to values at t_1..t_N. Returns hist."""
+        """Add to hist, from history and pushed at every block start, each
+        block's own share: hist[1:] is then the apply to values at
+        t_1..t_N. Returns hist. On a uniform grid at g = 0 every full block
+        has the plan's near field, so their rows of values take it in one
+        product, in chunks of _BLOCK rows (2^18 multiply-adds, one BLAS
+        thread as in _matmul); a last block cut short, and each block of a
+        dense table, take their near_field."""
         n = self.grid.n_intervals
-        for a in range(1, n + 1, _BLOCK):
+        a = 1
+        if not g and self.grid.is_uniform:  # g first: a weighted apply reads no plan
+            a += n - n % _BLOCK
+            for i in range(1, a, _BLOCK * _BLOCK):
+                j = min(i + _BLOCK * _BLOCK, a)
+                hist[i:j] += (values[i:j].reshape(-1, _BLOCK) @ self._plan[0]).ravel()
+        for a in range(a, n + 1, _BLOCK):
             b = min(a + _BLOCK, n + 1)
             hist[a:b] += values[a:b] @ self.near_field(a, b, g)
         return hist
 
     def _apply(self, u: np.ndarray, g: float = 0.0) -> np.ndarray:
-        """The apply at t_1..t_N to samples u at t_0..t_N, u[0] unused for g > 0."""
+        """The apply at t_1..t_N to samples u at t_0..t_N, u[0] unused for g > 0.
+        A plan pushes one level at a time, the top level first: the order
+        in which the march's pushes reach each output."""
         table = self._dense_table(g) if g else self._table
         if table is not None:
             skip = 1 if g else 0
             return table[:, skip:] @ u[skip:]
         hist = self.history(u[0])
-        for p in range(_BLOCK + 1, self.grid.n_intervals + 1, _BLOCK):
-            self.push_history(hist, u, p)
+        n = self.grid.n_intervals
+        h = 1 << ((n - 1).bit_length() - 1)  # the largest power of 2 below N
+        while h >= _BLOCK:
+            self.push_history(hist, u, range(h + 1, n + 1, 2 * h))
+            h //= 2
         return self.close(hist, u)[1:]
 
     def _dense_table(self, g: float) -> np.ndarray:
@@ -589,7 +618,11 @@ def integral_node_values(op: FracIntegralOperator, f: SampledFunction) -> np.nda
     Unlike apply_integral this makes no continuity claim at the origin, so
     it stays usable in the boundary case order <= singular_exponent where
     the image is not continuous at 0 (decay studies need exactly that).
-    Finite samples whose apply overflows raise NonFiniteIterateError.
+    Finite samples whose apply overflows raise NonFiniteIterateError. A
+    non-finite sample on a uniform grid spoils every output of its block
+    of _BLOCK nodes, earlier ones too (close multiplies the whole block),
+    and every output after it (the pushes carry it into each later block);
+    on a dense table it spoils every output.
     """
     if op.grid != f.grid:
         raise ValueError("operator and samples live on different grids")
@@ -661,7 +694,7 @@ def caputo_derivative(y: SampledFunction, alpha: float, initial_derivs) -> Sampl
         w = r
     else:
         op = build_integral_operator(n - alpha, grid)
-        w = np.concatenate(([0.0], op._apply(r)))
+        w = np.concatenate(([0.0], integral_node_values(op, SampledFunction(grid, r))))
     for _ in range(n):
         w = np.gradient(w, t, edge_order=2)
     return SampledFunction(grid, w, 0.0)

@@ -335,11 +335,11 @@ def _march(problem: MultiTermProblem, grid: Grid, inner, taylor, rhs, exact, tol
             break  # out of iterations
         lo = hi
         for op, h in zip(inner, hist):
-            op.push_history(h, values, lo, g)
+            op.push_history(h, values, range(lo, lo + 1), g)
     while lo <= n:  # out of iterations: push the block starts past the window too
         lo = block_bounds(lo, n)[1]
         for op, h in zip(inner, hist):
-            op.push_history(h, values, lo, g)
+            op.push_history(h, values, range(lo, lo + 1), g)
     return SampledFunction(grid, values, g), windows, hist
 
 

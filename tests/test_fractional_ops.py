@@ -451,7 +451,7 @@ class TestFastHistorySum:
         assert np.max(rel) <= 1e-13
 
     @pytest.mark.parametrize("n, grading, g", [
-        *(pytest.param(n, 1.0, 0.0, id=str(n)) for n in (16, 100, 512, 1000, 1024, 8192)),
+        *(pytest.param(n, 1.0, 0.0, id=str(n)) for n in (16, 100, 512, 1000, 1024, 8192, 8229)),
         pytest.param(200, 2.0, 0.0, id="graded-200"),
         pytest.param(200, 2.0, 0.2, id="graded-weighted-200"),
         pytest.param(300, 1.0, 0.2, id="weighted-300"),
@@ -462,7 +462,8 @@ class TestFastHistorySum:
         # pushed so far. Uniform grids use the plan (at N = 16 its block
         # from the zero-padded stencil); at N = 1000 the last block and
         # pushes are cut short, and N = 8192 pushes levels 64 and 128 by
-        # direct sums and 256 .. 4096 by FFTs. A graded grid and weighted
+        # direct sums and 256 .. 4096 by FFTs; N = 8229 adds level 8192 and
+        # cuts the last start of a level short. A graded grid and weighted
         # samples (g > 0) use the dense tables; for g > 0 the first window
         # holds t_1 and t_2, from which t_0 is extrapolated.
         grid = Grid(1.0, n, grading)
@@ -483,9 +484,61 @@ class TestFastHistorySum:
                 lo = hi
                 if lo > n:
                     break
-                op.push_history(hist, values, lo, g)
+                op.push_history(hist, values, range(lo, lo + 1), g)
             assert lo == n + 1
             assert np.allclose(got[1:], ref, rtol=1e-13, atol=1e-13 * np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("n", (8192, 8229))
+    def test_level_push_is_its_single_pushes(self, n):
+        # a whole apply pushes all starts of a level at once, the march one
+        # at a time: the same bits, direct levels 64 and 128 and batched FFT
+        # rows above alike, also where the last start's segment is cut short
+        op = build_integral_operator(0.5, Grid.uniform(1.0, n))
+        rng = np.random.default_rng(n)
+        values, start = rng.normal(size=n + 1), rng.normal(size=n + 1)
+        h = 64
+        while h < n:
+            starts = range(h + 1, n + 1, 2 * h)
+            batched, single = start.copy(), start.copy()
+            op.push_history(batched, values, starts)
+            for p in starts:
+                op.push_history(single, values, range(p, p + 1))
+            assert batched.tobytes() == single.tobytes(), h
+            assert batched.tobytes() != start.tobytes()
+            h *= 2
+
+    @pytest.mark.parametrize("n, grading, g", [
+        *(pytest.param(n, 1.0, 0.0, id=str(n)) for n in (64, 100, 8192, 8229)),
+        pytest.param(300, 1.0, 0.2, id="weighted-300"),
+        pytest.param(200, 2.0, 0.2, id="graded-weighted-200"),
+    ])
+    def test_close_matches_per_block_close(self, n, grading, g):
+        # a uniform plan closes all full blocks in one product; each block's
+        # own product with its near field is the reference
+        grid = Grid(1.0, n, grading)
+        rng = np.random.default_rng(n)
+        values, hist = rng.normal(size=n + 1), rng.normal(size=n + 1)
+        if g:
+            values[0] = np.nan
+        for beta in (0.5, 1.7):
+            op = build_integral_operator(beta, grid)
+            ref = hist.copy()
+            for a in range(1, n + 1, 64):
+                b = min(a + 64, n + 1)
+                ref[a:b] += values[a:b] @ op.near_field(a, b, g)
+            got = op.close(hist.copy(), values, g)
+            assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    def test_non_finite_sample_spoils_its_block_and_after(self):
+        # nan at t_100, in the block t_65..t_128: the block's close and the
+        # pushes from t_129 on carry it; t_1..t_64 do not see it
+        grid = Grid.uniform(1.0, 200)
+        u = np.random.default_rng(3).normal(size=201)
+        u[100] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = integral_node_values(build_integral_operator(0.5, grid), SampledFunction(grid, u))
+        assert np.isfinite(out[:64]).all() and np.isnan(out[64:]).all()
 
     def test_fft_module_loaded_on_import(self):
         # numpy loads numpy.fft lazily; the first apply must not pay for it
@@ -952,6 +1005,17 @@ class TestCaputoDerivative:
         y = derivative_taylor_part(b, 0.0, grid)
         d = caputo_derivative(y, 1.5, b)
         assert np.max(np.abs(d.values)) == 0.0
+
+    def test_overflowing_apply_raises(self):
+        # I^0.5 of 1e308 on [0, 100] overflows from t = 3.125 on; the
+        # apply is checked as integral_node_values checks it
+        grid = Grid.uniform(100.0, 64)
+        y = SampledFunction(grid, np.full(65, 1e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteIterateError,
+                               match=r"^I\^0.5 of finite samples took a non-finite value at t = 3.125$"):
+                caputo_derivative(y, 0.5, (0.0,))
 
     def test_validation(self):
         grid = Grid.uniform(1.0, 64)

@@ -561,7 +561,7 @@ class TestWindows:
                               phi.values[hi - near.shape[0] : hi], slice(lo, hi))
             assert np.allclose(got, whole[lo:hi], rtol=1e-14, atol=0.0)
             lo = hi
-            op.push_history(hist, phi.values, lo)
+            op.push_history(hist, phi.values, range(lo, lo + 1))
 
     def test_window_start_cuts_the_updates(self):
         # problem 0 of the benchmark's uniform_relax set at seed 1: a start
