@@ -52,7 +52,7 @@ A fifth table solves D^0.5 y = f, y(0) = 1, at tol 1e-10: f = -y for T = 1,
 whose constant slope takes the exact step from one Toeplitz inverse, and
 f = -(5 + 5t) y, whose varying slope solves each window's own system. It
 gives the median wall time of solve, the number of windows it marched, how
-many of them the exact step finished, the most iterations one window took,
+many of them took the exact step, the most iterations one window took,
 the updates of all windows (steps), and the sup error against the closed
 form y = exp(lam^2 t) erfc(lam sqrt(t)) of f = -lam y (none for the last).
 A sixth table times one history push of a marching solve at N = 8192 for

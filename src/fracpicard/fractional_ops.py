@@ -78,7 +78,7 @@ _INTEGER_SNAP = 1e-9
 # side of the blocks a uniform apply and a marching solve go through
 _BLOCK = 64
 # longest level push_history sums directly (scripts/apply_scaling.py times it)
-_DIRECT_PUSH = 128
+_DIRECT_PUSH = 256
 # rows per block of a dense table build
 _ROW_BLOCK = 64
 # first cell of a uniform weighted table summed from Toeplitz moments, and

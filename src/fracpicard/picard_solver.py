@@ -27,10 +27,12 @@ rho^max_iter <= tol. Where every diagonal entry is within that bound,
 tol^(1/max_iter), one exact (Newton) step reaches Picard's limit on the
 window: the window takes that step once instead of halving, and plain
 updates then confirm it to the tolerance. With constant slopes on a
-uniform grid every window's step comes from one Toeplitz inverse per
-solve (_exact_steps). The report still carries omega beside the observed
-ratios, but since each window contracts on its own, omega >= 1 on the
-whole horizon is no sign of trouble.
+uniform grid and gamma = 0 every window's step is one product with the
+first column of one Toeplitz inverse per solve (_exact_steps), so every
+window but the march's first, which iterates plain Picard from phi^0,
+takes it right after its first update. The report still carries omega
+beside the observed ratios, but since each window contracts on its own,
+omega >= 1 on the whole horizon is no sign of trouble.
 """
 
 from __future__ import annotations
@@ -85,14 +87,15 @@ class ConvergenceReport:
     took the most updates, steps counts the updates of all windows, and
     worst_ratio is the largest ratio of successive updates over all
     windows, halved attempts included in both (0.0 when none took two).
-    exact_windows counts the windows that the exact step finished,
-    largest_diagonal is the largest max |diag M| of any window that tried
-    it (0.0 when none did), and diagonal_bound the largest it takes,
-    tol^(1/max_iter). lipschitz_estimate is L of f in z, in the L1 norm on
-    z: max_h |df/dz_h| where every slope is constant on the nodes, else
-    sampled by estimate_lipschitz over the box the final inner derivatives
-    visit (nan where f fails or overflows there); contraction_estimate is
-    omega from it (estimate_contraction)."""
+    exact_windows counts the windows that took the exact step, after
+    their first update or before halving, largest_diagonal is the largest
+    max |diag M| of any window that tried it (0.0 when none did), and
+    diagonal_bound the largest it takes, tol^(1/max_iter).
+    lipschitz_estimate is L of f in z, in the L1 norm on z: max_h
+    |df/dz_h| where every slope is constant on the nodes, else sampled by
+    estimate_lipschitz over the box the final inner derivatives visit (nan
+    where f fails or overflows there); contraction_estimate is omega from
+    it (estimate_contraction)."""
 
     deltas: tuple
     converged: bool
@@ -206,52 +209,65 @@ def _exact_step(slopes, near, r: int, nodes: slice, res: np.ndarray, bound: floa
 
 
 def _toeplitz_inverse(slopes, inner, n: int, bound: float):
-    """max |diag M_W| and (I - M_W)^-1, None where _exact_step refuses M_W,
-    for M_W = sum_h s_h near_field(1, 1 + W).T, the M of a whole block of
-    W nodes on a uniform grid of n intervals where every slope s_h is
-    constant. M_W is lower-triangular Toeplitz, and so is its inverse:
-    Inv[i, j] = c[i - j], with (I - M_W) c = e_1."""
+    """max |diag M_W| and c, the first column of (I - M_W)^-1, None where
+    _exact_step would refuse M_W, for M_W = sum_h s_h near_field(1, 1 +
+    W).T, the M of a whole block of W nodes on a uniform grid of n
+    intervals where every slope s_h is constant. M_W is lower-triangular
+    Toeplitz with first column m = sum_h s_h near_h[0], the first row of
+    each plan block, and so is its inverse: Inv[i, j] = c[i - j]. So c is
+    the power series 1 / (1 - m) to W terms, which doubles its known terms
+    k per pass: with a = e_1 - m and (a * c[:k])[k:2k] = e, c[k:2k] =
+    -(c[:k] * e)[:k]. No W x W array is built."""
     width = block_bounds(1, n)[1] - 1
-    near = [op.near_field(1, 1 + width) for op in inner]
-    diagonal, c = _exact_step(slopes, near, 0, slice(0, width), np.eye(width, 1)[:, 0], bound)
-    i = np.arange(width)
-    return diagonal, None if c is None else np.tril(c[i[:, None] - i])
+    a = -sum(s[0] * op.near_field(1, 1 + width)[0] for s, op in zip(slopes, inner))
+    diagonal = abs(float(a[0]))
+    if diagonal > bound:
+        return diagonal, None
+    a[0] += 1.0
+    c = np.empty(width)
+    c[0], k = 1.0 / a[0], 1
+    while k < width:
+        j = min(2 * k, width)
+        c[k:j] = -np.convolve(c[:k], np.convolve(a[:j], c[:k])[k:j])[: j - k]
+        k = j
+    return diagonal, c if np.isfinite(c).all() else None
 
 
 def _exact_steps(slopes, constant: bool, inner, grid: Grid, g: float, bound: float):
     """The exact step of a solve's windows, step(near, r, nodes, res) ->
-    (max |diag M|, delta or None) as _exact_step gives it; None where f is
-    not affine in z.
+    (max |diag M|, delta or None) as _exact_step gives it, None where f is
+    not affine in z; and whether that step is one product.
 
     Where every slope is constant on a uniform grid and g = 0, each near
     field is a slice of one Toeplitz plan block, so a window w nodes wide
     has M = M_W[:w, :w] wherever it lies. The inverse of a leading block of
-    a lower-triangular matrix is the leading block of its inverse: the
-    first window that tries the step computes max |diag M_W| and, where
-    that is within bound, (I - M_W)^-1 (_toeplitz_inverse), and every step
-    is then one product with its leading w x w block. Varying slopes,
-    graded grids and g > 0 solve each window's own system."""
+    a lower-triangular matrix is the leading block of its inverse, so
+    (I - M)^-1 is Toeplitz with first column c[:w]: the first window that
+    tries the step computes max |diag M_W| and, where that is within
+    bound, c (_toeplitz_inverse), and every step is then one convolution
+    of c[:w] with res. Varying slopes, graded grids and g > 0 solve each
+    window's own system."""
     if not slopes:
-        return None
+        return None, False
     if not (constant and grid.is_uniform and g == 0.0):
-        return lambda near, r, nodes, res: _exact_step(slopes, near, r, nodes, res, bound)
+        return lambda near, r, nodes, res: _exact_step(slopes, near, r, nodes, res, bound), False
     toeplitz = None
 
     def step(near, r, nodes, res):
         nonlocal toeplitz
         if toeplitz is None:
             toeplitz = _toeplitz_inverse(slopes, inner, grid.n_intervals, bound)
-        diagonal, inv = toeplitz
-        if inv is None:
+        diagonal, c = toeplitz
+        if c is None:
             return diagonal, None
-        delta = inv[: res.size, : res.size] @ res
+        delta = np.convolve(c[: res.size], res)[: res.size]
         return diagonal, delta if np.isfinite(delta).all() else None
 
-    return step
+    return step, True
 
 
 def _window(update, cur: np.ndarray, t: np.ndarray, weight, tol: float, max_iter: int,
-            halve: bool, exact):
+            halve: bool, exact, early: bool):
     """Iterate one window until its update is at most tol or max_iter
     updates are spent: its deltas, how it ended, "plain", "exact" or
     "halved", and max |diag M| of its exact step (0.0 where it tried none).
@@ -262,8 +278,10 @@ def _window(update, cur: np.ndarray, t: np.ndarray, weight, tol: float, max_iter
     update shrinks by less than half, the window halves. The first time,
     exact(res) may stand in for that: where it gives the step, the iterate
     before that update moves to the window's fixed point, and the updates
-    go on. The next one is at round-off level; should it too shrink by less
-    than half, the window halves after all."""
+    go on. Where early holds, exact is tried right after the first update
+    instead, unless that update already reached tol. Either way the next
+    update is at round-off level; should it too shrink by less than half,
+    the window halves after all."""
     deltas, ended, diagonal = [], "plain", 0.0
     for _ in range(max_iter):
         new = update()
@@ -274,19 +292,20 @@ def _window(update, cur: np.ndarray, t: np.ndarray, weight, tol: float, max_iter
         cur[:] = new
         if deltas[-1] <= tol:
             break
-        if halve and len(deltas) > 1 and deltas[-1] > 0.5 * deltas[-2]:
-            if ended == "plain" and exact is not None:  # once per window
-                diagonal, step = exact(res)
-                if step is not None:
-                    cur += step - res  # the iterate before new, plus the step
-                    ended = "exact"
-                    continue
+        slow = halve and len(deltas) > 1 and deltas[-1] > 0.5 * deltas[-2]
+        if ended == "plain" and exact is not None and (len(deltas) == 1 if early else slow):
+            diagonal, step = exact(res)  # once per window
+            if step is not None:
+                cur += step - res  # the iterate before new, plus the step
+                ended = "exact"
+                continue
+        if slow:
             return deltas, "halved", diagonal
     return deltas, ended, diagonal
 
 
-def _march(problem: MultiTermProblem, grid: Grid, inner, taylor, rhs, exact, tol: float,
-           max_iter: int):
+def _march(problem: MultiTermProblem, grid: Grid, inner, taylor, rhs, exact, one_product: bool,
+           tol: float, max_iter: int):
     """phi, the march's record, the (deltas, ended, diagonal) of every
     _window call in order, halved attempts included, and each hist.
 
@@ -296,12 +315,14 @@ def _march(problem: MultiTermProblem, grid: Grid, inner, taylor, rhs, exact, tol
     value and those w, 2w, .., 5w nodes before it (the line through the
     last two while t_0, or t_1 for gamma > 0, is nearer; the first from
     phi^0) and iterates (_window), where exact, from _exact_steps, may
-    stand in for its halving once. One that halves starts again at half
-    its length, down to one node (two for the first when gamma > 0, whose
-    t_0 value is extrapolated from t_1 and t_2), and so do the windows
-    after it. After each window the operators push the history it
-    completes. A window that runs out of iterations ends the march, and
-    the start values after it are pushed too."""
+    stand in for its halving once; where that step is one product, every
+    window but the march's first takes it after its first update instead.
+    One that halves starts again at half its length, down to one node (two
+    for the first when gamma > 0, whose t_0 value is extrapolated from t_1
+    and t_2), and so do the windows after it. After each window the
+    operators push the history it completes. A window that runs out of
+    iterations ends the march, and the start values after it are pushed
+    too."""
     g = problem.gamma
     skip = 1 if g > 0.0 else 0
     t = grid.nodes
@@ -326,7 +347,7 @@ def _march(problem: MultiTermProblem, grid: Grid, inner, taylor, rhs, exact, tol
         windows.append(_window(
             lambda: picard_step(rhs, past, near, block, nodes), cur, t[lo:hi],
             None if weight is None else weight[lo:hi], tol, max_iter, w > least,
-            exact and (lambda res: exact(near, lo - a, nodes, res))))
+            exact and (lambda res: exact(near, lo - a, nodes, res)), one_product and lo > 1))
         deltas, ended, _ = windows[-1]
         if ended == "halved":
             size = max(w // 2, least)
@@ -381,8 +402,9 @@ def solve(
         constant = bool(slopes) and all(np.ptp(s) == 0.0 for s in slopes)  # nan, inf: not constant
         if constant:  # one value each, broadcast: the march holds no N-array of slopes
             slopes = [np.broadcast_to(s[0], s.shape) for s in slopes]
-        exact = _exact_steps(slopes, constant, inner, grid, problem.gamma, bound)
-        phi, windows, hist = _march(problem, grid, inner, taylor, rhs, exact, tol, max_iter)
+        exact, one_product = _exact_steps(slopes, constant, inner, grid, problem.gamma, bound)
+        phi, windows, hist = _march(problem, grid, inner, taylor, rhs, exact, one_product, tol,
+                                    max_iter)
 
         z_final = tuple(SampledFunction(grid, op.close(h, phi.values, problem.gamma) + tp.values)
                         for op, h, tp in zip(inner, hist, taylor))

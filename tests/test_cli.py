@@ -102,17 +102,18 @@ class TestSolveMode:
         assert rc == 0
         line = capsys.readouterr().out
         assert "converged after 12 iterations" in line
-        assert "16 windows, 144 steps, worst ratio 0.221" in line
+        assert "15 exact of 16 windows, 42 steps, worst ratio 0.221" in line
 
     def test_reports_the_windows_solved_exactly(self, tmp_path, capsys):
-        # on T = 20 every 64-node window would halve; each ends with the
-        # exact step instead, after two updates and before a last one
+        # on T = 20 every 64-node window would halve; the first ends with
+        # the exact step instead, after two updates and before a last one,
+        # and each later one takes it after its first update
         path = tmp_path / "long.json"
         path.write_text(json.dumps(dict(RELAXATION, horizon=20.0)))
         rc = main(["--config", str(path), "--n-points", "1024",
                    "--output", str(tmp_path / "traj.csv")])
         assert rc == 0
-        assert "16 exact of 16 windows, 48 steps" in capsys.readouterr().out
+        assert "16 exact of 16 windows, 33 steps" in capsys.readouterr().out
 
     def test_reports_the_diagonal_above_the_bound(self, tmp_path, capsys):
         # at N = 16 the diagonal of -9 z1 is above (1e-10)^(1/200) = 0.891:

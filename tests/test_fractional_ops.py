@@ -461,8 +461,8 @@ class TestFastHistorySum:
         # inside blocks of 64 nodes, each its near field plus the history
         # pushed so far. Uniform grids use the plan (at N = 16 its block
         # from the zero-padded stencil); at N = 1000 the last block and
-        # pushes are cut short, and N = 8192 pushes levels 64 and 128 by
-        # direct sums and 256 .. 4096 by FFTs; N = 8229 adds level 8192 and
+        # pushes are cut short, and N = 8192 pushes levels 64 .. 256 by
+        # direct sums and 512 .. 4096 by FFTs; N = 8229 adds level 8192 and
         # cuts the last start of a level short. A graded grid and weighted
         # samples (g > 0) use the dense tables; for g > 0 the first window
         # holds t_1 and t_2, from which t_0 is extrapolated.
@@ -491,7 +491,7 @@ class TestFastHistorySum:
     @pytest.mark.parametrize("n", (8192, 8229))
     def test_level_push_is_its_single_pushes(self, n):
         # a whole apply pushes all starts of a level at once, the march one
-        # at a time: the same bits, direct levels 64 and 128 and batched FFT
+        # at a time: the same bits, direct levels 64 .. 256 and batched FFT
         # rows above alike, also where the last start's segment is cut short
         op = build_integral_operator(0.5, Grid.uniform(1.0, n))
         rng = np.random.default_rng(n)
@@ -896,8 +896,8 @@ class TestTableSharing:
 
 def one_call_rule(beta: float, grid: Grid) -> tuple:
     """Stencil, boundary column and history plan (near-field block, the
-    spectra of the levels 256, 512, .. below N that push_history takes by
-    FFT) of a uniform operator, from one masked_kernel_moments call over
+    spectra of the levels 2 _DIRECT_PUSH, 4 _DIRECT_PUSH, .. below N that
+    push_history takes by FFT) of a uniform operator, from one masked_kernel_moments call over
     all N cells."""
     n, h = grid.n_intervals, grid.nodes[1]
     k = np.arange(1, n + 1, dtype=float)
@@ -907,7 +907,8 @@ def one_call_rule(beta: float, grid: Grid) -> tuple:
     stencil = np.concatenate((right[:1], left[:-1] + right[1:]))
     i = np.arange(64)
     s = np.pad(stencil[:64], (0, max(64 - n, 0)))
-    levels = [256 << j for j in range(n.bit_length()) if 256 << j < n]
+    first = 2 * fracpicard.fractional_ops._DIRECT_PUSH
+    levels = [first << j for j in range(n.bit_length()) if first << j < n]
     return (stencil, np.concatenate(([0.0], left)), np.triu(s[abs(i[:, None] - i)]),
             [rfft(stencil[: 2 * w], 2 * w) for w in levels])
 
