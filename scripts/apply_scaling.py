@@ -8,18 +8,18 @@ oracle.
 For N = 2^8 .. 2^16 intervals, and for N = 513, 4097, 6000 and 12000,
 whose last block and pushes are cut short, this times apply_integral of
 order 0.5 (the steps of a marching solve, level by level: history,
-push_history of all block starts of one level at once, the top level
+push of all block starts of one level at once, the top level
 first, one batched FFT per level above fractional_ops._DIRECT_PUSH, then
 close, one product for all full blocks) on random data and a direct
 np.convolve of the same
 stencil, and prints a markdown table of the median time per apply together
 with the largest deviation between the two, relative to the largest
 output, and the bytes the operator holds: stencil, boundary column and
-the near-field block and level spectra of its plan. A second table gives,
+the near-field block and level spectra of its plan (window()). A second table gives,
 for N = 2^8 .. 2^12, the median time to build
 the weighted table of order 0.5 for singular exponent g = 0.2 on a uniform
 grid and the dense table of order 0.5 on a grid of grading 2 (timed on
-the first read of the operator's _table, which builds it), each with its
+the operator's first window(), which builds it), each with its
 worst relative error on inputs the rule integrates exactly:
 t^(-g), whose image is Gamma(1-g)/Gamma(1-g+beta) t^(beta-g), for the
 weighted table, and the constant 1, whose image is t^beta/Gamma(1+beta),
@@ -59,7 +59,7 @@ A sixth table times one history push of a marching solve at N = 8192 for
 the levels h = 64 .. 1024, both ways: the FFT product of the level's
 spectrum rfft(s[:2h], 2h), computed here, and the direct sum
 np.convolve(s[1:2h], u, "valid"), with their largest difference relative
-to the largest output. push_history sums the levels up to
+to the largest output. A plan's push sums the levels up to
 fractional_ops._DIRECT_PUSH directly, and the operator's plan holds the
 spectra of the levels above it only.
 """
@@ -103,16 +103,16 @@ BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def direct(op, u):
-    n = op.grid.n_intervals
+    n, plan = op.grid.n_intervals, op.window()
     out = np.zeros(n + 1)
-    out[1:] = np.convolve(op._stencil, u[1:])[:n] + op._boundary[1:] * u[0]
+    out[1:] = np.convolve(plan.stencil, u[1:])[:n] + plan.boundary[1:] * u[0]
     return out
 
 
 def held_bytes(op) -> int:
     """Bytes of the arrays a uniform operator keeps for its applies."""
-    block, spectra = op._plan
-    return sum(a.nbytes for a in (op._stencil, op._boundary, block, *spectra))
+    plan = op.window()
+    return sum(a.nbytes for a in (plan.stencil, plan.boundary, plan.block, *plan.spectra))
 
 
 def scalar_series(alpha: float, z: float, tol: float = 1e-14) -> float:
@@ -265,7 +265,7 @@ def main() -> int:
     pinned = weighted_build_times_in_child(sizes, pinned=True)
     unpinned = weighted_build_times_in_child(sizes, pinned=False)
     for n, t_weighted, t_unpinned in zip(sizes, pinned, unpinned):
-        t_graded = median_time(lambda: build_integral_operator(ORDER, Grid(1.0, n, 2.0))._table)
+        t_graded = median_time(lambda: build_integral_operator(ORDER, Grid(1.0, n, 2.0)).window())
         grid = Grid.uniform(1.0, n)
         f = SampledFunction.from_callable(grid, lambda t: t**-WEIGHT, singular_exponent=WEIGHT)
         exact = (math.gamma(1.0 - WEIGHT) / math.gamma(1.0 - WEIGHT + ORDER)
@@ -334,10 +334,10 @@ def main() -> int:
     print()
     print("| h | FFT push | direct push | deviation |")
     print("|---|---|---|---|")
-    op = build_integral_operator(ORDER, Grid.uniform(1.0, 8192))
+    stencil = build_integral_operator(ORDER, Grid.uniform(1.0, 8192)).window().stencil
     for h in (64, 128, 256, 512, 1024):
-        spectrum = rfft(op._stencil[: 2 * h], 2 * h)
-        u, s = rng.normal(size=h), op._stencil[1 : 2 * h]
+        spectrum = rfft(stencil[: 2 * h], 2 * h)
+        u, s = rng.normal(size=h), stencil[1 : 2 * h]
         fft = irfft(rfft(u, 2 * h) * spectrum, 2 * h)[h:]
         dev = np.max(np.abs(np.convolve(s, u, "valid") - fft)) / np.max(np.abs(fft))
         t_fft = median_time(lambda: irfft(rfft(u, 2 * h) * spectrum, 2 * h)[h:])

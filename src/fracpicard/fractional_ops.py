@@ -25,29 +25,29 @@ t^g f at t_0, extrapolated from t_1 and t_2, is folded into columns 1 and
 2, so column 0 is zero.
 
 Uniform grids store the quadrature as an O(N) convolution stencil and a
-plan of its Toeplitz product. Every apply on them takes the steps of the
-blocked history scheme (Hairer, Lubich & Schlichte 1985) that a marching
-solve takes: history, push_history of the _BLOCK-node block starts, close
+plan of its Toeplitz product (_Plan). Every apply on them takes the steps
+of the blocked history scheme (Hairer, Lubich & Schlichte 1985) that a
+marching solve takes: history, push at the _BLOCK-node block starts, close
 for each block's own share. A whole apply pushes all starts of one level
 at once (one batched FFT per level above _DIRECT_PUSH) and closes every
 full block in one product; O(N log^2 N), about 0.8 ms at N = 8192, with
 every output at the relative accuracy of the direct sum, and every push
-bitwise the one a march makes. Graded grids and
-weighted samples use dense N x (N+1) tables, row r - 1 for node t_r, one
-product per whole apply; a solve marches over those with the same steps.
-So a solve costs about one apply plus its per-window iterations. A Grid is the
-value (horizon, N, grading); each dense table is built once per grid object,
+bitwise the one a march makes. Graded grids and weighted samples use dense
+N x (N+1) tables (_Table), row r - 1 for node t_r, one product per whole
+apply; a solve marches over those with the same steps. So a solve costs
+about one apply plus its per-window iterations. A Grid is the value
+(horizon, N, grading); each dense table is built once per grid object,
 order and exponent (0 for the plain table) and kept on the grid, so every
 operator of that order on that grid shares it, and it lives as long as the
 grid. Graded tables are built in blocks of up to _ROW_BLOCK rows, each over
 the cells left of its last row only.
 
-Building an operator computes nothing but 1/gamma(beta): each part of the
-plain rule is built on its first read, each weighted table on its first
-use. So an operator that only meets singular samples, like I^alpha of a
-gamma > 0 solve and its checks, never builds the plain rule. A uniform
-rule is often first read inside a marching solve, so its cell moments are
-summed in place, on a few arrays of N floats.
+Building an operator computes nothing but 1/gamma(beta): window(g) makes
+the steps for exponent g on its first use. So an operator that only meets
+singular samples, like I^alpha of a gamma > 0 solve and its checks, never
+builds the plain rule. A uniform plan is often first made inside a
+marching solve, so its cell moments are summed in place, on a few arrays
+of N floats.
 """
 
 from __future__ import annotations
@@ -391,14 +391,108 @@ def _uniform_rule(beta: float, ginv: float, grid: Grid) -> tuple:
     return np.concatenate((right[:1], left[:-1] + right[1:])), np.concatenate(([0.0], left))
 
 
-def _history_plan(stencil: np.ndarray) -> tuple:
-    """The plan of s = stencil zero-padded: block[j, i] = s[i - j] for
-    i >= j, and rfft(s[:2h]) for each level _DIRECT_PUSH < h < N."""
-    n = stencil.size
-    i = np.arange(_BLOCK)
-    s = np.pad(stencil[:_BLOCK], (0, max(_BLOCK - n, 0)))
-    levels = [_DIRECT_PUSH << j for j in range(1, n.bit_length()) if _DIRECT_PUSH << j < n]
-    return np.triu(s[abs(i[:, None] - i)]), [rfft(stencil[: 2 * h], 2 * h) for h in levels]
+class _Plan:
+    """The window steps of I^beta at g = 0 on a uniform grid, ginv = 1/gamma(beta),
+    all built at once: stencil and boundary (_uniform_rule), block[j, i] =
+    s[i - j] for i >= j, s = stencil zero-padded, the near field of every
+    full block, and spectra, rfft(stencil[:2h]) for each level _DIRECT_PUSH < h < N."""
+
+    def __init__(self, beta: float, ginv: float, grid: Grid) -> None:
+        self.n = n = grid.n_intervals
+        self.stencil, self.boundary = _uniform_rule(beta, ginv, grid)
+        i, s = np.arange(_BLOCK), np.pad(self.stencil[:_BLOCK], (0, max(_BLOCK - n, 0)))
+        self.block = np.triu(s[abs(i[:, None] - i)])
+        levels = [_DIRECT_PUSH << j for j in range(1, n.bit_length()) if _DIRECT_PUSH << j < n]
+        self.spectra = [rfft(self.stencil[: 2 * h], 2 * h) for h in levels]
+
+    def history(self, f0: float) -> np.ndarray:
+        """The share of f(t_0) = f0 in the apply at t_0..t_N."""
+        return self.boundary * f0
+
+    def near_field(self, lo: int, hi: int) -> np.ndarray:
+        """Maps values[a:hi], the samples of the block a = block_bounds(lo, N)[0]
+        up to t_(hi-1), to their share in the apply at t_lo..t_(hi-1)."""
+        a = block_bounds(lo, self.n)[0]
+        return self.block[: hi - a, lo - a : hi - a]
+
+    def push(self, hist: np.ndarray, values: np.ndarray, starts: range) -> None:
+        """Add to hist what values[:p] completes at each block start p in
+        starts: one as a march reaches it, or all starts range(h + 1, N + 1,
+        2h) of one level h as a whole apply pushes them. Each adds its level's
+        share of the 2h-block whose middle is t_p, h = q & -q, q = p - 1, from
+        its first half in its second: summed directly up to _DIRECT_PUSH,
+        where an FFT costs more in calls than it saves, and above by one
+        batched rfft/irfft whose rows are each start's own FFT. Once pushed
+        at every block start up to a, hist[a:] holds values[:a]."""
+        q = starts[0] - 1
+        h = q & -q
+        if h <= _DIRECT_PUSH:
+            stencil = self.stencil[1 : 2 * h]
+            for p in starts:
+                seg = hist[p : p + h]
+                seg += np.convolve(stencil, values[p - h : p], "valid")[: seg.size]
+            return
+        spectrum = self.spectra[(h // _DIRECT_PUSH).bit_length() - 2]
+        rows = irfft(rfft([values[p - h : p] for p in starts], 2 * h) * spectrum, 2 * h)
+        for p, row in zip(starts, rows):
+            seg = hist[p : p + h]
+            seg += row[h : h + seg.size]
+
+    def close(self, hist: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Add to hist, from history and pushed at every block start, each
+        block's own share: hist[1:] is then the apply to values at t_1..t_N.
+        Returns hist. All full blocks take their near field, block, in one
+        product, in chunks of _BLOCK rows (2^18 multiply-adds, one BLAS thread
+        as in _matmul); a last block cut short takes its near_field."""
+        a = 1 + self.n - self.n % _BLOCK
+        for i in range(1, a, _BLOCK * _BLOCK):
+            j = min(i + _BLOCK * _BLOCK, a)
+            hist[i:j] += (values[i:j].reshape(-1, _BLOCK) @ self.block).ravel()
+        if a <= self.n:
+            hist[a:] += values[a:] @ self.near_field(a, self.n + 1)
+        return hist
+
+    def apply(self, u: np.ndarray) -> np.ndarray:
+        """The apply at t_1..t_N to samples u at t_0..t_N, pushing one level
+        at a time, the top level first: the order the march's pushes reach each output."""
+        hist = self.history(u[0])
+        h = 1 << ((self.n - 1).bit_length() - 1)  # the largest power of 2 below N
+        while h >= _BLOCK:
+            self.push(hist, u, range(h + 1, self.n + 1, 2 * h))
+            h //= 2
+        return self.close(hist, u)[1:]
+
+
+class _Table:
+    """The window steps of I^beta on one dense table, row r - 1 for node t_r:
+    a graded grid's plain table, or the weighted table for g > 0, whose row
+    of t_1 weighs f(t_2) too, so a window holding t_1 holds t_2; steps as _Plan's."""
+
+    def __init__(self, table: np.ndarray, weighted: bool) -> None:
+        self.table, self.weighted, self.n = table, weighted, table.shape[0]
+
+    def history(self, f0: float) -> np.ndarray:
+        # column 0 of a weighted table is zero, and f0 is nan there
+        return np.concatenate(([0.0], self.table[:, 0] * (0.0 if self.weighted else f0)))
+
+    def near_field(self, lo: int, hi: int) -> np.ndarray:
+        a = block_bounds(lo, self.n)[0]
+        return self.table[lo - 1 : hi - 1, a:hi].T
+
+    def push(self, hist: np.ndarray, values: np.ndarray, starts: range) -> None:
+        for p in starts:
+            hist[p:] += self.table[p - 1 :, p - _BLOCK : p] @ values[p - _BLOCK : p]
+
+    def close(self, hist: np.ndarray, values: np.ndarray) -> np.ndarray:
+        for a in range(1, self.n + 1, _BLOCK):
+            b = min(a + _BLOCK, self.n + 1)
+            hist[a:b] += values[a:b] @ self.near_field(a, b)
+        return hist
+
+    def apply(self, u: np.ndarray) -> np.ndarray:
+        """One product; u[0] is unused where the table is weighted."""
+        skip = 1 if self.weighted else 0
+        return self.table[:, skip:] @ u[skip:]
 
 
 class FracIntegralOperator:
@@ -406,20 +500,11 @@ class FracIntegralOperator:
 
         (I^beta f)(t_n) = 1/gamma(beta) * integral_0^t_n (t_n - tau)^(beta-1) f(tau) dtau
 
-    on a fixed Grid. On uniform grids the weights collapse to a length-N
-    convolution stencil plus a boundary column, kept with the plan of its
-    Toeplitz product; graded grids hold the full lower-triangular table. That
-    table and the weighted tables for singular inputs are kept on the grid,
-    so every operator of the same order on it shares them. Each is built on
-    its first read (__getattr__, _dense_table).
-
-    A marching solve finds f on t_1..t_N window by window, each inside one
-    block of _BLOCK nodes: values holds f at t_0..t_N as far as it is
-    known, and hist, from history, collects the apply from final samples
-    until close completes it.
-    For singular exponent g > 0 the window methods read the weighted table
-    instead of the plain rule; its row of t_1 weighs f(t_2) too, so a
-    window holding t_1 holds t_2.
+    on a fixed Grid. window(g) holds its steps for samples of singular
+    exponent g: a marching solve finds f on t_1..t_N window by window, each
+    inside one block of _BLOCK nodes; values holds f at t_0..t_N as far as
+    it is known, and hist, from history, collects the apply from final
+    samples, pushed at each block start, until close completes it.
     """
 
     def __init__(self, order: float, grid: Grid) -> None:
@@ -432,110 +517,24 @@ class FracIntegralOperator:
             raise ValueError(f"integral order {order} overflows gamma") from None
         self.grid = grid
         self._weighted_tables = grid._tables.setdefault(round(self.order, 15), {})
+        self._windows = {}
 
-    def __getattr__(self, name: str):
-        """The plain rule, built on the first read of one of its parts and
-        then kept: on a uniform grid _stencil and _boundary together
-        (_uniform_rule), then _plan from the stencil (_history_plan); on a
-        graded grid _table, the grid's plain table. The other kind's parts
-        read None."""
-        if name not in ("_stencil", "_boundary", "_plan", "_table"):
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        uniform = self.grid.is_uniform
-        if name == "_table":
-            self._table = None if uniform else self._dense_table(0.0)
-        elif not uniform:
-            self._stencil = self._boundary = self._plan = None
-        elif name == "_plan":
-            self._plan = _history_plan(self._stencil)
-        else:
-            self._stencil, self._boundary = _uniform_rule(self.order, self._ginv, self.grid)
-        return self.__dict__[name]
+    def window(self, g: float = 0.0):
+        """The window steps for samples of singular exponent g, made once: a
+        _Plan at g = 0 on a uniform grid, else a _Table of _dense_table(g)."""
+        win = self._windows.get(g)
+        if win is None:  # should two threads make one at once, both keep the one stored first
+            if g or not self.grid.is_uniform:
+                win = _Table(self._dense_table(g), g > 0.0)
+            else:
+                win = _Plan(self.order, self._ginv, self.grid)
+            win = self._windows.setdefault(g, win)
+        return win
 
-    def history(self, f0: float, g: float = 0.0) -> np.ndarray:
-        """The share of f(t_0) = f0 in the apply at t_0..t_N; none for g > 0."""
-        table = self._dense_table(g) if g else self._table
-        if table is None:
-            return self._boundary * f0
-        return np.concatenate(([0.0], table[:, 0] * (0.0 if g else f0)))
-
-    def near_field(self, lo: int, hi: int, g: float = 0.0) -> np.ndarray:
-        """Maps values[a:hi], the samples of the block a = block_bounds(lo, N)[0]
-        up to t_(hi-1), to their share in the apply at t_lo..t_(hi-1)."""
-        a = block_bounds(lo, self.grid.n_intervals)[0]
-        table = self._dense_table(g) if g else self._table
-        if table is None:
-            return self._plan[0][: hi - a, lo - a : hi - a]
-        return table[lo - 1 : hi - 1, a:hi].T
-
-    def push_history(self, hist: np.ndarray, values: np.ndarray, starts: range, g: float = 0.0) -> None:
-        """Add to hist what values[:p] completes once t_p starts a block, for
-        each p in starts: range(p, p + 1) as a march ends a window, or every
-        block start of one level h, range(h + 1, N + 1, 2h), as a whole
-        apply pushes them. A dense table adds the block's columns to every
-        later row. A plan adds every level's share of a 2h-block whose
-        middle is t_p, from its first half in its second: level h = q & -q,
-        q = p - 1, summed directly up to _DIRECT_PUSH, where an FFT costs
-        more in calls than it saves, and above by one batched rfft/irfft
-        whose rows are each start's own FFT. Where starts[0] starts no
-        block, or is past N, this does nothing. Once pushed for every p up
-        to the start a of a block, hist[a:] holds values[:a]."""
-        q = starts[0] - 1
-        if not q or q % _BLOCK or q >= self.grid.n_intervals:
-            return
-        table = self._dense_table(g) if g else self._table
-        if table is not None:
-            for p in starts:
-                hist[p:] += table[p - 1 :, p - _BLOCK : p] @ values[p - _BLOCK : p]
-            return
-        h = q & -q
-        if h <= _DIRECT_PUSH:
-            stencil = self._stencil[1 : 2 * h]
-            for p in starts:
-                seg = hist[p : p + h]
-                seg += np.convolve(stencil, values[p - h : p], "valid")[: seg.size]
-            return
-        spectrum = self._plan[1][(h // _DIRECT_PUSH).bit_length() - 2]
-        rows = irfft(rfft([values[p - h : p] for p in starts], 2 * h) * spectrum, 2 * h)
-        for p, row in zip(starts, rows):
-            seg = hist[p : p + h]
-            seg += row[h : h + seg.size]
-
-    def close(self, hist: np.ndarray, values: np.ndarray, g: float = 0.0) -> np.ndarray:
-        """Add to hist, from history and pushed at every block start, each
-        block's own share: hist[1:] is then the apply to values at
-        t_1..t_N. Returns hist. On a uniform grid at g = 0 every full block
-        has the plan's near field, so their rows of values take it in one
-        product, in chunks of _BLOCK rows (2^18 multiply-adds, one BLAS
-        thread as in _matmul); a last block cut short, and each block of a
-        dense table, take their near_field."""
-        n = self.grid.n_intervals
-        a = 1
-        if not g and self.grid.is_uniform:  # g first: a weighted apply reads no plan
-            a += n - n % _BLOCK
-            for i in range(1, a, _BLOCK * _BLOCK):
-                j = min(i + _BLOCK * _BLOCK, a)
-                hist[i:j] += (values[i:j].reshape(-1, _BLOCK) @ self._plan[0]).ravel()
-        for a in range(a, n + 1, _BLOCK):
-            b = min(a + _BLOCK, n + 1)
-            hist[a:b] += values[a:b] @ self.near_field(a, b, g)
-        return hist
-
-    def _apply(self, u: np.ndarray, g: float = 0.0) -> np.ndarray:
-        """The apply at t_1..t_N to samples u at t_0..t_N, u[0] unused for g > 0.
-        A plan pushes one level at a time, the top level first: the order
-        in which the march's pushes reach each output."""
-        table = self._dense_table(g) if g else self._table
-        if table is not None:
-            skip = 1 if g else 0
-            return table[:, skip:] @ u[skip:]
-        hist = self.history(u[0])
-        n = self.grid.n_intervals
-        h = 1 << ((n - 1).bit_length() - 1)  # the largest power of 2 below N
-        while h >= _BLOCK:
-            self.push_history(hist, u, range(h + 1, n + 1, 2 * h))
-            h //= 2
-        return self.close(hist, u)[1:]
+    # the parts bench/layers.py's build hook reads, until ROADMAP item 1's bench edit
+    _table = property(lambda self: getattr(self.window(), "table", None))
+    _stencil = property(lambda self: getattr(self.window(), "stencil", None))
+    _boundary = property(lambda self: getattr(self.window(), "boundary", None))
 
     def _dense_table(self, g: float) -> np.ndarray:
         """The grid's dense table of this order for singular exponent g,
@@ -547,10 +546,7 @@ class FracIntegralOperator:
         cached = self._weighted_tables.get(key)
         if cached is not None:
             return cached
-        beta = self.order
-        t = self.grid.nodes
-        n = self.grid.n_intervals
-        ginv = self._ginv
+        beta, t, n, ginv = self.order, self.grid.nodes, self.grid.n_intervals, self._ginv
         if g == 0.0:
             def cells(rows):
                 c = rows[-1]
@@ -628,7 +624,7 @@ def integral_node_values(op: FracIntegralOperator, f: SampledFunction) -> np.nda
         raise ValueError("operator and samples live on different grids")
     g = f.singular_exponent
     with np.errstate(all="ignore"):  # checked below
-        out = op._apply(f.values, g)
+        out = op.window(g).apply(f.values)
     if np.isfinite(f.values[1 if g else 0 :]).all():
         _finite(out, op.grid.nodes[1:], f"I^{op.order:g} of finite samples took")
     return out

@@ -47,7 +47,9 @@ from .fractional_ops import (
     Grid,
     NonFiniteIterateError,
     SampledFunction,
+    _BLOCK,
     _finite,
+    _Plan,
     apply_integral,
     block_bounds,
     build_integral_operator,
@@ -142,9 +144,9 @@ def picard_step(rhs, past, near, block, nodes: slice) -> np.ndarray:
     rhs is f compiled (compile_rhs) on the nodes it is sampled at (past t_0
     when gamma > 0), nodes the window's slice of them. past[h] is
     derivative_taylor_part(b, alpha_h) plus what the blocks before lo add
-    to I^(alpha - alpha_h) phi there (push_history), and near[h] =
-    inner[h].near_field(lo, hi, gamma) maps block, phi in the block up to
-    t_(hi-1), to the rest."""
+    to I^(alpha - alpha_h) phi there (push), and near[h] =
+    inner[h].near_field(lo, hi), inner[h] that operator's window steps,
+    maps block, phi in the block up to t_(hi-1), to the rest."""
     return rhs(nodes, [p + block @ m for p, m in zip(past, near)])
 
 
@@ -208,18 +210,18 @@ def _exact_step(slopes, near, r: int, nodes: slice, res: np.ndarray, bound: floa
     return diagonal, step if np.isfinite(step).all() else None
 
 
-def _toeplitz_inverse(slopes, inner, n: int, bound: float):
+def _toeplitz_inverse(slopes, inner, bound: float):
     """max |diag M_W| and c, the first column of (I - M_W)^-1, None where
     _exact_step would refuse M_W, for M_W = sum_h s_h near_field(1, 1 +
-    W).T, the M of a whole block of W nodes on a uniform grid of n
-    intervals where every slope s_h is constant. M_W is lower-triangular
+    W).T, the M of a whole block of W nodes of plans (_Plan) where every
+    slope s_h is constant. M_W is lower-triangular
     Toeplitz with first column m = sum_h s_h near_h[0], the first row of
     each plan block, and so is its inverse: Inv[i, j] = c[i - j]. So c is
     the power series 1 / (1 - m) to W terms, which doubles its known terms
     k per pass: with a = e_1 - m and (a * c[:k])[k:2k] = e, c[k:2k] =
     -(c[:k] * e)[:k]. No W x W array is built."""
-    width = block_bounds(1, n)[1] - 1
-    a = -sum(s[0] * op.near_field(1, 1 + width)[0] for s, op in zip(slopes, inner))
+    width = block_bounds(1, inner[0].n)[1] - 1
+    a = -sum(s[0] * win.near_field(1, 1 + width)[0] for s, win in zip(slopes, inner))
     diagonal = abs(float(a[0]))
     if diagonal > bound:
         return diagonal, None
@@ -233,30 +235,30 @@ def _toeplitz_inverse(slopes, inner, n: int, bound: float):
     return diagonal, c if np.isfinite(c).all() else None
 
 
-def _exact_steps(slopes, constant: bool, inner, grid: Grid, g: float, bound: float):
+def _exact_steps(slopes, constant: bool, inner, bound: float):
     """The exact step of a solve's windows, step(near, r, nodes, res) ->
     (max |diag M|, delta or None) as _exact_step gives it, None where f is
     not affine in z; and whether that step is one product.
 
-    Where every slope is constant on a uniform grid and g = 0, each near
-    field is a slice of one Toeplitz plan block, so a window w nodes wide
-    has M = M_W[:w, :w] wherever it lies. The inverse of a leading block of
-    a lower-triangular matrix is the leading block of its inverse, so
-    (I - M)^-1 is Toeplitz with first column c[:w]: the first window that
-    tries the step computes max |diag M_W| and, where that is within
-    bound, c (_toeplitz_inverse), and every step is then one convolution
-    of c[:w] with res. Varying slopes, graded grids and g > 0 solve each
-    window's own system."""
+    Where every slope is constant and every inner window step is a plan
+    (_Plan), each near field is a slice of one Toeplitz block, so a window
+    w nodes wide has M = M_W[:w, :w] wherever it lies. The inverse of a
+    leading block of a lower-triangular matrix is the leading block of its
+    inverse, so (I - M)^-1 is Toeplitz with first column c[:w]: the first
+    window that tries the step computes max |diag M_W| and, where that is
+    within bound, c (_toeplitz_inverse), and every step is then one
+    convolution of c[:w] with res. Varying slopes and dense tables (_Table)
+    solve each window's own system."""
     if not slopes:
         return None, False
-    if not (constant and grid.is_uniform and g == 0.0):
+    if not (constant and all(isinstance(win, _Plan) for win in inner)):
         return lambda near, r, nodes, res: _exact_step(slopes, near, r, nodes, res, bound), False
     toeplitz = None
 
     def step(near, r, nodes, res):
         nonlocal toeplitz
         if toeplitz is None:
-            toeplitz = _toeplitz_inverse(slopes, inner, grid.n_intervals, bound)
+            toeplitz = _toeplitz_inverse(slopes, inner, bound)
         diagonal, c = toeplitz
         if c is None:
             return diagonal, None
@@ -320,9 +322,9 @@ def _march(problem: MultiTermProblem, grid: Grid, inner, taylor, rhs, exact, one
     One that halves starts again at half its length, down to one node (two
     for the first when gamma > 0, whose t_0 value is extrapolated from t_1
     and t_2), and so do the windows after it. After each window the
-    operators push the history it completes. A window that runs out of
-    iterations ends the march, and the start values after it are pushed
-    too."""
+    window steps of inner push the history it completes where it ends a
+    block. A window that runs out of iterations ends the march, and the
+    start values of the blocks after it are pushed too."""
     g = problem.gamma
     skip = 1 if g > 0.0 else 0
     t = grid.nodes
@@ -330,7 +332,7 @@ def _march(problem: MultiTermProblem, grid: Grid, inner, taylor, rhs, exact, one
     n = grid.n_intervals
     values = np.full(n + 1, np.nan)
     values[skip:] = _finite(rhs(slice(None), [tp.values[skip:] for tp in taylor]), t[skip:])
-    hist = [op.history(values[0], g) for op in inner]
+    hist = [win.history(values[0]) for win in inner]
     lo, size, windows = 1, n, []
     while lo <= n:
         a, end = block_bounds(lo, n)
@@ -341,7 +343,7 @@ def _march(problem: MultiTermProblem, grid: Grid, inner, taylor, rhs, exact, one
             cur[:] = _window_start(w) @ values[lo - 1 - _START_DEGREE * w : lo : w]
         elif lo > 1 + skip:  # the line through the last two values
             cur[:] = values[lo - 1] + (values[lo - 1] - values[lo - 2]) * np.arange(1, w + 1)
-        near = [op.near_field(lo, hi, g) for op in inner]
+        near = [win.near_field(lo, hi) for win in inner]
         past = [h[lo:hi] + tp.values[lo:hi] for h, tp in zip(hist, taylor)]
         block, nodes = values[a:hi], slice(lo - skip, hi - skip)
         windows.append(_window(
@@ -355,12 +357,13 @@ def _march(problem: MultiTermProblem, grid: Grid, inner, taylor, rhs, exact, one
         if deltas[-1] > tol:
             break  # out of iterations
         lo = hi
-        for op, h in zip(inner, hist):
-            op.push_history(h, values, range(lo, lo + 1), g)
-    while lo <= n:  # out of iterations: push the block starts past the window too
-        lo = block_bounds(lo, n)[1]
-        for op, h in zip(inner, hist):
-            op.push_history(h, values, range(lo, lo + 1), g)
+        if lo == end <= n:
+            for win, h in zip(inner, hist):
+                win.push(h, values, range(lo, lo + 1))
+    # out of iterations: push the block starts past the window too
+    for p in range(block_bounds(lo, n)[1], n + 1, _BLOCK):
+        for win, h in zip(inner, hist):
+            win.push(h, values, range(p, p + 1))
     return SampledFunction(grid, values, g), windows, hist
 
 
@@ -392,7 +395,8 @@ def solve(
         )
     with np.errstate(all="ignore"):  # what leaves passes _finite or the exact step's check
         orders = problem.derivative_orders
-        inner = tuple(build_integral_operator(problem.alpha - a, grid) for a in orders)
+        inner = tuple(build_integral_operator(problem.alpha - a, grid).window(problem.gamma)
+                      for a in orders)
         taylor = tuple(derivative_taylor_part(problem.initial_values, a, grid) for a in orders)
         bound = tol ** (1.0 / max_iter)  # the largest diagonal plain updates finish
         t = grid.nodes[1 if problem.gamma > 0.0 else 0 :]
@@ -402,12 +406,12 @@ def solve(
         constant = bool(slopes) and all(np.ptp(s) == 0.0 for s in slopes)  # nan, inf: not constant
         if constant:  # one value each, broadcast: the march holds no N-array of slopes
             slopes = [np.broadcast_to(s[0], s.shape) for s in slopes]
-        exact, one_product = _exact_steps(slopes, constant, inner, grid, problem.gamma, bound)
+        exact, one_product = _exact_steps(slopes, constant, inner, bound)
         phi, windows, hist = _march(problem, grid, inner, taylor, rhs, exact, one_product, tol,
                                     max_iter)
 
-        z_final = tuple(SampledFunction(grid, op.close(h, phi.values, problem.gamma) + tp.values)
-                        for op, h, tp in zip(inner, hist, taylor))
+        z_final = tuple(SampledFunction(grid, win.close(h, phi.values) + tp.values)
+                        for win, h, tp in zip(inner, hist, taylor))
         if orders and orders[-1] == 0.0:  # inner[-1] is I^alpha: this entry already is y
             y = z_final[-1]
         else:

@@ -1,0 +1,36 @@
+"""scripts/apply_scaling.py reads the parts of an operator's window steps
+directly. Its helpers are loaded here without running its tables, so that a
+rename of those parts fails a test, not only the script."""
+
+import runpy
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from fracpicard import Grid, SampledFunction, build_integral_operator, integral_node_values
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "apply_scaling.py"
+
+
+@pytest.fixture(scope="module")
+def script():
+    return runpy.run_path(str(SCRIPT))  # not run as __main__: main() does not run
+
+
+@pytest.mark.parametrize("n, held", [(512, 40968), (8192, 286792)])
+def test_held_bytes(script, n, held):
+    # stencil and boundary, the 64 x 64 block and, at N = 8192, the spectra
+    # of levels 512 .. 4096
+    assert script["held_bytes"](build_integral_operator(0.5, Grid.uniform(1.0, n))) == held
+
+
+@pytest.mark.parametrize("n", [100, 512, 4097])
+def test_direct_is_the_apply(script, n):
+    grid = Grid.uniform(1.0, n)
+    op = build_integral_operator(0.5, grid)
+    u = np.random.default_rng(n).normal(size=n + 1)
+    ref = integral_node_values(op, SampledFunction(grid, u))
+    got = script["direct"](op, u)
+    assert got[0] == 0.0
+    assert np.max(np.abs(got[1:] - ref)) <= 1e-14 * np.max(np.abs(ref))

@@ -78,3 +78,21 @@ def test_graded_weighted_solve_reads_the_tables(bench_modules):
     assert plain.shape == (128, 129)
     assert m["fractional_ops.table_bytes"] == plain.nbytes
     assert m["fractional_ops.apply_weighted_s"] > 0
+
+
+def test_uniform_solve_reads_the_plan_parts(bench_modules):
+    # on a uniform grid the build hook finds no op._table and sums
+    # op._stencil and op._boundary: the parts of the operator's plan
+    layers, spans = bench_modules
+    problem = problem_from_dict({
+        "alpha": 0.5, "derivative_orders": [0.0], "initial_values": [1.0],
+        "horizon": 1.0, "rhs": "-z1",
+    })
+    grid = Grid.uniform(1.0, 128)
+    tracer = spans.Tracer()
+    hooks = layers.instrumentation(tracer, fracpicard)
+    with spans.patched(hooks), tracer.span("bench.op") as root:
+        fracpicard.picard_solver.solve(problem, grid)
+    m = layers.reduce_op(tracer.spans, root, 1)
+    plan = fracpicard.build_integral_operator(0.5, grid).window()
+    assert m["fractional_ops.table_bytes"] == plan.stencil.nbytes + plan.boundary.nbytes > 0

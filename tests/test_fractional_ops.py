@@ -37,7 +37,9 @@ from fracpicard.fractional_ops import (
     Grid,
     NonFiniteIterateError,
     _kernel_moments,
+    _Plan,
     _series_terms,
+    _Table,
     SampledFunction,
     apply_integral,
     block_bounds,
@@ -379,9 +381,9 @@ class TestRegularQuadrature:
 def direct_apply(op: FracIntegralOperator, u: np.ndarray) -> np.ndarray:
     """Uniform-grid apply as a direct O(N^2) np.convolve, the reference
     for the blocked history sum."""
-    n = op.grid.n_intervals
+    n, plan = op.grid.n_intervals, op.window()
     out = np.zeros(n + 1)
-    out[1:] = np.convolve(op._stencil, u[1:])[:n] + op._boundary[1:] * u[0]
+    out[1:] = np.convolve(plan.stencil, u[1:])[:n] + plan.boundary[1:] * u[0]
     return out
 
 
@@ -408,9 +410,9 @@ class TestFastHistorySum:
         u = rng.normal(size=n + 1) * 10.0 ** (16.0 * np.arange(n + 1) / n)
         out = apply_integral(op, SampledFunction(grid, u)).values
         err = np.abs(out - direct_apply(op, u))[1:]
-        scale = np.convolve(np.abs(op._stencil), np.abs(u[1:]))[:n]
+        scale = np.convolve(np.abs(op.window().stencil), np.abs(u[1:]))[:n]
         eps = np.finfo(float).eps
-        assert np.all(err <= 32 * eps * scale + eps * np.abs(op._boundary[1:] * u[0]))
+        assert np.all(err <= 32 * eps * scale + eps * np.abs(op.window().boundary[1:] * u[0]))
 
     def test_repeated_applies_are_bitwise_equal(self):
         grid = Grid.uniform(1.0, 6000)
@@ -465,7 +467,8 @@ class TestFastHistorySum:
         # direct sums and 512 .. 4096 by FFTs; N = 8229 adds level 8192 and
         # cuts the last start of a level short. A graded grid and weighted
         # samples (g > 0) use the dense tables; for g > 0 the first window
-        # holds t_1 and t_2, from which t_0 is extrapolated.
+        # holds t_1 and t_2, from which t_0 is extrapolated. History is
+        # pushed at each block start only, as the march pushes it.
         grid = Grid(1.0, n, grading)
         values = np.random.default_rng(n).normal(size=n + 1)
         if g:
@@ -474,17 +477,20 @@ class TestFastHistorySum:
         for beta in (0.5, 1.7):
             op = build_integral_operator(beta, grid)
             ref = integral_node_values(op, SampledFunction(grid, values, g))
-            hist = op.history(values[0], g)
+            win = op.window(g)
+            hist = win.history(values[0])
             got = np.zeros(n + 1)
             lo = 1
             for k in range(n):
-                hi = min(lo + widths[k % 4], block_bounds(lo, n)[1])
-                near = op.near_field(lo, hi, g)
+                end = block_bounds(lo, n)[1]
+                hi = min(lo + widths[k % 4], end)
+                near = win.near_field(lo, hi)
                 got[lo:hi] = hist[lo:hi] + values[hi - near.shape[0] : hi] @ near
                 lo = hi
                 if lo > n:
                     break
-                op.push_history(hist, values, range(lo, lo + 1), g)
+                if lo == end:
+                    win.push(hist, values, range(lo, lo + 1))
             assert lo == n + 1
             assert np.allclose(got[1:], ref, rtol=1e-13, atol=1e-13 * np.max(np.abs(ref)))
 
@@ -493,16 +499,16 @@ class TestFastHistorySum:
         # a whole apply pushes all starts of a level at once, the march one
         # at a time: the same bits, direct levels 64 .. 256 and batched FFT
         # rows above alike, also where the last start's segment is cut short
-        op = build_integral_operator(0.5, Grid.uniform(1.0, n))
+        plan = build_integral_operator(0.5, Grid.uniform(1.0, n)).window()
         rng = np.random.default_rng(n)
         values, start = rng.normal(size=n + 1), rng.normal(size=n + 1)
         h = 64
         while h < n:
             starts = range(h + 1, n + 1, 2 * h)
             batched, single = start.copy(), start.copy()
-            op.push_history(batched, values, starts)
+            plan.push(batched, values, starts)
             for p in starts:
-                op.push_history(single, values, range(p, p + 1))
+                plan.push(single, values, range(p, p + 1))
             assert batched.tobytes() == single.tobytes(), h
             assert batched.tobytes() != start.tobytes()
             h *= 2
@@ -521,12 +527,12 @@ class TestFastHistorySum:
         if g:
             values[0] = np.nan
         for beta in (0.5, 1.7):
-            op = build_integral_operator(beta, grid)
+            win = build_integral_operator(beta, grid).window(g)
             ref = hist.copy()
             for a in range(1, n + 1, 64):
                 b = min(a + 64, n + 1)
-                ref[a:b] += values[a:b] @ op.near_field(a, b, g)
-            got = op.close(hist.copy(), values, g)
+                ref[a:b] += values[a:b] @ win.near_field(a, b)
+            got = win.close(hist.copy(), values)
             assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
     def test_non_finite_sample_spoils_its_block_and_after(self):
@@ -857,7 +863,7 @@ class TestTableSharing:
                     assert err[j] <= np.max(np.abs(ref[row - 1, : j + 1] - exact[: j + 1])) / scale
                     assert np.max(err[j + 1 :]) < 4e-15
             if grading != 1.0:
-                assert op._table.tobytes() == per_row_graded_table(beta, grid.nodes).tobytes()
+                assert op.window().table.tobytes() == per_row_graded_table(beta, grid.nodes).tobytes()
 
     def test_weighted_build_peak_memory(self):
         # the table and the row blocks' temporaries: extra temporaries show here first
@@ -897,8 +903,8 @@ class TestTableSharing:
 def one_call_rule(beta: float, grid: Grid) -> tuple:
     """Stencil, boundary column and history plan (near-field block, the
     spectra of the levels 2 _DIRECT_PUSH, 4 _DIRECT_PUSH, .. below N that
-    push_history takes by FFT) of a uniform operator, from one masked_kernel_moments call over
-    all N cells."""
+    a plan's push takes by FFT) of a uniform operator, from one
+    masked_kernel_moments call over all N cells."""
     n, h = grid.n_intervals, grid.nodes[1]
     k = np.arange(1, n + 1, dtype=float)
     m0, m1 = masked_kernel_moments(k * h, (k - 1.0) * h, beta)
@@ -917,42 +923,44 @@ class TestPlainRuleOnFirstUse:
     def test_construction_builds_nothing(self):
         for grid in (Grid.uniform(1.0, 64), Grid(1.0, 64, 2.0)):
             op = build_integral_operator(0.5, grid)
-            assert not {"_stencil", "_boundary", "_plan", "_table"} & set(vars(op))
+            assert op._windows == {}
             assert grid._tables == {0.5: {}}
 
-    def test_each_kind_reads_none_for_the_other(self):
+    def test_each_grid_and_g_gets_its_kind(self):
+        # a plan only at g = 0 on a uniform grid; a table of the grid's store
+        # otherwise, weighted for g > 0; each made once and kept
         grid = Grid.uniform(1.0, 64)
-        uniform = build_integral_operator(0.5, grid)
-        assert uniform._table is None and "_stencil" not in vars(uniform)
+        op = build_integral_operator(0.5, grid)
+        weighted = op.window(0.3)
+        assert isinstance(weighted, _Table) and weighted.weighted
+        assert weighted.table is grid._tables[0.5][0.3] and list(op._windows) == [0.3]
+        assert isinstance(op.window(), _Plan) and op.window(0.3) is weighted
+        assert op.window() is op.window() and list(grid._tables[0.5]) == [0.3]
         grid = Grid(1.0, 64, 2.0)
-        graded = build_integral_operator(0.5, grid)
-        assert graded._stencil is None and graded._boundary is None and graded._plan is None
-        assert grid._tables == {0.5: {}}
-        assert graded._table is grid._tables[0.5][0.0]
-        with pytest.raises(AttributeError, match="_stencils"):
-            graded._stencils
+        graded = build_integral_operator(0.5, grid).window()
+        assert isinstance(graded, _Table) and not graded.weighted
+        assert graded.table is grid._tables[0.5][0.0]
+        assert build_integral_operator(0.5, grid).window().table is graded.table
 
     @pytest.mark.parametrize("n", [16, 512, 4097, 8192])
     def test_parts_match_one_call_reference(self, n):
         grid = Grid.uniform(1.3, n)
         for beta in (0.3, 0.6, 1.0, 2.5):
             stencil, boundary, block, spectra = one_call_rule(beta, grid)
-            first_plan = build_integral_operator(beta, grid)
-            assert first_plan._plan[0].tobytes() == block.tobytes()
-            assert [s.tobytes() for s in first_plan._plan[1]] == [s.tobytes() for s in spectra]
-            assert first_plan._stencil.tobytes() == stencil.tobytes()
-            first_boundary = build_integral_operator(beta, grid)
-            assert first_boundary._boundary.tobytes() == boundary.tobytes()
-            assert first_boundary._stencil.tobytes() == stencil.tobytes()
+            plan = build_integral_operator(beta, grid).window()
+            assert plan.block.tobytes() == block.tobytes()
+            assert [s.tobytes() for s in plan.spectra] == [s.tobytes() for s in spectra]
+            assert plan.stencil.tobytes() == stencil.tobytes()
+            assert plan.boundary.tobytes() == boundary.tobytes()
 
     def test_rule_build_holds_few_arrays(self):
-        # a marching solve reads the rule first with its own arrays alive:
+        # a marching solve makes the plan first with its own arrays alive:
         # the build's peak adds to theirs
         n = 8192
         grid = Grid.uniform(1.0, n)
         tracemalloc.start()
         try:
-            build_integral_operator(0.6, grid)._stencil
+            build_integral_operator(0.6, grid).window()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -981,6 +989,26 @@ class TestPlainRuleOnFirstUse:
         grid = Grid(1.0, 128, 2.0)
         fracpicard.solve(problem, grid)
         assert list(grid._tables) == [0.5] and list(grid._tables[0.5]) == [0.3]
+
+    def test_uniform_singular_solve_makes_no_plan(self, monkeypatch):
+        # on a uniform grid too, the inner operators of a gamma > 0 solve meet
+        # weighted samples only: none makes the plain rule and its plan
+        made = []
+        init = _Plan.__init__
+
+        def counting(self, beta, ginv, grid):
+            made.append(beta)
+            init(self, beta, ginv, grid)
+
+        monkeypatch.setattr(_Plan, "__init__", counting)
+        spec = {"alpha": 0.5, "derivative_orders": [0.0], "initial_values": [1.0],
+                "horizon": 1.0, "rhs": "-z1"}
+        grid = Grid.uniform(1.0, 128)
+        singular = {**spec, "gamma": 0.3, "rhs": "t^(-0.3) - z1"}
+        fracpicard.solve(fracpicard.problem_from_dict(singular), grid)
+        assert made == [] and list(grid._tables[0.5]) == [0.3]
+        fracpicard.solve(fracpicard.problem_from_dict(spec), grid)  # the hook sees plans
+        assert made == [0.5]
 
 
 class TestCaputoDerivative:

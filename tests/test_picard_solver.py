@@ -94,11 +94,11 @@ def _whole_step(phi, inner, taylor, rhs):
     return rhs(slice(None), z)
 
 
-def _first_window(phi, op, taylor, hi):
+def _first_window(phi, win, taylor, hi):
     """(past, near, block, nodes) of the window t_1..t_(hi-1), hi <= 65,
-    of a regular phi and one inner operator."""
-    near = op.near_field(1, hi)
-    past = op.history(phi.values[0])[1:hi] + taylor[0].values[1:hi]
+    of a regular phi and the window steps of one inner operator."""
+    near = win.near_field(1, hi)
+    past = win.history(phi.values[0])[1:hi] + taylor[0].values[1:hi]
     return [past], [near], phi.values[hi - near.shape[0] : hi], slice(1, hi)
 
 
@@ -223,11 +223,11 @@ class TestIterates:
         phi0 = rhs_samples(problem, grid, taylor)
         rhs = compile_rhs(problem.rhs, grid.nodes)
         # N = 64: the first window of the march is the whole grid past t_0
-        phi1 = picard_step(rhs, *_first_window(phi0, inner[0], taylor, 65))
+        phi1 = picard_step(rhs, *_first_window(phi0, inner[0].window(), taylor, 65))
         expected_z = apply_integral(inner[0], phi0).values + 1.0
         assert np.allclose(phi1, -expected_z[1:], rtol=1e-14)
         # a shorter window of the same block gets the same values
-        assert np.allclose(picard_step(rhs, *_first_window(phi0, inner[0], taylor, 9)),
+        assert np.allclose(picard_step(rhs, *_first_window(phi0, inner[0].window(), taylor, 9)),
                            phi1[:8], rtol=1e-14, atol=0.0)
 
 
@@ -556,14 +556,16 @@ class TestWindows:
         rhs = compile_rhs(problem.rhs, grid.nodes)
         phi = SampledFunction(grid, np.cos(3.0 * grid.nodes))
         whole = _whole_step(phi, (op,), taylor, rhs)
-        hist, lo = op.history(phi.values[0]), 1
+        plan = op.window()
+        hist, lo = plan.history(phi.values[0]), 1
         for hi in (30, 65, 100, 129):
-            near = op.near_field(lo, hi)
+            near = plan.near_field(lo, hi)
             got = picard_step(rhs, [hist[lo:hi] + taylor[0].values[lo:hi]], [near],
                               phi.values[hi - near.shape[0] : hi], slice(lo, hi))
             assert np.allclose(got, whole[lo:hi], rtol=1e-14, atol=0.0)
             lo = hi
-            op.push_history(hist, phi.values, range(lo, lo + 1))
+            if lo == block_bounds(lo, grid.n_intervals)[0]:  # pushed at block starts only
+                plan.push(hist, phi.values, range(lo, lo + 1))
 
     def test_window_start_cuts_the_updates(self):
         # problem 0 of the benchmark's uniform_relax set at seed 1: a start
@@ -727,20 +729,20 @@ class TestToeplitzStep:
     ])
     def test_leading_block_inverts_the_window(self, n, slopes, orders, width):
         grid = Grid.uniform(1.0, n)
-        ops = [build_integral_operator(order, grid) for order in orders]
+        plans = [build_integral_operator(order, grid).window() for order in orders]
         constant = [np.broadcast_to(s, n + 1) for s in slopes]
-        diagonal, c = _toeplitz_inverse(constant, ops, n, 0.891)
+        diagonal, c = _toeplitz_inverse(constant, plans, 0.891)
         full = block_bounds(1, n)[1] - 1
-        m_w = sum(s * op.near_field(1, 1 + full).T for s, op in zip(slopes, ops))
+        m_w = sum(s * plan.near_field(1, 1 + full).T for s, plan in zip(slopes, plans))
         inv = np.linalg.inv(np.eye(full) - m_w)
         assert diagonal == np.abs(m_w.diagonal()).max()
         assert np.max(np.abs(c - inv[:, 0])) <= 1e-13 * np.max(np.abs(inv[:, 0]))
         # the step of the window that ends a block in the middle of the grid
-        step, one_product = _exact_steps(constant, True, ops, grid, 0.0, 0.891)
+        step, one_product = _exact_steps(constant, True, plans, 0.891)
         a, end = block_bounds(n // 2, n)
         lo = end - width
         res = np.random.default_rng(width).normal(size=width)
-        near = [op.near_field(lo, end) for op in ops]
+        near = [plan.near_field(lo, end) for plan in plans]
         got_diagonal, delta = step(near, lo - a, slice(lo, end), res)
         ref = inv[:width, :width] @ res
         assert one_product and got_diagonal == diagonal
@@ -750,13 +752,12 @@ class TestToeplitzStep:
         # the inverse of a 64-node block is held as its first column: its
         # build peaks below one 64 x 64 array of floats
         grid = Grid.uniform(1.0, 4096)
-        ops = [build_integral_operator(order, grid) for order in (1.0, 1.5)]
-        for op in ops:
-            op.near_field(1, 65)  # the plan a march has built before its first step
+        # the plans a march has made before its first step
+        plans = [build_integral_operator(order, grid).window() for order in (1.0, 1.5)]
         slopes = [np.broadcast_to(s, 4097) for s in (-4.0, -9.0)]
         tracemalloc.start()
         try:
-            _, c = _toeplitz_inverse(slopes, ops, 4096, 0.891)
+            _, c = _toeplitz_inverse(slopes, plans, 0.891)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
