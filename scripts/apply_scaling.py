@@ -50,11 +50,15 @@ erfcx(-z), exp(z) and cos(sqrt(-z)) in 30-digit mpmath.
 A fifth table solves D^0.5 y = f, y(0) = 1, at tol 1e-10: f = -y for T = 1,
 5, 20 and 50 and N = 1024 .. 16384, then, at T = 1 and N = 4096, f = -10 y,
 whose constant slope takes the exact step from one Toeplitz inverse, and
-f = -(5 + 5t) y, whose varying slope solves each window's own system. It
-gives the median wall time of solve, the number of windows it marched, how
-many of them took the exact step, the most iterations one window took,
-the updates of all windows (steps), and the sup error against the closed
-form y = exp(lam^2 t) erfc(lam sqrt(t)) of f = -lam y (none for the last).
+f = -(5 + 5t) y, whose varying slope solves each window's own system, and
+at N = 4096 the growing f = 3 y, T = 6, and f = 5 y, T = 4, whose y
+reaches 1e23 and 1e44, so that segments miss tol and run again in windows.
+It gives the median wall time of solve, the number of windows it marched
+(segments included), how many of them took the exact step, the segments
+solved in one product (and how many of them missed tol), the most
+iterations one window took, the updates of all windows (steps), and the
+sup error against the closed form y = exp(lam^2 t) erfc(lam sqrt(t)) of
+f = -lam y, relative to sup |y| (none for -(5 + 5t) y).
 A sixth table times one history push of a marching solve at N = 8192 for
 the levels h = 64 .. 1024, both ways: the FFT product of the level's
 spectrum rfft(s[:2h], 2h), computed here, and the direct sum
@@ -92,7 +96,7 @@ from fracpicard import (
     problem_from_dict,
     solve,
 )
-from fracpicard import cli, fractional_ops
+from fracpicard import cli, fractional_ops, picard_solver
 
 ORDER = 0.5
 WEIGHT = 0.2  # singular exponent of the weighted table
@@ -310,26 +314,42 @@ def main() -> int:
                   f"| {err:.1e} |")
 
     print()
-    print("| f | T | N | solve | windows | exact | most iterations | steps | sup error |")
-    print("|---|---|---|---|---|---|---|---|---|")
+    print("| f | T | N | solve | windows | exact | segments | most iterations | steps "
+          "| sup error |")
+    print("|---|---|---|---|---|---|---|---|---|---|")
     rows = [("-z1", 1.0, horizon, n) for horizon in (1.0, 5.0, 20.0, 50.0)
             for n in (1024, 2048, 4096, 8192, 16384)]
-    rows += [("-10*z1", 10.0, 1.0, 4096), ("-(5+5*t)*z1", None, 1.0, 4096)]
+    rows += [("-10*z1", 10.0, 1.0, 4096), ("-(5+5*t)*z1", None, 1.0, 4096),
+             ("3*z1", -3.0, 6.0, 4096), ("5*z1", -5.0, 4.0, 4096)]
+    segment = picard_solver._segment
     for rhs, lam, horizon, n in rows:
         problem = problem_from_dict({"alpha": 0.5, "derivative_orders": [0.0],
                                      "initial_values": [1.0], "horizon": horizon, "rhs": rhs})
         grid = Grid.uniform(horizon, n)
-        traj = solve(problem, grid)
+        deltas = []  # of the segments' confirming updates
+
+        def counted(*args):
+            delta, own = segment(*args)
+            deltas.append(delta)
+            return delta, own
+
+        picard_solver._segment = counted
+        try:
+            traj = solve(problem, grid)
+        finally:
+            picard_solver._segment = segment
         wall = median_time(lambda: solve(problem, grid))
         error = "-"
         if lam is not None:
-            exact = [math.exp(lam * lam * t) * math.erfc(lam * math.sqrt(t)) for t in grid.nodes]
-            error = f"{np.max(np.abs(traj.y.values - exact)):.3e}"
+            exact = np.array([math.exp(lam * lam * t) * math.erfc(lam * math.sqrt(t))
+                              for t in grid.nodes])
+            error = f"{np.max(np.abs(traj.y.values - exact)) / np.max(np.abs(exact)):.3e}"
         report = traj.report
         status = "" if report.converged else " (not converged)"
+        missed = sum(d > report.tolerance for d in deltas)
         print(f"| {rhs} | {horizon:g} | {n} | {wall * 1e3:.3g} ms | {report.windows} "
-              f"| {report.exact_windows} | {report.iterations}{status} | {report.steps} "
-              f"| {error} |")
+              f"| {report.exact_windows} | {len(deltas)}{f' ({missed} missed)' if missed else ''} "
+              f"| {report.iterations}{status} | {report.steps} | {error} |")
 
     print()
     print("| h | FFT push | direct push | deviation |")

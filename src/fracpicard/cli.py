@@ -319,10 +319,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# built once per process: each build leaves reference cycles for the GC
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        cfg = parser.parse_args(argv)
+        cfg = _PARSER.parse_args(argv)
         for flag, value in (("--tol", cfg.tol), ("--ode-tol", cfg.ode_tol)):
             if not 0.0 < value < math.inf:
                 raise CliInputError(f"{flag} must be finite and positive, got {value}")

@@ -92,10 +92,13 @@ class NonFiniteIterateError(RuntimeError):
     samples (overflow in the weights) left the finite range."""
 
 
-def _finite(vals: np.ndarray, t: np.ndarray, what: str = "right-hand side produced") -> np.ndarray:
-    if not np.isfinite(vals).all():  # vals: one row or several of samples on t
-        t_bad = float(t[np.argmax(~np.isfinite(vals).reshape(-1, t.size).all(axis=0))])
-        raise NonFiniteIterateError(f"{what} a non-finite value at t = {t_bad:g}")
+def _finite(vals, t: np.ndarray, what: str = "right-hand side produced"):
+    """vals, samples on t or a tuple of such rows, checked row by row (not
+    stacked): the error names the earliest t where any row is not finite."""
+    rows = vals if isinstance(vals, tuple) else (vals,)
+    bad = [int(np.argmax(~np.isfinite(row))) for row in rows if not np.isfinite(row).all()]
+    if bad:
+        raise NonFiniteIterateError(f"{what} a non-finite value at t = {float(t[min(bad)]):g}")
     return vals
 
 
@@ -438,17 +441,19 @@ class _Plan:
             seg = hist[p : p + h]
             seg += row[h : h + seg.size]
 
-    def close(self, hist: np.ndarray, values: np.ndarray) -> np.ndarray:
+    def close(self, hist: np.ndarray, values: np.ndarray, start: int = 1) -> np.ndarray:
         """Add to hist, from history and pushed at every block start, each
-        block's own share: hist[1:] is then the apply to values at t_1..t_N.
-        Returns hist. All full blocks take their near field, block, in one
-        product, in chunks of _BLOCK rows (2^18 multiply-adds, one BLAS thread
-        as in _matmul); a last block cut short takes its near_field."""
+        block's own share, for the blocks from t_start on (start a block
+        start; those before it hold theirs): hist[1:] is then the apply to
+        values at t_1..t_N. Returns hist. All full blocks take their near
+        field, block, in one product, in chunks of _BLOCK rows (2^18
+        multiply-adds, one BLAS thread as in _matmul); a last block cut
+        short takes its near_field."""
         a = 1 + self.n - self.n % _BLOCK
-        for i in range(1, a, _BLOCK * _BLOCK):
+        for i in range(start, a, _BLOCK * _BLOCK):
             j = min(i + _BLOCK * _BLOCK, a)
             hist[i:j] += (values[i:j].reshape(-1, _BLOCK) @ self.block).ravel()
-        if a <= self.n:
+        if start <= a <= self.n:
             hist[a:] += values[a:] @ self.near_field(a, self.n + 1)
         return hist
 
@@ -483,8 +488,8 @@ class _Table:
         for p in starts:
             hist[p:] += self.table[p - 1 :, p - _BLOCK : p] @ values[p - _BLOCK : p]
 
-    def close(self, hist: np.ndarray, values: np.ndarray) -> np.ndarray:
-        for a in range(1, self.n + 1, _BLOCK):
+    def close(self, hist: np.ndarray, values: np.ndarray, start: int = 1) -> np.ndarray:
+        for a in range(start, self.n + 1, _BLOCK):
             b = min(a + _BLOCK, self.n + 1)
             hist[a:b] += values[a:b] @ self.near_field(a, b)
         return hist
@@ -542,7 +547,7 @@ class FracIntegralOperator:
         g > 0: the weighted rule on f, whose bounded factor t^g f(t) it
         interpolates, extrapolated to t_0 from t_1 and t_2 (column 0 is
         zero); exact where that factor is piecewise linear."""
-        key = round(g, 15)
+        key = round(g, 15) or g  # a weighted table never takes the plain one's key 0.0
         cached = self._weighted_tables.get(key)
         if cached is not None:
             return cached

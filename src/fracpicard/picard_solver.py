@@ -27,12 +27,15 @@ rho^max_iter <= tol. Where every diagonal entry is within that bound,
 tol^(1/max_iter), one exact (Newton) step reaches Picard's limit on the
 window: the window takes that step once instead of halving, and plain
 updates then confirm it to the tolerance. With constant slopes on a
-uniform grid and gamma = 0 every window's step is one product with the
-first column of one Toeplitz inverse per solve (_exact_steps), so every
-window but the march's first, which iterates plain Picard from phi^0,
-takes it right after its first update. The report still carries omega
-beside the observed ratios, but since each window contracts on its own,
-omega >= 1 on the whole horizon is no sign of trouble.
+uniform grid and gamma = 0 the equations of any nodes from a block start
+on are one lower-triangular Toeplitz system, whose inverse is a
+convolution with one column per solve (_exact_steps). There, past the
+march's first block, which iterates plain Picard from phi^0, the march
+solves aligned segments of 64, 128, then 256 nodes, each in one product
+confirmed by one update (_segment); a segment that misses tol runs again
+in windows. The report still carries omega beside the observed ratios,
+but since each window contracts on its own, omega >= 1 on the whole
+horizon is no sign of trouble.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from .fractional_ops import (
     NonFiniteIterateError,
     SampledFunction,
     _BLOCK,
+    _DIRECT_PUSH,
     _finite,
     _Plan,
     apply_integral,
@@ -84,15 +88,17 @@ class ContractionWarning(UserWarning):
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """How the iteration went. A solve runs one or more windows; iterations
-    and deltas (the weighted sup-norm updates) are those of the window that
-    took the most updates, steps counts the updates of all windows, and
-    worst_ratio is the largest ratio of successive updates over all
-    windows, halved attempts included in both (0.0 when none took two).
-    exact_windows counts the windows that took the exact step, after
-    their first update or before halving, largest_diagonal is the largest
-    max |diag M| of any window that tried it (0.0 when none did), and
-    diagonal_bound the largest it takes, tol^(1/max_iter).
+    """How the iteration went. A solve runs one or more windows, and a
+    segment solved in one product (_segment) counts as one window of one
+    update; iterations and deltas (the weighted sup-norm updates) are those
+    of the window that took the most updates, steps counts the updates of
+    all windows, and worst_ratio is the largest ratio of successive updates
+    over all windows, halved attempts (and segments that missed tol)
+    included in both (0.0 when none took two). exact_windows counts the
+    windows that took the exact step before halving and the segments,
+    largest_diagonal is the largest max |diag M| of any window that tried
+    it (0.0 when none did), and diagonal_bound the largest it takes,
+    tol^(1/max_iter).
     lipschitz_estimate is L of f in z, in the L1 norm on z: max_h
     |df/dz_h| where every slope is constant on the nodes, else sampled by
     estimate_lipschitz over the box the final inner derivatives visit (nan
@@ -211,17 +217,17 @@ def _exact_step(slopes, near, r: int, nodes: slice, res: np.ndarray, bound: floa
 
 
 def _toeplitz_inverse(slopes, inner, bound: float):
-    """max |diag M_W| and c, the first column of (I - M_W)^-1, None where
-    _exact_step would refuse M_W, for M_W = sum_h s_h near_field(1, 1 +
-    W).T, the M of a whole block of W nodes of plans (_Plan) where every
-    slope s_h is constant. M_W is lower-triangular
-    Toeplitz with first column m = sum_h s_h near_h[0], the first row of
-    each plan block, and so is its inverse: Inv[i, j] = c[i - j]. So c is
-    the power series 1 / (1 - m) to W terms, which doubles its known terms
-    k per pass: with a = e_1 - m and (a * c[:k])[k:2k] = e, c[k:2k] =
-    -(c[:k] * e)[:k]. No W x W array is built."""
-    width = block_bounds(1, inner[0].n)[1] - 1
-    a = -sum(s[0] * win.near_field(1, 1 + width)[0] for s, win in zip(slopes, inner))
+    """max |diag M_W| and c, the first column of (I - M_W)^-1 to W =
+    min(_DIRECT_PUSH, N) terms, None where _exact_step would refuse M_W,
+    for M_W the M of W nodes of plans (_Plan) from a block start, where
+    every slope s_h is constant. M_W is lower-triangular Toeplitz with
+    first column m = sum_h s_h stencil_h[:W], and so is its inverse:
+    Inv[i, j] = c[i - j]. So c is the power series 1 / (1 - m) to W terms,
+    which doubles its known terms k per pass: with a = e_1 - m and
+    (a * c[:k])[k:2k] = e, c[k:2k] = -(c[:k] * e)[:k]. No W x W array is
+    built."""
+    width = min(_DIRECT_PUSH, inner[0].n)
+    a = -sum(s[0] * win.stencil[:width] for s, win in zip(slopes, inner))
     diagonal = abs(float(a[0]))
     if diagonal > bound:
         return diagonal, None
@@ -238,38 +244,35 @@ def _toeplitz_inverse(slopes, inner, bound: float):
 def _exact_steps(slopes, constant: bool, inner, bound: float):
     """The exact step of a solve's windows, step(near, r, nodes, res) ->
     (max |diag M|, delta or None) as _exact_step gives it, None where f is
-    not affine in z; and whether that step is one product.
+    not affine in z; and (max |diag M_W|, c) from _toeplitz_inverse where
+    the march solves segments in one product, else None.
 
     Where every slope is constant and every inner window step is a plan
-    (_Plan), each near field is a slice of one Toeplitz block, so a window
-    w nodes wide has M = M_W[:w, :w] wherever it lies. The inverse of a
-    leading block of a lower-triangular matrix is the leading block of its
-    inverse, so (I - M)^-1 is Toeplitz with first column c[:w]: the first
-    window that tries the step computes max |diag M_W| and, where that is
-    within bound, c (_toeplitz_inverse), and every step is then one
-    convolution of c[:w] with res. Varying slopes and dense tables (_Table)
-    solve each window's own system."""
+    (_Plan), the near field of any W nodes from a block start is a slice
+    of one Toeplitz matrix, so a window w nodes wide has M = M_W[:w, :w]
+    wherever it lies. The inverse of a leading block of a lower-triangular
+    matrix is the leading block of its inverse, so (I - M)^-1 is Toeplitz
+    with first column c[:w], and every step is one convolution of c[:w]
+    with res. c is computed once, before the march; where it is refused,
+    every step is. Varying slopes and dense tables (_Table) solve each
+    window's own system."""
     if not slopes:
-        return None, False
+        return None, None
     if not (constant and all(isinstance(win, _Plan) for win in inner)):
-        return lambda near, r, nodes, res: _exact_step(slopes, near, r, nodes, res, bound), False
-    toeplitz = None
+        return lambda near, r, nodes, res: _exact_step(slopes, near, r, nodes, res, bound), None
+    diagonal, c = _toeplitz_inverse(slopes, inner, bound)
+    if c is None:
+        return lambda near, r, nodes, res: (diagonal, None), None
 
     def step(near, r, nodes, res):
-        nonlocal toeplitz
-        if toeplitz is None:
-            toeplitz = _toeplitz_inverse(slopes, inner, bound)
-        diagonal, c = toeplitz
-        if c is None:
-            return diagonal, None
         delta = np.convolve(c[: res.size], res)[: res.size]
         return diagonal, delta if np.isfinite(delta).all() else None
 
-    return step, True
+    return step, (diagonal, c)
 
 
 def _window(update, cur: np.ndarray, t: np.ndarray, weight, tol: float, max_iter: int,
-            halve: bool, exact, early: bool):
+            halve: bool, exact):
     """Iterate one window until its update is at most tol or max_iter
     updates are spent: its deltas, how it ended, "plain", "exact" or
     "halved", and max |diag M| of its exact step (0.0 where it tried none).
@@ -280,10 +283,8 @@ def _window(update, cur: np.ndarray, t: np.ndarray, weight, tol: float, max_iter
     update shrinks by less than half, the window halves. The first time,
     exact(res) may stand in for that: where it gives the step, the iterate
     before that update moves to the window's fixed point, and the updates
-    go on. Where early holds, exact is tried right after the first update
-    instead, unless that update already reached tol. Either way the next
-    update is at round-off level; should it too shrink by less than half,
-    the window halves after all."""
+    go on. The next update is then at round-off level; should it too
+    shrink by less than half, the window halves after all."""
     deltas, ended, diagonal = [], "plain", 0.0
     for _ in range(max_iter):
         new = update()
@@ -295,7 +296,7 @@ def _window(update, cur: np.ndarray, t: np.ndarray, weight, tol: float, max_iter
         if deltas[-1] <= tol:
             break
         slow = halve and len(deltas) > 1 and deltas[-1] > 0.5 * deltas[-2]
-        if ended == "plain" and exact is not None and (len(deltas) == 1 if early else slow):
+        if slow and ended == "plain" and exact is not None:
             diagonal, step = exact(res)  # once per window
             if step is not None:
                 cur += step - res  # the iterate before new, plus the step
@@ -306,10 +307,34 @@ def _window(update, cur: np.ndarray, t: np.ndarray, weight, tol: float, max_iter
     return deltas, ended, diagonal
 
 
-def _march(problem: MultiTermProblem, grid: Grid, inner, taylor, rhs, exact, one_product: bool,
+def _segment(rhs, past, stencils, c: np.ndarray, cur: np.ndarray, nodes: slice, t: np.ndarray):
+    """Solve a segment's equations phi = f(t, past + N phi) in one product,
+    for f affine in z with constant slopes on plans: the delta of one
+    confirming update and each inner operator's own share N_h phi.
+
+    cur, a view of the segment's w values, gets phi = c[:w] * r, r = f(t,
+    past) with the segment's own values at 0, so that (I - M) phi = r
+    (_exact_steps); * is a convolution cut to w terms. The own share
+    stencil_h[:w] * phi is the rest of z_h there, and one update from past
+    plus own share, which leaves cur as it is, confirms phi. rhs, past and
+    nodes are those of a window (picard_step), t the nodes' values."""
+    w = cur.size
+    cur[:] = np.convolve(c[:w], rhs(nodes, past))[:w]
+    own = [np.convolve(s[:w], cur)[:w] for s in stencils]
+    # past + own is the whole of z: no block is left for a near field to map
+    new = picard_step(rhs, [p + o for p, o in zip(past, own)], [np.empty((0, w))] * len(own),
+                      cur[:0], nodes)
+    delta = float(np.abs(new - cur).max())
+    if not math.isfinite(delta):
+        _finite(new, t)
+    return delta, own
+
+
+def _march(problem: MultiTermProblem, grid: Grid, inner, taylor, rhs, exact, segment,
            tol: float, max_iter: int):
     """phi, the march's record, the (deltas, ended, diagonal) of every
-    _window call in order, halved attempts included, and each hist.
+    _window call and segment in order, halved attempts included, each
+    hist, and the first node from which hist still needs its close.
 
     phi^0 = f(t, taylor parts), with rhs f compiled on the nodes it is
     sampled at. The windows lie in the blocks of t_1..t_N (block_bounds).
@@ -317,14 +342,23 @@ def _march(problem: MultiTermProblem, grid: Grid, inner, taylor, rhs, exact, one
     value and those w, 2w, .., 5w nodes before it (the line through the
     last two while t_0, or t_1 for gamma > 0, is nearer; the first from
     phi^0) and iterates (_window), where exact, from _exact_steps, may
-    stand in for its halving once; where that step is one product, every
-    window but the march's first takes it after its first update instead.
-    One that halves starts again at half its length, down to one node (two
-    for the first when gamma > 0, whose t_0 value is extrapolated from t_1
-    and t_2), and so do the windows after it. After each window the
-    window steps of inner push the history it completes where it ends a
-    block. A window that runs out of iterations ends the march, and the
-    start values of the blocks after it are pushed too."""
+    stand in for its halving once. One that halves starts again at half
+    its length, down to one node (two for the first when gamma > 0, whose
+    t_0 value is extrapolated from t_1 and t_2), and so do the windows
+    after it. After each window the window steps of inner push the
+    history it completes where it ends a block. A window that runs out of
+    iterations ends the march, and the start values of the blocks after it
+    are pushed too.
+
+    Where segment, (max |diag M_W|, c) from _exact_steps, is given, the
+    march closes each block it completes, and past the first block it
+    takes aligned segments t_lo..t_(hi-1), hi - lo = min(lowbit(lo - 1),
+    _DIRECT_PUSH, N + 1 - lo): 64, 128, then 256 nodes. Each is solved in
+    one product (_segment), recorded as one exact update and closed by its
+    own share, added to hist; the march pushes at its end only, since a
+    block start p inside it has p - lowbit(p - 1) >= lo, and its push would
+    reach the segment's own nodes alone. A segment whose update misses tol
+    is recorded as halved, and windows iterate its blocks from its values."""
     g = problem.gamma
     skip = 1 if g > 0.0 else 0
     t = grid.nodes
@@ -333,13 +367,35 @@ def _march(problem: MultiTermProblem, grid: Grid, inner, taylor, rhs, exact, one
     values = np.full(n + 1, np.nan)
     values[skip:] = _finite(rhs(slice(None), [tp.values[skip:] for tp in taylor]), t[skip:])
     hist = [win.history(values[0]) for win in inner]
-    lo, size, windows = 1, n, []
+
+    def push(p):
+        for win, h in zip(inner, hist):
+            win.push(h, values, range(p, p + 1))
+
+    lo, size, windows, closed = 1, n, [], 1
+    seg = segment and block_bounds(1, n)[1]  # where the next segment starts
     while lo <= n:
+        if lo == seg:
+            q = lo - 1
+            seg = lo + min(q & -q, _DIRECT_PUSH, n + 1 - lo)
+            past = [h[lo:seg] + tp.values[lo:seg] for h, tp in zip(hist, taylor)]
+            delta, own = _segment(rhs, past, [win.stencil for win in inner], segment[1],
+                                  values[lo:seg], slice(lo, seg), t[lo:seg])
+            windows.append(([delta], "exact" if delta <= tol else "halved", segment[0]))
+            if delta <= tol:
+                for h, o in zip(hist, own):
+                    h[lo:seg] += o
+                lo = closed = seg
+                if lo <= n:
+                    push(lo)
+                continue
         a, end = block_bounds(lo, n)
         hi = min(lo + size, end)
         w, least = hi - lo, 1 + (skip and lo == 1)
         cur = values[lo:hi]
-        if lo > _START_DEGREE * w + skip:
+        if segment and lo > _BLOCK:
+            pass  # inside a segment that missed tol: from its values
+        elif lo > _START_DEGREE * w + skip:
             cur[:] = _window_start(w) @ values[lo - 1 - _START_DEGREE * w : lo : w]
         elif lo > 1 + skip:  # the line through the last two values
             cur[:] = values[lo - 1] + (values[lo - 1] - values[lo - 2]) * np.arange(1, w + 1)
@@ -349,7 +405,7 @@ def _march(problem: MultiTermProblem, grid: Grid, inner, taylor, rhs, exact, one
         windows.append(_window(
             lambda: picard_step(rhs, past, near, block, nodes), cur, t[lo:hi],
             None if weight is None else weight[lo:hi], tol, max_iter, w > least,
-            exact and (lambda res: exact(near, lo - a, nodes, res)), one_product and lo > 1))
+            exact and (lambda res: exact(near, lo - a, nodes, res))))
         deltas, ended, _ = windows[-1]
         if ended == "halved":
             size = max(w // 2, least)
@@ -357,14 +413,17 @@ def _march(problem: MultiTermProblem, grid: Grid, inner, taylor, rhs, exact, one
         if deltas[-1] > tol:
             break  # out of iterations
         lo = hi
-        if lo == end <= n:
-            for win, h in zip(inner, hist):
-                win.push(h, values, range(lo, lo + 1))
+        if lo == end:
+            if segment:
+                for win, h in zip(inner, hist):
+                    h[a:end] += values[a:end] @ win.near_field(a, end)
+                closed = end
+            if lo <= n:
+                push(lo)
     # out of iterations: push the block starts past the window too
     for p in range(block_bounds(lo, n)[1], n + 1, _BLOCK):
-        for win, h in zip(inner, hist):
-            win.push(h, values, range(p, p + 1))
-    return SampledFunction(grid, values, g), windows, hist
+        push(p)
+    return SampledFunction(grid, values, g), windows, hist, closed
 
 
 def solve(
@@ -406,11 +465,11 @@ def solve(
         constant = bool(slopes) and all(np.ptp(s) == 0.0 for s in slopes)  # nan, inf: not constant
         if constant:  # one value each, broadcast: the march holds no N-array of slopes
             slopes = [np.broadcast_to(s[0], s.shape) for s in slopes]
-        exact, one_product = _exact_steps(slopes, constant, inner, bound)
-        phi, windows, hist = _march(problem, grid, inner, taylor, rhs, exact, one_product, tol,
-                                    max_iter)
+        exact, segment = _exact_steps(slopes, constant, inner, bound)
+        phi, windows, hist, closed = _march(problem, grid, inner, taylor, rhs, exact, segment,
+                                            tol, max_iter)
 
-        z_final = tuple(SampledFunction(grid, win.close(h, phi.values) + tp.values)
+        z_final = tuple(SampledFunction(grid, win.close(h, phi.values, closed) + tp.values)
                         for win, h, tp in zip(inner, hist, taylor))
         if orders and orders[-1] == 0.0:  # inner[-1] is I^alpha: this entry already is y
             y = z_final[-1]
@@ -418,7 +477,7 @@ def solve(
             taylor_0 = derivative_taylor_part(problem.initial_values, 0.0, grid)
             y = taylor_0 + apply_integral(build_integral_operator(problem.alpha, grid), phi)
         # the weights of a high order on a long horizon can overflow where phi does not
-        _finite(np.array([y.values, *(z.values for z in z_final)]), grid.nodes,
+        _finite((y.values, *(z.values for z in z_final)), grid.nodes,
                 "y or an inner derivative took")
 
         if constant:  # |f(z) - f(z')| <= max_h |s_h| ||z - z'||_1, and equal for some pair

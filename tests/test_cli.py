@@ -102,18 +102,18 @@ class TestSolveMode:
         assert rc == 0
         line = capsys.readouterr().out
         assert "converged after 12 iterations" in line
-        assert "15 exact of 16 windows, 42 steps, worst ratio 0.221" in line
+        assert "5 exact of 6 windows, 17 steps, worst ratio 0.221" in line
 
     def test_reports_the_windows_solved_exactly(self, tmp_path, capsys):
         # on T = 20 every 64-node window would halve; the first ends with
         # the exact step instead, after two updates and before a last one,
-        # and each later one takes it after its first update
+        # and each of the five segments after it takes one update
         path = tmp_path / "long.json"
         path.write_text(json.dumps(dict(RELAXATION, horizon=20.0)))
         rc = main(["--config", str(path), "--n-points", "1024",
                    "--output", str(tmp_path / "traj.csv")])
         assert rc == 0
-        assert "16 exact of 16 windows, 33 steps" in capsys.readouterr().out
+        assert "6 exact of 6 windows, 8 steps" in capsys.readouterr().out
 
     def test_reports_the_diagonal_above_the_bound(self, tmp_path, capsys):
         # at N = 16 the diagonal of -9 z1 is above (1e-10)^(1/200) = 0.891:
@@ -457,6 +457,15 @@ class TestBadInput:
 
     def test_missing_required_flag(self):
         assert main([]) == 1
+
+    def test_parser_is_built_once(self, relaxation_cfg, tmp_path, capsys, monkeypatch):
+        # main parses with the parser built at import and builds none of its
+        # own; after a good call, a bad flag still exits 1 (CliInputError)
+        monkeypatch.setattr(cli, "_build_parser", None)
+        out = str(tmp_path / "x.csv")
+        assert main(["--config", str(relaxation_cfg), "--n-points", "32", "--output", out]) == 0
+        assert main(["--config", str(relaxation_cfg), "--output", out, "--no-such-flag"]) == 1
+        assert "--no-such-flag" in capsys.readouterr().err
 
     def test_too_few_points(self, relaxation_cfg, tmp_path):
         assert main([

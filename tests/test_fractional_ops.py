@@ -953,6 +953,20 @@ class TestPlainRuleOnFirstUse:
             assert plan.stencil.tobytes() == stencil.tobytes()
             assert plan.boundary.tobytes() == boundary.tobytes()
 
+    def test_a_tiny_exponent_keeps_its_own_table(self):
+        # g = 1e-16 rounds to the plain table's key 0.0 at 15 digits, yet
+        # takes the weighted rule: its table must not serve later plain
+        # applies on the grid, which need the plain rule's f(t_0) column
+        grid = Grid(1.0, 64, 2.0)
+        f = np.exp(-300.0 * grid.nodes)
+        tiny = SampledFunction(grid, np.concatenate(([np.nan], f[1:])), 1e-16)
+        integral_node_values(build_integral_operator(0.5, grid), tiny)
+        got = integral_node_values(build_integral_operator(0.5, grid), SampledFunction(grid, f))
+        fresh = Grid(1.0, 64, 2.0)
+        ref = integral_node_values(build_integral_operator(0.5, fresh), SampledFunction(fresh, f))
+        assert np.array_equal(got, ref)
+        assert sorted(grid._tables[0.5]) == [0.0, 1e-16]
+
     def test_rule_build_holds_few_arrays(self):
         # a marching solve makes the plan first with its own arrays alive:
         # the build's peak adds to theirs

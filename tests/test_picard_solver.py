@@ -20,6 +20,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import toeplitz
 from scipy.special import erfcx
 
 from fracpicard import fractional_ops, picard_solver
@@ -62,6 +63,18 @@ def _relaxation(horizon: float = 1.0, rate: float = 1.0):
         "horizon": horizon,
         "rhs": "-z1" if rate == 1.0 else f"-{rate!r}*z1",
     })
+
+
+def _uniform_relax_0():
+    """Problem 0 of the benchmark's uniform_relax set at seed 1, D^a y =
+    D^a y* + lam (y* - y), and (b, c, p) of its solution y* = b + c t^p."""
+    a, lam, b = 0.558308767229092, -1.6851852446941527, 0.9411250050655583
+    c, p = 1.1932884943021687, 1.8184759124244025
+    kd = c * math.gamma(p + 1.0) / math.gamma(p + 1.0 - a)
+    return problem_from_dict({
+        "alpha": a, "derivative_orders": [0.0], "initial_values": [b],
+        "horizon": 1.0, "rhs": f"{kd!r}*t^{p - a!r} + {lam!r}*({b!r} + {c!r}*t^{p!r} - z1)",
+    }), (b, c, p)
 
 
 def _high_order(alpha: float, horizon: float):
@@ -443,20 +456,32 @@ class TestSolve:
         assert np.array_equal(traj.y.values, traj.inner[0].values)
 
 
+def _segment_windows(n: int) -> int:
+    """The windows of a solve whose segments all confirm: the first block,
+    then aligned segments of 64, 128 and 256 nodes from t_65 on."""
+    lo, windows = min(n, 64) + 1, 1
+    while lo <= n:
+        lo += min((lo - 1) & (1 - lo), 256, n + 1 - lo)
+        windows += 1
+    return windows
+
+
 class TestWindows:
     """Every solve marches in windows of at most 64 nodes, on uniform,
-    graded and weighted grids alike."""
+    graded and weighted grids alike; a constant-slope solve on a uniform
+    grid takes segments of up to 256 nodes after its first block."""
 
     @pytest.mark.parametrize("horizon,error", [(20.0, 2.65e-3), (50.0, 6.22e-3)])
     def test_long_horizon_reaches_the_discretisation_error(self, horizon, error):
         # a whole-interval iteration stalls here: its iterates pass through
-        # cancelling partial sums of the Mittag-Leffler series E_1/2. Every
-        # 64-node window would halve, and f is affine with a diagonal below
-        # 1/2, so each ends with the exact step instead
+        # cancelling partial sums of the Mittag-Leffler series E_1/2. The
+        # first 64-node window would halve, and f is affine with a diagonal
+        # below 1/2, so it ends with the exact step instead; so does every
+        # segment after it
         grid = Grid.uniform(horizon, 1024)
         traj = solve(_relaxation(horizon), grid, tol=1e-10)
         assert traj.report.converged
-        assert traj.report.exact_windows == traj.report.windows == 1024 // 64
+        assert traj.report.exact_windows == traj.report.windows == _segment_windows(1024) == 6
         assert traj.report.worst_ratio > 0.5  # where a window would halve
         sup = np.max(np.abs(traj.y.values - erfcx(np.sqrt(grid.nodes))))
         assert sup <= 1.1 * error
@@ -473,7 +498,7 @@ class TestWindows:
         })
         grid = Grid.uniform(1.0, n)
         traj = solve(problem, grid, tol=1e-12)
-        assert traj.report.windows == -(-n // 64)
+        assert traj.report.windows == _segment_windows(n) == 6
         op = build_integral_operator(a, grid)
         phi = np.zeros(grid.nodes.size)
         for _ in range(200):
@@ -486,13 +511,14 @@ class TestWindows:
         assert np.max(np.abs(traj.y.values - (b + c * grid.nodes**p))) < 1e-3
 
     def test_stiff_windows_are_solved_exactly(self):
-        # lam = 10 does not contract on 64 nodes: each window would halve.
-        # f is affine and the diagonal, 10 h^1/2 / gamma(5/2) = 0.235, is
-        # below 1/2, so the exact step finishes each of them instead
+        # lam = 10 does not contract on 64 nodes: the first window would
+        # halve. f is affine and the diagonal, 10 h^1/2 / gamma(5/2) = 0.235,
+        # is below 1/2, so the exact step finishes it instead, and every
+        # segment after it is solved in one product
         rate, grid = 10.0, Grid.uniform(1.0, 1024)
         traj = solve(_relaxation(rate=rate), grid, tol=1e-12)
         assert traj.report.converged
-        assert traj.report.exact_windows == traj.report.windows == 1024 // 64
+        assert traj.report.exact_windows == traj.report.windows == _segment_windows(1024)
         assert traj.report.worst_ratio > 0.5
         y = _forward_substitution(rate, grid)
         assert np.max(np.abs(traj.y.values - y)) <= 1e-10
@@ -573,17 +599,14 @@ class TestWindows:
         # 128 windows, the cubic 474 and the quintic 275, while windows took
         # the exact step only before halving; an update count is
         # deterministic, so the bound is that quintic's with 10 % headroom
-        # (the quintic now takes 201, most windows the step and one more)
-        a, lam, b = 0.558308767229092, -1.6851852446941527, 0.9411250050655583
-        c, p = 1.1932884943021687, 1.8184759124244025
-        kd = c * math.gamma(p + 1.0) / math.gamma(p + 1.0 - a)
-        problem = problem_from_dict({
-            "alpha": a, "derivative_orders": [0.0], "initial_values": [b],
-            "horizon": 1.0, "rhs": f"{kd!r}*t^{p - a!r} + {lam!r}*({b!r} + {c!r}*t^{p!r} - z1)",
-        })
+        # (the quintic took 201 when most windows took the step and one
+        # more; now the first window iterates from phi^0 and the 33 segments
+        # after it take one update each, 40 in all, and no window starts
+        # from the quintic)
+        problem, (b, c, p) = _uniform_relax_0()
         grid = Grid.uniform(1.0, 8192)
         traj = solve(problem, grid)
-        assert traj.report.converged and traj.report.windows == 128
+        assert traj.report.converged and traj.report.windows == 34
         assert traj.report.steps <= 2.35 * traj.report.windows
         assert np.max(np.abs(traj.y.values - (b + c * grid.nodes**p))) < 1e-6
 
@@ -620,7 +643,7 @@ class TestWindows:
         for n, error in zip((64, 128, 256, 512), errors):
             grid = Grid.uniform(1.0, n)
             traj = solve(_relaxation(rate=rate), grid)
-            assert traj.report.converged and traj.report.windows >= -(-n // 64)
+            assert traj.report.converged and traj.report.windows >= _segment_windows(n)
             sup = np.max(np.abs(traj.y.values - erfcx(rate * np.sqrt(grid.nodes))))
             assert sup <= 1.1 * error
 
@@ -655,14 +678,16 @@ def _count_calls(monkeypatch, *names):
 
 
 def _recorded_windows(monkeypatch) -> list:
-    """The (deltas, ended, diagonal) of every _window call from now on."""
+    """The (deltas, ended, diagonal) of every window and segment the
+    marches record from now on."""
     calls = []
 
-    def recorded(*args, fn=picard_solver._window):
-        calls.append(fn(*args))
-        return calls[-1]
+    def recorded(*args, fn=picard_solver._march):
+        march = fn(*args)
+        calls.extend(march[1])
+        return march
 
-    monkeypatch.setattr(picard_solver, "_window", recorded)
+    monkeypatch.setattr(picard_solver, "_march", recorded)
     return calls
 
 
@@ -717,10 +742,11 @@ class TestInnerFromHistory:
 
 class TestToeplitzStep:
     """With constant slopes on a uniform grid and gamma = 0, every window's
-    M is a leading block of one lower-triangular Toeplitz M_W, and its exact
-    step a convolution with the leading part of the first column c of
-    (I - M_W)^-1, taken right after the first update of every window but
-    the march's first."""
+    M is a leading block of one lower-triangular Toeplitz M_W, W = 256 (or
+    N), and its exact step a convolution with the leading part of the
+    first column c of (I - M_W)^-1. Past the march's first block, which
+    iterates plain Picard from phi^0, the march solves segments of up to W
+    nodes, each in one product with c."""
 
     @pytest.mark.parametrize("n, slopes, orders, width", [
         *((4096, (-10.0,), (0.5,), w) for w in (1, 2, 16, 64)),
@@ -732,24 +758,27 @@ class TestToeplitzStep:
         plans = [build_integral_operator(order, grid).window() for order in orders]
         constant = [np.broadcast_to(s, n + 1) for s in slopes]
         diagonal, c = _toeplitz_inverse(constant, plans, 0.891)
-        full = block_bounds(1, n)[1] - 1
-        m_w = sum(s * plan.near_field(1, 1 + full).T for s, plan in zip(slopes, plans))
+        full = min(256, n)
+        m_w = sum(s * toeplitz(plan.stencil[:full], np.zeros(full))
+                  for s, plan in zip(slopes, plans))
+        assert np.array_equal(m_w[:64, :64], sum(s * plan.near_field(1, 1 + min(n, 64)).T
+                                                 for s, plan in zip(slopes, plans)))
         inv = np.linalg.inv(np.eye(full) - m_w)
         assert diagonal == np.abs(m_w.diagonal()).max()
         assert np.max(np.abs(c - inv[:, 0])) <= 1e-13 * np.max(np.abs(inv[:, 0]))
         # the step of the window that ends a block in the middle of the grid
-        step, one_product = _exact_steps(constant, True, plans, 0.891)
+        step, segment = _exact_steps(constant, True, plans, 0.891)
         a, end = block_bounds(n // 2, n)
         lo = end - width
         res = np.random.default_rng(width).normal(size=width)
         near = [plan.near_field(lo, end) for plan in plans]
         got_diagonal, delta = step(near, lo - a, slice(lo, end), res)
         ref = inv[:width, :width] @ res
-        assert one_product and got_diagonal == diagonal
+        assert segment[0] == got_diagonal == diagonal and segment[1] is not None
         assert np.max(np.abs(delta - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_the_column_holds_no_square_array(self):
-        # the inverse of a 64-node block is held as its first column: its
+        # the inverse of a 256-node segment is held as its first column: its
         # build peaks below one 64 x 64 array of floats
         grid = Grid.uniform(1.0, 4096)
         # the plans a march has made before its first step
@@ -761,37 +790,37 @@ class TestToeplitzStep:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert c.shape == (64,) and peak < 64 * 64 * 8
+        assert c.shape == (256,) and peak < 64 * 64 * 8
 
     def test_windows_after_the_first_step_after_one_update(self, monkeypatch):
-        # D^1/2 y = -y on T = 5: every window but the first takes the step
-        # after its first update and confirms it; the first iterates plain
-        # Picard from phi^0, contracting at ratios of at most 0.67
+        # D^1/2 y = -y on T = 5: the first window iterates plain Picard from
+        # phi^0, contracting at ratios of at most 0.67; every segment after
+        # it is solved in one product and takes a single, confirming update
         calls = _recorded_windows(monkeypatch)
         report = solve(_relaxation(horizon=5.0), Grid.uniform(5.0, 4096)).report
         (first, ended, _), *rest = calls
         assert report.converged and ended == "plain" and len(first) > 2
         assert all(b <= 0.67 * a for a, b in zip(first, first[1:]))
-        assert all(ended == "exact" for deltas, ended, _ in rest if len(deltas) > 1)
-        assert report.exact_windows == sum(len(deltas) > 1 for deltas, _, _ in rest) > 0
-        assert report.steps <= len(first) + 2 * len(rest)
+        assert len(calls) == report.windows == _segment_windows(4096) == 18
+        assert report.exact_windows == len(rest)
+        assert report.steps == len(first) + len(rest)
 
     @pytest.mark.parametrize("rate, n, tol, steps, diagonal, error", [
-        (10.0, 4096, 1e-10, 129, 0.11753949657244922, 3.2730046242419597e-3),
+        (10.0, 4096, 1e-10, 20, 0.11753949657244922, 3.2730046242419597e-3),
         (9.0, 64, 1e-12, 3, 0.8462843753216344, 8.325552192224595e-2),
     ])
     def test_one_inverse_serves_every_window(self, monkeypatch, rate, n, tol, steps, diagonal,
                                              error):
         # the exact windows and largest diagonal of a solve of each window's
         # own system, from one inverse column; at N = 4096 the first window
-        # takes 3 updates and each later one 2, the step after the first
+        # takes 3 updates and each of the 17 segments after it one
         calls = _count_calls(monkeypatch, "_exact_step", "_toeplitz_inverse")
         grid = Grid.uniform(1.0, n)
         traj = solve(_relaxation(rate=rate), grid, tol=tol)
         report = traj.report
         assert calls == {"_exact_step": 0, "_toeplitz_inverse": 1}  # no window's own solve
         assert report.converged and report.steps == steps
-        assert report.exact_windows == report.windows == -(-n // 64)
+        assert report.exact_windows == report.windows == _segment_windows(n)
         assert report.largest_diagonal == diagonal
         sup = np.max(np.abs(traj.y.values - erfcx(rate * np.sqrt(grid.nodes))))
         assert sup == pytest.approx(error, rel=1e-9)
@@ -815,6 +844,79 @@ class TestToeplitzStep:
         assert calls == {"_exact_step": 0, "_toeplitz_inverse": 1}
         assert not report.converged and report.exact_windows == 0
         assert f"{report.largest_diagonal:.3g} > {report.diagonal_bound:.3g}" == "1.69 > 0.891"
+
+
+class TestSegments:
+    """Past its first block, a solve with constant slopes on a uniform grid
+    and gamma = 0 takes aligned segments of 64, 128, then 256 nodes, each
+    solved in one product and confirmed by one update; a segment whose
+    update misses tol runs again in windows."""
+
+    @pytest.mark.parametrize("n", (1000, 1024, 8192, 8229))  # 1000, 8229: the last cut short
+    @pytest.mark.parametrize("problem", [
+        _relaxation(),
+        _problem("-2*z2 - 0.5*z1 + t", alpha=1.5, derivative_orders=[0.5, 0.0],
+                 initial_values=[1.0, 0.3], horizon=2.0),
+    ])
+    def test_inner_is_the_apply_to_phi(self, problem, n):
+        # a segment's own share stands in for its pushes and its close
+        grid = Grid.uniform(problem.horizon, n)
+        traj = solve(problem, grid)
+        assert traj.report.converged and traj.report.windows == _segment_windows(n)
+        for a, z in zip(problem.derivative_orders, traj.inner):
+            ref = derivative_taylor_part(problem.initial_values, a, grid).values
+            ref[1:] += integral_node_values(build_integral_operator(problem.alpha - a, grid),
+                                            traj.phi)
+            assert np.max(np.abs(z.values - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("problem, n", [
+        (_relaxation(), 8192),
+        (_problem("5*z1", horizon=4.0), 256),  # segments that miss tol, and windows
+        (_problem("-2*z2 - 0.5*z1 + t", alpha=1.5, derivative_orders=[0.5, 0.0],
+                  initial_values=[1.0, 0.3], horizon=2.0), 1000),
+    ])
+    def test_every_update_is_a_picard_step(self, monkeypatch, problem, n):
+        # bench/layers.py counts the picard_step calls as the updates
+        calls = _count_calls(monkeypatch, "picard_step", "_segment")
+        report = solve(problem, Grid.uniform(problem.horizon, n)).report
+        assert report.converged and calls["_segment"] > 0
+        assert calls["picard_step"] == report.steps
+
+    @pytest.mark.parametrize("n", (256, 4096))
+    @pytest.mark.parametrize("rate, horizon", [(3.0, 6.0), (5.0, 4.0)])
+    def test_large_solutions_converge_in_windows(self, monkeypatch, rate, horizon, n):
+        # y grows to 1e23 and 1e44, and no update falls below a few ulp of
+        # it: segments miss tol = 1e-10 and run again in windows, which
+        # halve down to nodes that land on a floating-point fixed point
+        calls = _recorded_windows(monkeypatch)
+        grid = Grid.uniform(horizon, n)
+        traj = solve(_problem(f"{rate!r}*z1", horizon=horizon), grid)
+        assert traj.report.converged
+        assert any(len(d) == 1 and d[0] > 1e-10 and e == "halved" for d, e, _ in calls)
+        y = _forward_substitution(-rate, grid)
+        assert np.max(np.abs(traj.y.values - y)) <= 1e-12 * np.max(np.abs(y))
+
+    def test_a_refused_diagonal_takes_no_segment(self, monkeypatch):
+        # -30 y at N = 256 has diagonal 1.41: no c, no segment, and the
+        # windows halve and fail as before
+        calls = _count_calls(monkeypatch, "_segment")
+        report = solve(_relaxation(rate=30.0), Grid.uniform(1.0, 256)).report
+        assert not report.converged and calls["_segment"] == 0
+        assert f"{report.largest_diagonal:.3g} > {report.diagonal_bound:.3g}" == "1.41 > 0.891"
+
+    def test_segments_hold_no_more_memory(self):
+        # the same solve with a Toeplitz step per 64-node window peaked at
+        # 914,674 B (tracemalloc, numpy 2.4, Python 3.11)
+        problem, _ = _uniform_relax_0()
+        solve(problem, Grid.uniform(1.0, 8192))  # compiles and caches once
+        grid = Grid.uniform(1.0, 8192)
+        tracemalloc.start()
+        try:
+            solve(problem, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 914_674
 
 
 class TestLipschitzEstimate:
@@ -850,7 +952,8 @@ class TestLipschitzEstimate:
 
 
 class TestReportFromWindows:
-    """Every report field is read off the _window calls of the march:
+    """Every report field is read off the march's record of its windows
+    and segments:
     halved attempts count in steps, worst_ratio and largest_diagonal, not
     in windows and exact_windows, and deltas are the first longest window
     that completed."""
