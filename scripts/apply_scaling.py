@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Per-apply cost of the uniform-grid fractional integral, the cost of
-building the dense tables against N, and the cost of the Mittag-Leffler
+building the tables against N, and the cost of the Mittag-Leffler
 oracle.
 
     PYTHONPATH=src python3 scripts/apply_scaling.py
@@ -18,8 +18,9 @@ output, and the bytes the operator holds: stencil, boundary column and
 the near-field block and level spectra of its plan (window()). A second table gives,
 for N = 2^8 .. 2^12, the median time to build
 the weighted table of order 0.5 for singular exponent g = 0.2 on a uniform
-grid and the dense table of order 0.5 on a grid of grading 2 (timed on
-the operator's first window(), which builds it), each with its
+grid and the plain table of order 0.5 on a grid of grading 2 (timed on
+the operator's first window(), which builds it), each with the bytes it
+holds (column 0 and panels, _Table.nbytes) and its
 worst relative error on inputs the rule integrates exactly:
 t^(-g), whose image is Gamma(1-g)/Gamma(1-g+beta) t^(beta-g), for the
 weighted table, and the constant 1, whose image is t^beta/Gamma(1+beta),
@@ -37,7 +38,7 @@ A third table runs the command line at grading 2 and N = 1024 and 2048:
 checks need I^0.5 on the same grid five times) and `--mode solve` on
 configs/singular_forcing.json (gamma = 0.3, which needs the weighted
 table only). It gives the best wall time of three runs, the tracemalloc
-peak of a fourth run, and the number of dense tables that run builds.
+peak of a fourth run, and the number of tables that run builds.
 A fourth table times E_(alpha,1)(lam t^alpha) on the 4097 nodes of a uniform
 grid of [0, 1], for alpha = 0.5, 1, 2 and lam = -3, -10, three ways: a
 per-node loop over a pure-Python scalar series (the evaluation the ml:
@@ -157,7 +158,7 @@ def median_time(fn) -> float:
 
 def weighted_build_times(ns) -> list:
     """Median ms to build the weighted table at each N, on a fresh grid
-    each time (dense tables are kept on the grid)."""
+    each time (tables are kept on the grid)."""
     return [1e3 * median_time(lambda: build_integral_operator(ORDER, Grid.uniform(1.0, n))
                               ._dense_table(WEIGHT)) for n in ns]
 
@@ -197,7 +198,8 @@ def far_row_error(n: int) -> float:
             row[j] += db - s
             row[j + 1] += s
         exact = np.array([float(v * x[j] ** g / mp.gamma(beta)) for j, v in enumerate(row)])
-    got = build_integral_operator(ORDER, Grid.uniform(1.0, n))._dense_table(WEIGHT)[-1]
+    table = build_integral_operator(ORDER, Grid.uniform(1.0, n))._dense_table(WEIGHT)
+    got = np.concatenate(([0.0], *(panel[-1] for panel in table.panels)))  # every panel ends at row N
     far = slice(fractional_ops._FAR_CELL + 1, None)
     return float(np.max(np.abs(got[far] - exact[far])) / np.max(np.abs(exact)))
 
@@ -214,9 +216,9 @@ def closed_form(alpha: float, z: np.ndarray) -> np.ndarray:
 
 
 def graded_run(config: str, mode: str, n: int) -> tuple:
-    """(best wall time of three runs, tracemalloc peak in bytes, dense
-    table builds) of one run of configs/<config>.json at grading 2 from the
-    command line. Every dense table build makes exactly one _fill_lower
+    """(best wall time of three runs, tracemalloc peak in bytes, table
+    builds) of one run of configs/<config>.json at grading 2 from the
+    command line. Every graded table build makes exactly one _fill_lower
     call, which is counted."""
     with tempfile.TemporaryDirectory() as out_dir:
         argv = ["--config", str(CONFIGS / f"{config}.json"), "--mode", mode, "--grading", "2",
@@ -230,9 +232,9 @@ def graded_run(config: str, mode: str, n: int) -> tuple:
         wall = min(once(run)[1] for _ in range(3))
         fill, builds = fractional_ops._fill_lower, []
 
-        def counting(table, *args):
-            builds.append(table.shape)
-            fill(table, *args)
+        def counting(*args):
+            builds.append(args[0].size)
+            fill(*args)
 
         fractional_ops._fill_lower = counting
         tracemalloc.start()
@@ -262,9 +264,9 @@ def main() -> int:
               f"| {t_ref / t_fast:.1f}x | {dev:.1e} | {held_bytes(op)} |")
 
     print()
-    print("| N | weighted table | unpinned BLAS | exactness | far-field error "
-          "| graded table | exactness |")
-    print("|---|---|---|---|---|---|---|")
+    print("| N | weighted table | unpinned BLAS | bytes held | exactness | far-field error "
+          "| graded table | bytes held | exactness |")
+    print("|---|---|---|---|---|---|---|---|---|")
     sizes = [2**k for k in range(8, 13)]
     pinned = weighted_build_times_in_child(sizes, pinned=True)
     unpinned = weighted_build_times_in_child(sizes, pinned=False)
@@ -274,24 +276,25 @@ def main() -> int:
         f = SampledFunction.from_callable(grid, lambda t: t**-WEIGHT, singular_exponent=WEIGHT)
         exact = (math.gamma(1.0 - WEIGHT) / math.gamma(1.0 - WEIGHT + ORDER)
                  * grid.nodes[1:] ** (ORDER - WEIGHT))
-        got = integral_node_values(build_integral_operator(ORDER, grid), f)
-        err_weighted = np.max(np.abs(got - exact) / exact)
+        op = build_integral_operator(ORDER, grid)
+        err_weighted = np.max(np.abs(integral_node_values(op, f) - exact) / exact)
+        held_weighted = op.window(WEIGHT).nbytes
         grid = Grid(1.0, n, 2.0)
         exact = grid.nodes[1:] ** ORDER / math.gamma(1.0 + ORDER)
-        got = integral_node_values(build_integral_operator(ORDER, grid),
-                                   SampledFunction(grid, np.ones(n + 1)))
+        op = build_integral_operator(ORDER, grid)
+        got = integral_node_values(op, SampledFunction(grid, np.ones(n + 1)))
         err_graded = np.max(np.abs(got - exact) / exact)
         far = f"{far_row_error(n):.1e}" if n <= 1024 else "-"
-        print(f"| {n} | {t_weighted:.3g} ms | {t_unpinned:.3g} ms | {err_weighted:.1e} | {far} "
-              f"| {t_graded * 1e3:.3g} ms | {err_graded:.1e} |")
+        print(f"| {n} | {t_weighted:.3g} ms | {t_unpinned:.3g} ms | {held_weighted} | {err_weighted:.1e} "
+              f"| {far} | {t_graded * 1e3:.3g} ms | {op.window().nbytes} | {err_graded:.1e} |")
 
     print()
-    print("| graded run | N | wall time | tracemalloc peak | dense builds |")
+    print("| graded run | N | wall time | tracemalloc peak | table builds |")
     print("|---|---|---|---|---|")
     for config, mode in (("relaxation_half_order", "verify"), ("singular_forcing", "solve")):
         for n in (1024, 2048):
             wall, peak, builds = graded_run(config, mode, n)
-            print(f"| {mode} `{config}` | {n} | {wall:.3g} s | {peak / 2**20:.3g} MB | {builds} |")
+            print(f"| {mode} `{config}` | {n} | {wall:.3g} s | {peak / 2**20:.3g} MiB | {builds} |")
 
     print()
     print("| alpha | lam | scalar series per node | mittag_leffler per node "

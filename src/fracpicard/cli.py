@@ -14,8 +14,9 @@ D^alpha y = lambda * y with the problem's initial values, namely
 sum_j b_j t^j E_(alpha, j+1)(lambda t^alpha); "expr:<text>" is any
 expression in t using the package grammar.
 
-Exit codes: 0 success, 1 bad input (file, flags, problem validation),
-2 non-convergence or a failed verification threshold.
+Exit codes: 0 success, 1 bad input (file, flags, problem validation) or
+a grid or table too large for memory, 2 non-convergence or a failed
+verification threshold.
 
 All floats are written with repr-faithful precision (%.17g), so repeated
 runs produce byte-identical files.
@@ -87,6 +88,8 @@ def _make_grid(problem: MultiTermProblem, n_points: int, grading: float) -> Grid
         return Grid(problem.horizon, n_points, grading)
     except ValueError as exc:
         raise CliInputError(f"no usable grid for --n-points {n_points}, --grading {grading}: {exc}")
+    except MemoryError:
+        raise CliInputError(f"no memory for the {n_points + 1} nodes of --n-points {n_points}") from None
 
 
 def _load(cfg: argparse.Namespace) -> MultiTermProblem:
@@ -334,6 +337,9 @@ def main(argv=None) -> int:
         return _DISPATCH[cfg.mode](cfg)
     except (CliInputError, RhsDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a table names itself; numpy names other arrays by shape
+        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
         return 1
     except (NonFiniteIterateError, SeriesConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)

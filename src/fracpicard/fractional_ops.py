@@ -16,7 +16,7 @@ functions B_x(1-g, beta) and B_x(2-g, beta), the second from the first by
 B_x(p+1, q) = (p B_x(p, q) - x^p (1-x)^q) / (p+q) (DLMF 8.17.20): one series
 per node. On a uniform grid that holds for the first _FAR_CELL cells only;
 from there on tau^(-g) is a series in (tau - t_j)/t_j, so the moments are
-Toeplitz and each block of the table is one matrix product (_far_table),
+Toeplitz and each block of the table is one matrix product (_far_panels),
 without the N^2 eps that differencing B_x costs far below the diagonal. The
 series are in an argument <= 1/2, summed to a quarter ulp. The weighted
 rule is exact on t^(-g) times piecewise-linear inputs, as small-t decay
@@ -32,15 +32,17 @@ for each block's own share. A whole apply pushes all starts of one level
 at once (one batched FFT per level above _DIRECT_PUSH) and closes every
 full block in one product; O(N log^2 N), about 0.8 ms at N = 8192, with
 every output at the relative accuracy of the direct sum, and every push
-bitwise the one a march makes. Graded grids and weighted samples use dense
-N x (N+1) tables (_Table), row r - 1 for node t_r, one product per whole
-apply; a solve marches over those with the same steps. So a solve costs
-about one apply plus its per-window iterations. A Grid is the value
-(horizon, N, grading); each dense table is built once per grid object,
-order and exponent (0 for the plain table) and kept on the grid, so every
-operator of that order on that grid shares it, and it lives as long as the
-grid. Graded tables are built in blocks of up to _ROW_BLOCK rows, each over
-the cells left of its last row only.
+bitwise the one a march makes. Graded grids and weighted samples use
+tables (_Table) of N rows and N+1 columns, row r - 1 for node t_r, held as
+their column 0 and one panel per block of _BLOCK columns, from the row of
+the block's first node down: N^2/2 + O(_BLOCK N) floats, and no N x (N+1)
+array is made. A whole apply is one product per panel; a solve marches
+over those with the same steps. So a solve costs about one apply plus its
+per-window iterations. A Grid is the value (horizon, N, grading); each
+table is built once per grid object, order and exponent (0 for the plain
+table) and kept on the grid, so every operator of that order on that grid
+shares it, and it lives as long as the grid. Graded tables are built in
+blocks of _BLOCK rows, each over the cells left of its last row only.
 
 Building an operator computes nothing but 1/gamma(beta): window(g) makes
 the steps for exponent g on its first use. So an operator that only meets
@@ -79,8 +81,6 @@ _INTEGER_SNAP = 1e-9
 _BLOCK = 64
 # longest level push_history sums directly (scripts/apply_scaling.py times it)
 _DIRECT_PUSH = 256
-# rows per block of a dense table build
-_ROW_BLOCK = 64
 # first cell of a uniform weighted table summed from Toeplitz moments, and
 # the terms of its series in 1/j: _FAR_CELL^-_FAR_TERMS <= 2^-55
 _FAR_CELL = 8
@@ -126,7 +126,7 @@ class Grid:
     grading = 1 is the uniform mesh. Grading > 1 clusters nodes near the
     origin, which is where solutions of fractional problems lose
     smoothness. Grids compare and hash by (horizon, n_intervals, grading).
-    _tables holds the dense tables built on this grid object,
+    _tables holds the tables (_Table) built on this grid object,
     {order: {exponent g: table}}, the plain table of a graded grid under
     g = 0; they live as long as the grid, and an equal grid starts with
     its own.
@@ -309,22 +309,43 @@ def incomplete_beta(p: float, q: float, x) -> np.ndarray:
     return out
 
 
-def _fill_lower(table: np.ndarray, cell_weights, row_block: int = _ROW_BLOCK) -> None:
-    """Add the weights of a product trapezoid rule to table, whose row
-    r - 1 holds output node t_r, r = 1..table.shape[0].
+def _panel_shapes(n: int) -> list:
+    """The shapes of a table's panels (_panels) on n intervals."""
+    return [(n + 1 - a, min(_BLOCK, n + 1 - a)) for a in range(1, n + 1, _BLOCK)]
 
-    Rows go in blocks of up to row_block. cell_weights(rows) gets a
-    block's rows and returns the weights of its first cells j (at most
-    those left of rows[-1]) at each cell's left and right node, one row per
-    output node, zero where j is not left of that node.
+
+def _panels(n: int, order: str = "C") -> list:
+    """Zero panels of a table held as _Table holds it: one per block start
+    a = 1, 1 + _BLOCK, .., columns a..min(a + _BLOCK - 1, n) of rows a - 1..n - 1.
+    They are views of one array, so a table too large for memory fails
+    here, at once, and not panel by panel as it is filled."""
+    shapes = _panel_shapes(n)
+    ends = np.cumsum([0] + [r * c for r, c in shapes])
+    flat = np.zeros(ends[-1])
+    return [flat[i:j].reshape(shape, order=order) for i, j, shape in zip(ends, ends[1:], shapes)]
+
+
+def _fill_lower(column0: np.ndarray, panels: list, cell_weights, row_block: int = _BLOCK) -> None:
+    """Add the weights of a product trapezoid rule to the table held as
+    column0 and panels (_Table), row r - 1 for output node t_r, r = 1..N.
+
+    Rows go in blocks of row_block: a multiple of _BLOCK, or all N rows
+    where the cells lie left of t_(_BLOCK + 1).
+    cell_weights(rows) gets a block's rows and returns the weights of its
+    first cells j (at most those left of rows[-1]) at each cell's left and
+    right node, one row per output node, zero where j is not left of that
+    node; they are added to the panels they touch, the left weights first.
     """
-    n = table.shape[0]
+    n = column0.size
     for start in range(1, n + 1, row_block):
         rows = np.arange(start, min(start + row_block, n + 1))
         wl, wr = cell_weights(rows)
-        block = table[start - 1 : rows[-1], : wl.shape[1] + 1]
-        block[:, :-1] += wl
-        block[:, 1:] += wr
+        column0[start - 1 : rows[-1]] += wl[:, 0]
+        for a in range(1, wl.shape[1] + 1, _BLOCK):
+            block = panels[a // _BLOCK][start - a : rows[-1] - a + 1, : wl.shape[1] + 1 - a]
+            left = wl[:, a : a + block.shape[1]]
+            block[:, : left.shape[1]] += left
+            block += wr[:, a - 1 : a - 1 + block.shape[1]]
 
 
 def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
@@ -336,24 +357,26 @@ def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
         np.matmul(a, b[:, i : i + step], out=out[:, i : i + step])
 
 
-def _far_table(beta: float, g: float, t: np.ndarray, j_far: int) -> np.ndarray:
-    """The column-major weighted table (row r - 1 for node t_r, without
-    1/gamma(beta) or the t^g fold) of the cells j >= j_far >= _FAR_CELL on
-    a uniform grid t_j = j h. With d = r - j and (j+u)^(-g) = j^(-g) sum_m C(-g, m) (u/j)^m,
+def _far_panels(beta: float, g: float, t: np.ndarray, j_far: int) -> list:
+    """The weighted table's panels (_panels, column-major; without
+    1/gamma(beta) or the t^g fold) holding the cells j >= j_far >= _FAR_CELL
+    on a uniform grid t_j = j h. With d = r - j and (j+u)^(-g) = j^(-g) sum_m C(-g, m) (u/j)^m,
     whose terms shrink by 1/8 or more, cell j weighs t^g f at its ends by
         h t_j^(-g) sum_m C(-g, m) j^-m t_d^(beta-1) {s_m - s_(m+1), s_(m+1)}(d),
     s_m(d) = integral_0^1 (1 - u/d)^(beta-1) u^m du: B(m+1, beta) at d = 1,
     else sum_k b_k d^-k / (m+k+1), b_k = (1-beta)_k / k!, to the terms
     _series_terms keeps for a sum >= 2^-max(beta-1, 0) / (m+1). The moments
-    depend on d alone, so a block of _ROW_BLOCK columns is one product,
-    written straight into them. Powers are of node values only: nothing
-    overflows before they do."""
+    depend on d alone, so _BLOCK columns from j_far on are one product
+    (_matmul), written into a band of the rows they reach and copied from
+    there into the panels they touch. Powers are of node values only:
+    nothing overflows before they do."""
     n = t.size - 1
     m = np.arange(_FAR_TERMS + 1.0)
     b = _series_terms(1.0, lambda k: (k + 1.0 - beta) / (k + 1.0), beta - 1.0, 2.0 ** min(1 - beta, 0))
     powers = np.vander(1.0 / np.arange(1.0, n - j_far + 2), len(b), increasing=True)
     s = np.empty((m.size, n - j_far + 1))  # s_m(d), d = 1..n - j_far + 1
     _matmul(b / (m[:, None] + np.arange(1.0, len(b) + 1)), powers.T, s)
+    del powers
     s[:, 0] = np.cumprod(np.concatenate(([1.0 / beta], m[1:] / (m[1:] + beta))))
     s *= t[1 : n - j_far + 2] ** (beta - 1.0)
     left = s[:-1, :-1] - s[1:, :-1]
@@ -361,22 +384,28 @@ def _far_table(beta: float, g: float, t: np.ndarray, j_far: int) -> np.ndarray:
     # column c holds row c - 1 + e, e = r - c >= 0: wl of cell c at d = e (none
     # at e = 0) and wr of cell c - 1 at d = e + 1; cell j_far - 1 is not far
     moments = np.vstack((np.pad(left, ((0, 0), (1, 0))), s[1:]))
+    del s, left
     binom = np.cumprod(np.concatenate(([1.0], (-g - m[:-2]) / (m[:-2] + 1.0))))
     a = t[1] * t[j_far - 1 :, None] ** -g * binom * np.arange(j_far - 1.0, n + 1.0)[:, None] ** -m[:-1]
     a[0] = 0.0
     coef = np.hstack((a[1:], a[:-1]))
-    flat = np.zeros((n + 1) * n)
-    for c0 in range(j_far, n, _ROW_BLOCK):
-        c1 = min(c0 + _ROW_BLOCK, n)
+    del a
+    panels = _panels(n, "F")
+    for c0 in range(j_far, n, _BLOCK):
+        c1 = min(c0 + _BLOCK, n)
         k, w = c1 - c0, n - c0 + 1
-        # out[q, e] is row c0 + q - 1 + e of column c0 + q; past row n - 1 it
-        # runs on into the top rows of the next column, which must stay zero
-        out = flat[c0 * (n + 1) - 1 : c1 * (n + 1) - 1].reshape(k, n + 1)[:, :w]
-        _matmul(coef[c0 - j_far : c1 - j_far], moments[:, :w], out)
-        out[:, w - k + 1 :][np.add.outer(np.arange(k), np.arange(k - 1)) >= k - 1] = 0.0
-    table = flat.reshape(n + 1, n).T
-    table[-1, -1] = coef[-1] @ moments[:, 0]
-    return table
+        # band[q, i] is node t_(c0 + i) of column c0 + q, zero above the diagonal:
+        # row q of the product, from node t_(c0 + q) on, starts one further along
+        # each row of band; what it writes past t_n is not copied
+        band = np.zeros(k * (w + k))
+        _matmul(coef[c0 - j_far : c1 - j_far], moments[:, :w], band.reshape(k, -1)[:, :w])
+        band = band[: k * (w + k - 1)].reshape(k, -1)
+        for p in range(c0 - (c0 - 1) % _BLOCK, c1, _BLOCK):
+            q0, q1 = max(c0, p), min(c1, p + _BLOCK)
+            panels[p // _BLOCK][q0 - p :, q0 - p : q1 - p] = band[q0 - c0 : q1 - c0, q0 - c0 : w].T
+        del band  # before the next one is made
+    panels[-1][-1, -1] = coef[-1] @ moments[:, 0]
+    return panels
 
 
 def _uniform_rule(beta: float, ginv: float, grid: Grid) -> tuple:
@@ -469,24 +498,34 @@ class _Plan:
 
 
 class _Table:
-    """The window steps of I^beta on one dense table, row r - 1 for node t_r:
-    a graded grid's plain table, or the weighted table for g > 0, whose row
-    of t_1 weighs f(t_2) too, so a window holding t_1 holds t_2; steps as _Plan's."""
+    """The window steps of I^beta on a table, row r - 1 for node t_r: a graded
+    grid's plain table, or the weighted table for g > 0, whose row of t_1
+    weighs f(t_2) too, so a window holding t_1 holds t_2; steps as _Plan's.
+    It holds column 0, the weight of f(t_0) (None where that is zero, as in
+    a weighted table), and the lower triangle as _panels: panels[k], a =
+    1 + k _BLOCK, holds columns a.. of rows a - 1.., so a push is one panel
+    product and a near field a slice of one. shape is the table's, nbytes
+    the bytes held."""
 
-    def __init__(self, table: np.ndarray, weighted: bool) -> None:
-        self.table, self.weighted, self.n = table, weighted, table.shape[0]
+    def __init__(self, column0, panels: list) -> None:
+        self.column0, self.panels, self.n = column0, panels, panels[0].shape[0]
+        self.weighted = column0 is None
+        self.shape = (self.n, self.n + 1)
+        self.nbytes = sum(p.nbytes for p in panels) + (0 if column0 is None else column0.nbytes)
 
     def history(self, f0: float) -> np.ndarray:
-        # column 0 of a weighted table is zero, and f0 is nan there
-        return np.concatenate(([0.0], self.table[:, 0] * (0.0 if self.weighted else f0)))
+        out = np.zeros(self.n + 1)
+        if not self.weighted:  # f0 is nan where the table is weighted
+            out[1:] = self.column0 * f0
+        return out
 
     def near_field(self, lo: int, hi: int) -> np.ndarray:
         a = block_bounds(lo, self.n)[0]
-        return self.table[lo - 1 : hi - 1, a:hi].T
+        return self.panels[a // _BLOCK][lo - a : hi - a, : hi - a].T
 
     def push(self, hist: np.ndarray, values: np.ndarray, starts: range) -> None:
         for p in starts:
-            hist[p:] += self.table[p - 1 :, p - _BLOCK : p] @ values[p - _BLOCK : p]
+            hist[p:] += self.panels[p // _BLOCK - 1][_BLOCK:] @ values[p - _BLOCK : p]
 
     def close(self, hist: np.ndarray, values: np.ndarray, start: int = 1) -> np.ndarray:
         for a in range(start, self.n + 1, _BLOCK):
@@ -495,9 +534,12 @@ class _Table:
         return hist
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        """One product; u[0] is unused where the table is weighted."""
-        skip = 1 if self.weighted else 0
-        return self.table[:, skip:] @ u[skip:]
+        """Column 0's share, then one product per panel into its rows; u[0]
+        is unused where the table is weighted."""
+        out = self.history(u[0])[1:]
+        for a, panel in zip(range(1, self.n + 1, _BLOCK), self.panels):
+            out[a - 1 :] += panel @ u[a : a + panel.shape[1]]
+        return out
 
 
 class FracIntegralOperator:
@@ -526,32 +568,41 @@ class FracIntegralOperator:
 
     def window(self, g: float = 0.0):
         """The window steps for samples of singular exponent g, made once: a
-        _Plan at g = 0 on a uniform grid, else a _Table of _dense_table(g)."""
+        _Plan at g = 0 on a uniform grid, else the grid's _Table, _dense_table(g)."""
         win = self._windows.get(g)
         if win is None:  # should two threads make one at once, both keep the one stored first
             if g or not self.grid.is_uniform:
-                win = _Table(self._dense_table(g), g > 0.0)
+                try:
+                    win = self._dense_table(g)
+                except MemoryError as exc:
+                    n = self.grid.n_intervals
+                    held = 8 * (sum(r * c for r, c in _panel_shapes(n)) + (0 if g else n))
+                    raise MemoryError(
+                        f"no memory for the {'weighted' if g else 'plain'} table of "
+                        f"I^{self.order:g} on N = {n}, which holds {held / 1e6:.1f} MB") from exc
             else:
                 win = _Plan(self.order, self._ginv, self.grid)
             win = self._windows.setdefault(g, win)
         return win
 
     # the parts bench/layers.py's build hook reads, until ROADMAP item 1's bench edit
-    _table = property(lambda self: getattr(self.window(), "table", None))
+    _table = property(lambda self: None if self.grid.is_uniform else self.window())
     _stencil = property(lambda self: getattr(self.window(), "stencil", None))
     _boundary = property(lambda self: getattr(self.window(), "boundary", None))
 
-    def _dense_table(self, g: float) -> np.ndarray:
-        """The grid's dense table of this order for singular exponent g,
-        built on first use, row r - 1 for node t_r. g = 0: the plain rule.
-        g > 0: the weighted rule on f, whose bounded factor t^g f(t) it
-        interpolates, extrapolated to t_0 from t_1 and t_2 (column 0 is
-        zero); exact where that factor is piecewise linear."""
+    def _dense_table(self, g: float) -> _Table:
+        """The grid's table of this order for singular exponent g, built on
+        first use, row r - 1 for node t_r. g = 0: the plain rule. g > 0: the
+        weighted rule on f, whose bounded factor t^g f(t) it interpolates,
+        extrapolated to t_0 from t_1 and t_2 (column 0 is zero); exact where
+        that factor is piecewise linear. Each panel is written once: no
+        N x (N+1) array is made."""
         key = round(g, 15) or g  # a weighted table never takes the plain one's key 0.0
         cached = self._weighted_tables.get(key)
         if cached is not None:
             return cached
         beta, t, n, ginv = self.order, self.grid.nodes, self.grid.n_intervals, self._ginv
+        column0 = np.zeros(n)
         if g == 0.0:
             def cells(rows):
                 c = rows[-1]
@@ -563,8 +614,8 @@ class FracIntegralOperator:
                 wl[live], wr[live] = (m0 - m1 / (a - b)) * ginv, m1 / (a - b) * ginv
                 return wl, wr
 
-            table = np.zeros((n, n + 1))
-            _fill_lower(table, cells)
+            panels = _panels(n)
+            _fill_lower(column0, panels, cells)
         else:
             # cell moments against (t_row - tau)^(beta-1) tau^(-g): with x_j = t_j / t_row,
             # p = 1 - g, B = B_x(p, beta) and F = x^p (1 - x)^beta,
@@ -574,7 +625,7 @@ class FracIntegralOperator:
             # as B_x(p+1, beta) = (p B - F) / (p + beta) (DLMF 8.17.20): one series per
             # node. Linear interpolation of the bounded factor then gives endpoint weights
             # wl = J0 - S/h, wr = S/h; cells right of the row have x = 1 at both ends: zero.
-            # A uniform grid takes its cells from _FAR_CELL on from _far_table.
+            # A uniform grid takes its cells from _FAR_CELL on from _far_panels.
             p = 1.0 - g
             near = min(n, _FAR_CELL) if self.grid.is_uniform else n
 
@@ -588,17 +639,20 @@ class FracIntegralOperator:
                 s /= np.diff(t[: c + 1])
                 return tr ** (beta - g) * db - s, s
 
-            table = _far_table(beta, g, t, near) if near < n else np.zeros((n, n + 1))
-            _fill_lower(table, cells, n if self.grid.is_uniform else _ROW_BLOCK)
-            table *= ginv
+            panels = _far_panels(beta, g, t, near) if near < n else _panels(n)
+            _fill_lower(column0, panels, cells, n if self.grid.is_uniform else _BLOCK)
             # fold in t^g and t^g f at t_0, extrapolated from t_1 and t_2
+            column0 *= ginv
+            tg = t[1:] ** g
+            for a, panel in zip(range(1, n + 1, _BLOCK), panels):
+                panel *= ginv
+                panel *= tg[a - 1 : a - 1 + panel.shape[1]]
             c = t[1] / (t[2] - t[1])
-            table[:, 1:] *= t[1:] ** g
-            table[:, 1:3] += np.outer(table[:, 0], t[1:3] ** g * (1.0 + c, -c))
-            table[:, 0] = 0.0
+            panels[0][:, :2] += np.outer(column0, t[1:3] ** g * (1.0 + c, -c))
+            column0 = None
         # the store is shared through the grid: should a library caller's two
         # threads build the same table at once, both return the one stored first
-        return self._weighted_tables.setdefault(key, table)
+        return self._weighted_tables.setdefault(key, _Table(column0, panels))
 
 
 def block_bounds(lo: int, n: int) -> tuple:
@@ -620,10 +674,10 @@ def integral_node_values(op: FracIntegralOperator, f: SampledFunction) -> np.nda
     it stays usable in the boundary case order <= singular_exponent where
     the image is not continuous at 0 (decay studies need exactly that).
     Finite samples whose apply overflows raise NonFiniteIterateError. A
-    non-finite sample on a uniform grid spoils every output of its block
-    of _BLOCK nodes, earlier ones too (close multiplies the whole block),
-    and every output after it (the pushes carry it into each later block);
-    on a dense table it spoils every output.
+    non-finite sample spoils every output of its block of _BLOCK nodes,
+    earlier ones too (a plan's close multiplies the whole block, a table's
+    apply the panel of its columns), and every output after it (the
+    pushes, or the rows of that panel, carry it into each later block).
     """
     if op.grid != f.grid:
         raise ValueError("operator and samples live on different grids")

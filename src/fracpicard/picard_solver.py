@@ -254,7 +254,7 @@ def _exact_steps(slopes, constant: bool, inner, bound: float):
     matrix is the leading block of its inverse, so (I - M)^-1 is Toeplitz
     with first column c[:w], and every step is one convolution of c[:w]
     with res. c is computed once, before the march; where it is refused,
-    every step is. Varying slopes and dense tables (_Table) solve each
+    every step is. Varying slopes and tables (_Table) solve each
     window's own system."""
     if not slopes:
         return None, None

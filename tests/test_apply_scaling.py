@@ -34,3 +34,9 @@ def test_direct_is_the_apply(script, n):
     got = script["direct"](op, u)
     assert got[0] == 0.0
     assert np.max(np.abs(got[1:] - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_far_row_error_reads_row_n_of_the_panels(script):
+    # the last row of every panel is row N of the table
+    pytest.importorskip("mpmath")
+    assert script["far_row_error"](130) < 4e-15

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fracpicard import cli
+from fracpicard import cli, fractional_ops
 from fracpicard.cli import _oracle_fn, main
 from fracpicard.fractional_ops import Grid, SampledFunction
 from fracpicard.picard_solver import solve
@@ -451,6 +451,34 @@ class TestBadInput:
             assert main(["--config", str(cfg), "--output", str(tmp_path / "x.csv")]) == 1
             err = capsys.readouterr().err
             assert "alpha_range" in err and f"alpha = {alpha}" in err
+
+    @pytest.mark.parametrize("config, grading, what", [
+        ("singular_forcing", "1", "weighted table of I^0.5 on N = 512, which holds 1.2 MB"),
+        ("relaxation_half_order", "2", "plain table of I^0.5 on N = 512, which holds 1.2 MB"),
+    ])
+    def test_table_out_of_memory_returns_one(self, tmp_path, capsys, monkeypatch,
+                                            config, grading, what):
+        # the first allocation of a table build fails, as at a large N
+        def no_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(fractional_ops, "_panels", no_memory)
+        rc = main(["--config", str(ROOT / "configs" / f"{config}.json"), "--n-points", "512",
+                   "--grading", grading, "--output", str(tmp_path / "x.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: no memory for the {what}\n"
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_grid_out_of_memory_returns_one(self, tmp_path, capsys, monkeypatch):
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 745. GiB for an array with shape (100000000001,)")
+
+        monkeypatch.setattr(cli, "Grid", no_memory)
+        rc = main(["--config", str(ROOT / "configs" / "singular_forcing.json"),
+                   "--n-points", "100000000000", "--output", str(tmp_path / "x.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: no memory for the 100000000001 nodes of --n-points 100000000000\n"
 
     def test_unknown_mode(self, relaxation_cfg):
         assert main(["--config", str(relaxation_cfg), "--mode", "nope"]) == 1

@@ -33,10 +33,12 @@ import fracpicard
 from fracpicard.cli import main
 from fracpicard.fractional_ops import (
     _FAR_CELL,
+    _FAR_TERMS,
     FracIntegralOperator,
     Grid,
     NonFiniteIterateError,
     _kernel_moments,
+    _matmul,
     _Plan,
     _series_terms,
     _Table,
@@ -546,6 +548,19 @@ class TestFastHistorySum:
             out = integral_node_values(build_integral_operator(0.5, grid), SampledFunction(grid, u))
         assert np.isfinite(out[:64]).all() and np.isnan(out[64:]).all()
 
+    @pytest.mark.parametrize("grading, g", [(1.0, 0.3), (2.0, 0.0)], ids=["weighted", "graded"])
+    def test_non_finite_sample_spoils_its_panel_and_after_on_a_table(self, grading, g):
+        # nan at t_100, in the panel of columns 65..128: the product with that
+        # panel carries it into its rows, t_65..t_200; t_1..t_64 do not see it
+        grid = Grid(1.0, 200, grading)
+        u = np.random.default_rng(3).normal(size=201)
+        u[0] = np.nan if g else u[0]
+        u[100] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = integral_node_values(build_integral_operator(0.5, grid), SampledFunction(grid, u, g))
+        assert np.isfinite(out[:64]).all() and np.isnan(out[64:]).all()
+
     def test_fft_module_loaded_on_import(self):
         # numpy loads numpy.fft lazily; the first apply must not pay for it
         src = os.path.dirname(os.path.dirname(fracpicard.__file__))
@@ -793,6 +808,90 @@ def per_row_weighted_table(beta: float, g: float, t: np.ndarray) -> np.ndarray:
     return table
 
 
+def dense(table: _Table) -> np.ndarray:
+    """The N x (N + 1) array a table's column 0 and panels hold, zero above
+    the panels."""
+    n = table.n
+    out = np.zeros(table.shape)
+    if table.column0 is not None:
+        out[:, 0] = table.column0
+    for a, panel in zip(range(1, n + 1, 64), table.panels):
+        out[a - 1 :, a : a + panel.shape[1]] = panel
+    return out
+
+
+def dense_far_table(beta: float, g: float, t: np.ndarray, j_far: int) -> np.ndarray:
+    """The cells j >= j_far of a uniform weighted table (without 1/gamma(beta)
+    or the t^g fold) in one column-major N x (N + 1) array: 64 columns at a
+    time from j_far on, each one product with the Toeplitz moments, of the
+    shape the panel build takes."""
+    n = t.size - 1
+    m = np.arange(_FAR_TERMS + 1.0)
+    b = _series_terms(1.0, lambda k: (k + 1.0 - beta) / (k + 1.0), beta - 1.0, 2.0 ** min(1 - beta, 0))
+    powers = np.vander(1.0 / np.arange(1.0, n - j_far + 2), len(b), increasing=True)
+    s = np.empty((m.size, n - j_far + 1))
+    _matmul(b / (m[:, None] + np.arange(1.0, len(b) + 1)), powers.T, s)
+    s[:, 0] = np.cumprod(np.concatenate(([1.0 / beta], m[1:] / (m[1:] + beta))))
+    s *= t[1 : n - j_far + 2] ** (beta - 1.0)
+    left = s[:-1, :-1] - s[1:, :-1]
+    left[:, 0] = s[:-1, 0] * beta / (m[:-1] + 1.0 + beta)
+    moments = np.vstack((np.pad(left, ((0, 0), (1, 0))), s[1:]))
+    binom = np.cumprod(np.concatenate(([1.0], (-g - m[:-2]) / (m[:-2] + 1.0))))
+    a = t[1] * t[j_far - 1 :, None] ** -g * binom * np.arange(j_far - 1.0, n + 1.0)[:, None] ** -m[:-1]
+    a[0] = 0.0
+    coef = np.hstack((a[1:], a[:-1]))
+    flat = np.zeros((n + 1) * n)
+    for c0 in range(j_far, n, 64):
+        c1 = min(c0 + 64, n)
+        k, w = c1 - c0, n - c0 + 1
+        # out[q, e] is row c0 + q - 1 + e of column c0 + q; past row n - 1 it
+        # runs on into the top rows of the next column, zeroed after
+        out = flat[c0 * (n + 1) - 1 : c1 * (n + 1) - 1].reshape(k, n + 1)[:, :w]
+        _matmul(coef[c0 - j_far : c1 - j_far], moments[:, :w], out)
+        out[:, w - k + 1 :][np.add.outer(np.arange(k), np.arange(k - 1)) >= k - 1] = 0.0
+    table = flat.reshape(n + 1, n).T
+    table[-1, -1] = coef[-1] @ moments[:, 0]
+    return table
+
+
+def dense_table(beta: float, g: float, grid: Grid) -> np.ndarray:
+    """The table of I^beta for singular exponent g on grid as one N x (N + 1)
+    array, built as before tables were held as panels: the cells in blocks of
+    64 rows (all rows for a uniform weighted table) added into that array,
+    then 1/gamma(beta), t^g and the t_0 fold over it whole."""
+    t, n, ginv = grid.nodes, grid.n_intervals, 1.0 / gamma(beta)
+    near = min(n, _FAR_CELL) if grid.is_uniform and g else n
+    table = dense_far_table(beta, g, t, near) if near < n else np.zeros((n, n + 1))
+    p = 1.0 - g
+    for start in range(1, n + 1, n if near < n else 64):
+        rows = np.arange(start, min(start + (n if near < n else 64), n + 1))
+        c = min(rows[-1], near)
+        tr = t[rows][:, None]
+        if g:
+            x = np.clip(t[None, : c + 1] / tr, 0.0, 1.0)
+            db = np.diff(incomplete_beta(p, beta, x), axis=1)
+            df = np.diff(x**p * (1.0 - x) ** beta, axis=1)
+            wr = tr ** (beta - g + 1.0) * ((p / (p + beta) - x[:, :-1]) * db - df / (p + beta))
+            wr /= np.diff(t[: c + 1])
+            wl = tr ** (beta - g) * db - wr
+        else:
+            live = np.arange(c) < rows[:, None]
+            a, b = (tr - t[:c])[live], (tr - t[1 : c + 1])[live]
+            m0, m1 = _kernel_moments(a, b, beta)
+            wl, wr = np.zeros(live.shape), np.zeros(live.shape)
+            wl[live], wr[live] = (m0 - m1 / (a - b)) * ginv, m1 / (a - b) * ginv
+        block = table[start - 1 : rows[-1], : wl.shape[1] + 1]
+        block[:, :-1] += wl
+        block[:, 1:] += wr
+    if g:
+        table *= ginv
+        c = t[1] / (t[2] - t[1])
+        table[:, 1:] *= t[1:] ** g
+        table[:, 1:3] += np.outer(table[:, 0], t[1:3] ** g * (1.0 + c, -c))
+        table[:, 0] = 0.0
+    return table
+
+
 def mp_weighted_row(beta: float, g: float, horizon: float, n: int, row: int) -> np.ndarray:
     """Row t_row of the weighted table on the uniform grid t_j = j h, h =
     horizon / n, in 40-digit mpmath: J0 = t_row^(beta-g) B_x(p, beta) over
@@ -833,7 +932,7 @@ class TestTableSharing:
         table = build_integral_operator(0.7, grid)._dense_table(0.3)
         on_twin = build_integral_operator(0.7, twin)._dense_table(0.3)
         other_order = build_integral_operator(0.9, grid)._dense_table(0.3)
-        assert on_twin is not table and np.array_equal(on_twin, table)
+        assert on_twin is not table and np.array_equal(dense(on_twin), dense(table))
         assert other_order is not table
         assert grid == twin and hash(grid) == hash(twin)
 
@@ -850,7 +949,7 @@ class TestTableSharing:
             op = build_integral_operator(beta, grid)
             for g in (0.2, 0.6):
                 ref = per_row_weighted_table(beta, g, grid.nodes)
-                table = op._dense_table(g)
+                table = dense(op._dense_table(g))
                 if grading != 1.0:
                     assert table.tobytes() == ref.tobytes()
                     continue
@@ -863,10 +962,22 @@ class TestTableSharing:
                     assert err[j] <= np.max(np.abs(ref[row - 1, : j + 1] - exact[: j + 1])) / scale
                     assert np.max(err[j + 1 :]) < 4e-15
             if grading != 1.0:
-                assert op.window().table.tobytes() == per_row_graded_table(beta, grid.nodes).tobytes()
+                assert dense(op.window()).tobytes() == per_row_graded_table(beta, grid.nodes).tobytes()
+
+    @pytest.mark.parametrize("n,grading", [(40, 1.0), (130, 1.0), (512, 1.0), (1000, 1.0),
+                                           (40, 2.5), (130, 2.5)])
+    def test_panels_hold_the_dense_build_bit_for_bit(self, n, grading):
+        # 1000 = 15 * 64 + 40: the last panel is cut short; above the panels
+        # the dense build holds zeros
+        grid = Grid(1.3, n, grading)
+        for beta in (0.4, 1.0, 2.3):
+            op = build_integral_operator(beta, grid)
+            for g in (0.2, 0.6) if grid.is_uniform else (0.0, 0.2, 0.6):
+                assert dense(op._dense_table(g)).tobytes() == dense_table(beta, g, grid).tobytes()
 
     def test_weighted_build_peak_memory(self):
-        # the table and the row blocks' temporaries: extra temporaries show here first
+        # the table and the row blocks' temporaries: extra temporaries show here
+        # first; the N x (N + 1) array alone would take 512 * 513 * 8 bytes
         op = build_integral_operator(0.7, Grid.uniform(1.0, 512))
         tracemalloc.start()
         try:
@@ -875,6 +986,19 @@ class TestTableSharing:
         finally:
             tracemalloc.stop()
         assert peak < 2.2 * table.nbytes
+        assert peak < 512 * 513 * 8
+
+    @pytest.mark.parametrize("n,grading,g", [(130, 1.0, 0.2), (512, 1.0, 0.2), (130, 2.5, 0.0)])
+    def test_table_holds_its_panels(self, n, grading, g):
+        # N = 64 q + r: q panels of 64 columns and N, N - 64, .. rows, one of
+        # r x r, and column 0 where the table is plain; the panels are views
+        # of one array, so a table too large for memory fails on allocation
+        q, r = divmod(n, 64)
+        floats = 64 * (q * n - 64 * q * (q - 1) // 2) + r * r + (0 if g else n)
+        table = build_integral_operator(0.7, Grid(1.0, n, grading))._dense_table(g)
+        assert table.shape == (n, n + 1) and table.nbytes == 8 * floats
+        assert len({id(panel.base) for panel in table.panels}) == 1
+        assert table.panels[0].base.nbytes == 8 * (floats - (0 if g else n))
 
     @pytest.mark.parametrize("gamma,rhs,grading", [
         (0.3, "t^(-0.3) + 0*z1", "1"),  # the weighted table of phi
@@ -933,14 +1057,14 @@ class TestPlainRuleOnFirstUse:
         op = build_integral_operator(0.5, grid)
         weighted = op.window(0.3)
         assert isinstance(weighted, _Table) and weighted.weighted
-        assert weighted.table is grid._tables[0.5][0.3] and list(op._windows) == [0.3]
+        assert weighted is grid._tables[0.5][0.3] and list(op._windows) == [0.3]
         assert isinstance(op.window(), _Plan) and op.window(0.3) is weighted
         assert op.window() is op.window() and list(grid._tables[0.5]) == [0.3]
         grid = Grid(1.0, 64, 2.0)
         graded = build_integral_operator(0.5, grid).window()
         assert isinstance(graded, _Table) and not graded.weighted
-        assert graded.table is grid._tables[0.5][0.0]
-        assert build_integral_operator(0.5, grid).window().table is graded.table
+        assert graded is grid._tables[0.5][0.0]
+        assert build_integral_operator(0.5, grid).window() is graded
 
     @pytest.mark.parametrize("n", [16, 512, 4097, 8192])
     def test_parts_match_one_call_reference(self, n):
