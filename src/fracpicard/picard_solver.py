@@ -29,18 +29,21 @@ window: the window takes that step once instead of halving, and plain
 updates then confirm it to the tolerance. With constant slopes on a
 uniform grid and gamma = 0 the equations of any nodes from a block start
 on are one lower-triangular Toeplitz system, whose inverse is a
-convolution with one column per solve (_exact_steps). There, past the
-march's first block, which iterates plain Picard from phi^0, the march
-solves aligned segments of 64, 128, then 256 nodes, each in one product
-confirmed by one update (_segment); a segment that misses tol runs again
-in windows. The report still carries omega beside the observed ratios,
-but since each window contracts on its own, omega >= 1 on the whole
-horizon is no sign of trouble.
+convolution with one column per solve. There, past the march's first
+block, which iterates plain Picard from phi^0, the march solves aligned
+segments of 64, 128, then 256 nodes, each in one product confirmed by
+one update; a segment that misses tol runs again in windows. The march
+chooses, halves and pushes the stretches; one kind, picked once in
+solve, solves each: plain Picard (_Picard), a dense exact step (_Dense)
+or the Toeplitz step with segments (_Toeplitz). The report still carries
+omega beside the observed ratios, but since each window contracts on its
+own, omega >= 1 on the whole horizon is no sign of trouble.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -89,16 +92,16 @@ class ContractionWarning(UserWarning):
 @dataclass(frozen=True)
 class ConvergenceReport:
     """How the iteration went. A solve runs one or more windows, and a
-    segment solved in one product (_segment) counts as one window of one
-    update; iterations and deltas (the weighted sup-norm updates) are those
-    of the window that took the most updates, steps counts the updates of
-    all windows, and worst_ratio is the largest ratio of successive updates
-    over all windows, halved attempts (and segments that missed tol)
-    included in both (0.0 when none took two). exact_windows counts the
-    windows that took the exact step before halving and the segments,
-    largest_diagonal is the largest max |diag M| of any window that tried
-    it (0.0 when none did), and diagonal_bound the largest it takes,
-    tol^(1/max_iter).
+    segment solved in one product (_Toeplitz.segment) counts as one window
+    of one update; iterations and deltas (the weighted sup-norm updates)
+    are those of the window that took the most updates, steps counts the
+    updates of all windows, and worst_ratio is the largest ratio of
+    successive updates over all windows, halved attempts (and segments
+    that missed tol) included in both (0.0 when none took two).
+    exact_windows counts the windows that took the exact step before
+    halving and the segments, largest_diagonal is the largest max |diag M|
+    of any window that tried it (0.0 when none did), and diagonal_bound
+    the largest it takes, tol^(1/max_iter).
     lipschitz_estimate is L of f in z, in the L1 norm on z: max_h
     |df/dz_h| where every slope is constant on the nodes, else sampled by
     estimate_lipschitz over the box the final inner derivatives visit (nan
@@ -197,28 +200,9 @@ def _window_start(width: int) -> np.ndarray:
     return start
 
 
-def _exact_step(slopes, near, r: int, nodes: slice, res: np.ndarray, bound: float):
-    """max |diag M| and delta with (I - M) delta = res, the update's change,
-    where M = sum_h diag(df/dz_h) near[h][r:].T is the derivative of a
-    window's update by its own values (rows r.. of each near field): for f
-    affine in z, the iterate before that update plus delta is the window's
-    fixed point. delta is None where max |diag M| > bound, above which plain
-    updates would not finish the window even on one node, or where the step
-    is not finite."""
-    m = sum(s[nodes, None] * block[r:].T for s, block in zip(slopes, near))
-    diagonal = float(np.abs(m.diagonal()).max())
-    if diagonal > bound:
-        return diagonal, None
-    try:
-        step = np.linalg.solve(np.eye(len(m)) - m, res)
-    except np.linalg.LinAlgError:
-        return diagonal, None
-    return diagonal, step if np.isfinite(step).all() else None
-
-
 def _toeplitz_inverse(slopes, inner, bound: float):
     """max |diag M_W| and c, the first column of (I - M_W)^-1 to W =
-    min(_DIRECT_PUSH, N) terms, None where _exact_step would refuse M_W,
+    min(_DIRECT_PUSH, N) terms, None where _Dense.exact would refuse M_W,
     for M_W the M of W nodes of plans (_Plan) from a block start, where
     every slope s_h is constant. M_W is lower-triangular Toeplitz with
     first column m = sum_h s_h stencil_h[:W], and so is its inverse:
@@ -241,131 +225,152 @@ def _toeplitz_inverse(slopes, inner, bound: float):
     return diagonal, c if np.isfinite(c).all() else None
 
 
-def _exact_steps(slopes, constant: bool, inner, bound: float):
-    """The exact step of a solve's windows, step(near, r, nodes, res) ->
-    (max |diag M|, delta or None) as _exact_step gives it, None where f is
-    not affine in z; and (max |diag M_W|, c) from _toeplitz_inverse where
-    the march solves segments in one product, else None.
+class _Picard:
+    """The kind of stretch where f is not affine in z (no slopes df/dz_h):
+    windows of plain Picard updates, with no exact step and no segments."""
 
-    Where every slope is constant and every inner window step is a plan
-    (_Plan), the near field of any W nodes from a block start is a slice
-    of one Toeplitz matrix, so a window w nodes wide has M = M_W[:w, :w]
-    wherever it lies. The inverse of a leading block of a lower-triangular
-    matrix is the leading block of its inverse, so (I - M)^-1 is Toeplitz
-    with first column c[:w], and every step is one convolution of c[:w]
-    with res. c is computed once, before the march; where it is refused,
-    every step is. Varying slopes and tables (_Table) solve each
-    window's own system."""
-    if not slopes:
-        return None, None
-    if not (constant and all(isinstance(win, _Plan) for win in inner)):
-        return lambda near, r, nodes, res: _exact_step(slopes, near, r, nodes, res, bound), None
-    diagonal, c = _toeplitz_inverse(slopes, inner, bound)
-    if c is None:
-        return lambda near, r, nodes, res: (diagonal, None), None
+    segments = False  # whether the march solves aligned segments (_Toeplitz.segment)
 
-    def step(near, r, nodes, res):
-        delta = np.convolve(c[: res.size], res)[: res.size]
-        return diagonal, delta if np.isfinite(delta).all() else None
+    def __init__(self, rhs, slopes, inner, tol: float, max_iter: int):
+        self.rhs, self.slopes, self.inner = rhs, slopes, inner
+        self.tol, self.max_iter = tol, max_iter
+        self.bound = tol ** (1.0 / max_iter)  # the largest diagonal plain updates finish
 
-    return step, (diagonal, c)
+    def exact(self, near, r: int, nodes: slice, res: np.ndarray):
+        """max |diag M| and the exact step for update res (_Dense.exact): none."""
+        return 0.0, None
+
+    def window(self, past, near, block, r: int, nodes: slice, t: np.ndarray, weight,
+               halve: bool):
+        """Iterate the window block[r:] until its update is at most tol or
+        max_iter updates are spent: its deltas, how it ended, "plain",
+        "exact" or "halved", and max |diag M| of its exact step (0.0 where
+        it tried none).
+
+        Each update is picard_step(rhs, past, near, block, nodes), which
+        moves block[r:], a view of phi's values, in place; t are the
+        window's nodes and weight t^gamma there (None for gamma = 0), which
+        the deltas carry. Where halve holds and an update shrinks by less
+        than half, the window halves. The first time, the exact step may
+        stand in for that: where there is one and it is finite, the iterate
+        before that update moves to the window's fixed point, and the
+        updates go on. The next update is then at round-off level; should
+        it too shrink by less than half, the window halves after all."""
+        cur, deltas, ended, diagonal = block[r:], [], "plain", 0.0
+        for _ in range(self.max_iter):
+            new = picard_step(self.rhs, past, near, block, nodes)
+            res = new - cur
+            deltas.append(float(np.abs(res if weight is None else res * weight).max()))
+            if not math.isfinite(deltas[-1]):  # max propagates nan and inf
+                _finite(new, t)
+            cur[:] = new
+            if deltas[-1] <= self.tol:
+                break
+            slow = halve and len(deltas) > 1 and deltas[-1] > 0.5 * deltas[-2]
+            if slow and ended == "plain":
+                diagonal, step = self.exact(near, r, nodes, res)  # once per window
+                if step is not None and np.isfinite(step).all():
+                    cur += step - res  # the iterate before new, plus the step
+                    ended = "exact"
+                    continue
+            if slow:
+                return deltas, "halved", diagonal
+        return deltas, ended, diagonal
 
 
-def _window(update, cur: np.ndarray, t: np.ndarray, weight, tol: float, max_iter: int,
-            halve: bool, exact):
-    """Iterate one window until its update is at most tol or max_iter
-    updates are spent: its deltas, how it ended, "plain", "exact" or
-    "halved", and max |diag M| of its exact step (0.0 where it tried none).
+class _Dense(_Picard):
+    """The kind where f is affine in z, on tables (_Table) or with slopes
+    that vary: each window solves its own system for the exact step."""
 
-    update() is the window's next iterate, cur its current one (a view of
-    phi's values, moved in place), t its nodes and weight t^gamma there
-    (None for gamma = 0), which the deltas carry. Where halve holds and an
-    update shrinks by less than half, the window halves. The first time,
-    exact(res) may stand in for that: where it gives the step, the iterate
-    before that update moves to the window's fixed point, and the updates
-    go on. The next update is then at round-off level; should it too
-    shrink by less than half, the window halves after all."""
-    deltas, ended, diagonal = [], "plain", 0.0
-    for _ in range(max_iter):
-        new = update()
-        res = new - cur
-        deltas.append(float(np.abs(res if weight is None else res * weight).max()))
-        if not math.isfinite(deltas[-1]):  # max propagates nan and inf
+    def exact(self, near, r: int, nodes: slice, res: np.ndarray):
+        """max |diag M| and delta with (I - M) delta = res, the update's
+        change, where M = sum_h diag(df/dz_h) near[h][r:].T is the
+        derivative of a window's update by its own values (rows r.. of each
+        near field): for f affine in z, the iterate before that update plus
+        delta is the window's fixed point. delta is None where max |diag M|
+        > bound, above which plain updates would not finish the window even
+        on one node, or where I - M is singular."""
+        m = sum(s[nodes, None] * block[r:].T for s, block in zip(self.slopes, near))
+        diagonal = float(np.abs(m.diagonal()).max())
+        if diagonal > self.bound:
+            return diagonal, None
+        try:
+            return diagonal, np.linalg.solve(np.eye(len(m)) - m, res)
+        except np.linalg.LinAlgError:
+            return diagonal, None
+
+
+class _Toeplitz(_Picard):
+    """The kind where every slope is constant on plans (_Plan): a window w
+    nodes wide has M = M_W[:w, :w] of _toeplitz_inverse wherever it lies,
+    and the inverse of a leading block of a lower-triangular matrix is the
+    leading block of its inverse. So every exact step convolves c[:w] with
+    res; where c is refused, every step is, and the march takes no segments."""
+
+    def __init__(self, rhs, slopes, inner, tol: float, max_iter: int):
+        super().__init__(rhs, slopes, inner, tol, max_iter)
+        self.diagonal, self.c = _toeplitz_inverse(slopes, inner, self.bound)
+        self.segments = self.c is not None
+
+    def exact(self, near, r: int, nodes: slice, res: np.ndarray):
+        w = res.size
+        return self.diagonal, None if self.c is None else np.convolve(self.c[:w], res)[:w]
+
+    def segment(self, past, cur: np.ndarray, nodes: slice, t: np.ndarray):
+        """Solve a segment's equations phi = f(t, past + N phi) in one
+        product: its record, one update ended "exact", or "halved" where it
+        misses tol, and each inner operator's own share N_h phi.
+
+        cur, a view of the segment's w values, gets phi = c[:w] * r, r =
+        f(t, past) with the segment's own values at 0, so that (I - M) phi
+        = r; * is a convolution cut to w terms. The own share stencil_h[:w]
+        * phi is the rest of z_h there, and one update from past plus own
+        share, which leaves cur as it is, confirms phi. past, nodes and t
+        are as a window's (window)."""
+        w = cur.size
+        cur[:] = np.convolve(self.c[:w], self.rhs(nodes, past))[:w]
+        own = [np.convolve(win.stencil[:w], cur)[:w] for win in self.inner]
+        # past + own is the whole of z: no block is left for a near field to map
+        new = picard_step(self.rhs, [p + o for p, o in zip(past, own)],
+                          [np.empty((0, w))] * len(own), cur[:0], nodes)
+        delta = float(np.abs(new - cur).max())
+        if not math.isfinite(delta):
             _finite(new, t)
-        cur[:] = new
-        if deltas[-1] <= tol:
-            break
-        slow = halve and len(deltas) > 1 and deltas[-1] > 0.5 * deltas[-2]
-        if slow and ended == "plain" and exact is not None:
-            diagonal, step = exact(res)  # once per window
-            if step is not None:
-                cur += step - res  # the iterate before new, plus the step
-                ended = "exact"
-                continue
-        if slow:
-            return deltas, "halved", diagonal
-    return deltas, ended, diagonal
+        return ([delta], "exact" if delta <= self.tol else "halved", self.diagonal), own
 
 
-def _segment(rhs, past, stencils, c: np.ndarray, cur: np.ndarray, nodes: slice, t: np.ndarray):
-    """Solve a segment's equations phi = f(t, past + N phi) in one product,
-    for f affine in z with constant slopes on plans: the delta of one
-    confirming update and each inner operator's own share N_h phi.
-
-    cur, a view of the segment's w values, gets phi = c[:w] * r, r = f(t,
-    past) with the segment's own values at 0, so that (I - M) phi = r
-    (_exact_steps); * is a convolution cut to w terms. The own share
-    stencil_h[:w] * phi is the rest of z_h there, and one update from past
-    plus own share, which leaves cur as it is, confirms phi. rhs, past and
-    nodes are those of a window (picard_step), t the nodes' values."""
-    w = cur.size
-    cur[:] = np.convolve(c[:w], rhs(nodes, past))[:w]
-    own = [np.convolve(s[:w], cur)[:w] for s in stencils]
-    # past + own is the whole of z: no block is left for a near field to map
-    new = picard_step(rhs, [p + o for p, o in zip(past, own)], [np.empty((0, w))] * len(own),
-                      cur[:0], nodes)
-    delta = float(np.abs(new - cur).max())
-    if not math.isfinite(delta):
-        _finite(new, t)
-    return delta, own
-
-
-def _march(problem: MultiTermProblem, grid: Grid, inner, taylor, rhs, exact, segment,
-           tol: float, max_iter: int):
+def _march(problem: MultiTermProblem, grid: Grid, inner, taylor, kind):
     """phi, the march's record, the (deltas, ended, diagonal) of every
-    _window call and segment in order, halved attempts included, each
-    hist, and the first node from which hist still needs its close.
+    window and segment in order, halved attempts included, each hist, and
+    the first node from which hist still needs its close.
 
-    phi^0 = f(t, taylor parts), with rhs f compiled on the nodes it is
-    sampled at. The windows lie in the blocks of t_1..t_N (block_bounds).
-    A window w nodes long starts from the quintic through the last final
-    value and those w, 2w, .., 5w nodes before it (the line through the
-    last two while t_0, or t_1 for gamma > 0, is nearer; the first from
-    phi^0) and iterates (_window), where exact, from _exact_steps, may
-    stand in for its halving once. One that halves starts again at half
-    its length, down to one node (two for the first when gamma > 0, whose
-    t_0 value is extrapolated from t_1 and t_2), and so do the windows
-    after it. After each window the window steps of inner push the
-    history it completes where it ends a block. A window that runs out of
-    iterations ends the march, and the start values of the blocks after it
-    are pushed too.
+    phi^0 = f(t, taylor parts). The windows lie in the blocks of t_1..t_N
+    (block_bounds). A window w nodes long starts from the quintic through
+    the last final value and those w, 2w, .., 5w nodes before it (the line
+    through the last two while t_0, or t_1 for gamma > 0, is nearer; the
+    first from phi^0) and iterates (kind.window). One that halves starts
+    again at half its length, down to one node (two for the first when
+    gamma > 0, whose t_0 value is extrapolated from t_1 and t_2), and so
+    do the windows after it. After each window the window steps of inner
+    push the history it completes where it ends a block. A window that runs
+    out of iterations ends the march, and the start values of the blocks
+    after it are pushed too.
 
-    Where segment, (max |diag M_W|, c) from _exact_steps, is given, the
-    march closes each block it completes, and past the first block it
-    takes aligned segments t_lo..t_(hi-1), hi - lo = min(lowbit(lo - 1),
-    _DIRECT_PUSH, N + 1 - lo): 64, 128, then 256 nodes. Each is solved in
-    one product (_segment), recorded as one exact update and closed by its
+    Where kind.segments holds, the march closes each block it completes,
+    and past the first block it takes aligned segments t_lo..t_(hi-1), hi -
+    lo = min(lowbit(lo - 1), _DIRECT_PUSH, N + 1 - lo): 64, 128, then 256
+    nodes. Each is solved in one product (kind.segment) and closed by its
     own share, added to hist; the march pushes at its end only, since a
     block start p inside it has p - lowbit(p - 1) >= lo, and its push would
-    reach the segment's own nodes alone. A segment whose update misses tol
-    is recorded as halved, and windows iterate its blocks from its values."""
+    reach the segment's own nodes alone. Windows iterate the blocks of a
+    segment whose update misses tol from its values."""
     g = problem.gamma
     skip = 1 if g > 0.0 else 0
     t = grid.nodes
     weight = t**g if g else None  # of the deltas, once per solve
     n = grid.n_intervals
     values = np.full(n + 1, np.nan)
-    values[skip:] = _finite(rhs(slice(None), [tp.values[skip:] for tp in taylor]), t[skip:])
+    values[skip:] = _finite(kind.rhs(slice(None), [tp.values[skip:] for tp in taylor]), t[skip:])
     hist = [win.history(values[0]) for win in inner]
 
     def push(p):
@@ -373,16 +378,14 @@ def _march(problem: MultiTermProblem, grid: Grid, inner, taylor, rhs, exact, seg
             win.push(h, values, range(p, p + 1))
 
     lo, size, windows, closed = 1, n, [], 1
-    seg = segment and block_bounds(1, n)[1]  # where the next segment starts
+    seg = kind.segments and block_bounds(1, n)[1]  # where the next segment starts
     while lo <= n:
         if lo == seg:
-            q = lo - 1
-            seg = lo + min(q & -q, _DIRECT_PUSH, n + 1 - lo)
+            seg = lo + min((lo - 1) & (1 - lo), _DIRECT_PUSH, n + 1 - lo)  # lowbit(lo - 1)
             past = [h[lo:seg] + tp.values[lo:seg] for h, tp in zip(hist, taylor)]
-            delta, own = _segment(rhs, past, [win.stencil for win in inner], segment[1],
-                                  values[lo:seg], slice(lo, seg), t[lo:seg])
-            windows.append(([delta], "exact" if delta <= tol else "halved", segment[0]))
-            if delta <= tol:
+            record, own = kind.segment(past, values[lo:seg], slice(lo, seg), t[lo:seg])
+            windows.append(record)
+            if record[1] == "exact":
                 for h, o in zip(hist, own):
                     h[lo:seg] += o
                 lo = closed = seg
@@ -393,7 +396,7 @@ def _march(problem: MultiTermProblem, grid: Grid, inner, taylor, rhs, exact, seg
         hi = min(lo + size, end)
         w, least = hi - lo, 1 + (skip and lo == 1)
         cur = values[lo:hi]
-        if segment and lo > _BLOCK:
+        if kind.segments and lo > _BLOCK:
             pass  # inside a segment that missed tol: from its values
         elif lo > _START_DEGREE * w + skip:
             cur[:] = _window_start(w) @ values[lo - 1 - _START_DEGREE * w : lo : w]
@@ -401,20 +404,17 @@ def _march(problem: MultiTermProblem, grid: Grid, inner, taylor, rhs, exact, seg
             cur[:] = values[lo - 1] + (values[lo - 1] - values[lo - 2]) * np.arange(1, w + 1)
         near = [win.near_field(lo, hi) for win in inner]
         past = [h[lo:hi] + tp.values[lo:hi] for h, tp in zip(hist, taylor)]
-        block, nodes = values[a:hi], slice(lo - skip, hi - skip)
-        windows.append(_window(
-            lambda: picard_step(rhs, past, near, block, nodes), cur, t[lo:hi],
-            None if weight is None else weight[lo:hi], tol, max_iter, w > least,
-            exact and (lambda res: exact(near, lo - a, nodes, res))))
+        windows.append(kind.window(past, near, values[a:hi], lo - a, slice(lo - skip, hi - skip),
+                                   t[lo:hi], None if weight is None else weight[lo:hi], w > least))
         deltas, ended, _ = windows[-1]
         if ended == "halved":
             size = max(w // 2, least)
             continue  # run the window again, shorter
-        if deltas[-1] > tol:
+        if deltas[-1] > kind.tol:
             break  # out of iterations
         lo = hi
         if lo == end:
-            if segment:
+            if kind.segments:
                 for win, h in zip(inner, hist):
                     h[a:end] += values[a:end] @ win.near_field(a, end)
                 closed = end
@@ -445,7 +445,7 @@ def solve(
     validate_problem(problem)
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
-    if max_iter < 1:
+    if operator.index(max_iter) < 1:  # an integer, numpy's too: 2.5 fails here, not in a window
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if abs(grid.horizon - problem.horizon) > 1e-12 * max(problem.horizon, 1.0):
         raise ValueError(
@@ -457,7 +457,6 @@ def solve(
         inner = tuple(build_integral_operator(problem.alpha - a, grid).window(problem.gamma)
                       for a in orders)
         taylor = tuple(derivative_taylor_part(problem.initial_values, a, grid) for a in orders)
-        bound = tol ** (1.0 / max_iter)  # the largest diagonal plain updates finish
         t = grid.nodes[1 if problem.gamma > 0.0 else 0 :]
         rhs = compile_rhs(problem.rhs, t)  # before the slopes: f's own domain errors come first
         trees = rhs_derivatives(problem.rhs, problem.m) or ()  # None where f is not affine in z
@@ -465,9 +464,9 @@ def solve(
         constant = bool(slopes) and all(np.ptp(s) == 0.0 for s in slopes)  # nan, inf: not constant
         if constant:  # one value each, broadcast: the march holds no N-array of slopes
             slopes = [np.broadcast_to(s[0], s.shape) for s in slopes]
-        exact, segment = _exact_steps(slopes, constant, inner, bound)
-        phi, windows, hist, closed = _march(problem, grid, inner, taylor, rhs, exact, segment,
-                                            tol, max_iter)
+        affine = _Toeplitz if constant and all(isinstance(win, _Plan) for win in inner) else _Dense
+        kind = (affine if slopes else _Picard)(rhs, slopes, inner, tol, max_iter)  # once per solve
+        phi, windows, hist, closed = _march(problem, grid, inner, taylor, kind)
 
         z_final = tuple(SampledFunction(grid, win.close(h, phi.values, closed) + tp.values)
                         for win, h, tp in zip(inner, hist, taylor))
@@ -498,6 +497,6 @@ def solve(
         contraction_estimate=estimate_contraction(lipschitz, problem), windows=len(done),
         worst_ratio=max([0.0, *(b / a for d, _, _ in windows for a, b in zip(d, d[1:]))]),
         steps=sum(len(d) for d, _, _ in windows), exact_windows=sum(e == "exact" for _, e in done),
-        largest_diagonal=max([0.0, *(diag for _, _, diag in windows)]), diagonal_bound=bound,
+        largest_diagonal=max([0.0, *(diag for _, _, diag in windows)]), diagonal_bound=kind.bound,
     )
     return SolutionTrajectory(grid=grid, y=y, inner=z_final, phi=phi, report=report)

@@ -1,6 +1,7 @@
 """scripts/apply_scaling.py reads the parts of an operator's window steps
-directly. Its helpers are loaded here without running its tables, so that a
-rename of those parts fails a test, not only the script."""
+and the solver's segments directly. Its helpers are loaded here without
+running its tables, so that a rename of those parts fails a test, not only
+the script."""
 
 import runpy
 from pathlib import Path
@@ -40,3 +41,13 @@ def test_far_row_error_reads_row_n_of_the_panels(script):
     # the last row of every panel is row N of the table
     pytest.importorskip("mpmath")
     assert script["far_row_error"](130) < 4e-15
+
+
+def test_solve_row_counts_the_segments(script):
+    # -y on [0, 1] at N = 1024: the first block's window, plain Picard,
+    # then segments of 64, 128, 256, 256 and 256 nodes, each solved in one
+    # product
+    row = script["solve_row"]("-z1", 1.0, 1.0, 1024)
+    cells = [cell.strip() for cell in row.strip("|").split("|")]
+    assert cells[:3] == ["-z1", "1", "1024"]
+    assert cells[4:7] == ["6", "5", "5"]  # windows, exact, segments: none missed

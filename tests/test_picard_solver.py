@@ -37,7 +37,7 @@ from fracpicard.fractional_ops import (
 from fracpicard.picard_solver import (
     NonFiniteIterateError,
     _START_DEGREE,
-    _exact_steps,
+    _Toeplitz,
     _observed_lipschitz,
     _toeplitz_inverse,
     _window_start,
@@ -318,13 +318,19 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve(_relaxation(horizon=1.0), Grid.uniform(2.0, 64))
 
-    def test_parameter_validation(self):
+    def test_parameter_validation(self, monkeypatch):
         problem = _relaxation()
         grid = Grid.uniform(1.0, 64)
         with pytest.raises(ValueError):
             solve(problem, grid, tol=0.0)
         with pytest.raises(ValueError):
             solve(problem, grid, max_iter=0)
+        # max_iter is checked as an integer before any operator is built; numpy's pass
+        built = _count_calls(monkeypatch, "build_integral_operator")
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            solve(problem, grid, max_iter=2.5)
+        assert built == {"build_integral_operator": 0}
+        assert solve(problem, grid, max_iter=np.int64(200)).report.converged
 
     @pytest.mark.parametrize("tol", [math.inf, math.nan])
     def test_tol_must_be_finite_and_positive(self, tol):
@@ -666,14 +672,18 @@ class TestWindows:
 
 
 def _count_calls(monkeypatch, *names):
-    """{name: calls} of the named picard_solver functions, counted from now on."""
+    """{name: calls} of the named picard_solver functions, classes and
+    methods ("_Dense.exact"), counted from now on."""
     calls = dict.fromkeys(names, 0)
     for name in names:
-        def counted(*args, fn=getattr(picard_solver, name), name=name):
+        *cls, attr = name.split(".")
+        owner = getattr(picard_solver, cls[0]) if cls else picard_solver
+
+        def counted(*args, fn=getattr(owner, attr), name=name):
             calls[name] += 1
             return fn(*args)
 
-        monkeypatch.setattr(picard_solver, name, counted)
+        monkeypatch.setattr(owner, attr, counted)
     return calls
 
 
@@ -740,6 +750,35 @@ class TestInnerFromHistory:
             assert np.max(np.abs(z.values - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
+class TestKinds:
+    """solve picks one kind of stretch for its march, once: plain Picard
+    where f is not affine in z, a dense exact step on tables or with
+    slopes that vary, and the Toeplitz step where every slope is constant
+    on plans, with segments where its column is not refused."""
+
+    @pytest.mark.parametrize("problem, grid, kind, segments", [
+        (_problem("-9*sin(z1)"), Grid.uniform(1.0, 64), "_Picard", False),
+        (_problem("-(5+5*t)*z1"), Grid.uniform(1.0, 64), "_Dense", False),
+        (_problem("-10*z1"), Grid(1.0, 256, 2.0), "_Dense", False),
+        (_problem("t^(-0.3) - 5*z1", gamma=0.3), Grid.uniform(1.0, 256), "_Dense", False),
+        (_problem("-z1"), Grid.uniform(1.0, 1024), "_Toeplitz", True),
+        (_relaxation(rate=30.0), Grid.uniform(1.0, 256), "_Toeplitz", False),  # diagonal 1.41
+    ])
+    def test_each_solve_picks_one_kind(self, monkeypatch, problem, grid, kind, segments):
+        cls = getattr(picard_solver, kind)
+        made = _count_calls(monkeypatch, "_Picard", "_Dense", "_Toeplitz")
+        kinds = []
+
+        def marched(*args, fn=picard_solver._march):
+            kinds.append(args[-1])
+            return fn(*args)
+
+        monkeypatch.setattr(picard_solver, "_march", marched)
+        solve(problem, grid)
+        assert made == {name: int(name == kind) for name in made}
+        assert [type(k) for k in kinds] == [cls] and kinds[0].segments == segments
+
+
 class TestToeplitzStep:
     """With constant slopes on a uniform grid and gamma = 0, every window's
     M is a leading block of one lower-triangular Toeplitz M_W, W = 256 (or
@@ -767,14 +806,14 @@ class TestToeplitzStep:
         assert diagonal == np.abs(m_w.diagonal()).max()
         assert np.max(np.abs(c - inv[:, 0])) <= 1e-13 * np.max(np.abs(inv[:, 0]))
         # the step of the window that ends a block in the middle of the grid
-        step, segment = _exact_steps(constant, True, plans, 0.891)
+        kind = _Toeplitz(None, constant, plans, 1e-10, 200)  # bound 0.891
         a, end = block_bounds(n // 2, n)
         lo = end - width
         res = np.random.default_rng(width).normal(size=width)
         near = [plan.near_field(lo, end) for plan in plans]
-        got_diagonal, delta = step(near, lo - a, slice(lo, end), res)
+        got_diagonal, delta = kind.exact(near, lo - a, slice(lo, end), res)
         ref = inv[:width, :width] @ res
-        assert segment[0] == got_diagonal == diagonal and segment[1] is not None
+        assert kind.diagonal == got_diagonal == diagonal and kind.segments
         assert np.max(np.abs(delta - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_the_column_holds_no_square_array(self):
@@ -814,11 +853,11 @@ class TestToeplitzStep:
         # the exact windows and largest diagonal of a solve of each window's
         # own system, from one inverse column; at N = 4096 the first window
         # takes 3 updates and each of the 17 segments after it one
-        calls = _count_calls(monkeypatch, "_exact_step", "_toeplitz_inverse")
+        calls = _count_calls(monkeypatch, "_Dense.exact", "_toeplitz_inverse")
         grid = Grid.uniform(1.0, n)
         traj = solve(_relaxation(rate=rate), grid, tol=tol)
         report = traj.report
-        assert calls == {"_exact_step": 0, "_toeplitz_inverse": 1}  # no window's own solve
+        assert calls == {"_Dense.exact": 0, "_toeplitz_inverse": 1}  # no window's own solve
         assert report.converged and report.steps == steps
         assert report.exact_windows == report.windows == _segment_windows(n)
         assert report.largest_diagonal == diagonal
@@ -831,17 +870,17 @@ class TestToeplitzStep:
         (_problem("t^(-0.3) - 5*z1", gamma=0.3), Grid.uniform(1.0, 256)),
     ])
     def test_other_solves_solve_each_window(self, monkeypatch, problem, grid):
-        calls = _count_calls(monkeypatch, "_exact_step", "_toeplitz_inverse")
+        calls = _count_calls(monkeypatch, "_Dense.exact", "_toeplitz_inverse")
         report = solve(problem, grid).report
         assert report.converged and report.exact_windows > 0
-        assert calls["_exact_step"] >= report.exact_windows and calls["_toeplitz_inverse"] == 0
+        assert calls["_Dense.exact"] >= report.exact_windows and calls["_toeplitz_inverse"] == 0
 
     def test_a_refused_diagonal_is_remembered(self, monkeypatch):
         # every window of -9 z1 at N = 16 would halve and is refused, down
         # to one node; the diagonal is computed once
-        calls = _count_calls(monkeypatch, "_exact_step", "_toeplitz_inverse")
+        calls = _count_calls(monkeypatch, "_Dense.exact", "_toeplitz_inverse")
         report = solve(_relaxation(rate=9.0), Grid.uniform(1.0, 16)).report
-        assert calls == {"_exact_step": 0, "_toeplitz_inverse": 1}
+        assert calls == {"_Dense.exact": 0, "_toeplitz_inverse": 1}
         assert not report.converged and report.exact_windows == 0
         assert f"{report.largest_diagonal:.3g} > {report.diagonal_bound:.3g}" == "1.69 > 0.891"
 
@@ -877,9 +916,9 @@ class TestSegments:
     ])
     def test_every_update_is_a_picard_step(self, monkeypatch, problem, n):
         # bench/layers.py counts the picard_step calls as the updates
-        calls = _count_calls(monkeypatch, "picard_step", "_segment")
+        calls = _count_calls(monkeypatch, "picard_step", "_Toeplitz.segment")
         report = solve(problem, Grid.uniform(problem.horizon, n)).report
-        assert report.converged and calls["_segment"] > 0
+        assert report.converged and calls["_Toeplitz.segment"] > 0
         assert calls["picard_step"] == report.steps
 
     @pytest.mark.parametrize("n", (256, 4096))
@@ -899,9 +938,9 @@ class TestSegments:
     def test_a_refused_diagonal_takes_no_segment(self, monkeypatch):
         # -30 y at N = 256 has diagonal 1.41: no c, no segment, and the
         # windows halve and fail as before
-        calls = _count_calls(monkeypatch, "_segment")
+        calls = _count_calls(monkeypatch, "_Toeplitz.segment")
         report = solve(_relaxation(rate=30.0), Grid.uniform(1.0, 256)).report
-        assert not report.converged and calls["_segment"] == 0
+        assert not report.converged and calls["_Toeplitz.segment"] == 0
         assert f"{report.largest_diagonal:.3g} > {report.diagonal_bound:.3g}" == "1.41 > 0.891"
 
     def test_segments_hold_no_more_memory(self):
