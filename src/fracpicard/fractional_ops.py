@@ -41,8 +41,8 @@ over those with the same steps. So a solve costs about one apply plus its
 per-window iterations. A Grid is the value (horizon, N, grading); each
 table is built once per grid object, order and exponent (0 for the plain
 table) and kept on the grid, so every operator of that order on that grid
-shares it, and it lives as long as the grid. Graded tables are built in
-blocks of _BLOCK rows, each over the cells left of its last row only.
+shares it, and it lives as long as the grid. Tables are built panel by
+panel, each from the cells at its columns' ends, at its own rows only.
 
 Building an operator computes nothing but 1/gamma(beta): window(g) makes
 the steps for exponent g on its first use. So an operator that only meets
@@ -325,27 +325,21 @@ def _panels(n: int, order: str = "C") -> list:
     return [flat[i:j].reshape(shape, order=order) for i, j, shape in zip(ends, ends[1:], shapes)]
 
 
-def _fill_lower(column0: np.ndarray, panels: list, cell_weights, row_block: int = _BLOCK) -> None:
-    """Add the weights of a product trapezoid rule to the table held as
-    column0 and panels (_Table), row r - 1 for output node t_r, r = 1..N.
-
-    Rows go in blocks of row_block: a multiple of _BLOCK, or all N rows
-    where the cells lie left of t_(_BLOCK + 1).
-    cell_weights(rows) gets a block's rows and returns the weights of its
-    first cells j (at most those left of rows[-1]) at each cell's left and
-    right node, one row per output node, zero where j is not left of that
-    node; they are added to the panels they touch, the left weights first.
-    """
-    n = column0.size
-    for start in range(1, n + 1, row_block):
-        rows = np.arange(start, min(start + row_block, n + 1))
-        wl, wr = cell_weights(rows)
-        column0[start - 1 : rows[-1]] += wl[:, 0]
-        for a in range(1, wl.shape[1] + 1, _BLOCK):
-            block = panels[a // _BLOCK][start - a : rows[-1] - a + 1, : wl.shape[1] + 1 - a]
-            left = wl[:, a : a + block.shape[1]]
-            block[:, : left.shape[1]] += left
-            block += wr[:, a - 1 : a - 1 + block.shape[1]]
+def _fill_lower(column0: np.ndarray, panels: list, cell_weights, cells: int) -> None:
+    """Add the weights of cells 0..cells - 1 of a product trapezoid rule,
+    cell j over t_j..t_(j+1), to the table held as column0 and panels
+    (_Table), one panel at a time. The panel of nodes t_a..t_(a+w-1) takes
+    cells a - 1..k - 1, k = min(a + w, cells): cell_weights(a - 1, k) gives
+    their weights at their left and right node, one row per node t_a..t_N,
+    zero where the cell is not left of it. The left weights are added
+    first; column 0 takes cell 0's from the first panel's call."""
+    for a, panel in zip(range(1, cells + 1, _BLOCK), panels):
+        k = min(a + panel.shape[1], cells)
+        wl, wr = cell_weights(a - 1, k)
+        if a == 1:
+            column0 += wl[:, 0]
+        panel[:, : k - a] += wl[:, 1:]
+        panel[:, : k + 1 - a] += wr[:, : panel.shape[1]]
 
 
 def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
@@ -595,27 +589,24 @@ class FracIntegralOperator:
         first use, row r - 1 for node t_r. g = 0: the plain rule. g > 0: the
         weighted rule on f, whose bounded factor t^g f(t) it interpolates,
         extrapolated to t_0 from t_1 and t_2 (column 0 is zero); exact where
-        that factor is piecewise linear. Each panel is written once: no
-        N x (N+1) array is made."""
+        that factor is piecewise linear. Both rules fill the panels one at a
+        time, from the cells that carry weights (_fill_lower): all N, or the
+        first _FAR_CELL of a uniform weighted table, whose other cells
+        _far_panels writes first. No N x (N+1) array is made."""
         key = round(g, 15) or g  # a weighted table never takes the plain one's key 0.0
         cached = self._weighted_tables.get(key)
         if cached is not None:
             return cached
         beta, t, n, ginv = self.order, self.grid.nodes, self.grid.n_intervals, self._ginv
-        column0 = np.zeros(n)
         if g == 0.0:
-            def cells(rows):
-                c = rows[-1]
-                tr = t[rows][:, None]
-                live = np.arange(c) < rows[:, None]
-                a, b = (tr - t[:c])[live], (tr - t[1 : c + 1])[live]
+            def cells(j, k):
+                tr = t[j + 1 :, None]
+                live = np.arange(j, k) < np.arange(j + 1, n + 1)[:, None]
+                a, b = (tr - t[j:k])[live], (tr - t[j + 1 : k + 1])[live]
                 m0, m1 = _kernel_moments(a, b, beta)
                 wl, wr = np.zeros(live.shape), np.zeros(live.shape)
                 wl[live], wr[live] = (m0 - m1 / (a - b)) * ginv, m1 / (a - b) * ginv
                 return wl, wr
-
-            panels = _panels(n)
-            _fill_lower(column0, panels, cells)
         else:
             # cell moments against (t_row - tau)^(beta-1) tau^(-g): with x_j = t_j / t_row,
             # p = 1 - g, B = B_x(p, beta) and F = x^p (1 - x)^beta,
@@ -625,22 +616,22 @@ class FracIntegralOperator:
             # as B_x(p+1, beta) = (p B - F) / (p + beta) (DLMF 8.17.20): one series per
             # node. Linear interpolation of the bounded factor then gives endpoint weights
             # wl = J0 - S/h, wr = S/h; cells right of the row have x = 1 at both ends: zero.
-            # A uniform grid takes its cells from _FAR_CELL on from _far_panels.
             p = 1.0 - g
-            near = min(n, _FAR_CELL) if self.grid.is_uniform else n
 
-            def cells(rows):
-                c = min(rows[-1], near)
-                tr = t[rows][:, None]
-                x = np.clip(t[None, : c + 1] / tr, 0.0, 1.0)
+            def cells(j, k):
+                tr = t[j + 1 :, None]
+                x = np.clip(t[None, j : k + 1] / tr, 0.0, 1.0)
                 db = np.diff(incomplete_beta(p, beta, x), axis=1)
                 df = np.diff(x**p * (1.0 - x) ** beta, axis=1)
                 s = tr ** (beta - g + 1.0) * ((p / (p + beta) - x[:, :-1]) * db - df / (p + beta))
-                s /= np.diff(t[: c + 1])
+                s /= np.diff(t[j : k + 1])
                 return tr ** (beta - g) * db - s, s
 
-            panels = _far_panels(beta, g, t, near) if near < n else _panels(n)
-            _fill_lower(column0, panels, cells, n if self.grid.is_uniform else _BLOCK)
+        near = min(n, _FAR_CELL) if g and self.grid.is_uniform else n
+        panels = _far_panels(beta, g, t, near) if near < n else _panels(n)
+        column0 = np.zeros(n)
+        _fill_lower(column0, panels, cells, near)
+        if g:
             # fold in t^g and t^g f at t_0, extrapolated from t_1 and t_2
             column0 *= ginv
             tg = t[1:] ** g

@@ -964,11 +964,15 @@ class TestTableSharing:
             if grading != 1.0:
                 assert dense(op.window()).tobytes() == per_row_graded_table(beta, grid.nodes).tobytes()
 
-    @pytest.mark.parametrize("n,grading", [(40, 1.0), (130, 1.0), (512, 1.0), (1000, 1.0),
-                                           (40, 2.5), (130, 2.5)])
+    @pytest.mark.parametrize("n,grading", [(2, 1.0), (8, 1.0), (9, 1.0), (40, 1.0), (64, 1.0),
+                                           (65, 1.0), (129, 1.0), (130, 1.0), (512, 1.0),
+                                           (1000, 1.0), (2, 2.5), (40, 2.5), (65, 2.5),
+                                           (129, 2.5), (130, 2.5)])
     def test_panels_hold_the_dense_build_bit_for_bit(self, n, grading):
         # 1000 = 15 * 64 + 40: the last panel is cut short; above the panels
-        # the dense build holds zeros
+        # the dense build holds zeros. At N = 2 and 8 a uniform weighted table
+        # has no far cells, at 9 one; 64 is one full panel, and 65 and 129
+        # end in a panel of one column
         grid = Grid(1.3, n, grading)
         for beta in (0.4, 1.0, 2.3):
             op = build_integral_operator(beta, grid)
@@ -976,7 +980,7 @@ class TestTableSharing:
                 assert dense(op._dense_table(g)).tobytes() == dense_table(beta, g, grid).tobytes()
 
     def test_weighted_build_peak_memory(self):
-        # the table and the row blocks' temporaries: extra temporaries show here
+        # the table and the panel fill's temporaries: extra temporaries show here
         # first; the N x (N + 1) array alone would take 512 * 513 * 8 bytes
         op = build_integral_operator(0.7, Grid.uniform(1.0, 512))
         tracemalloc.start()

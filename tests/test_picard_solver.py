@@ -48,6 +48,7 @@ from fracpicard.picard_solver import (
 )
 from fracpicard.problem_model import (
     ProblemValidationError,
+    RhsDomainError,
     compile_rhs,
     eval_rhs,
     parse_rhs,
@@ -943,6 +944,17 @@ class TestSegments:
         assert not report.converged and calls["_Toeplitz.segment"] == 0
         assert f"{report.largest_diagonal:.3g} > {report.diagonal_bound:.3g}" == "1.41 > 0.891"
 
+    def test_a_non_finite_confirming_update_raises(self, monkeypatch):
+        # D^1 y = 1000 y: y = e^(1000 t) nears the end of the float range
+        # inside the segment t_513..t_768, whose confirming update is the
+        # first value that is not finite
+        calls = _count_calls(monkeypatch, "_Toeplitz.segment")
+        with pytest.raises(NonFiniteIterateError, match="at t = ") as exc:
+            solve(_problem("1000*z1", alpha=1.0), Grid.uniform(1.0, 1024))
+        assert 0.5 <= float(str(exc.value).rsplit("= ", 1)[1]) <= 0.75
+        assert calls["_Toeplitz.segment"] > 0
+        assert "segment" in [entry.name for entry in exc.traceback]
+
     def test_segments_hold_no_more_memory(self):
         # the same solve with a Toeplitz step per 64-node window peaked at
         # 914,674 B (tracemalloc, numpy 2.4, Python 3.11)
@@ -988,6 +1000,21 @@ class TestLipschitzEstimate:
         assert lipschitz == _observed_lipschitz(_problem(rhs), grid, traj.inner)
         if rhs.startswith("sin"):
             assert np.abs(np.sin(20.0 * grid.nodes)).max() < lipschitz
+
+
+    def test_a_domain_error_on_the_box_reads_nan(self):
+        # D^1 y = -sqrt(y), y(0) = 1, T = 1.9: y = (1 - t/2)^2 falls to
+        # 0.0025, so the sampled box, widened by 10 %, reaches below 0, where
+        # sqrt raises; the solve still returns its trajectory
+        problem = _problem("-sqrt(z1)", alpha=1.0, horizon=1.9)
+        grid = Grid.uniform(1.9, 256)
+        traj = solve(problem, grid)
+        with pytest.raises(RhsDomainError):
+            _observed_lipschitz(problem, grid, traj.inner)
+        assert traj.report.converged
+        assert math.isnan(traj.report.lipschitz_estimate)
+        assert math.isnan(traj.report.contraction_estimate)
+        assert np.max(np.abs(traj.y.values - (1.0 - grid.nodes / 2.0) ** 2)) <= 1e-10
 
 
 class TestReportFromWindows:
