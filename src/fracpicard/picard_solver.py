@@ -147,16 +147,12 @@ def rhs_samples(problem: MultiTermProblem, grid: Grid, z_funcs) -> SampledFuncti
     return SampledFunction(grid, vals, problem.gamma)
 
 
-def picard_step(rhs, past, near, block, nodes: slice) -> np.ndarray:
-    """One update of phi on the window t_lo..t_(hi-1) of one block, not
-    checked for finiteness: f(t, z) with z_h = past[h] + block @ near[h].
-    rhs is f compiled (compile_rhs) on the nodes it is sampled at (past t_0
-    when gamma > 0), nodes the window's slice of them. past[h] is
-    derivative_taylor_part(b, alpha_h) plus what the blocks before lo add
-    to I^(alpha - alpha_h) phi there (push), and near[h] =
-    inner[h].near_field(lo, hi), inner[h] that operator's window steps,
-    maps block, phi in the block up to t_(hi-1), to the rest."""
-    return rhs(nodes, [p + block @ m for p, m in zip(past, near)])
+def picard_step(rhs, z, nodes: slice) -> np.ndarray:
+    """One update of phi on a window or segment, not checked for
+    finiteness: f(t, z), z[h] the inner derivative z_h there. rhs is f
+    compiled (compile_rhs) on the nodes it is sampled at (past t_0 when
+    gamma > 0), nodes the stretch's slice of them."""
+    return rhs(nodes, z)
 
 
 def estimate_contraction(lipschitz: float, problem: MultiTermProblem) -> float:
@@ -227,12 +223,14 @@ def _toeplitz_inverse(slopes, inner, bound: float):
 
 class _Picard:
     """The kind of stretch where f is not affine in z (no slopes df/dz_h):
-    windows of plain Picard updates, with no exact step and no segments."""
+    windows of plain Picard updates, with no exact step and no segments.
+    Each kind holds rhs on the nodes t and the deltas' weight t^g (None at g = 0)."""
 
     segments = False  # whether the march solves aligned segments (_Toeplitz.segment)
 
-    def __init__(self, rhs, slopes, inner, tol: float, max_iter: int):
-        self.rhs, self.slopes, self.inner = rhs, slopes, inner
+    def __init__(self, rhs, t: np.ndarray, g: float, slopes, inner, tol: float, max_iter: int):
+        self.rhs, self.t, self.slopes, self.inner = rhs, t, slopes, inner
+        self.weight = t**g if g else None
         self.tol, self.max_iter = tol, max_iter
         self.bound = tol ** (1.0 / max_iter)  # the largest diagonal plain updates finish
 
@@ -240,29 +238,29 @@ class _Picard:
         """max |diag M| and the exact step for update res (_Dense.exact): none."""
         return 0.0, None
 
-    def window(self, past, near, block, r: int, nodes: slice, t: np.ndarray, weight,
-               halve: bool):
+    def window(self, past, near, block, r: int, nodes: slice, halve: bool):
         """Iterate the window block[r:] until its update is at most tol or
         max_iter updates are spent: its deltas, how it ended, "plain",
         "exact" or "halved", and max |diag M| of its exact step (0.0 where
         it tried none).
 
-        Each update is picard_step(rhs, past, near, block, nodes), which
-        moves block[r:], a view of phi's values, in place; t are the
-        window's nodes and weight t^gamma there (None for gamma = 0), which
-        the deltas carry. Where halve holds and an update shrinks by less
-        than half, the window halves. The first time, the exact step may
-        stand in for that: where there is one and it is finite, the iterate
-        before that update moves to the window's fixed point, and the
-        updates go on. The next update is then at round-off level; should
-        it too shrink by less than half, the window halves after all."""
+        Each update, picard_step(rhs, z, nodes), moves block[r:], a view of
+        phi's values, in place; z_h = past[h] + block @ near[h], the Taylor
+        part and pushes plus near[h] = inner[h].near_field(lo, hi) applied to
+        phi in the block up to t_(hi-1). Where halve holds and an update
+        shrinks by less than half, the window halves. The first time, the exact
+        step may stand in for that: where there is one and it is finite, the
+        iterate before that update moves to the window's fixed point, and the
+        updates go on. The next update is then at round-off level; should it
+        too shrink by less than half, the window halves after all."""
         cur, deltas, ended, diagonal = block[r:], [], "plain", 0.0
+        weight = None if self.weight is None else self.weight[nodes]
         for _ in range(self.max_iter):
-            new = picard_step(self.rhs, past, near, block, nodes)
+            new = picard_step(self.rhs, [p + block @ m for p, m in zip(past, near)], nodes)
             res = new - cur
             deltas.append(float(np.abs(res if weight is None else res * weight).max()))
             if not math.isfinite(deltas[-1]):  # max propagates nan and inf
-                _finite(new, t)
+                _finite(new, self.t[nodes])
             cur[:] = new
             if deltas[-1] <= self.tol:
                 break
@@ -307,8 +305,8 @@ class _Toeplitz(_Picard):
     leading block of its inverse. So every exact step convolves c[:w] with
     res; where c is refused, every step is, and the march takes no segments."""
 
-    def __init__(self, rhs, slopes, inner, tol: float, max_iter: int):
-        super().__init__(rhs, slopes, inner, tol, max_iter)
+    def __init__(self, rhs, t: np.ndarray, g: float, slopes, inner, tol: float, max_iter: int):
+        super().__init__(rhs, t, g, slopes, inner, tol, max_iter)
         self.diagonal, self.c = _toeplitz_inverse(slopes, inner, self.bound)
         self.segments = self.c is not None
 
@@ -316,7 +314,7 @@ class _Toeplitz(_Picard):
         w = res.size
         return self.diagonal, None if self.c is None else np.convolve(self.c[:w], res)[:w]
 
-    def segment(self, past, cur: np.ndarray, nodes: slice, t: np.ndarray):
+    def segment(self, past, cur: np.ndarray, nodes: slice):
         """Solve a segment's equations phi = f(t, past + N phi) in one
         product: its record, one update ended "exact", or "halved" where it
         misses tol, and each inner operator's own share N_h phi.
@@ -325,24 +323,22 @@ class _Toeplitz(_Picard):
         f(t, past) with the segment's own values at 0, so that (I - M) phi
         = r; * is a convolution cut to w terms. The own share stencil_h[:w]
         * phi is the rest of z_h there, and one update from past plus own
-        share, which leaves cur as it is, confirms phi. past, nodes and t
-        are as a window's (window)."""
+        share, which leaves cur as it is, confirms phi. past and nodes are
+        as a window's (window); gamma = 0 leaves the delta unweighted."""
         w = cur.size
         cur[:] = np.convolve(self.c[:w], self.rhs(nodes, past))[:w]
         own = [np.convolve(win.stencil[:w], cur)[:w] for win in self.inner]
-        # past + own is the whole of z: no block is left for a near field to map
-        new = picard_step(self.rhs, [p + o for p, o in zip(past, own)],
-                          [np.empty((0, w))] * len(own), cur[:0], nodes)
+        new = picard_step(self.rhs, [p + o for p, o in zip(past, own)], nodes)
         delta = float(np.abs(new - cur).max())
         if not math.isfinite(delta):
-            _finite(new, t)
+            _finite(new, self.t[nodes])
         return ([delta], "exact" if delta <= self.tol else "halved", self.diagonal), own
 
 
 def _march(problem: MultiTermProblem, grid: Grid, inner, taylor, kind):
     """phi, the march's record, the (deltas, ended, diagonal) of every
-    window and segment in order, halved attempts included, each hist, and
-    the first node from which hist still needs its close.
+    window and segment in order, halved attempts included, and z: each
+    inner derivative, its Taylor part plus the history closed (close).
 
     phi^0 = f(t, taylor parts). The windows lie in the blocks of t_1..t_N
     (block_bounds). A window w nodes long starts from the quintic through
@@ -366,11 +362,9 @@ def _march(problem: MultiTermProblem, grid: Grid, inner, taylor, kind):
     segment whose update misses tol from its values."""
     g = problem.gamma
     skip = 1 if g > 0.0 else 0
-    t = grid.nodes
-    weight = t**g if g else None  # of the deltas, once per solve
     n = grid.n_intervals
     values = np.full(n + 1, np.nan)
-    values[skip:] = _finite(kind.rhs(slice(None), [tp.values[skip:] for tp in taylor]), t[skip:])
+    values[skip:] = _finite(kind.rhs(slice(None), [tp.values[skip:] for tp in taylor]), kind.t)
     hist = [win.history(values[0]) for win in inner]
 
     def push(p):
@@ -383,7 +377,7 @@ def _march(problem: MultiTermProblem, grid: Grid, inner, taylor, kind):
         if lo == seg:
             seg = lo + min((lo - 1) & (1 - lo), _DIRECT_PUSH, n + 1 - lo)  # lowbit(lo - 1)
             past = [h[lo:seg] + tp.values[lo:seg] for h, tp in zip(hist, taylor)]
-            record, own = kind.segment(past, values[lo:seg], slice(lo, seg), t[lo:seg])
+            record, own = kind.segment(past, values[lo:seg], slice(lo, seg))
             windows.append(record)
             if record[1] == "exact":
                 for h, o in zip(hist, own):
@@ -405,7 +399,7 @@ def _march(problem: MultiTermProblem, grid: Grid, inner, taylor, kind):
         near = [win.near_field(lo, hi) for win in inner]
         past = [h[lo:hi] + tp.values[lo:hi] for h, tp in zip(hist, taylor)]
         windows.append(kind.window(past, near, values[a:hi], lo - a, slice(lo - skip, hi - skip),
-                                   t[lo:hi], None if weight is None else weight[lo:hi], w > least))
+                                   w > least))
         deltas, ended, _ = windows[-1]
         if ended == "halved":
             size = max(w // 2, least)
@@ -423,7 +417,9 @@ def _march(problem: MultiTermProblem, grid: Grid, inner, taylor, kind):
     # out of iterations: push the block starts past the window too
     for p in range(block_bounds(lo, n)[1], n + 1, _BLOCK):
         push(p)
-    return SampledFunction(grid, values, g), windows, hist, closed
+    z = tuple(SampledFunction(grid, win.close(h, values, closed) + tp.values)
+              for win, h, tp in zip(inner, hist, taylor))
+    return SampledFunction(grid, values, g), windows, z
 
 
 def solve(
@@ -432,9 +428,9 @@ def solve(
     tol: float = 1e-10,
     max_iter: int = 200,
 ) -> SolutionTrajectory:
-    """Iterate phi <- picard_step(phi), window by window, until the
-    weighted update norm drops to tol or a window exhausts max_iter;
-    reconstruct y = taylor part + I^alpha phi.
+    """Iterate phi <- f(t, z) window by window (_march) until the weighted
+    update norm drops to tol or a window exhausts max_iter; take the march's
+    finished z and reconstruct y = taylor part + I^alpha phi.
 
     The report is read off _march's record of every window attempt. An
     exhausted iteration budget returns a trajectory whose report has
@@ -465,11 +461,8 @@ def solve(
         if constant:  # one value each, broadcast: the march holds no N-array of slopes
             slopes = [np.broadcast_to(s[0], s.shape) for s in slopes]
         affine = _Toeplitz if constant and all(isinstance(win, _Plan) for win in inner) else _Dense
-        kind = (affine if slopes else _Picard)(rhs, slopes, inner, tol, max_iter)  # once per solve
-        phi, windows, hist, closed = _march(problem, grid, inner, taylor, kind)
-
-        z_final = tuple(SampledFunction(grid, win.close(h, phi.values, closed) + tp.values)
-                        for win, h, tp in zip(inner, hist, taylor))
+        kind = (affine if slopes else _Picard)(rhs, t, problem.gamma, slopes, inner, tol, max_iter)
+        phi, windows, z_final = _march(problem, grid, inner, taylor, kind)
         if orders and orders[-1] == 0.0:  # inner[-1] is I^alpha: this entry already is y
             y = z_final[-1]
         else:

@@ -569,6 +569,8 @@ class TestBadInput:
         ["--ode-tol", "nan", "--mode", "verify"],
         ["--ode-tol", "0", "--mode", "verify"],
         ["--ode-tol", "inf", "--mode", "verify"],
+        ["--oracle", "ml-1", "--mode", "oracle"],
+        ["--study-min", "8", "--mode", "study", "--oracle", "ml:-1"],
     ])
     def test_bad_flag_values(self, relaxation_cfg, tmp_path, capsys, flags):
         assert main([

@@ -37,6 +37,7 @@ from fracpicard.fractional_ops import (
 from fracpicard.picard_solver import (
     NonFiniteIterateError,
     _START_DEGREE,
+    _Dense,
     _Toeplitz,
     _observed_lipschitz,
     _toeplitz_inverse,
@@ -109,11 +110,12 @@ def _whole_step(phi, inner, taylor, rhs):
 
 
 def _first_window(phi, win, taylor, hi):
-    """(past, near, block, nodes) of the window t_1..t_(hi-1), hi <= 65,
-    of a regular phi and the window steps of one inner operator."""
+    """(z, nodes) of the window t_1..t_(hi-1), hi <= 65, of a regular phi
+    and the window steps of one inner operator, formed as the march's
+    windows form it: past + block @ near."""
     near = win.near_field(1, hi)
     past = win.history(phi.values[0])[1:hi] + taylor[0].values[1:hi]
-    return [past], [near], phi.values[hi - near.shape[0] : hi], slice(1, hi)
+    return [past + phi.values[hi - near.shape[0] : hi] @ near], slice(1, hi)
 
 
 class TestReductionIdentity:
@@ -593,8 +595,9 @@ class TestWindows:
         hist, lo = plan.history(phi.values[0]), 1
         for hi in (30, 65, 100, 129):
             near = plan.near_field(lo, hi)
-            got = picard_step(rhs, [hist[lo:hi] + taylor[0].values[lo:hi]], [near],
-                              phi.values[hi - near.shape[0] : hi], slice(lo, hi))
+            past = hist[lo:hi] + taylor[0].values[lo:hi]
+            z = past + phi.values[hi - near.shape[0] : hi] @ near
+            got = picard_step(rhs, [z], slice(lo, hi))
             assert np.allclose(got, whole[lo:hi], rtol=1e-14, atol=0.0)
             lo = hi
             if lo == block_bounds(lo, grid.n_intervals)[0]:  # pushed at block starts only
@@ -779,6 +782,14 @@ class TestKinds:
         assert made == {name: int(name == kind) for name in made}
         assert [type(k) for k in kinds] == [cls] and kinds[0].segments == segments
 
+    def test_a_singular_window_takes_no_exact_step(self):
+        # slope 1 on the near field [[0.5, 0.5], [0.5, 0.5]]: max |diag M| =
+        # 0.5 is within the bound, but I - M is exactly singular
+        t = np.linspace(0.0, 1.0, 3)
+        kind = _Dense(None, t, 0.0, [np.ones(3)], (), 1e-10, 200)  # bound 0.891
+        near = [np.full((2, 2), 0.5)]
+        assert kind.exact(near, 0, slice(0, 2), np.array([1.0, -1.0])) == (0.5, None)
+
 
 class TestToeplitzStep:
     """With constant slopes on a uniform grid and gamma = 0, every window's
@@ -807,7 +818,7 @@ class TestToeplitzStep:
         assert diagonal == np.abs(m_w.diagonal()).max()
         assert np.max(np.abs(c - inv[:, 0])) <= 1e-13 * np.max(np.abs(inv[:, 0]))
         # the step of the window that ends a block in the middle of the grid
-        kind = _Toeplitz(None, constant, plans, 1e-10, 200)  # bound 0.891
+        kind = _Toeplitz(None, grid.nodes, 0.0, constant, plans, 1e-10, 200)  # bound 0.891
         a, end = block_bounds(n // 2, n)
         lo = end - width
         res = np.random.default_rng(width).normal(size=width)

@@ -123,6 +123,13 @@ class TestParser:
         with pytest.raises(RhsSyntaxError):
             parse_rhs("", 0)
 
+    def test_trailing_blanks_end_the_input(self):
+        assert parse_rhs("t  ", 0) == Var("t")
+
+    def test_negative_term_count_rejected(self):
+        with pytest.raises(ValueError, match="m must be non-negative"):
+            parse_rhs("t", -1)
+
     def test_positions_do_not_affect_equality(self):
         assert parse_rhs("1+t", 0) == parse_rhs("1 + t", 0)
 
@@ -194,6 +201,17 @@ class TestEval:
         with pytest.raises(RhsDomainError):
             eval_rhs(e, 0.5)
 
+    def test_only_expression_nodes_evaluate(self):
+        with pytest.raises(TypeError, match="not an expression node"):
+            eval_rhs("t", 1.0)
+        # the parser refuses tan; a tree built by hand reaches the evaluator
+        with pytest.raises(RhsDomainError, match="unknown function 'tan'"):
+            eval_rhs(Call("tan", Var("t")), 1.0)
+
+    def test_a_missing_inner_derivative_is_unbound(self):
+        with pytest.raises(RhsDomainError, match=r"z1 is unbound at t = 0\.5"):
+            eval_rhs(parse_rhs("z1 + t", 1), [0.5, 1.0])
+
     def test_zero_base_negative_exponent(self):
         e = parse_rhs("t^-1", 0)
         with pytest.raises(RhsDomainError):
@@ -247,6 +265,13 @@ class TestLipschitz:
         a = estimate_lipschitz(e, (0.0, 1.0), [(0.0, 2.0)])
         b = estimate_lipschitz(e, (0.0, 1.0), [(0.0, 2.0)])
         assert a == b
+
+    def test_box_bounds(self):
+        e = parse_rhs("3*z1", 1)
+        with pytest.raises(ValueError, match="lo <= hi"):
+            estimate_lipschitz(e, (0.0, 1.0), [(1.0, 0.0)])
+        # a box of one point draws no pair of distinct z
+        assert estimate_lipschitz(e, (0.0, 1.0), [(1.0, 1.0)]) == 0.0
 
     def test_domain_error_propagates(self):
         e = parse_rhs("log(z1)", 1)

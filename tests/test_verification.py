@@ -136,6 +136,12 @@ class TestDecayLaw:
         with pytest.raises(ValueError):
             origin_decay(0.0, 0.5, Grid.uniform(1.0, 3))
 
+    def test_a_first_decade_of_one_node(self):
+        # at grading 4 and N = 16, t_2 = 16 t_1: the slope is fitted to the
+        # first three nodes instead
+        report = origin_decay(0.2, 0.5, Grid(1.0, 16, 4.0))
+        assert report.slope == pytest.approx(0.3, abs=1e-12)
+
     def test_violated_hypothesis_reported_not_raised(self):
         # gamma above alpha: the transform blows up at 0 and the report
         # says so instead of raising
@@ -168,6 +174,10 @@ class TestCompositionIdentity:
         defect = composition_identity((0.0, 1.0, 1.0, 0.5), 1.0, grid)
         assert defect < 1e-3
 
+    def test_order_must_be_positive(self):
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            composition_identity([1, 2], 0.0, Grid.uniform(1.0, 16))
+
 
 class TestInitialLimits:
     def test_manufactured_limits_vanish(self):
@@ -195,6 +205,20 @@ class TestInitialLimits:
                                      "initial_values": b, "horizon": 1.0, "rhs": rhs})
         _, traj = _solved(problem, n=64)
         assert all(type(v) is float for v in initial_limit_checks(problem, traj))
+
+    def test_a_fifth_derivative_recovers_at_half_order(self):
+        # D^4.5 y = -y: the estimate of y^(4)(0) takes no Richardson step
+        # (its stride-2 stencil would need 9 of the first 8 nodes), and y^(4)
+        # ~ b_4 + c t^(1/2) near 0, so its error falls as h^(1/2), by about 2
+        # when N grows 4x. At N = 256 it reads 0.0989, above the verify
+        # threshold 0.0525: verify fails there on the estimate, not the solve
+        problem = problem_from_dict({"alpha": 4.5, "derivative_orders": [0.0],
+                                     "initial_values": [1.0, 0.5, 0.2, 0.1, 0.05],
+                                     "horizon": 1.0, "rhs": "-y"})
+        coarse, fine = (check_equivalence(_solved(problem, n=n)[1], problem).ic_errors
+                        for n in (256, 1024))
+        assert len(coarse) == len(fine) == 5
+        assert 1.8 <= coarse[4] / fine[4] <= 2.2
 
     def test_tiny_grid_rejected(self):
         problem = _manufactured()
