@@ -11,17 +11,16 @@ order 0.5 (the steps of a marching solve, level by level: history,
 push of all block starts of one level at once, the top level
 first, one batched FFT per level above fractional_ops._DIRECT_PUSH, then
 close, one product for all full blocks) on random data and a direct
-np.convolve of the same
-stencil, and prints a markdown table of the median time per apply together
-with the largest deviation between the two, relative to the largest
-output, and the bytes the operator holds: stencil, boundary column and
-the near-field block and level spectra of its plan (window()). A second table gives,
-for N = 2^8 .. 2^12, the median time to build
-the weighted table of order 0.5 for singular exponent g = 0.2 on a uniform
-grid and the plain table of order 0.5 on a grid of grading 2 (timed on
-the operator's first window(), which builds it), each with the bytes it
-holds (column 0 and panels, _Table.nbytes) and its
-worst relative error on inputs the rule integrates exactly:
+np.convolve of the same stencil, and prints a markdown table of the
+median time per apply together with the largest deviation between the
+two, relative to the largest output, and the bytes the operator holds,
+its plan's nbytes (window()): stencil, boundary column, near-field block
+and level spectra. A second table gives, for N = 2^8 .. 2^12, the median
+time to build the weighted table of order 0.5 for singular exponent
+g = 0.2 on a uniform grid and the plain table of order 0.5 on a grid of
+grading 2 (timed on the operator's first window(), which builds it), each
+with the bytes it holds (column 0 and panels, its nbytes) and its worst
+relative error on inputs the rule integrates exactly:
 t^(-g), whose image is Gamma(1-g)/Gamma(1-g+beta) t^(beta-g), for the
 weighted table, and the constant 1, whose image is t^beta/Gamma(1+beta),
 for the graded one. The weighted build is timed in two fresh processes,
@@ -112,12 +111,6 @@ def direct(op, u):
     out = np.zeros(n + 1)
     out[1:] = np.convolve(plan.stencil, u[1:])[:n] + plan.boundary[1:] * u[0]
     return out
-
-
-def held_bytes(op) -> int:
-    """Bytes of the arrays a uniform operator keeps for its applies."""
-    plan = op.window()
-    return sum(a.nbytes for a in (plan.stencil, plan.boundary, plan.block, *plan.spectra))
 
 
 def solve_segments(problem, grid):
@@ -302,7 +295,7 @@ def main() -> int:
         t_fast = median_time(lambda: apply_integral(op, f))
         t_ref = median_time(lambda: direct(op, f.values))
         print(f"| {n} | {t_fast * 1e3:.3g} ms | {t_ref * 1e3:.3g} ms "
-              f"| {t_ref / t_fast:.1f}x | {dev:.1e} | {held_bytes(op)} |")
+              f"| {t_ref / t_fast:.1f}x | {dev:.1e} | {op.window().nbytes} |")
 
     print()
     print("| N | weighted table | unpinned BLAS | bytes held | exactness | far-field error "

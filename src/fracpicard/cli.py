@@ -72,10 +72,6 @@ def _write_csv(path: str, header, rows) -> None:
         raise CliInputError(f"cannot write {path}: {exc.strerror or exc}")
 
 
-def _output_path(cfg: argparse.Namespace) -> str:
-    return cfg.output or f"fracpicard_{cfg.mode}.csv"
-
-
 def _sibling_path(path: str, suffix: str) -> str:
     stem, ext = os.path.splitext(path)
     return f"{stem}{suffix}{ext or '.csv'}"
@@ -103,8 +99,10 @@ def _load(cfg: argparse.Namespace) -> MultiTermProblem:
         raise CliInputError(str(exc))
 
 
-def _oracle_fn(spec_text: str, problem: MultiTermProblem):
-    kind, sep, rest = spec_text.partition(":")
+def _oracle_fn(cfg: argparse.Namespace, problem: MultiTermProblem):
+    if not cfg.oracle:
+        raise CliInputError(f"{cfg.mode} mode needs --oracle")
+    kind, sep, rest = cfg.oracle.partition(":")
     if not sep:
         raise CliInputError("--oracle must look like ml:<lambda> or expr:<text>")
     if kind == "ml":
@@ -121,7 +119,7 @@ def _oracle_fn(spec_text: str, problem: MultiTermProblem):
             with np.errstate(over="ignore"):
                 z = lam * t**problem.alpha
             if not np.isfinite(z).all():
-                raise CliInputError(f"--oracle {spec_text}: lambda t^alpha overflows on the grid")
+                raise CliInputError(f"--oracle {cfg.oracle}: lambda t^alpha overflows on the grid")
             out = np.zeros_like(t)
             for j, bj in enumerate(problem.initial_values):
                 if bj == 0.0:
@@ -141,30 +139,25 @@ def _oracle_fn(spec_text: str, problem: MultiTermProblem):
                 vals = eval_rhs(expr, t)
             bad = ~np.isfinite(vals)
             if bad.any():
-                raise CliInputError(f"--oracle {spec_text}: not finite at t = {t[np.argmax(bad)]:g}")
+                raise CliInputError(f"--oracle {cfg.oracle}: not finite at t = {t[np.argmax(bad)]:g}")
             return vals
 
         return fn
     raise CliInputError(f"unknown oracle kind {kind!r} (use ml: or expr:)")
 
 
-def _trajectory_rows(trajectory: SolutionTrajectory):
-    grid = trajectory.grid
-    for i in range(grid.nodes.size):
-        row = [grid.nodes[i], trajectory.y.values[i]]
-        row.extend(zf.values[i] for zf in trajectory.inner)
-        row.append(trajectory.phi.values[i])
-        yield row
+def _solve(cfg: argparse.Namespace, problem: MultiTermProblem, n: int) -> SolutionTrajectory:
+    """The solve of every mode, on n intervals. It looks solve up at call
+    time: bench/run.py patches cli.solve to keep each trajectory."""
+    grid = _make_grid(problem, n, cfg.grading)
+    return solve(problem, grid, tol=cfg.tol, max_iter=cfg.max_iter)
 
 
-def run_solve(cfg: argparse.Namespace) -> int:
-    problem = _load(cfg)
-    grid = _make_grid(problem, cfg.n_points, cfg.grading)
-    trajectory = solve(problem, grid, tol=cfg.tol, max_iter=cfg.max_iter)
-
-    out = _output_path(cfg)
+def run_solve(cfg: argparse.Namespace, problem: MultiTermProblem, out: str) -> int:
+    trajectory = _solve(cfg, problem, cfg.n_points)
     header = ["t", "y"] + [f"z{h + 1}" for h in range(problem.m)] + ["phi"]
-    _write_csv(out, header, _trajectory_rows(trajectory))
+    columns = [trajectory.y, *trajectory.inner, trajectory.phi]
+    _write_csv(out, header, zip(trajectory.grid.nodes, *(f.values for f in columns)))
     conv_path = _sibling_path(out, "_convergence")
     _write_csv(
         conv_path,
@@ -208,14 +201,11 @@ def _verify_checks(
     ]
 
 
-def run_verify(cfg: argparse.Namespace) -> int:
-    problem = _load(cfg)
+def run_verify(cfg: argparse.Namespace, problem: MultiTermProblem, out: str) -> int:
     if cfg.n_points < 2 * problem.n:  # the differential-form residual differences n times
         raise CliInputError(f"verify needs --n-points >= 2 ceil(alpha) = {2 * problem.n}")
-    grid = _make_grid(problem, cfg.n_points, cfg.grading)
-    trajectory = solve(problem, grid, tol=cfg.tol, max_iter=cfg.max_iter)
+    trajectory = _solve(cfg, problem, cfg.n_points)
     checks = _verify_checks(cfg, problem, trajectory)
-    out = _output_path(cfg)
     _write_csv(
         out,
         ["check", "value", "threshold", "passed"],
@@ -228,11 +218,8 @@ def run_verify(cfg: argparse.Namespace) -> int:
     return 0 if n_pass == len(checks) else 2
 
 
-def run_study(cfg: argparse.Namespace) -> int:
-    problem = _load(cfg)
-    if not cfg.oracle:
-        raise CliInputError("study mode needs --oracle")
-    oracle = _oracle_fn(cfg.oracle, problem)
+def run_study(cfg: argparse.Namespace, problem: MultiTermProblem, out: str) -> int:
+    oracle = _oracle_fn(cfg, problem)
     if cfg.study_min < 16:
         raise CliInputError(f"--study-min must be at least 16, got {cfg.study_min}")
     sizes = [cfg.study_min]
@@ -248,39 +235,30 @@ def run_study(cfg: argparse.Namespace) -> int:
     exact = oracle(_make_grid(problem, cfg.n_points, cfg.grading).nodes)
 
     def one(n: int):
-        grid = _make_grid(problem, n, cfg.grading)
-        trajectory = solve(problem, grid, tol=cfg.tol, max_iter=cfg.max_iter)
+        trajectory = _solve(cfg, problem, n)
         err = float(np.max(np.abs(trajectory.y.values - exact[:: cfg.n_points // n])))
         return err, trajectory.report.iterations, trajectory.report.converged
 
     results = [one(n) for n in sizes]
 
     rows = []
-    all_converged = True
-    for i, (n, (err, iters, conv)) in enumerate(zip(sizes, results)):
+    for i, (n, (err, iters, _)) in enumerate(zip(sizes, results)):
         if i + 1 < len(sizes) and results[i + 1][0] > 0.0 and err > 0.0:
             order = float(np.log2(err / results[i + 1][0]))
         else:
             order = float("nan")
         rows.append([n, err, order, iters])
-        all_converged = all_converged and conv
-    out = _output_path(cfg)
     _write_csv(out, ["n_intervals", "sup_error", "observed_order", "iterations"], rows)
     for n, err, order, iters in rows:
         print(f"N = {n:6d}  sup error {err:.6e}  order {order:7.3f}  iterations {iters}")
     print(f"study: wrote {out}")
-    return 0 if all_converged else 2
+    return 0 if all(conv for _, _, conv in results) else 2
 
 
-def run_oracle(cfg: argparse.Namespace) -> int:
-    problem = _load(cfg)
-    if not cfg.oracle:
-        raise CliInputError("oracle mode needs --oracle")
-    oracle = _oracle_fn(cfg.oracle, problem)
-    grid = _make_grid(problem, cfg.n_points, cfg.grading)
-    vals = oracle(grid.nodes)
-    out = _output_path(cfg)
-    _write_csv(out, ["t", "y"], ([t, v] for t, v in zip(grid.nodes, vals)))
+def run_oracle(cfg: argparse.Namespace, problem: MultiTermProblem, out: str) -> int:
+    oracle = _oracle_fn(cfg, problem)
+    nodes = _make_grid(problem, cfg.n_points, cfg.grading).nodes
+    _write_csv(out, ["t", "y"], zip(nodes, oracle(nodes)))
     print(f"oracle: wrote {out}")
     return 0
 
@@ -334,7 +312,8 @@ def main(argv=None) -> int:
                 raise CliInputError(f"{flag} must be finite and positive, got {value}")
         if cfg.max_iter < 1:
             raise CliInputError(f"--max-iter must be at least 1, got {cfg.max_iter}")
-        return _DISPATCH[cfg.mode](cfg)
+        problem = _load(cfg)
+        return _DISPATCH[cfg.mode](cfg, problem, cfg.output or f"fracpicard_{cfg.mode}.csv")
     except (CliInputError, RhsDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -45,11 +45,12 @@ shares it, and it lives as long as the grid. Tables are built panel by
 panel, each from the cells at its columns' ends, at its own rows only.
 
 Building an operator computes nothing but 1/gamma(beta): window(g) makes
-the steps for exponent g on its first use. So an operator that only meets
-singular samples, like I^alpha of a gamma > 0 solve and its checks, never
-builds the plain rule. A uniform plan is often first made inside a
-marching solve, so its cell moments are summed in place, on a few arrays
-of N floats.
+the steps for exponent g on its first use, a plan kept on the operator or
+a table kept on the grid; each carries nbytes, the bytes it holds. So an
+operator that only meets singular samples, like I^alpha of a gamma > 0
+solve and its checks, never builds the plain rule. A uniform plan is often
+first made inside a marching solve, so its cell moments are summed in
+place, on a few arrays of N floats.
 """
 
 from __future__ import annotations
@@ -421,7 +422,8 @@ class _Plan:
     """The window steps of I^beta at g = 0 on a uniform grid, ginv = 1/gamma(beta),
     all built at once: stencil and boundary (_uniform_rule), block[j, i] =
     s[i - j] for i >= j, s = stencil zero-padded, the near field of every
-    full block, and spectra, rfft(stencil[:2h]) for each level _DIRECT_PUSH < h < N."""
+    full block, and spectra, rfft(stencil[:2h]) for each level _DIRECT_PUSH < h < N.
+    nbytes is the bytes of those arrays."""
 
     def __init__(self, beta: float, ginv: float, grid: Grid) -> None:
         self.n = n = grid.n_intervals
@@ -430,6 +432,7 @@ class _Plan:
         self.block = np.triu(s[abs(i[:, None] - i)])
         levels = [_DIRECT_PUSH << j for j in range(1, n.bit_length()) if _DIRECT_PUSH << j < n]
         self.spectra = [rfft(self.stencil[: 2 * h], 2 * h) for h in levels]
+        self.nbytes = sum(a.nbytes for a in (self.stencil, self.boundary, self.block, *self.spectra))
 
     def history(self, f0: float) -> np.ndarray:
         """The share of f(t_0) = f0 in the apply at t_0..t_N."""
@@ -558,26 +561,25 @@ class FracIntegralOperator:
             raise ValueError(f"integral order {order} overflows gamma") from None
         self.grid = grid
         self._weighted_tables = grid._tables.setdefault(round(self.order, 15), {})
-        self._windows = {}
+        self._plan = None
 
     def window(self, g: float = 0.0):
-        """The window steps for samples of singular exponent g, made once: a
-        _Plan at g = 0 on a uniform grid, else the grid's _Table, _dense_table(g)."""
-        win = self._windows.get(g)
-        if win is None:  # should two threads make one at once, both keep the one stored first
-            if g or not self.grid.is_uniform:
-                try:
-                    win = self._dense_table(g)
-                except MemoryError as exc:
-                    n = self.grid.n_intervals
-                    held = 8 * (sum(r * c for r, c in _panel_shapes(n)) + (0 if g else n))
-                    raise MemoryError(
-                        f"no memory for the {'weighted' if g else 'plain'} table of "
-                        f"I^{self.order:g} on N = {n}, which holds {held / 1e6:.1f} MB") from exc
-            else:
-                win = _Plan(self.order, self._ginv, self.grid)
-            win = self._windows.setdefault(g, win)
-        return win
+        """The window steps for samples of singular exponent g: at g = 0 on a
+        uniform grid the operator's own _Plan, made on first use; else the
+        grid's _Table, _dense_table(g), which every operator of this order
+        on the grid shares. Both carry nbytes, the bytes they hold."""
+        if g or not self.grid.is_uniform:
+            try:
+                return self._dense_table(g)
+            except MemoryError as exc:
+                n = self.grid.n_intervals
+                held = 8 * (sum(r * c for r, c in _panel_shapes(n)) + (0 if g else n))
+                raise MemoryError(
+                    f"no memory for the {'weighted' if g else 'plain'} table of "
+                    f"I^{self.order:g} on N = {n}, which holds {held / 1e6:.1f} MB") from exc
+        if self._plan is None:  # two threads may both make one: equal plans, the last one stays
+            self._plan = _Plan(self.order, self._ginv, self.grid)
+        return self._plan
 
     # the parts bench/layers.py's build hook reads, until ROADMAP item 1's bench edit
     _table = property(lambda self: None if self.grid.is_uniform else self.window())

@@ -110,31 +110,26 @@ RhsExpr = Union[Num, Var, Neg, BinOp, Call]
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^(),]))"
+    r"|(?P<op>[-+*/^(),])|(?P<bad>\S))"
 )
 
 
 def _tokenize(text: str):
+    """(kind, text, position) of each num, ident or op token, then the end.
+    Every non-blank character starts a match, each where the last ended, so
+    only trailing blanks match nothing; a bad match is an error."""
     tokens = []
-    i = 0
-    while i < len(text):
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            stripped = text[i:].lstrip()
-            if not stripped:
-                break
-            pos = len(text) - len(stripped)
-            raise RhsSyntaxError(f"unexpected character {stripped[0]!r}", pos)
-        kind = m.lastgroup  # num, ident or op
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise RhsSyntaxError(f"unexpected character {m.group(kind)!r}", m.start(kind))
         tokens.append((kind, m.group(kind), m.start(kind)))
-        i = m.end()
-    tokens.append(("end", "", len(text)))
+    tokens.append(("end", "end of input", len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str, m: int) -> None:
-        self.text = text
         self.m = m
         self.tokens = _tokenize(text)
         self.i = 0
@@ -147,14 +142,13 @@ class _Parser:
         self.i += 1
         return tok
 
-    def expect_op(self, symbol: str):
-        kind, text, pos = self.peek()
-        if kind != "op" or text != symbol:
-            if kind == "op" and text == "," and symbol == ")":
-                raise RhsSyntaxError("functions take exactly one argument", pos)
-            shown = text if text else "end of input"
-            raise RhsSyntaxError(f"expected {symbol!r}, found {shown!r}", pos)
-        return self.advance()
+    def expect_close(self):
+        """Take the ")" that closes a group or a call's argument."""
+        kind, text, pos = self.advance()
+        if kind == "op" and text == ",":
+            raise RhsSyntaxError("functions take exactly one argument", pos)
+        if kind != "op" or text != ")":
+            raise RhsSyntaxError(f"expected ')', found {text!r}", pos)
 
     def parse(self) -> RhsExpr:
         expr = self.expr()
@@ -203,15 +197,14 @@ class _Parser:
                     raise RhsSyntaxError(f"unknown function {text!r}", pos)
                 self.advance()
                 arg = self.expr()
-                self.expect_op(")")
+                self.expect_close()
                 return Call(text, arg, pos)
             return Var(self._check_var(text, pos), pos)
         if kind == "op" and text == "(":
             node = self.expr()
-            self.expect_op(")")
+            self.expect_close()
             return node
-        shown = text if text else "end of input"
-        raise RhsSyntaxError(f"expected a value, found {shown!r}", pos)
+        raise RhsSyntaxError(f"expected a value, found {text!r}", pos)
 
     def _check_var(self, name: str, pos: int) -> str:
         if name == "t":

@@ -26,6 +26,7 @@ import numpy as np
 from .fractional_ops import (
     Grid,
     SampledFunction,
+    _finite,
     apply_integral,
     build_integral_operator,
     caputo_derivative,
@@ -149,7 +150,7 @@ class OriginDecayReport:
     """Small-t behaviour of I^alpha t^(-gamma) on a grid.
 
     slope: least-squares log-log slope over the first spatial decade of
-    nodes (expected alpha - gamma when gamma < alpha).
+    nodes (expected alpha - gamma when gamma < alpha), 0.0 where flat.
     first_value: the value at the first positive node.
     limit_estimate: power-law extrapolation of the t -> +0 value (expected
     0 when gamma < alpha; the degenerate case gamma = alpha yields the
@@ -175,26 +176,25 @@ def origin_decay(gamma_exponent: float, alpha: float, grid: Grid) -> OriginDecay
     if grid.n_intervals < 4:
         raise ValueError("need at least 4 intervals to extrapolate the limit")
 
-    f = SampledFunction.from_callable(grid, lambda tt: tt**(-g), g)  # 0.0**-0.0 is 1.0
+    t_pos = grid.nodes[1:]
+    with np.errstate(over="ignore"):  # t^-g overflows on subnormal nodes: checked below
+        f = SampledFunction.from_callable(grid, lambda tt: tt**(-g), g)  # 0.0**-0.0 is 1.0
+    _finite(f.values[1:], t_pos, f"t^-{g:g} took")
     op = build_integral_operator(alpha, grid)
     vals = integral_node_values(op, f)
-    t_pos = grid.nodes[1:]
-
-    decade = np.nonzero(t_pos <= 10.0 * t_pos[0] * (1.0 + 1e-12))[0]
-    if decade.size < 3:
-        decade = np.arange(min(3, t_pos.size))
-    with np.errstate(divide="ignore"):
-        logs = np.log(np.abs(vals[decade]))
-    finite = np.isfinite(logs)
-    if np.count_nonzero(finite) >= 2:
-        slope = float(np.polyfit(np.log(t_pos[decade][finite]), logs[finite], 1)[0])
-    else:
-        slope = float("nan")
 
     limit, flat = _power_limit(t_pos, vals)
-    if flat:
-        # constant sequence, as happens at the boundary gamma = alpha
-        slope = 0.0
+    slope = 0.0  # a constant sequence, as happens at the boundary gamma = alpha
+    if not flat:
+        # vals is finite and moves by more than 1e-40 from t_1 to t_2, so at
+        # most an underflowed value at t_1 has no finite log
+        decade = np.nonzero(t_pos <= 10.0 * t_pos[0] * (1.0 + 1e-12))[0]
+        if decade.size < 3:
+            decade = np.arange(min(3, t_pos.size))
+        with np.errstate(divide="ignore"):
+            logs = np.log(np.abs(vals[decade]))
+        finite = np.isfinite(logs)
+        slope = float(np.polyfit(np.log(t_pos[decade][finite]), logs[finite], 1)[0])
     return OriginDecayReport(
         alpha=float(alpha),
         gamma_exponent=g,

@@ -19,11 +19,15 @@ def script():
     return runpy.run_path(str(SCRIPT))  # not run as __main__: main() does not run
 
 
-@pytest.mark.parametrize("n, held", [(512, 40968), (8192, 286792)])
-def test_held_bytes(script, n, held):
-    # stencil and boundary, the 64 x 64 block and, at N = 8192, the spectra
-    # of levels 512 .. 4096
-    assert script["held_bytes"](build_integral_operator(0.5, Grid.uniform(1.0, n))) == held
+@pytest.mark.parametrize("n, held", [(16, 33032), (512, 40968), (513, 49192), (8192, 286792)])
+def test_held_bytes(n, held):
+    # the bytes held column reads the plan's nbytes: N stencil and N + 1
+    # boundary floats, the 64 x 64 block (at N = 16 the stencil padded) and
+    # the spectra of the levels 512 .. below N, none up to N = 512
+    plan = build_integral_operator(0.5, Grid.uniform(1.0, n)).window()
+    arrays = (plan.stencil, plan.boundary, plan.block, *plan.spectra)
+    assert plan.block.shape == (64, 64)
+    assert plan.nbytes == sum(a.nbytes for a in arrays) == held
 
 
 @pytest.mark.parametrize("n", [100, 512, 4097])

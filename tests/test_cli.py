@@ -10,6 +10,7 @@ inputs must produce byte-identical CSVs; the determinism tests assert
 exactly that, including the study mode.
 """
 
+import argparse
 import csv
 import dataclasses
 import json
@@ -29,7 +30,7 @@ from fracpicard import cli, fractional_ops
 from fracpicard.cli import _oracle_fn, main
 from fracpicard.fractional_ops import Grid, SampledFunction
 from fracpicard.picard_solver import solve
-from fracpicard.problem_model import MultiTermProblem, parse_rhs
+from fracpicard.problem_model import MultiTermProblem, load_problem, parse_rhs
 
 ROOT = Path(__file__).resolve().parent.parent
 SHIPPED = sorted((ROOT / "configs").glob("*.json"))
@@ -276,12 +277,14 @@ class TestStudyMode:
         ])
         assert rc == 1
 
-    def test_missing_oracle_rejected(self, relaxation_cfg, tmp_path):
+    def test_missing_oracle_rejected(self, relaxation_cfg, tmp_path, capsys):
         rc = main([
             "--config", str(relaxation_cfg), "--mode", "study",
             "--output", str(tmp_path / "s.csv"),
         ])
         assert rc == 1
+        assert capsys.readouterr().err == "error: study mode needs --oracle\n"
+        assert not (tmp_path / "s.csv").exists()
 
     def test_study_is_deterministic(self, relaxation_cfg, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -334,7 +337,7 @@ class TestStudyMode:
             alpha=0.5, derivative_orders=(0.0,), initial_values=(1.0,),
             horizon=1.7, rhs=parse_rhs("-z1", 1),
         )
-        oracle = _oracle_fn("ml:-2.5", problem)
+        oracle = _oracle_fn(argparse.Namespace(mode="study", oracle="ml:-2.5"), problem)
         sizes = [16 * 2**k for k in range(7)]
         grids = [Grid(problem.horizon, n, grading) for n in sizes]
         values = [oracle(g.nodes) for g in grids]
@@ -409,12 +412,45 @@ class TestOracleMode:
         for t_str, y_str in rows:
             assert float(y_str) == pytest.approx(float(t_str) ** 2, abs=1e-15)
 
-    def test_requires_oracle_argument(self, relaxation_cfg, tmp_path):
+    def test_requires_oracle_argument(self, relaxation_cfg, tmp_path, capsys):
         rc = main([
             "--config", str(relaxation_cfg), "--mode", "oracle",
             "--output", str(tmp_path / "o.csv"),
         ])
         assert rc == 1
+        assert capsys.readouterr().err == "error: oracle mode needs --oracle\n"
+        assert not (tmp_path / "o.csv").exists()
+
+
+class TestEveryMode:
+    @pytest.mark.parametrize("mode, sizes", [
+        ("solve", [64]), ("verify", [64]), ("study", [16, 32, 64]), ("oracle", []),
+    ])
+    def test_one_load_and_every_solve_through_cli_solve(
+        self, relaxation_cfg, tmp_path, monkeypatch, mode, sizes
+    ):
+        # main reads the config once for every mode, and each grid a mode
+        # solves on goes through the module's solve, looked up at call
+        # time: the benchmark patches cli.solve to keep each trajectory
+        loads, solved = [], []
+
+        def counting_load(path):
+            loads.append(path)
+            return load_problem(path)
+
+        def counting_solve(problem, grid, **kwargs):
+            solved.append((grid.n_intervals, kwargs))
+            return solve(problem, grid, **kwargs)
+
+        monkeypatch.setattr(cli, "load_problem", counting_load)
+        monkeypatch.setattr(cli, "solve", counting_solve)
+        assert main([
+            "--config", str(relaxation_cfg), "--mode", mode, "--n-points", "64",
+            "--oracle", "ml:-1", "--tol", "1e-9", "--max-iter", "50", "--ode-tol", "0.5",
+            "--output", str(tmp_path / "out.csv"),
+        ]) == 0
+        assert loads == [str(relaxation_cfg)]
+        assert solved == [(n, {"tol": 1e-9, "max_iter": 50}) for n in sizes]
 
 
 class TestBadInput:

@@ -1051,7 +1051,7 @@ class TestPlainRuleOnFirstUse:
     def test_construction_builds_nothing(self):
         for grid in (Grid.uniform(1.0, 64), Grid(1.0, 64, 2.0)):
             op = build_integral_operator(0.5, grid)
-            assert op._windows == {}
+            assert op._plan is None
             assert grid._tables == {0.5: {}}
 
     def test_each_grid_and_g_gets_its_kind(self):
@@ -1061,9 +1061,12 @@ class TestPlainRuleOnFirstUse:
         op = build_integral_operator(0.5, grid)
         weighted = op.window(0.3)
         assert isinstance(weighted, _Table) and weighted.weighted
-        assert weighted is grid._tables[0.5][0.3] and list(op._windows) == [0.3]
+        assert weighted is grid._tables[0.5][0.3] and op._plan is None
         assert isinstance(op.window(), _Plan) and op.window(0.3) is weighted
         assert op.window() is op.window() and list(grid._tables[0.5]) == [0.3]
+        # a second operator of the order makes its own plan but shares the table
+        other = build_integral_operator(0.5, grid)
+        assert other.window(0.3) is weighted and other.window() is not op.window()
         grid = Grid(1.0, 64, 2.0)
         graded = build_integral_operator(0.5, grid).window()
         assert isinstance(graded, _Table) and not graded.weighted

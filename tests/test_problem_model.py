@@ -115,9 +115,13 @@ class TestParser:
             parse_rhs("t)", 0)
 
     def test_bad_character(self):
-        with pytest.raises(RhsSyntaxError) as exc:
-            parse_rhs("1 @ 2", 0)
-        assert exc.value.pos == 2
+        # the error sits at the character, past any blanks before it
+        for text, pos, char in [("1 @ 2", 2, "@"), ("#t", 0, "#"), ("t$", 1, "$"),
+                                ("t   $", 4, "$"), ("té", 1, "é")]:
+            with pytest.raises(RhsSyntaxError) as exc:
+                parse_rhs(text, 0)
+            assert str(exc.value).startswith(f"unexpected character {char!r}")
+            assert exc.value.pos == pos
 
     def test_empty_input(self):
         with pytest.raises(RhsSyntaxError):

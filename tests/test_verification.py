@@ -142,6 +142,22 @@ class TestDecayLaw:
         report = origin_decay(0.2, 0.5, Grid(1.0, 16, 4.0))
         assert report.slope == pytest.approx(0.3, abs=1e-12)
 
+    @pytest.mark.parametrize("alpha, g, grid", [
+        (150.0, 0.0, Grid(1e-3, 16)), (120.0, 0.0, Grid(1.0, 16, 3.0)), (170.0, 0.3, Grid(1.0, 16)),
+    ])
+    def test_underflowed_values_are_flat(self, alpha, g, grid):
+        # the first values underflow to 0: the sequence is flat, with nothing
+        # to fit a slope to
+        report = origin_decay(g, alpha, grid)
+        assert report.first_value == report.slope == report.limit_estimate == 0.0
+
+    def test_overflowing_samples_raise(self):
+        # t^-0.99 overflows on the subnormal nodes of this grid
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteIterateError, match=r"^t\^-0.99 took .* at t = 6.22523e-322$"):
+                origin_decay(0.99, 2.0, Grid(1e-320, 16))
+
     def test_violated_hypothesis_reported_not_raised(self):
         # gamma above alpha: the transform blows up at 0 and the report
         # says so instead of raising
